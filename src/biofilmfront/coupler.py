@@ -306,8 +306,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     return new_state, report
 
 
-def check_invariants(s: State, report: StepReport, cfg: SolverConfig,
-                     bound_context: RBoundContext) -> set:
+def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext) -> set:
     """Evaluate the per-step invariant monitors, returning raised flags.
 
     ``NEGATIVE_Y`` / ``NEGATIVE_C``: nodal values below ``-POSITIVITY_TOL``.
@@ -383,7 +382,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             break
 
         ctx.update(state_new.v1)
-        report.invariant_flags = check_invariants(state_new, report, cfg, ctx)
+        report.invariant_flags = check_invariants(state_new, cfg, ctx)
         traj.reports.append(report)
         traj.min_Y_seen = min(traj.min_Y_seen, float(state_new.Y.min()))
         traj.min_C_seen = min(traj.min_C_seen, float(state_new.C.min()))

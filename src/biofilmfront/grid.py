@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import GridError
 
@@ -92,9 +91,13 @@ def cumtrapz(p: Profile) -> Profile:
     """Running trapezoid integral ``z -> int_0^z p`` on the same grid.
 
     The first output node is exactly 0 and the last equals the trapezoid
-    integral of ``p`` over [0, 1].
+    integral of ``p`` over [0, 1].  The arithmetic is that of
+    ``scipy.integrate.cumulative_trapezoid(..., initial=0.0)``, bit for bit.
     """
-    vals = cumulative_trapezoid(p.values, dx=p.grid.dz, initial=0.0)
+    y = p.values
+    vals = np.empty_like(y)
+    vals[0] = 0.0
+    np.cumsum(p.grid.dz * (y[1:] + y[:-1]) / 2.0, out=vals[1:])
     return Profile(p.grid, vals)
 
 

@@ -14,9 +14,11 @@ kept exact (``diag = 1``, ``rhs = psi_end``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import AssemblyError, LinearSolveError, ValidationError
 from .grid import Grid
@@ -40,26 +42,24 @@ class TridiagonalSystem:
         n = len(self.diag)
         if not (len(self.sub) == len(self.sup) == len(self.rhs) == n):
             raise ValidationError("tridiagonal band lengths differ", code="DIMENSION_MISMATCH")
+        if n < 2:
+            raise ValidationError("a tridiagonal system needs at least 2 rows",
+                                  code="DIMENSION_MISMATCH")
 
 
 def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Thomas elimination.  Raises ``ZERO_PIVOT`` on a vanishing pivot."""
-    n = len(system.diag)
-    d = system.diag.astype(float).copy()
-    r = system.rhs.astype(float).copy()
-    sub, sup = system.sub, system.sup
-    if d[0] == 0.0:
-        raise LinearSolveError("zero pivot in row 0", code="ZERO_PIVOT")
-    for k in range(1, n):
-        w = sub[k] / d[k - 1]
-        d[k] -= w * sup[k - 1]
-        r[k] -= w * r[k - 1]
-        if d[k] == 0.0:
-            raise LinearSolveError(f"zero pivot in row {k}", code="ZERO_PIVOT")
-    x = np.empty(n)
-    x[-1] = r[-1] / d[-1]
-    for k in range(n - 2, -1, -1):
-        x[k] = (r[k] - sup[k] * x[k + 1]) / d[k]
+    """Solve ``A x = rhs`` with LAPACK ``gtsv`` (elimination, partial pivoting).
+
+    ``gtsv`` swaps rows only where a running pivot is smaller than the next
+    subdiagonal entry; where it swaps none its arithmetic is that of Thomas
+    elimination, bit for bit.  On the systems of :func:`assemble_step` that
+    holds unless a stiff step (large ``dt D / dz^2``) meets a receding
+    surface (``v1 < 0``).  Raises ``ZERO_PIVOT`` when ``A`` is singular (an
+    exactly zero pivot) and ``NONFINITE`` when the solution is not finite.
+    """
+    *_, x, info = dgtsv(system.sub[1:], system.diag, system.sup[:-1], system.rhs)
+    if info > 0:
+        raise LinearSolveError(f"zero pivot in row {info - 1}", code="ZERO_PIVOT")
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("non-finite solution from elimination", code="NONFINITE")
     return x
@@ -99,7 +99,8 @@ def assemble_step(
         Code ``UNSTABLE_ASSEMBLY`` when the advective term breaks the sign
         pattern of the implicit operator (mesh Peclet number
         ``|v1| * dz / (2 D) > 1``), which would void diagonal dominance and
-        the discrete maximum principle.  Refine the grid or reduce advection.
+        the discrete maximum principle.  The message names the fix: the
+        smallest ``N`` above ``|v1| / (2 D)``, or a larger ``D``.
     """
     C = np.asarray(C, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -122,10 +123,13 @@ def assemble_step(
     # explicit operator only matters for theta < 1.
     bad_old = theta_scheme < 1.0 and np.any(np.abs(adv_old[1:N]) > diff)
     if np.any(np.abs(adv_new[1:N]) > diff) or bad_old:
-        pe = max(abs(v1_old), abs(v1_new)) * dz / (2.0 * D)
+        # the mesh Peclet number |v1| dz / (2D) does not depend on dt
+        v = max(abs(v1_new), abs(v1_old) if theta_scheme < 1.0 else 0.0)
+        n_min = math.floor(v / (2.0 * D)) + 1
         raise AssemblyError(
             f"advection too strong for centered differencing at N={N} "
-            f"(mesh Peclet {pe:.3g} > 1); increase N or reduce the time step",
+            f"(mesh Peclet {v * dz / (2.0 * D):.3g} > 1); refine the grid to "
+            f"N >= {n_min} or increase D",
             code="UNSTABLE_ASSEMBLY",
         )
 

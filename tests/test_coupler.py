@@ -12,7 +12,6 @@ from biofilmfront import (
     RBoundContext,
     SolverConfig,
     State,
-    StepReport,
     ValidationError,
     back_transform,
     build_grid,
@@ -83,10 +82,7 @@ def test_check_invariants_flags():
     g = build_grid(4)
     s = State(t=0.0, grid=g, Y=np.full((1, 5), -1e-6), C=np.zeros((1, 5)), R=5.0,
               v=np.zeros(5))
-    rep = StepReport(t=0.0, R=5.0, v1=0.0, picard_iterations=1, residual_history=[0.0],
-                     contraction_ratio=float("nan"), clamped_feet=0, energy=0.0,
-                     boundary_energy_flux=0.0, invariant_flags=set())
-    flags = check_invariants(s, rep, SolverConfig(N=4), RBoundContext(R0=1.0, lam=0.5))
+    flags = check_invariants(s, SolverConfig(N=4), RBoundContext(R0=1.0, lam=0.5))
     assert "NEGATIVE_Y" in flags
     assert "R_BOUND_EXCEEDED" in flags
     assert "NEGATIVE_C" not in flags

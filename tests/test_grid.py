@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from biofilmfront import Grid, GridError, Profile, build_grid, cumtrapz, interp_linear
 
@@ -82,6 +83,18 @@ def test_cumtrapz_is_linear(a_vals, b_vals, scale):
     lhs = cumtrapz(Profile(g, a + scale * b)).values
     rhs = cumtrapz(Profile(g, a)).values + scale * cumtrapz(Profile(g, b)).values
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+@given(
+    st.integers(min_value=4, max_value=400),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_cumtrapz_bitwise_equals_scipy(N, seed, scale):
+    g = build_grid(N)
+    vals = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, N + 1)
+    ref = cumulative_trapezoid(vals, dx=g.dz, initial=0.0)
+    assert np.array_equal(cumtrapz(Profile(g, vals)).values, ref)
 
 
 def test_interp_linear_hits_nodes():

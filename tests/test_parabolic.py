@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from biofilmfront import (
     AssemblyError,
     LinearSolveError,
     TridiagonalSystem,
+    ValidationError,
     assemble_step,
     build_grid,
     parabolic_step,
@@ -18,10 +19,34 @@ from biofilmfront import (
 )
 
 
-# -- Thomas solver -------------------------------------------------------------
+# -- tridiagonal solver -------------------------------------------------------
 
 
-def test_thomas_identity():
+def thomas(system):
+    """Reference Thomas elimination, without pivoting.
+
+    Returns the solution and whether LAPACK ``gtsv`` would swap rows on this
+    system: its partial pivoting swaps at step ``k`` when the running pivot
+    ``|d[k-1]|`` is smaller than ``|sub[k]|``.
+    """
+    n = len(system.diag)
+    d = system.diag.astype(float).copy()
+    r = system.rhs.astype(float).copy()
+    sub, sup = system.sub, system.sup
+    swaps = False
+    for k in range(1, n):
+        swaps = swaps or abs(d[k - 1]) < abs(sub[k])
+        w = sub[k] / d[k - 1]
+        d[k] -= w * sup[k - 1]
+        r[k] -= w * r[k - 1]
+    x = np.empty(n)
+    x[-1] = r[-1] / d[-1]
+    for k in range(n - 2, -1, -1):
+        x[k] = (r[k] - sup[k] * x[k + 1]) / d[k]
+    return x, swaps
+
+
+def test_tridiagonal_identity():
     # bands are full length; sub[0] and sup[-1] are padding
     sys_ = TridiagonalSystem(
         sub=np.zeros(3), diag=np.ones(3), sup=np.zeros(3), rhs=np.array([1.0, 2.0, 3.0])
@@ -29,7 +54,7 @@ def test_thomas_identity():
     assert np.allclose(solve_tridiagonal(sys_), [1.0, 2.0, 3.0])
 
 
-def test_thomas_hand_solved_3x3():
+def test_tridiagonal_hand_solved_3x3():
     # [2 -1 0; -1 2 -1; 0 -1 2] x = [1, 0, 1] -> x = [1, 1, 1]
     sys_ = TridiagonalSystem(
         sub=np.array([0.0, -1.0, -1.0]),
@@ -40,9 +65,10 @@ def test_thomas_hand_solved_3x3():
     assert np.allclose(solve_tridiagonal(sys_), [1.0, 1.0, 1.0], atol=1e-14)
 
 
-def test_thomas_zero_pivot():
+def test_tridiagonal_zero_pivot():
+    # [1 1; 1 1] is singular: elimination leaves an exactly zero last pivot
     sys_ = TridiagonalSystem(
-        sub=np.array([0.0, 1.0]), diag=np.array([0.0, 1.0]), sup=np.array([1.0, 0.0]),
+        sub=np.array([0.0, 1.0]), diag=np.array([1.0, 1.0]), sup=np.array([1.0, 0.0]),
         rhs=np.array([1.0, 1.0]),
     )
     with pytest.raises(LinearSolveError) as exc:
@@ -50,9 +76,34 @@ def test_thomas_zero_pivot():
     assert exc.value.code == "ZERO_PIVOT"
 
 
+def test_tridiagonal_pivots_past_zero_diagonal():
+    # [0 1; 1 1] is nonsingular; partial pivoting solves it despite diag[0] = 0
+    sys_ = TridiagonalSystem(
+        sub=np.array([0.0, 1.0]), diag=np.array([0.0, 1.0]), sup=np.array([1.0, 0.0]),
+        rhs=np.array([1.0, 1.0]),
+    )
+    A = np.array([[0.0, 1.0], [1.0, 1.0]])
+    assert np.allclose(solve_tridiagonal(sys_), np.linalg.solve(A, sys_.rhs), atol=1e-15)
+
+
+def test_tridiagonal_nonfinite():
+    sys_ = TridiagonalSystem(
+        sub=np.zeros(3), diag=np.ones(3), sup=np.zeros(3), rhs=np.array([np.inf, 0.0, 0.0])
+    )
+    with pytest.raises(LinearSolveError) as exc:
+        solve_tridiagonal(sys_)
+    assert exc.value.code == "NONFINITE"
+
+
+def test_tridiagonal_needs_two_rows():
+    with pytest.raises(ValidationError) as exc:
+        TridiagonalSystem(sub=np.zeros(1), diag=np.ones(1), sup=np.zeros(1), rhs=np.ones(1))
+    assert exc.value.code == "DIMENSION_MISMATCH"
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31 - 1))
-def test_thomas_matches_dense_solver(n, seed):
+def test_tridiagonal_matches_dense_solver(n, seed):
     rng = np.random.default_rng(seed)
     sub = rng.uniform(-1.0, 1.0, n)
     sup = rng.uniform(-1.0, 1.0, n)
@@ -64,6 +115,42 @@ def test_thomas_matches_dense_solver(n, seed):
     A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
     x = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
     assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(min_value=4, max_value=400),
+    D=st.floats(min_value=1e-3, max_value=10.0),
+    dt=st.floats(min_value=1e-5, max_value=1.0),
+    theta=st.floats(min_value=0.5, max_value=1.0),
+    pe=st.tuples(st.floats(min_value=-0.999, max_value=0.999),
+                 st.floats(min_value=-0.999, max_value=0.999)),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_tridiagonal_bitwise_equals_thomas_on_assembled_systems(N, D, dt, theta, pe, seed):
+    """Where gtsv swaps no rows it does Thomas' flops: the same bits.
+
+    The assembled matrices are row diagonally dominant, but a stiff step
+    (large ``dt D / dz^2``) with a receding surface (``v1 < 0``) can still
+    make gtsv pivot; it then agrees with Thomas to the forward error bound.
+    """
+    rng = np.random.default_rng(seed)
+    g = build_grid(N)
+    v1 = (2.0 * D * N * pe[0], 2.0 * D * N * pe[1])   # mesh Peclet |v1| dz / 2D < 1
+    sys_ = assemble_step(rng.uniform(0.0, 2.0, N + 1), g, v1=v1,
+                         H=rng.uniform(-1.0, 1.0, N + 1), D=D,
+                         psi_end=rng.uniform(0.0, 2.0), dt=dt, theta_scheme=theta)
+    x_ref, swaps = thomas(sys_)
+    x = solve_tridiagonal(sys_)
+    event("gtsv pivots" if swaps else "no pivoting")
+    assert v1[1] < 0.0 or not swaps
+    if swaps:
+        # both are stable eliminations: they agree to the forward error bound
+        A = np.diag(sys_.diag) + np.diag(sys_.sub[1:], -1) + np.diag(sys_.sup[:-1], 1)
+        bound = (N + 1) * np.finfo(float).eps * np.linalg.cond(A, np.inf)
+        assert np.max(np.abs(x - x_ref)) <= bound * np.max(np.abs(x_ref))
+    else:
+        assert np.array_equal(x, x_ref)
 
 
 # -- assembly ------------------------------------------------------------------
@@ -94,6 +181,12 @@ def test_assembly_pe_guard():
         assemble_step(C, g, v1=(25.0, 25.0), H=np.zeros(11), D=1.0, psi_end=0.0,
                       dt=1e-3, theta_scheme=0.5)
     assert exc.value.code == "UNSTABLE_ASSEMBLY"
+    # the fix is a grid with N > |v1| / (2D) = 12.5, or a larger D; the mesh
+    # Peclet number does not depend on the time step
+    msg = str(exc.value)
+    assert "N >= 13" in msg
+    assert "increase D" in msg
+    assert "time step" not in msg and "dt" not in msg
 
 
 def test_pe_guard_skips_unused_explicit_operator():
