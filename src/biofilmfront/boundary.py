@@ -13,12 +13,13 @@ at or below ``R_FLOOR`` signals washout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ThicknessCollapse, ValidationError
-from .grid import Grid, Profile, cumtrapz
+from .errors import GridError, ThicknessCollapse, ValidationError
+from .grid import Grid, Profile, cumtrapz_dz
 from .kinetics import KineticsModel
 
 #: thickness at/below which a run is classified as washed out
@@ -44,8 +45,20 @@ def velocity_profile(Y: np.ndarray, C: np.ndarray, R: float, kin: KineticsModel,
     ``Y`` and ``C`` are stacked nodal profiles of shapes ``(n, N+1)`` and
     ``(m, N+1)``.
     """
-    gvals = np.asarray(kin.g(np.atleast_2d(Y), np.atleast_2d(C)), dtype=float)
-    return cumtrapz(Profile(grid, float(R) ** 2 * gvals))
+    gvals = Profile(grid, np.asarray(kin.g(np.atleast_2d(Y), np.atleast_2d(C)), dtype=float))
+    return Profile(grid, velocity_nodes(gvals.values, float(R) ** 2, grid.dz))
+
+
+def velocity_nodes(gvals: np.ndarray, R2: float, dz: float) -> np.ndarray:
+    """Nodal velocity ``R2 * int_0^z g`` from raw nodal rates ``gvals``.
+
+    Raises ``GridError`` ``NONFINITE`` when it is not finite.  Checking the
+    last node suffices: a running sum carries any NaN or inf to its end.
+    """
+    v = cumtrapz_dz(R2 * gvals, dz)
+    if not math.isfinite(v[-1]):
+        raise GridError("profile contains non-finite values", code="NONFINITE")
+    return v
 
 
 def detachment_rhs(R: float, v1: float, lam: float) -> float:
@@ -79,10 +92,15 @@ def boundary_step(state: BoundaryState, v1_new: float, lam: float, dt: float) ->
         raise ValidationError("non-finite boundary step input", code="NONFINITE_INPUT")
     if lam <= 0.0 or dt <= 0.0:
         raise ValidationError("lam and dt must be > 0", code="NONPOSITIVE_PARAM")
-    slope = (v1_new - state.v1) / dt
+    return thickness_update(state.R, state.v1, v1_new, lam, dt)
 
-    R_new = integrate_thickness(state.R, lambda s: state.v1 + slope * s, lam, dt)
-    if not np.isfinite(R_new):
+
+def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: float) -> float:
+    """RK4 thickness step from validated scalars, with the washout and
+    non-finite checks of :func:`boundary_step`."""
+    slope = (v1_new - v1_old) / dt
+    R_new = integrate_thickness(R, lambda s: v1_old + slope * s, lam, dt)
+    if not math.isfinite(R_new):
         raise ValidationError("thickness update produced non-finite value", code="NONFINITE")
     if R_new <= R_FLOOR:
         raise ThicknessCollapse(

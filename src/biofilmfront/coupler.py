@@ -22,14 +22,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import BoundaryState, boundary_step, detachment_rhs, r_max_bound, velocity_profile
+from . import boundary, parabolic, transport
+from .boundary import r_max_bound, velocity_profile
 from .errors import (EnvelopeViolation, PicardDivergence, SolverError,
                      ThicknessCollapse, ValidationError)
 from .grid import Grid, build_grid, interp_rows, trapz_dz
 from .kinetics import KineticsModel
-from .parabolic import parabolic_step
 from .problem import ProblemData, validate_problem
-from .transport import V1Segment, transport_step
 
 #: nodal values below this (negative) level trip the negativity flags
 POSITIVITY_TOL = 1e-12
@@ -76,9 +75,9 @@ class State:
         return float(self.v[-1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Numerical settings shared by all runs."""
+    """Numerical settings shared by all runs, validated at construction."""
 
     N: int = 100
     dt: float = 1e-3
@@ -92,6 +91,8 @@ class SolverConfig:
     nu: np.ndarray | None = None            # substrate energy weights
 
     def __post_init__(self):
+        if not math.isfinite(self.dt):
+            raise ValidationError(f"dt must be finite, got {self.dt}", code="NONFINITE_INPUT")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be > 0, got {self.dt}", code="NONPOSITIVE_PARAM")
         if not 0.5 <= self.theta_scheme <= 1.0:
@@ -104,14 +105,23 @@ class SolverConfig:
                                   code="SCHEMA_VIOLATION")
         if self.picard_max_iter < 1:
             raise ValidationError("picard_max_iter must be >= 1", code="NONPOSITIVE_PARAM")
+        object.__setattr__(self, "_weights", {})  # (n, m) -> resolved (mu, nu)
 
     def weights(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        mu = np.ones(n) if self.mu is None else np.atleast_1d(np.asarray(self.mu, dtype=float))
-        nu = np.ones(m) if self.nu is None else np.atleast_1d(np.asarray(self.nu, dtype=float))
-        if mu.shape != (n,) or nu.shape != (m,) or np.any(mu <= 0) or np.any(nu <= 0):
-            raise ValidationError("energy weights must be positive and match (n, m)",
-                                  code="NONPOSITIVE_PARAM")
-        return mu, nu
+        """Energy weights ``(mu, nu)`` for ``n`` species and ``m`` substrates
+        (unit weights by default), resolved once per ``(n, m)``."""
+        resolved = self._weights.get((n, m))
+        if resolved is None:
+            # copies, frozen below without touching the caller's arrays
+            mu = np.ones(n) if self.mu is None else np.atleast_1d(np.array(self.mu, dtype=float))
+            nu = np.ones(m) if self.nu is None else np.atleast_1d(np.array(self.nu, dtype=float))
+            if mu.shape != (n,) or nu.shape != (m,) or np.any(mu <= 0) or np.any(nu <= 0):
+                raise ValidationError("energy weights must be positive and match (n, m)",
+                                      code="NONPOSITIVE_PARAM")
+            mu.setflags(write=False)
+            nu.setflags(write=False)
+            resolved = self._weights[(n, m)] = (mu, nu)
+        return resolved
 
 
 @dataclass
@@ -215,6 +225,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     residual is the largest sup-norm change of ``(Y, C, R, v1)`` between
     sweeps.
 
+    The inputs are trusted: :func:`run_simulation` validates them once, and
+    the sweeps check only what they compute (the mesh Peclet number, the
+    tridiagonal solves, the velocity and the thickness).  They run the
+    stage functions' array kernels on raw arrays, with everything fixed
+    within the step (step-start sources, the explicit half of the
+    theta-scheme, the diagonals) computed once.
+
     Raises
     ------
     PicardDivergence
@@ -224,48 +241,67 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
         Propagated from the thickness update (washout).
     """
     grid, dt = state.grid, cfg.dt
+    N, dz, nodes = grid.N, grid.dz, grid.nodes
     t_new = state.t + dt
     theta = cfg.theta_scheme
+    coefficient = cfg.transport_coefficient
+    lam = data.lam
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
     psi_end = data.psi_at(t_new)
 
     # step-start source fields, fixed across sweeps
-    F_start = R_start**2 * np.asarray(kin.f(Y0, C0), dtype=float)
-    H_start = R_start**2 * np.asarray(kin.h(Y0, C0), dtype=float)
+    R2_start = R_start**2
+    F_start = R2_start * np.asarray(kin.f(Y0, C0), dtype=float)
+    H_start = R2_start * np.asarray(kin.h(Y0, C0), dtype=float)
+    H_lag = (1.0 - theta) * H_start
+
+    # substrate operators: the explicit half and the diagonal are fixed
+    # across sweeps; the off-diagonals follow the iterate's v1
+    a_new, a_old = dt * theta, dt * (1.0 - theta)
+    adv_old = parabolic.advection_weights(grid, v1_start)
+    diffs = [float(D) / dz**2 for D in data.D]
+    explicit = np.array([parabolic.explicit_part(C0[j], adv_old, diff, a_old)
+                         for j, diff in enumerate(diffs)])
+    diags = [parabolic.implicit_diagonal(N, diff, a_new) for diff in diffs]
 
     Yk, Ck, Rk, v1k = Y0, C0, R_start, v1_start
     residuals: list[float] = []
     rising = 0
     converged = False
-    clamped = 0
 
-    for _ in range(cfg.picard_max_iter):
-        # (1) substrates: theta-blended sources, iterate-lagged at the end stage
-        H_end = Rk**2 * np.asarray(kin.h(Yk, Ck), dtype=float)
-        H = theta * H_end + (1.0 - theta) * H_start
-        C_new = parabolic_step(C0, grid, Yk, (v1_start, v1k), Rk, kin,
-                               data.D, psi_end, dt, theta, C_implicit=Ck, H_override=H)
+    for sweep in range(cfg.picard_max_iter):
+        R2 = Rk**2
+        # (1) substrates: theta-blended sources, iterate-lagged at the end
+        # stage.  Sweep 1's iterate is the step-start state, where h is H_start.
+        H_end = R2 * np.asarray(kin.h(Yk, Ck), dtype=float) if sweep else H_start
+        rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
+        # Sweep 1 assembles at v1k = v1_start, so this guard also covers the
+        # explicit operator's (theta < 1), which needs no check of its own.
+        adv = parabolic.advection_weights(grid, v1k)
+        C_new = np.empty_like(C0)
+        for j, diff in enumerate(diffs):
+            if parabolic.peclet_unstable(adv, diff):
+                raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
+            sub, sup = parabolic.implicit_off_diagonals(adv, diff, a_new)
+            C_new[j] = parabolic.gtsv_solve(sub[1:], diags[j], sup[:-1], rhs[j])
 
         # (2) velocity from the freshest fields available
-        v_new = velocity_profile(Yk, C_new, Rk, kin, grid).values
-        v1_new = float(v_new[-1])
+        g_new = np.asarray(kin.g(Yk, C_new), dtype=float)
+        v1_new = float(boundary.velocity_nodes(g_new, R2, dz)[-1])
 
         # (3) biomass transport along characteristics
-        F_end = Rk**2 * np.asarray(kin.f(Yk, C_new), dtype=float)
-
-        def sources(zq, stage, _Fs=F_start, _Fe=F_end):
-            return interp_rows(_Fs if stage == "start" else _Fe, zq, grid.nodes)
-
-        seg = V1Segment(v1_start, v1_new, dt)
-        Y_new, tdiag = transport_step(Y0, grid, sources, seg, cfg.transport_coefficient)
-        clamped = tdiag.clamped_feet
+        F_end = R2 * np.asarray(kin.f(Yk, C_new), dtype=float)
+        unclamped = transport.raw_feet(nodes, dt, 0.5 * (v1_start + v1_new), coefficient)
+        feet = np.clip(unclamped, 0.0, 1.0)
+        Y_new = transport.advance(interp_rows(Y0, feet, nodes), interp_rows(F_start, feet, nodes),
+                                  F_end, dt)
 
         # (4) thickness
-        R_new = boundary_step(BoundaryState(R_start, v1_start), v1_new, data.lam, dt)
+        R_new = boundary.thickness_update(R_start, v1_start, v1_new, lam, dt)
 
         residual = max(
-            float(np.max(np.abs(Y_new - Yk))),
-            float(np.max(np.abs(C_new - Ck))),
+            float(np.abs(Y_new - Yk).max()),
+            float(np.abs(C_new - Ck).max()),
             abs(R_new - Rk),
             abs(v1_new - v1k),
         )
@@ -288,7 +324,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
         )
 
     # make the stored velocity exactly consistent with the converged fields
-    v_final = velocity_profile(Yk, Ck, Rk, kin, grid).values
+    v_final = boundary.velocity_nodes(np.asarray(kin.g(Yk, Ck), dtype=float), Rk**2, dz)
     new_state = State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=v_final)
 
     mu, nu = cfg.weights(kin.n, kin.m)
@@ -299,7 +335,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
         picard_iterations=len(residuals),
         residual_history=residuals,
         contraction_ratio=_contraction_ratio(residuals),
-        clamped_feet=clamped,
+        clamped_feet=int(transport.clamped_mask(unclamped).sum()),
         energy=energy(new_state, mu, nu),
         boundary_energy_flux=_boundary_flux(new_state, data.D, nu),
     )
@@ -355,6 +391,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         if not rep.ok:
             code, msg = rep.violations[0]
             raise ValidationError(f"invalid problem data: {msg}", code=code)
+    cfg.weights(kin.n, kin.m)  # resolved and checked once, before the first step
 
     state = initial_state(data, kin, cfg)
     traj = Trajectory(grid=state.grid, cfg=cfg, data=data, kin=kin)

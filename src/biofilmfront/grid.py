@@ -94,11 +94,7 @@ def cumtrapz(p: Profile) -> Profile:
     integral of ``p`` over [0, 1].  The arithmetic is that of
     ``scipy.integrate.cumulative_trapezoid(..., initial=0.0)``, bit for bit.
     """
-    y = p.values
-    vals = np.empty_like(y)
-    vals[0] = 0.0
-    np.cumsum(p.grid.dz * (y[1:] + y[:-1]) / 2.0, out=vals[1:])
-    return Profile(p.grid, vals)
+    return Profile(p.grid, cumtrapz_dz(p.values, p.grid.dz))
 
 
 def interp_linear(p: Profile, z: float) -> float:
@@ -122,6 +118,15 @@ def trapz_dz(values: np.ndarray, dz: float) -> float:
     """Trapezoid integral of nodal values with uniform spacing ``dz``."""
     v = np.asarray(values, dtype=float)
     return float(dz * (v.sum() - 0.5 * (v[0] + v[-1])))
+
+
+def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:
+    """Running trapezoid integral of nodal values with uniform spacing ``dz``
+    (the arithmetic of :func:`cumtrapz`, on a raw array)."""
+    out = np.empty_like(values)
+    out[0] = 0.0
+    np.cumsum(dz * (values[1:] + values[:-1]) / 2.0, out=out[1:])
+    return out
 
 
 def interp_rows(rows: np.ndarray, z: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -30,7 +30,11 @@ class KineticsModel:
     n, m : int
         Component counts (each at least 1).
     f, h, g : callable
-        Vectorized rate functions, see module docstring.
+        Vectorized rate functions, see module docstring.  Each must be a pure
+        function of ``(Y, C)``: the same arguments give the same result, and
+        a call has no effect the solver could observe.  The coupled step
+        relies on this; it evaluates ``h`` at the step-start state once and
+        reuses that value for the first Picard sweep.
     quasi_positive : bool
         Set when the rates can never drive nonnegative data negative
         (``f_i >= 0`` and ``h_j >= 0`` whenever ``Y >= 0`` and ``C >= 0``).
@@ -216,17 +220,21 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
         )
 
     consuming = yields > 0.0  # (n, m) mask
+    # (species, substrate, mu, K, yield) of every consuming pair, in i-major order
+    pairs = [(i, j, mu[i], K[i], yields[i, j])
+             for i in range(n) for j in np.nonzero(consuming[i])[0]]
+
+    mu_col, K_col, k_d_col = mu[:, None], K[:, None], k_d[:, None]
 
     def f(Y, C):
         Cl = C[limiting]                      # (n, K) limiting substrate per species
-        return (mu[:, None] * Cl / (K[:, None] + Cl) - k_d[:, None]) * Y
+        return (mu_col * Cl / (K_col + Cl) - k_d_col) * Y
 
     def h(Y, C):
         out = np.zeros_like(np.asarray(C, dtype=float))
-        for i in range(n):
-            for j in np.nonzero(consuming[i])[0]:
-                rate = mu[i] * C[j] / (K[i] + C[j]) * Y[i]
-                out[j] -= rate / yields[i, j]
+        for i, j, mu_i, K_i, yield_ij in pairs:
+            rate = mu_i * C[j] / (K_i + C[j]) * Y[i]
+            out[j] -= rate / yield_ij
         return out
 
     def g(Y, C):

@@ -22,7 +22,6 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import AssemblyError, LinearSolveError, ValidationError
 from .grid import Grid
-from .kinetics import KineticsModel
 
 
 @dataclass
@@ -57,12 +56,7 @@ def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
     surface (``v1 < 0``).  Raises ``ZERO_PIVOT`` when ``A`` is singular (an
     exactly zero pivot) and ``NONFINITE`` when the solution is not finite.
     """
-    *_, x, info = dgtsv(system.sub[1:], system.diag, system.sup[:-1], system.rhs)
-    if info > 0:
-        raise LinearSolveError(f"zero pivot in row {info - 1}", code="ZERO_PIVOT")
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("non-finite solution from elimination", code="NONFINITE")
-    return x
+    return gtsv_solve(system.sub[1:], system.diag, system.sup[:-1], system.rhs)
 
 
 def assemble_step(
@@ -113,89 +107,38 @@ def assemble_step(
         raise ValidationError("theta_scheme must lie in [0, 1]", code="SCHEMA_VIOLATION")
     v1_old, v1_new = float(v1[0]), float(v1[1])
 
-    z = grid.nodes
     diff = D / dz**2
-    adv_new = z * v1_new / (2.0 * dz)   # centered advection weights, implicit stage
-    adv_old = z * v1_old / (2.0 * dz)
-
-    # Mesh Peclet guard: implicit off-diagonals must stay nonpositive so the
-    # matrix is an M-matrix (strictly diagonally dominant, inverse >= 0).  The
-    # explicit operator only matters for theta < 1.
-    bad_old = theta_scheme < 1.0 and np.any(np.abs(adv_old[1:N]) > diff)
-    if np.any(np.abs(adv_new[1:N]) > diff) or bad_old:
-        # the mesh Peclet number |v1| dz / (2D) does not depend on dt
-        v = max(abs(v1_new), abs(v1_old) if theta_scheme < 1.0 else 0.0)
-        n_min = math.floor(v / (2.0 * D)) + 1
-        raise AssemblyError(
-            f"advection too strong for centered differencing at N={N} "
-            f"(mesh Peclet {v * dz / (2.0 * D):.3g} > 1); refine the grid to "
-            f"N >= {n_min} or increase D",
-            code="UNSTABLE_ASSEMBLY",
-        )
+    adv_new = advection_weights(grid, v1_new)
+    adv_old = advection_weights(grid, v1_old)
+    # The explicit operator only matters for theta < 1.
+    if peclet_unstable(adv_new, diff) or (theta_scheme < 1.0 and peclet_unstable(adv_old, diff)):
+        raise peclet_error(v1_new, v1_old, D, theta_scheme, grid)
 
     a_new = dt * theta_scheme
-    a_old = dt * (1.0 - theta_scheme)
-
-    sub = np.zeros(N + 1)
-    diag = np.ones(N + 1)
-    sup = np.zeros(N + 1)
-    rhs = np.empty(N + 1)
-
-    # interior rows
-    sub[1:N] = -a_new * (diff - adv_new[1:N])
-    diag[1:N] = 1.0 + 2.0 * a_new * diff
-    sup[1:N] = -a_new * (diff + adv_new[1:N])
-    rhs[1:N] = (
-        C[1:N]
-        + a_old * ((diff - adv_old[1:N]) * C[0:N - 1]
-                   - 2.0 * diff * C[1:N]
-                   + (diff + adv_old[1:N]) * C[2:N + 1])
-        + dt * H[1:N]
-    )
-
-    # no-flux row via ghost node C_{-1} = C_1 (advection vanishes with z=0)
-    diag[0] = 1.0 + 2.0 * a_new * diff
-    sup[0] = -2.0 * a_new * diff
-    rhs[0] = C[0] + a_old * 2.0 * diff * (C[1] - C[0]) + dt * H[0]
-
-    # exact Dirichlet row
-    diag[N] = 1.0
-    sub[N] = 0.0
-    rhs[N] = float(psi_end)
-
-    return TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+    sub, sup = implicit_off_diagonals(adv_new, diff, a_new)
+    explicit = explicit_part(C, adv_old, diff, dt * (1.0 - theta_scheme))
+    rhs = step_rhs(explicit, H, dt, float(psi_end))
+    return TridiagonalSystem(sub=sub, diag=implicit_diagonal(N, diff, a_new), sup=sup, rhs=rhs)
 
 
 def parabolic_step(
     C: np.ndarray,
     grid: Grid,
-    Y_implicit: np.ndarray,
     v1: tuple[float, float],
-    R_implicit: float,
-    kin: KineticsModel,
+    H: np.ndarray,
     D: np.ndarray,
     psi_end: np.ndarray,
     dt: float,
     theta_scheme: float = 0.5,
-    C_implicit: np.ndarray | None = None,
-    H_override: np.ndarray | None = None,
 ) -> np.ndarray:
     """Advance all substrate profiles (shape ``(m, N+1)``) by one step.
 
-    Sources are lagged: ``H_j = R_implicit**2 * h_j(Y_implicit, C_implicit)``
-    with the current outer-iteration iterate (``C_implicit`` defaults to the
-    step-start profiles), so each substrate reduces to one tridiagonal solve.
-    ``H_override``, when given, bypasses the kinetics evaluation entirely
-    (used by manufactured-solution drivers).
+    ``H`` holds the thickness-scaled sources, one row per substrate, already
+    collocated in time by the caller; each substrate is one
+    :func:`assemble_step` and one :func:`solve_tridiagonal`.
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    if C_implicit is None:
-        C_implicit = C
-    C_implicit = np.atleast_2d(np.asarray(C_implicit, dtype=float))
-    if H_override is not None:
-        H = np.atleast_2d(np.asarray(H_override, dtype=float))
-    else:
-        H = R_implicit**2 * np.asarray(kin.h(np.atleast_2d(Y_implicit), C_implicit), dtype=float)
+    H = np.atleast_2d(np.asarray(H, dtype=float))
     psi_end = np.atleast_1d(np.asarray(psi_end, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
 
@@ -205,3 +148,92 @@ def parabolic_step(
                                dt, theta_scheme)
         C_new[j] = solve_tridiagonal(system)
     return C_new
+
+
+# -- array kernels, shared with the coupled step (package-internal) ----------
+#
+# Full-length arrays have N + 1 entries, one per node; ``adv`` arrays hold
+# the centered advection weights of the interior nodes 1..N-1 only.
+
+
+def advection_weights(grid: Grid, v1: float) -> np.ndarray:
+    """Centered advection weights ``z * v1 / (2 dz)`` at the interior nodes."""
+    return grid.nodes[1:grid.N] * v1 / (2.0 * grid.dz)
+
+
+def peclet_unstable(adv: np.ndarray, diff: float) -> bool:
+    """Mesh Peclet guard: an interior off-diagonal of the operator would turn
+    positive, so the implicit matrix is no M-matrix (strictly diagonally
+    dominant, inverse >= 0).  ``|adv|`` grows with ``z`` and rounding is
+    monotone, so the last interior node holds the largest ``|adv|``."""
+    return abs(adv[-1]) > diff
+
+
+def peclet_error(v1_new: float, v1_old: float, D: float, theta_scheme: float,
+                 grid: Grid) -> AssemblyError:
+    """The ``UNSTABLE_ASSEMBLY`` error of :func:`assemble_step`."""
+    # the mesh Peclet number |v1| dz / (2D) does not depend on dt
+    v = max(abs(v1_new), abs(v1_old) if theta_scheme < 1.0 else 0.0)
+    n_min = math.floor(v / (2.0 * D)) + 1
+    return AssemblyError(
+        f"advection too strong for centered differencing at N={grid.N} "
+        f"(mesh Peclet {v * grid.dz / (2.0 * D):.3g} > 1); refine the grid to "
+        f"N >= {n_min} or increase D",
+        code="UNSTABLE_ASSEMBLY",
+    )
+
+
+def implicit_diagonal(N: int, diff: float, a_new: float) -> np.ndarray:
+    """Main diagonal: ``1 + 2 dt theta D / dz^2`` except the Dirichlet row's 1."""
+    diag = np.ones(N + 1)
+    diag[:N] = 1.0 + 2.0 * a_new * diff
+    return diag
+
+
+def implicit_off_diagonals(adv: np.ndarray, diff: float, a_new: float):
+    """Full-length ``(sub, sup)`` bands of the implicit operator.
+
+    The no-flux row uses the ghost node ``C_{-1} = C_1`` (advection vanishes
+    at ``z = 0``); the exact Dirichlet row has no off-diagonal entries.
+    """
+    N = len(adv) + 1
+    sub = np.zeros(N + 1)
+    sup = np.zeros(N + 1)
+    sub[1:N] = -a_new * (diff - adv)
+    sup[1:N] = -a_new * (diff + adv)
+    sup[0] = -2.0 * a_new * diff
+    return sub, sup
+
+
+def explicit_part(C: np.ndarray, adv_old: np.ndarray, diff: float, a_old: float) -> np.ndarray:
+    """Explicit half of the theta-scheme, ``(I + dt (1-theta) L_old) C``, in
+    rows 0..N-1 (the Dirichlet row's entry is left 0)."""
+    N = len(C) - 1
+    out = np.zeros(N + 1)
+    out[1:N] = (
+        C[1:N]
+        + a_old * ((diff - adv_old) * C[0:N - 1]
+                   - 2.0 * diff * C[1:N]
+                   + (diff + adv_old) * C[2:N + 1])
+    )
+    out[0] = C[0] + a_old * 2.0 * diff * (C[1] - C[0])
+    return out
+
+
+def step_rhs(explicit: np.ndarray, H: np.ndarray, dt: float, psi_end) -> np.ndarray:
+    """Right-hand side(s): the explicit part plus ``dt * H``, with the
+    Dirichlet value in the last entry of each row."""
+    rhs = explicit + dt * H
+    rhs[..., -1] = psi_end
+    return rhs
+
+
+def gtsv_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``gtsv`` on the bands of a tridiagonal system (``dl`` and ``du`` have
+    one entry fewer than ``d``), with the checks of :func:`solve_tridiagonal`."""
+    *_, x, info = dgtsv(dl, d, du, b)
+    if info > 0:
+        raise LinearSolveError(f"zero pivot in row {info - 1}", code="ZERO_PIVOT")
+    if not np.isfinite(x).all():
+        raise LinearSolveError("non-finite solution from elimination", code="NONFINITE")
+    return x

@@ -105,9 +105,11 @@ def validate_problem(data: ProblemData, kin: KineticsModel, n_sample: int = 200)
     """Check problem data against the model for shape, sign, finiteness and
     boundary/initial-data compatibility.
 
-    Violations (fatal): ``DIMENSION_MISMATCH``, ``NONPOSITIVE_D``,
-    ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``, ``NONFINITE_INPUT``,
-    ``COMPAT_MISMATCH`` (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
+    Violations (fatal): ``DIMENSION_MISMATCH`` (also when ``f``, ``h`` or
+    ``g`` at the initial data is not of shape ``(n, K)``, ``(m, K)`` or
+    ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
+    ``NONFINITE_INPUT``, ``COMPAT_MISMATCH`` (``theta_j(1) != psi_j(0)``
+    beyond ``COMPAT_TOL``).
 
     Warnings: ``NEGATIVE_INITIAL_DATA`` when the model is quasi-positive but
     the data start negative; ``SECOND_ORDER_COMPAT`` when the substrate data
@@ -166,18 +168,29 @@ def validate_problem(data: ProblemData, kin: KineticsModel, n_sample: int = 200)
             "model preserves nonnegativity but initial data start negative",
         ))
 
+    if not rep.ok:
+        return rep
+    # the solver works on the rate arrays as returned, so their shapes are
+    # checked here, once
+    K = len(grid.nodes)
+    rates = {}
+    for name, shape in (("f", (kin.n, K)), ("h", (kin.m, K)), ("g", (K,))):
+        rates[name] = np.asarray(getattr(kin, name)(Y0, C0), dtype=float)
+        if rates[name].shape != shape:
+            rep.violations.append((
+                "DIMENSION_MISMATCH",
+                f"kinetics {name} returned shape {rates[name].shape}, expected {shape}",
+            ))
     if rep.ok:
-        _second_order_compat(rep, data, kin, grid.nodes, Y0, C0)
+        _second_order_compat(rep, data, grid.nodes, C0, rates["h"], rates["g"])
     return rep
 
 
-def _second_order_compat(rep, data, kin, nodes, Y0, C0):
+def _second_order_compat(rep, data, nodes, C0, hvals, gvals):
     """Finite-difference check of the higher-order boundary matching condition."""
     dz = nodes[1] - nodes[0]
     R0sq = data.R0 ** 2
-    gvals = np.asarray(kin.g(Y0, C0), dtype=float)
     v1_0 = R0sq * trapz_dz(gvals, dz)
-    hvals = np.asarray(kin.h(Y0, C0), dtype=float)
     dt_fd = 1e-6
     for j in range(data.m):
         c = C0[j]

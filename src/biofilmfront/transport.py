@@ -57,29 +57,15 @@ def characteristic_foot(z: float, seg: V1Segment, coefficient: str = "scaled"):
     integrates ``dZ/ds = -v1(s)`` giving ``z + dt * v1_mean``.  Feet beyond
     the domain are clamped to [0, 1].
     """
-    foot, clamped = _feet(np.asarray([float(z)]), seg, coefficient)
-    return float(foot[0]), bool(clamped[0])
-
-
-def _feet(z: np.ndarray, seg: V1Segment, coefficient: str):
-    if coefficient == "scaled":
-        raw = z * np.exp(seg.dt * seg.mean)
-    elif coefficient == "unscaled":
-        raw = z + seg.dt * seg.mean
-    else:
-        raise ValidationError(
-            f"unknown transport coefficient {coefficient!r}", code="SCHEMA_VIOLATION"
-        )
-    clamped = (raw > 1.0) | (raw < 0.0)
-    return np.clip(raw, 0.0, 1.0), clamped
+    raw = raw_feet(np.asarray([float(z)]), seg.dt, seg.mean, coefficient)
+    return float(np.clip(raw, 0.0, 1.0)[0]), bool(clamped_mask(raw)[0])
 
 
 @dataclass
 class TransportDiagnostics:
-    """Per-step bookkeeping: number of clamped feet and the foot array."""
+    """Per-step bookkeeping: the number of clamped feet."""
 
     clamped_feet: int
-    feet: np.ndarray
 
 
 def transport_step(
@@ -116,9 +102,37 @@ def transport_step(
             f"Y rows must have {grid.N + 1} nodes, got {Y.shape[1]}",
             code="DIMENSION_MISMATCH",
         )
-    feet, clamped = _feet(grid.nodes, seg, coefficient)
+    raw = raw_feet(grid.nodes, seg.dt, seg.mean, coefficient)
+    feet = np.clip(raw, 0.0, 1.0)
     Y_foot = interp_rows(Y, feet, grid.nodes)
     F_start = np.atleast_2d(np.asarray(sources(feet, "start"), dtype=float))
     F_end = np.atleast_2d(np.asarray(sources(grid.nodes, "end"), dtype=float))
-    Y_new = Y_foot + 0.5 * seg.dt * (F_start + F_end)
-    return Y_new, TransportDiagnostics(clamped_feet=int(clamped.sum()), feet=feet)
+    Y_new = advance(Y_foot, F_start, F_end, seg.dt)
+    return Y_new, TransportDiagnostics(clamped_feet=int(clamped_mask(raw).sum()))
+
+
+# -- array kernels, shared with the coupled step (package-internal) ----------
+
+
+def raw_feet(z: np.ndarray, dt: float, v1_mean: float, coefficient: str) -> np.ndarray:
+    """Unclamped backward feet of the points ``z``."""
+    if coefficient == "scaled":
+        return z * np.exp(dt * v1_mean)
+    if coefficient == "unscaled":
+        return z + dt * v1_mean
+    raise ValidationError(
+        f"unknown transport coefficient {coefficient!r}", code="SCHEMA_VIOLATION"
+    )
+
+
+def clamped_mask(raw: np.ndarray) -> np.ndarray:
+    """Mask of the feet that left the domain."""
+    return (raw > 1.0) | (raw < 0.0)
+
+
+def advance(Y_foot: np.ndarray, F_foot: np.ndarray, F_node: np.ndarray,
+            dt: float) -> np.ndarray:
+    """Trapezoid rule along the characteristics: the profile at the feet plus
+    ``dt/2`` times the start-stage (at the feet) and end-stage (at the nodes)
+    sources."""
+    return Y_foot + 0.5 * dt * (F_foot + F_node)

@@ -6,24 +6,36 @@ import numpy as np
 import pytest
 
 from biofilmfront import (
+    AssemblyError,
+    BoundaryState,
     EnvelopeViolation,
+    GridError,
     KineticsModel,
+    MonodParams,
     ProblemData,
     RBoundContext,
     SolverConfig,
     State,
+    V1Segment,
     ValidationError,
+    assemble_step,
     back_transform,
+    boundary_step,
     build_grid,
     check_invariants,
     dissipation_envelope_check,
     energy,
     initial_state,
     linear_preset,
+    monod_preset,
+    parabolic_step,
     picard_step,
     run_simulation,
+    transport_step,
+    velocity_profile,
     zero_kinetics,
 )
+from biofilmfront.coupler import StepReport, _boundary_flux, _contraction_ratio
 
 
 def _substrate_only(theta=lambda z: np.cos(0.5 * math.pi * z), lam=0.5, R0=1.0):
@@ -69,6 +81,23 @@ def test_energy_hand_value():
     assert E == pytest.approx(0.5 * 1.0 + 0.5 * 4.0)
 
 
+def test_solver_config_validated_once():
+    with pytest.raises(ValidationError) as exc:
+        SolverConfig(dt=math.nan)
+    assert exc.value.code == "NONFINITE_INPUT"
+    mu_in = np.array([2.0])
+    cfg = SolverConfig(mu=mu_in)
+    with pytest.raises(AttributeError):
+        cfg.dt = 1.0  # frozen: its resolved energy weights cannot go stale
+    mu, nu = cfg.weights(1, 1)
+    assert cfg.weights(1, 1)[0] is mu
+    assert mu[0] == 2.0 and nu[0] == 1.0
+    assert mu_in.flags.writeable  # the caller's array is not frozen
+    with pytest.raises(ValidationError) as exc:
+        cfg.weights(2, 1)
+    assert exc.value.code == "NONPOSITIVE_PARAM"
+
+
 def test_rbound_context_tracks_running_max():
     ctx = RBoundContext(R0=1.0, lam=0.5)
     assert ctx.bound() == pytest.approx(1.0)
@@ -111,6 +140,208 @@ def test_step_report_residuals_decrease():
     assert len(hist) >= 3
     assert all(b < a for a, b in zip(hist, hist[1:]))
     assert 0.0 < rep.contraction_ratio < 1.0
+
+
+# -- lockstep oracle for the coupled step ----------------------------------------
+
+
+def reference_picard_step(state, data, kin, cfg):
+    """Reference coupled step built from the public stage functions.
+
+    This is the sweep as it was written before it moved onto the stages'
+    array kernels: every stage validates its arguments, builds its frozen
+    containers and evaluates ``h`` on every sweep, and the biomass sources
+    are interpolated at the nodes as well as at the feet.  ``picard_step``
+    must reproduce it bit for bit.
+    """
+    grid, dt = state.grid, cfg.dt
+    t_new = state.t + dt
+    theta = cfg.theta_scheme
+    Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
+    psi_end = data.psi_at(t_new)
+
+    F_start = R_start**2 * np.asarray(kin.f(Y0, C0), dtype=float)
+    H_start = R_start**2 * np.asarray(kin.h(Y0, C0), dtype=float)
+
+    Yk, Ck, Rk, v1k = Y0, C0, R_start, v1_start
+    residuals = []
+    rising = 0
+    for _ in range(cfg.picard_max_iter):
+        H_end = Rk**2 * np.asarray(kin.h(Yk, Ck), dtype=float)
+        H = theta * H_end + (1.0 - theta) * H_start
+        C_new = parabolic_step(C0, grid, (v1_start, v1k), H, data.D, psi_end, dt, theta)
+
+        v_new = velocity_profile(Yk, C_new, Rk, kin, grid).values
+        v1_new = float(v_new[-1])
+
+        F_end = Rk**2 * np.asarray(kin.f(Yk, C_new), dtype=float)
+
+        def sources(zq, stage, _Fs=F_start, _Fe=F_end):
+            rows = _Fs if stage == "start" else _Fe
+            return np.array([np.interp(zq, grid.nodes, row) for row in rows])
+
+        Y_new, tdiag = transport_step(Y0, grid, sources, V1Segment(v1_start, v1_new, dt),
+                                      cfg.transport_coefficient)
+        R_new = boundary_step(BoundaryState(R_start, v1_start), v1_new, data.lam, dt)
+
+        residual = max(
+            float(np.max(np.abs(Y_new - Yk))),
+            float(np.max(np.abs(C_new - Ck))),
+            abs(R_new - Rk),
+            abs(v1_new - v1k),
+        )
+        residuals.append(residual)
+        rising = rising + 1 if len(residuals) >= 2 and residual > residuals[-2] else 0
+        Yk, Ck, Rk, v1k = Y_new, C_new, R_new, v1_new
+        if residual <= cfg.picard_tol:
+            break
+        assert rising < 3, "reference sweep diverged"
+    else:
+        raise AssertionError("reference sweep did not converge")
+
+    v_final = velocity_profile(Yk, Ck, Rk, kin, grid).values
+    new_state = State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=v_final)
+    mu, nu = cfg.weights(kin.n, kin.m)
+    report = StepReport(
+        t=t_new,
+        R=new_state.R,
+        v1=new_state.v1,
+        picard_iterations=len(residuals),
+        residual_history=residuals,
+        contraction_ratio=_contraction_ratio(residuals),
+        clamped_feet=tdiag.clamped_feet,
+        energy=energy(new_state, mu, nu),
+        boundary_energy_flux=_boundary_flux(new_state, data.D, nu),
+    )
+    return new_state, report
+
+
+def _monod_problem(m):
+    """The shipped Monod config's problem; with ``m = 2`` a second species
+    grows on a second, slower-diffusing substrate and also eats the first."""
+    if m == 1:
+        params = MonodParams(mu=[0.5], K=[0.05], k_d=[0.02], limiting=[0], yields=[[0.08]])
+        phi = [lambda z: 0.3 + 0.1 * np.cos(math.pi * z)]
+    else:
+        params = MonodParams(mu=[0.5, 0.3], K=[0.05, 0.1], k_d=[0.02, 0.01], limiting=[0, 1],
+                             yields=[[0.08, 0.0], [0.1, 0.2]])
+        phi = [lambda z: 0.3 + 0.1 * np.cos(math.pi * z), lambda z: 0.2 + 0.0 * z]
+    theta = [lambda z: 1.0 - 0.9 * np.cos(0.5 * math.pi * z), lambda z: 0.5 + 0.0 * z][:m]
+    data = ProblemData(phi=phi, theta=theta, psi=[lambda t: 1.0, lambda t: 0.5][:m],
+                       D=[0.05, 0.02][:m], lam=0.5, R0=1.0)
+    return data, monod_preset(params, m=m)
+
+
+def _linear_problem(m):
+    """Linear growth and uptake; with ``m = 2`` two coupled species and
+    substrates."""
+    if m == 1:
+        return _linear_reference()
+    data = ProblemData(
+        phi=[lambda z: 0.5 + 0.2 * np.cos(math.pi * z), lambda z: 0.3 + 0.0 * z],
+        theta=[lambda z: 1.0 - 0.5 * z**2, lambda z: 0.2 + 0.3 * z],
+        psi=[lambda t: 0.5, lambda t: 0.5],
+        D=[1.0, 0.3],
+        lam=0.5,
+        R0=1.0,
+    )
+    kin = linear_preset([[-1.0, 0.5], [0.2, -2.0]], [1.0, 0.5],
+                        [[-3.0, 0.5], [0.5, -1.0]], [1.0, 0.2])
+    return data, kin
+
+
+def _zero_problem(m):
+    theta = [lambda z: np.cos(0.5 * math.pi * z), lambda z: 1.0 - 0.5 * z**2][:m]
+    data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=theta,
+                       psi=[lambda t: 0.0, lambda t: 0.5][:m], D=[1.0, 0.4][:m],
+                       lam=0.5, R0=1.0)
+    return data, zero_kinetics(1, m)
+
+
+def _assert_same_step(got, want):
+    (s, rep), (s_ref, rep_ref) = got, want
+    assert s.t == s_ref.t
+    assert np.array_equal(s.Y, s_ref.Y)
+    assert np.array_equal(s.C, s_ref.C)
+    assert np.array_equal(s.v, s_ref.v)
+    assert s.R == s_ref.R
+    assert rep.residual_history == rep_ref.residual_history
+    assert rep.picard_iterations == rep_ref.picard_iterations
+    assert rep.clamped_feet == rep_ref.clamped_feet
+    assert rep.energy == rep_ref.energy
+    assert rep.boundary_energy_flux == rep_ref.boundary_energy_flux
+
+
+@pytest.mark.parametrize("coefficient", ["scaled", "unscaled"])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _zero_problem])
+def test_picard_step_matches_reference_bitwise(problem, m, theta, coefficient):
+    data, kin = problem(m)
+    cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta,
+                       transport_coefficient=coefficient)
+    state = initial_state(data, kin, cfg)
+    for _ in range(6):
+        got = picard_step(state, data, kin, cfg)
+        _assert_same_step(got, reference_picard_step(state, data, kin, cfg))
+        state = got[0]
+
+
+# -- checks on quantities computed inside the sweep ----------------------------
+
+
+def test_sweep_raises_unstable_assembly():
+    # linear growth g = 2 Y gives v1 = 2 at t = 0: mesh Peclet 25 at N = 8
+    data = ProblemData(phi=[lambda z: np.ones_like(z)], theta=[lambda z: np.ones_like(z)],
+                       psi=[lambda t: 1.0], D=[0.005], lam=0.01, R0=1.0)
+    kin = linear_preset([[2.0]], [0.0], [[0.0]], [0.0])
+    cfg = SolverConfig(N=8, dt=1e-2)
+    s0 = initial_state(data, kin, cfg)
+    with pytest.raises(AssemblyError) as exc:
+        picard_step(s0, data, kin, cfg)
+    assert exc.value.code == "UNSTABLE_ASSEMBLY"
+    # the same message the public assembly gives for that velocity
+    with pytest.raises(AssemblyError) as ref:
+        assemble_step(s0.C[0], s0.grid, (s0.v1, s0.v1), np.zeros(9), 0.005, 1.0, 1e-2, 0.5)
+    assert str(exc.value) == str(ref.value)
+
+
+def test_sweep_raises_on_nonfinite_velocity():
+    calls = []
+
+    def g(Y, C):
+        calls.append(None)
+        return np.zeros(Y.shape[1]) if len(calls) == 1 else np.full(Y.shape[1], np.nan)
+
+    kin = KineticsModel(n=1, m=1, f=lambda Y, C: np.zeros_like(Y),
+                        h=lambda Y, C: np.zeros_like(C), g=g)
+    data = _substrate_only()
+    cfg = SolverConfig(N=10, dt=1e-3)
+    s0 = initial_state(data, kin, cfg)   # the first g call
+    with pytest.raises(GridError) as exc:
+        picard_step(s0, data, kin, cfg)
+    assert exc.value.code == "NONFINITE"
+    assert len(calls) == 2  # the first sweep's velocity
+
+
+def test_h_called_once_per_sweep():
+    """One ``h`` call for the step-start sources, then one per sweep after
+    the first, whose iterate is the step-start state."""
+    data, base = _linear_reference()
+    calls = []
+
+    def h(Y, C):
+        calls.append(None)
+        return base.h(Y, C)
+
+    kin = KineticsModel(n=1, m=1, f=base.f, h=h, g=base.g)
+    cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
+    state = initial_state(data, kin, cfg)
+    for _ in range(5):
+        del calls[:]
+        state, rep = picard_step(state, data, kin, cfg)
+        assert rep.picard_iterations >= 3
+        assert len(calls) == rep.picard_iterations
 
 
 # -- trajectories and outcomes -------------------------------------------------

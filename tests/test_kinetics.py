@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from biofilmfront import (
     KineticsModel,
@@ -138,6 +138,8 @@ def test_monod_limiting_index_bounds():
     st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=4),
     st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=4, max_size=4),
 )
+# Y * C underflows to 0 here, but neither vanishes and h is -1e-323
+@example([1.3765507748152482e-17] * 4, [1.4908911989944888e-307] * 4)
 def test_monod_signs_on_nonnegative_orthant(yvals, cvals):
     """Uptake only removes substrate; growth without decay keeps Y nonnegative."""
     kin = _monod1()
@@ -147,5 +149,5 @@ def test_monod_signs_on_nonnegative_orthant(yvals, cvals):
     assert np.all(h <= 0.0)
     assert np.all(f >= 0.0)  # k_d = 0 here
     # consumption vanishes where either Y or C vanishes
-    mask = (Y * C) == 0.0
+    mask = (Y == 0.0) | (C == 0.0)
     assert np.all(h[mask.reshape(1, -1)] == 0.0)

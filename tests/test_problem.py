@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biofilmfront import (
+    KineticsModel,
     ProblemData,
     ValidationError,
     build_grid,
@@ -107,3 +108,15 @@ def test_nonfinite_initial_data():
     data = _data(phi=[lambda z: np.where(z > 0.5, np.nan, 1.0)])
     report = validate_problem(data, zero_kinetics(1, 1))
     assert "NONFINITE_INPUT" in report.codes()
+
+
+@pytest.mark.parametrize("bad", ["f", "h", "g"])
+def test_rate_shapes_checked(bad):
+    """The solver works on the rate arrays as returned, so a rate of the
+    wrong shape is rejected at entry."""
+    rates = dict(f=lambda Y, C: np.zeros_like(Y), h=lambda Y, C: np.zeros_like(C),
+                 g=lambda Y, C: np.zeros(Y.shape[1]))
+    rates[bad] = lambda Y, C: np.zeros((2, Y.shape[1]))
+    rep = validate_problem(_data(), KineticsModel(n=1, m=1, **rates))
+    assert rep.codes() == {"DIMENSION_MISMATCH"}
+    assert f"kinetics {bad} returned shape" in rep.violations[0][1]
