@@ -45,7 +45,7 @@ def main():
         print(f"{t_probe:>10.2f} {L:>12.8f} {1.0 / (1.0 + 0.5 * t_probe):>12.8f}")
 
     manifest = bf.write_timeseries(traj, OUT)
-    print(f"\nwrote {len(manifest['files'])} files to {OUT}/")
+    print(f"\nwrote {len(manifest['files'])} files and manifest.json to {OUT}/")
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ def main():
         print(f"  t={s.t:>5.1f}  R={s.R:.4f}  v1={s.v1: .5f}")
 
     manifest = bf.write_timeseries(traj, OUT)
-    print(f"\nwrote {len(manifest['files'])} files to {OUT}/")
+    print(f"\nwrote {len(manifest['files'])} files and manifest.json to {OUT}/")
 
 
 if __name__ == "__main__":

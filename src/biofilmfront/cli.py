@@ -19,7 +19,7 @@ from .config import build_runspec, load_tree
 from .coupler import dissipation_envelope_check, energy, run_simulation
 from .errors import EnvelopeViolation, SolverError
 from .mms import ORDER_FLOORS, mms_study
-from .output import write_timeseries
+from .output import _table, _write_text, write_timeseries
 from .problem import validate_problem
 
 _INT_PARAMS = {"N", "picard_max_iter", "stride"}
@@ -86,10 +86,6 @@ def _parse_value(param: str, text: str):
                           code="SCHEMA_VIOLATION") from None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _run_tree(tree: dict):
     """Build, validate and run one configuration tree."""
     spec = build_runspec(tree)
@@ -113,7 +109,7 @@ def _cmd_simulate(args) -> int:
         _set_param(tree, "N", args.grid_n)
     spec, traj = _run_tree(tree)
     target = args.out or spec.out_dir or "out"
-    write_timeseries(traj, target, config_hash=spec.config_hash, formats=spec.formats)
+    write_timeseries(traj, target, config_hash=spec.config_hash)
     final = traj.final_state
     print(f"outcome: {traj.outcome}")
     print(f"steps: {len(traj.reports)}  t: {final.t:.6g}  R: {final.R:.9g}  "
@@ -127,8 +123,7 @@ def _sweep_worker(payload: str):
     tree = job["tree"]
     _set_param(tree, job["param"], job["value"])
     spec, traj = _run_tree(tree)
-    write_timeseries(traj, job["out_dir"], config_hash=spec.config_hash,
-                     formats=spec.formats)
+    write_timeseries(traj, job["out_dir"], config_hash=spec.config_hash)
     final = traj.final_state
     mu, nu = spec.cfg.weights(spec.kin.n, spec.kin.m)
     return {
@@ -164,13 +159,12 @@ def _cmd_sweep(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "sweep_summary.csv")
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{args.param},outcome,final_R,final_energy,steps\n")
-        for row in rows:
-            fh.write(",".join([
-                row["value_text"], row["outcome"], _fmt(row["final_R"]),
-                _fmt(row["final_energy"]), str(row["steps"]),
-            ]) + "\n")
+    values = []
+    for row in rows:
+        values += (row["value_text"], row["outcome"], row["final_R"],
+                   row["final_energy"], row["steps"])
+    _write_text(summary, _table(f"{args.param},outcome,final_R,final_energy,steps",
+                                "%s,%s,%.17g,%.17g,%d", values))
     for row in rows:
         print(f"{args.param}={row['value_text']}: {row['outcome']} "
               f"(final_R={row['final_R']:.6g}, steps={row['steps']})")

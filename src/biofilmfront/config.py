@@ -4,7 +4,7 @@ A run is described by a single YAML document with four blocks::
 
     problem:   kinetics preset + initial/boundary data + detachment
     solver:    grid, step sizes, iteration and monitor settings
-    output:    directory, snapshot stride, formats
+    output:    directory, snapshot stride
     verify:    optional dissipativity constants for the energy audit
 
 Initial profiles accept plain numbers, expression strings in ``z`` (e.g.
@@ -230,7 +230,6 @@ class RunSpec:
     t_end: float
     out_dir: str | None
     stride: int
-    formats: tuple
     verify: dict | None
     tree: dict
     config_hash: str
@@ -240,7 +239,7 @@ _PROBLEM_KEYS = {"kinetics", "phi", "theta", "psi", "D", "lambda", "R0"}
 _SOLVER_KEYS = {"N", "dt", "t_end", "picard_tol", "picard_max_iter", "theta_scheme",
                 "transport_coefficient", "positivity_mode", "continuation_threshold",
                 "energy_weights"}
-_OUTPUT_KEYS = {"directory", "stride", "formats"}
+_OUTPUT_KEYS = {"directory", "stride"}
 _VERIFY_KEYS = {"alpha", "beta", "M0", "tol", "include_boundary"}
 
 
@@ -314,11 +313,6 @@ def build_runspec(tree: dict) -> RunSpec:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("output.directory: expected a string", code="SCHEMA_VIOLATION")
     stride = _int(_get(out, "stride", "output", default=1), "output.stride", minimum=1)
-    formats = _get(out, "formats", "output", default=["csv"])
-    if (not isinstance(formats, list) or not formats
-            or any(f != "csv" for f in formats)):
-        raise ConfigError("output.formats: only ['csv'] is supported",
-                          code="SCHEMA_VIOLATION")
 
     verify = _get(tree, "verify", "config", default=None)
     if verify is not None:
@@ -338,7 +332,7 @@ def build_runspec(tree: dict) -> RunSpec:
         }
 
     return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out_dir,
-                   stride=stride, formats=tuple(formats), verify=verify, tree=tree,
+                   stride=stride, verify=verify, tree=tree,
                    config_hash=config_hash(tree))
 
 

@@ -2,8 +2,10 @@
 
 All files are plain CSV with LF line endings, ``.`` decimal separator and
 full double precision (17 significant digits), so identical runs produce
-bitwise-identical bytes.  An accompanying ``manifest.json`` indexes the files
-together with the configuration hash and terminal outcome.
+bitwise-identical bytes.  Each file is formatted by one ``%`` over a
+whole-file row template and written by one ``write``, one file at a time.
+An accompanying ``manifest.json`` indexes the files together with the
+configuration hash and terminal outcome.
 """
 
 from __future__ import annotations
@@ -11,89 +13,79 @@ from __future__ import annotations
 import json
 import os
 
-from .coupler import PhysicalTrajectory, Trajectory, back_transform
+import numpy as np
+
+from .coupler import Trajectory, back_transform
 from .errors import OutputError
 
 PACKAGE_NAME = "biofilmfront"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _table(header: str, row: str, values) -> str:
+    """CSV text: ``header``, then ``row`` once per row of flat, row-major ``values``.
+
+    ``row`` is a ``%`` template with one conversion per column (``%.17g``
+    gives the same text as ``format(float(x), ".17g")`` for every double).
+    """
+    values = tuple(values)
+    nrows = len(values) // row.count("%")
+    return f"{header}\n" + ((row + "\n") * nrows) % values
 
 
-def _write_text(path: str, lines) -> None:
+def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from None
 
 
-def scalars_rows(traj: Trajectory):
-    """Yield scalars.csv rows (header first), one per accepted step."""
-    yield "t,R,v1,energy,picard_iters,residual,flags"
-    for r in traj.reports:
-        flags = ";".join(sorted(r.invariant_flags))
-        residual = r.residual_history[-1] if r.residual_history else 0.0
-        yield ",".join([
-            _fmt(r.t), _fmt(r.R), _fmt(r.v1), _fmt(r.energy),
-            str(r.picard_iterations), _fmt(residual), flags,
-        ])
+def _columns(*cols) -> list:
+    """Values of stacked columns (1-D arrays or row blocks), flat and row-major."""
+    return np.vstack(cols).T.ravel().tolist()
 
 
-def snapshot_rows(traj: Trajectory, index: int):
-    """Yield snapshot CSV rows for stored state ``index``: z, Y*, C*, v."""
-    s = traj.states[index]
-    n, m = s.Y.shape[0], s.C.shape[0]
-    header = ["z"] + [f"Y{i + 1}" for i in range(n)] + [f"C{j + 1}" for j in range(m)] + ["v"]
-    yield ",".join(header)
-    for k in range(s.grid.N + 1):
-        vals = [s.grid.nodes[k]] + [s.Y[i, k] for i in range(n)] \
-            + [s.C[j, k] for j in range(m)] + [s.v[k]]
-        yield ",".join(_fmt(v) for v in vals)
-
-
-def physical_rows(phys: PhysicalTrajectory):
-    """Yield physical_scalars.csv rows: physical time, thickness, surface speed."""
-    yield "t_phys,L,u1"
-    for k in range(len(phys.t_phys)):
-        yield ",".join([_fmt(phys.t_phys[k]), _fmt(phys.L[k]), _fmt(phys.u1[k])])
-
-
-def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = None,
-                     formats=("csv",)) -> dict:
+def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = None) -> dict:
     """Write the full output set for a run into ``out_dir``.
 
     Files: ``scalars.csv`` (one row per step), ``snapshot_<k>.csv`` per stored
     state, ``physical_scalars.csv`` (moving-domain series including t = 0) and
-    ``manifest.json``.  Returns the manifest dictionary.
+    ``manifest.json``.  Returns the manifest dictionary as written.
 
     Raises
     ------
     OutputError
         Code ``IO_ERROR`` on any filesystem failure.
     """
-    for f in formats:
-        if f != "csv":
-            raise OutputError(f"unsupported output format {f!r}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot create {out_dir!r}: {exc}") from None
 
-    files = []
-    _write_text(os.path.join(out_dir, "scalars.csv"), scalars_rows(traj))
-    files.append("scalars.csv")
+    values = []
+    for r in traj.reports:
+        residual = r.residual_history[-1] if r.residual_history else 0.0
+        values += (r.t, r.R, r.v1, r.energy, r.picard_iterations, residual,
+                   ";".join(sorted(r.invariant_flags)))
+    _write_text(os.path.join(out_dir, "scalars.csv"),
+                _table("t,R,v1,energy,picard_iters,residual,flags",
+                       "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%s", values))
+    files = ["scalars.csv"]
 
-    for idx in range(len(traj.states)):
+    for idx, s in enumerate(traj.states):
+        n, m = s.Y.shape[0], s.C.shape[0]
+        header = ",".join(["z"] + [f"Y{i + 1}" for i in range(n)]
+                          + [f"C{j + 1}" for j in range(m)] + ["v"])
+        row = ",".join(["%.17g"] * (n + m + 2))
         name = f"snapshot_{idx}.csv"
-        _write_text(os.path.join(out_dir, name), snapshot_rows(traj, idx))
+        _write_text(os.path.join(out_dir, name),
+                    _table(header, row, _columns(s.grid.nodes, s.Y, s.C, s.v)))
         files.append(name)
 
     phys = back_transform(traj)
-    _write_text(os.path.join(out_dir, "physical_scalars.csv"), physical_rows(phys))
+    _write_text(os.path.join(out_dir, "physical_scalars.csv"),
+                _table("t_phys,L,u1", "%.17g,%.17g,%.17g",
+                       _columns(phys.t_phys, phys.L, phys.u1)))
     files.append("physical_scalars.csv")
 
     manifest = {
@@ -107,12 +99,6 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     if traj.failure is not None:
         manifest["failure"] = {k: v for k, v in traj.failure.items()
                                if k in ("code", "message", "step", "thickness")}
-    path = os.path.join(out_dir, "manifest.json")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OutputError(f"cannot write {path!r}: {exc}") from None
-    files.append("manifest.json")
+    _write_text(os.path.join(out_dir, "manifest.json"),
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

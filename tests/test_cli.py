@@ -143,3 +143,25 @@ def test_manifest_records_hash(good_cfg, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["config_hash"]) == 64
     assert manifest["package"] == "biofilmfront"
+
+
+def test_simulate_blocked_output_exits_1(good_cfg, tmp_path, capsys):
+    blocked = tmp_path / "blocked"
+    blocked.write_text("not a directory\n")
+    rc = main(["simulate", "--config", str(good_cfg), "--out", str(blocked)])
+    assert rc == 1
+    assert "error [IO_ERROR]" in capsys.readouterr().err
+
+
+def test_sweep_summary_full_precision(good_cfg, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", "lambda",
+                 "--values", "0.25,0.5", "--out", str(out)]) == 0
+    rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+    for row, value in zip(rows, ("0.25", "0.5")):
+        fields = row.split(",")
+        assert fields[0] == value and fields[1] == "completed" and fields[4] == "20"
+        # final_R is written as the last scalars.csv R, to all 17 digits
+        last = (out / f"lambda={value}" / "scalars.csv").read_text().splitlines()[-1]
+        assert fields[2] == last.split(",")[1]
+        assert fields[2] == format(float(fields[2]), ".17g")

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from biofilmfront import (
     ConfigError,
+    OutputError,
     SolverConfig,
+    SolverError,
     build_runspec,
     compile_expression,
     config_hash,
@@ -18,6 +22,8 @@ from biofilmfront import (
     zero_kinetics,
 )
 from biofilmfront.config import load_tree
+from biofilmfront.coupler import back_transform
+from biofilmfront.output import _table
 
 
 def _tree(**overrides):
@@ -118,18 +124,28 @@ def test_psi_length_must_match_substrates():
 
 
 def test_theta_scheme_range_enforced():
-    from biofilmfront import SolverError
-
     tree = _tree()
     tree["solver"]["theta_scheme"] = 0.25
     with pytest.raises(SolverError):
         build_runspec(tree)
 
 
-def test_formats_whitelist():
-    tree = _tree(output={"formats": ["parquet"]})
-    with pytest.raises(ConfigError):
+def test_formats_key_rejected():
+    # output files are always CSV, so there is no ``formats`` option left
+    tree = _tree(output={"formats": ["csv"]})
+    with pytest.raises(ConfigError) as exc:
         build_runspec(tree)
+    assert exc.value.code == "UNKNOWN_KEY"
+
+
+def test_positivity_mode_values():
+    tree = _tree()
+    tree["solver"]["positivity_mode"] = "fail"
+    assert build_runspec(tree).cfg.positivity_mode == "fail"
+    tree["solver"]["positivity_mode"] = "reject"
+    with pytest.raises(SolverError) as exc:
+        build_runspec(tree)
+    assert exc.value.code == "SCHEMA_VIOLATION"
 
 
 def test_linear_kinetics_block():
@@ -294,3 +310,98 @@ def test_energy_weights_flow_into_config():
     # defaults are unit weights
     mu_d, nu_d = SolverConfig().weights(2, 1)
     assert np.all(mu_d == 1.0) and np.all(nu_d == 1.0)
+
+
+def test_returned_manifest_is_the_written_one(tmp_path):
+    out = tmp_path / "run"
+    manifest = write_timeseries(_run_small(), str(out), config_hash="cd" * 32)
+    assert manifest == json.loads((out / "manifest.json").read_text())
+    assert "manifest.json" not in manifest["files"]
+
+
+# -- writer oracle: the per-value formatter the batched writer replaced ------------
+
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def _oracle_files(traj):
+    """Every CSV file of a run, formatted one value and one line at a time."""
+    files = {}
+    lines = ["t,R,v1,energy,picard_iters,residual,flags"]
+    for r in traj.reports:
+        residual = r.residual_history[-1] if r.residual_history else 0.0
+        lines.append(",".join([
+            _fmt(r.t), _fmt(r.R), _fmt(r.v1), _fmt(r.energy),
+            str(r.picard_iterations), _fmt(residual), ";".join(sorted(r.invariant_flags)),
+        ]))
+    files["scalars.csv"] = lines
+    for idx, s in enumerate(traj.states):
+        n, m = s.Y.shape[0], s.C.shape[0]
+        lines = [",".join(["z"] + [f"Y{i + 1}" for i in range(n)]
+                          + [f"C{j + 1}" for j in range(m)] + ["v"])]
+        for k in range(s.grid.N + 1):
+            vals = [s.grid.nodes[k]] + [s.Y[i, k] for i in range(n)] \
+                + [s.C[j, k] for j in range(m)] + [s.v[k]]
+            lines.append(",".join(_fmt(v) for v in vals))
+        files[f"snapshot_{idx}.csv"] = lines
+    phys = back_transform(traj)
+    lines = ["t_phys,L,u1"]
+    for k in range(len(phys.t_phys)):
+        lines.append(",".join([_fmt(phys.t_phys[k]), _fmt(phys.L[k]), _fmt(phys.u1[k])]))
+    files["physical_scalars.csv"] = lines
+    return {name: "".join(line + "\n" for line in lines).encode() for name, lines in files.items()}
+
+
+def test_writer_matches_per_value_oracle(tmp_path):
+    tree = _tree()
+    tree["problem"].update(
+        kinetics={"preset": "linear", "A": [[-1.0, 0.2], [0.1, -0.5]], "c": [0.3, 0.1],
+                  "B": [[-2.0, 0.0], [0.5, -1.0]], "d": [0.1, 0.2]},
+        phi=["0.5 + 0.1*cos(pi*z)", 0.2], theta=["cos(pi*z/2)", "0.5*cos(pi*z/2)"],
+        psi=[0.0, 0.0], D=[1.0, 0.5])
+    spec = build_runspec(tree)
+    traj = run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.01, snapshot_stride=1)
+    out = tmp_path / "run"
+    manifest = write_timeseries(traj, str(out))
+    expected = _oracle_files(traj)
+    assert manifest["files"] == list(expected)
+    assert len(expected) == 1 + 11 + 1  # scalars, a snapshot per step and t = 0, physical
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+
+
+@given(hnp.arrays(np.float64,
+                  st.tuples(st.integers(0, 12), st.integers(1, 5)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0, 5e-324, 1e16, 1e-5]]))
+@example(np.array([[-0.0], [5e-324], [1e16], [1e-5]]))
+def test_table_matches_per_value_format(block):
+    ncols = block.shape[1]
+    text = _table("h", ",".join(["%.17g"] * ncols), block.ravel().tolist())
+    assert text == "h\n" + "".join(",".join(_fmt(x) for x in row) + "\n" for row in block)
+
+
+# -- write failures ----------------------------------------------------------------
+
+
+def test_blocked_output_directory_is_io_error(tmp_path):
+    traj = _run_small()
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a regular file where the output directory should be\n")
+    with pytest.raises(OutputError) as exc:
+        write_timeseries(traj, str(blocked))
+    assert exc.value.code == "IO_ERROR"
+    with pytest.raises(OutputError) as exc:
+        write_timeseries(traj, str(blocked / "run"))
+    assert exc.value.code == "IO_ERROR"
+
+
+def test_unwritable_output_file_is_io_error(tmp_path):
+    out = tmp_path / "run"
+    (out / "scalars.csv").mkdir(parents=True)
+    with pytest.raises(OutputError) as exc:
+        write_timeseries(_run_small(), str(out))
+    assert exc.value.code == "IO_ERROR"
+    assert "scalars.csv" in str(exc.value)
