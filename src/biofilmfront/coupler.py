@@ -26,7 +26,7 @@ from . import boundary, parabolic, transport
 from .boundary import r_max_bound, velocity_profile
 from .errors import (EnvelopeViolation, PicardDivergence, SolverError,
                      ThicknessCollapse, ValidationError)
-from .grid import Grid, build_grid, interp_rows, trapz_dz
+from .grid import Grid, build_grid, interp_rows
 from .kinetics import KineticsModel
 from .problem import ProblemData, validate_problem
 
@@ -69,6 +69,19 @@ class State:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "R", float(self.R))
+
+    @classmethod
+    def _wrap(cls, t: float, grid: Grid, Y: np.ndarray, C: np.ndarray, R: float,
+              v: np.ndarray) -> "State":
+        """Freeze and wrap arrays that the caller owns and has checked: 2-D
+        float ``Y`` and ``C`` and a velocity with ``v[0] = 0`` on ``grid``,
+        all finite.  The coupled step builds its states this way, without the
+        constructor's copies and checks."""
+        for a in (Y, C, v):
+            a.setflags(write=False)
+        s = object.__new__(cls)
+        vars(s).update(t=t, grid=grid, Y=Y, C=C, R=R, v=v)
+        return s
 
     @property
     def v1(self) -> float:
@@ -192,9 +205,17 @@ def energy(s: State, mu: np.ndarray | None = None, nu: np.ndarray | None = None)
     dz = s.grid.dz
     mu = np.ones(s.Y.shape[0]) if mu is None else np.atleast_1d(mu)
     nu = np.ones(s.C.shape[0]) if nu is None else np.atleast_1d(nu)
-    ey = sum(mu[i] * trapz_dz(s.Y[i] ** 2, dz) for i in range(s.Y.shape[0]))
-    ec = sum(nu[j] * trapz_dz(s.C[j] ** 2, dz) for j in range(s.C.shape[0]))
-    return 0.5 * float(ey + ec)
+    return 0.5 * float(_weighted_square_integral(s.Y, mu, dz)
+                       + _weighted_square_integral(s.C, nu, dz))
+
+
+def _weighted_square_integral(rows: np.ndarray, w: np.ndarray, dz: float) -> float:
+    """``sum_i w_i int rows_i^2`` by the trapezoid rule, summed in row order."""
+    total = 0.0
+    for w_i, row in zip(w.tolist(), rows):
+        sq = row**2
+        total += w_i * (dz * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
+    return total
 
 
 def _boundary_flux(s: State, D: np.ndarray, nu: np.ndarray) -> float:
@@ -217,13 +238,16 @@ def _contraction_ratio(residuals: Sequence[float]) -> float:
 
 
 def picard_step(state: State, data: ProblemData, kin: KineticsModel,
-                cfg: SolverConfig) -> tuple[State, StepReport]:
+                cfg: SolverConfig, start: tuple | None = None) -> tuple[State, StepReport]:
     """Advance one step of length ``cfg.dt`` by fixed-point iteration.
 
     Every sweep restarts all substeps from the converged state at the step
     start, with sources/coefficients taken from the latest iterate; the
     residual is the largest sup-norm change of ``(Y, C, R, v1)`` between
-    sweeps.
+    sweeps.  The first iterate is ``start = (Y, C, R, v1)`` when given (a
+    prediction of the step's end state) and the step-start state otherwise.
+    The fixed point is unique, so the start changes only how many sweeps
+    reach it.
 
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
@@ -264,7 +288,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
                          for j, diff in enumerate(diffs)])
     diags = [parabolic.implicit_diagonal(N, diff, a_new) for diff in diffs]
 
-    Yk, Ck, Rk, v1k = Y0, C0, R_start, v1_start
+    Yk, Ck, Rk, v1k = (Y0, C0, R_start, v1_start) if start is None else start
+    # The sweeps guard the implicit operator at each iterate's v1; the
+    # explicit one (theta < 1) sits at v1_start.
+    if theta < 1.0:
+        for j, diff in enumerate(diffs):
+            if parabolic.peclet_unstable(adv_old, diff):
+                raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
     residuals: list[float] = []
     rising = 0
     converged = False
@@ -272,11 +302,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     for sweep in range(cfg.picard_max_iter):
         R2 = Rk**2
         # (1) substrates: theta-blended sources, iterate-lagged at the end
-        # stage.  Sweep 1's iterate is the step-start state, where h is H_start.
-        H_end = R2 * np.asarray(kin.h(Yk, Ck), dtype=float) if sweep else H_start
+        # stage.  A cold sweep 1 iterates at the step-start state, where h
+        # is H_start.
+        if sweep or start is not None:
+            H_end = R2 * np.asarray(kin.h(Yk, Ck), dtype=float)
+        else:
+            H_end = H_start
         rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
-        # Sweep 1 assembles at v1k = v1_start, so this guard also covers the
-        # explicit operator's (theta < 1), which needs no check of its own.
         adv = parabolic.advection_weights(grid, v1k)
         C_new = np.empty_like(C0)
         for j, diff in enumerate(diffs):
@@ -325,7 +357,12 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
 
     # make the stored velocity exactly consistent with the converged fields
     v_final = boundary.velocity_nodes(np.asarray(kin.g(Yk, Ck), dtype=float), Rk**2, dz)
-    new_state = State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=v_final)
+    # C (gtsv), R (thickness) and v (velocity_nodes, with v[0] = 0) are
+    # checked where they are computed; Y is checked here.  The arrays are
+    # this step's own, so the state wraps them without copies.
+    if not np.isfinite(Yk).all():
+        raise ValidationError("non-finite state", code="NONFINITE")
+    new_state = State._wrap(t_new, grid, Yk, Ck, Rk, v_final)
 
     mu, nu = cfg.weights(kin.n, kin.m)
     report = StepReport(
@@ -342,25 +379,38 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     return new_state, report
 
 
-def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext) -> set:
+def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext,
+                     minima: tuple[float, float] | None = None) -> set:
     """Evaluate the per-step invariant monitors, returning raised flags.
 
     ``NEGATIVE_Y`` / ``NEGATIVE_C``: nodal values below ``-POSITIVITY_TOL``.
     ``R_BOUND_EXCEEDED``: thickness above the running a priori bound.
     ``CONTINUATION``: any monitored norm above ``cfg.continuation_threshold``.
+    ``minima`` passes ``(s.Y.min(), s.C.min())`` when the caller has them.
     """
+    Y, C = s.Y, s.C
+    y_min, c_min = (float(Y.min()), float(C.min())) if minima is None else minima
     flags = set()
-    if float(s.Y.min()) < -POSITIVITY_TOL:
+    if y_min < -POSITIVITY_TOL:
         flags.add("NEGATIVE_Y")
-    if float(s.C.min()) < -POSITIVITY_TOL:
+    if c_min < -POSITIVITY_TOL:
         flags.add("NEGATIVE_C")
     if s.R > bound_context.bound() + R_BOUND_SLACK:
         flags.add("R_BOUND_EXCEEDED")
-    dy = float(np.max(np.abs(np.diff(s.Y, axis=1)))) / s.grid.dz if s.Y.shape[1] > 1 else 0.0
-    big = max(float(np.max(np.abs(s.Y))), float(np.max(np.abs(s.C))), abs(s.R), dy)
-    if big > cfg.continuation_threshold:
+    # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz
+    dy = float(np.abs(Y[:, 1:] - Y[:, :-1]).max()) / s.grid.dz
+    if max(float(Y.max()), -y_min, float(C.max()), -c_min, abs(s.R), dy) \
+            > cfg.continuation_threshold:
         flags.add("CONTINUATION")
     return flags
+
+
+def _quadratic_start(older: State, old: State, last: State) -> tuple:
+    """Start iterate ``(Y, C, R, v1)`` for the step after ``last``: the
+    quadratic through three accepted states one ``dt`` apart, evaluated one
+    ``dt`` on, ``X* = 3 (X_n - X_{n-1}) + X_{n-2}``."""
+    return (3.0 * (last.Y - old.Y) + older.Y, 3.0 * (last.C - old.C) + older.C,
+            3.0 * (last.R - old.R) + older.R, 3.0 * (last.v1 - old.v1) + older.v1)
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
@@ -381,6 +431,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
 
     Snapshots are stored every ``snapshot_stride`` steps (plus t = 0 and the
     final accepted state); per-step scalar diagnostics are always complete.
+    From the third step on, each step's Picard iteration starts from the
+    quadratic extrapolation of the last three accepted states.
     """
     if t_end < 0.0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
@@ -404,9 +456,11 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
 
     n_steps = int(round(t_end / cfg.dt))
     outcome = "completed"
+    recent = [state]  # the last three accepted states, oldest first
     for k in range(1, n_steps + 1):
+        start = _quadratic_start(*recent) if len(recent) == 3 else None
         try:
-            state_new, report = picard_step(state, data, kin, cfg)
+            state_new, report = picard_step(state, data, kin, cfg, start)
         except PicardDivergence as exc:
             outcome = "picard_diverged"
             traj.failure = {"code": exc.code, "message": str(exc),
@@ -419,11 +473,13 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             break
 
         ctx.update(state_new.v1)
-        report.invariant_flags = check_invariants(state_new, cfg, ctx)
+        y_min, c_min = float(state_new.Y.min()), float(state_new.C.min())
+        report.invariant_flags = check_invariants(state_new, cfg, ctx, (y_min, c_min))
         traj.reports.append(report)
-        traj.min_Y_seen = min(traj.min_Y_seen, float(state_new.Y.min()))
-        traj.min_C_seen = min(traj.min_C_seen, float(state_new.C.min()))
+        traj.min_Y_seen = min(traj.min_Y_seen, y_min)
+        traj.min_C_seen = min(traj.min_C_seen, c_min)
         state = state_new
+        recent = recent[-2:] + [state]
         if k % snapshot_stride == 0 or k == n_steps:
             traj.states.append(state)
             traj.state_steps.append(k)

@@ -34,13 +34,11 @@ class KineticsModel:
         function of ``(Y, C)``: the same arguments give the same result, and
         a call has no effect the solver could observe.  The coupled step
         relies on this; it evaluates ``h`` at the step-start state once and
-        reuses that value for the first Picard sweep.
+        reuses that value for the first Picard sweep of a step that starts
+        from the step-start state.
     quasi_positive : bool
         Set when the rates can never drive nonnegative data negative
         (``f_i >= 0`` and ``h_j >= 0`` whenever ``Y >= 0`` and ``C >= 0``).
-    lipschitz_hint : float or None
-        Optional bound on the rate-function Lipschitz constant, used only
-        for diagnostics.
     """
 
     n: int
@@ -49,7 +47,6 @@ class KineticsModel:
     h: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray], np.ndarray]
     quasi_positive: bool = False
-    lipschitz_hint: float | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -109,7 +106,7 @@ def zero_kinetics(n: int = 1, m: int = 1) -> KineticsModel:
     def g(Y, C):
         return np.zeros(np.asarray(Y).shape[-1])
 
-    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=True, lipschitz_hint=0.0)
+    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=True)
 
 
 def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) -> KineticsModel:
@@ -143,8 +140,7 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
     # quasi-positive only in the degenerate all-zero case; affine rates can
     # always be driven negative otherwise.
     qp = not (A.any() or B.any() or c.any() or d.any())
-    lip = float(max(np.abs(A).sum(), np.abs(B).sum()))
-    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=qp, lipschitz_hint=lip)
+    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=qp)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .coupler import Trajectory, back_transform
 from .errors import OutputError
 
 PACKAGE_NAME = "biofilmfront"
+
+#: names of the snapshot files, the only ones a rerun removes
+_SNAPSHOT_NAME = re.compile(r"snapshot_[0-9]+\.csv")
 
 
 def _table(header: str, row: str, values) -> str:
@@ -50,7 +54,10 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
 
     Files: ``scalars.csv`` (one row per step), ``snapshot_<k>.csv`` per stored
     state, ``physical_scalars.csv`` (moving-domain series including t = 0) and
-    ``manifest.json``.  Returns the manifest dictionary as written.
+    ``manifest.json``.  Snapshot files that an earlier run left in
+    ``out_dir`` and this run did not write are deleted, so the snapshots on
+    disk are the ones the manifest lists.  Returns the manifest dictionary
+    as written.
 
     Raises
     ------
@@ -88,12 +95,22 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
                        _columns(phys.t_phys, phys.L, phys.u1)))
     files.append("physical_scalars.csv")
 
+    written = set(files)
+    try:
+        for name in os.listdir(out_dir):
+            if name not in written and _SNAPSHOT_NAME.fullmatch(name):
+                os.remove(os.path.join(out_dir, name))
+    except OSError as exc:
+        raise OutputError(f"cannot remove stale snapshots in {out_dir!r}: {exc}") from None
+
+    sweeps = [r.picard_iterations for r in traj.reports]
     manifest = {
         "package": PACKAGE_NAME,
         "config_hash": config_hash,
         "outcome": traj.outcome,
         "n_steps": len(traj.reports),
         "snapshot_steps": list(traj.state_steps),
+        "picard": {"sweeps": sum(sweeps), "max_sweeps": max(sweeps, default=0)},
         "files": files,
     }
     if traj.failure is not None:

@@ -35,7 +35,8 @@ from biofilmfront import (
     velocity_profile,
     zero_kinetics,
 )
-from biofilmfront.coupler import StepReport, _boundary_flux, _contraction_ratio
+from biofilmfront.coupler import (StepReport, _boundary_flux, _contraction_ratio,
+                                  _quadratic_start)
 
 
 def _substrate_only(theta=lambda z: np.cos(0.5 * math.pi * z), lam=0.5, R0=1.0):
@@ -145,14 +146,15 @@ def test_step_report_residuals_decrease():
 # -- lockstep oracle for the coupled step ----------------------------------------
 
 
-def reference_picard_step(state, data, kin, cfg):
+def reference_picard_step(state, data, kin, cfg, start=None):
     """Reference coupled step built from the public stage functions.
 
     This is the sweep as it was written before it moved onto the stages'
     array kernels: every stage validates its arguments, builds its frozen
     containers and evaluates ``h`` on every sweep, and the biomass sources
-    are interpolated at the nodes as well as at the feet.  ``picard_step``
-    must reproduce it bit for bit.
+    are interpolated at the nodes as well as at the feet.  The sweeps start
+    from ``start = (Y, C, R, v1)`` when given.  ``picard_step`` must
+    reproduce it bit for bit.
     """
     grid, dt = state.grid, cfg.dt
     t_new = state.t + dt
@@ -163,7 +165,7 @@ def reference_picard_step(state, data, kin, cfg):
     F_start = R_start**2 * np.asarray(kin.f(Y0, C0), dtype=float)
     H_start = R_start**2 * np.asarray(kin.h(Y0, C0), dtype=float)
 
-    Yk, Ck, Rk, v1k = Y0, C0, R_start, v1_start
+    Yk, Ck, Rk, v1k = (Y0, C0, R_start, v1_start) if start is None else start
     residuals = []
     rising = 0
     for _ in range(cfg.picard_max_iter):
@@ -277,14 +279,22 @@ def _assert_same_step(got, want):
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _zero_problem])
 def test_picard_step_matches_reference_bitwise(problem, m, theta, coefficient):
+    """Cold steps, and from the third step on also steps started from the
+    quadratic extrapolation of the last three states."""
     data, kin = problem(m)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta,
                        transport_coefficient=coefficient)
     state = initial_state(data, kin, cfg)
+    recent = [state]
     for _ in range(6):
         got = picard_step(state, data, kin, cfg)
         _assert_same_step(got, reference_picard_step(state, data, kin, cfg))
+        if len(recent) == 3:
+            start = _quadratic_start(*recent)
+            _assert_same_step(picard_step(state, data, kin, cfg, start),
+                              reference_picard_step(state, data, kin, cfg, start))
         state = got[0]
+        recent = recent[-2:] + [state]
 
 
 # -- checks on quantities computed inside the sweep ----------------------------
@@ -324,9 +334,29 @@ def test_sweep_raises_on_nonfinite_velocity():
     assert len(calls) == 2  # the first sweep's velocity
 
 
+def test_quadratic_start_is_exact_for_quadratics():
+    g = build_grid(4)
+    states = [State(t=t, grid=g, Y=np.full((1, 5), 1.0 + t * t), C=np.full((1, 5), 2.0 * t),
+                    R=3.0 - t * t, v=np.linspace(0.0, t * t, 5)) for t in (0.0, 1.0, 2.0)]
+    Y, C, R, v1 = _quadratic_start(*states)
+    assert np.all(Y == 10.0) and np.all(C == 6.0) and R == -6.0 and v1 == 9.0
+
+
+def test_step_rejects_nonfinite_biomass():
+    # f = inf makes Y infinite; an infinite tolerance lets that sweep converge
+    kin = KineticsModel(n=1, m=1, f=lambda Y, C: np.full_like(Y, np.inf),
+                        h=lambda Y, C: np.zeros_like(C), g=lambda Y, C: np.zeros(Y.shape[1]))
+    data = _substrate_only()
+    cfg = SolverConfig(N=10, dt=1e-3, picard_tol=math.inf)
+    with pytest.raises(ValidationError) as exc:
+        picard_step(initial_state(data, kin, cfg), data, kin, cfg)
+    assert exc.value.code == "NONFINITE"
+
+
 def test_h_called_once_per_sweep():
-    """One ``h`` call for the step-start sources, then one per sweep after
-    the first, whose iterate is the step-start state."""
+    """One ``h`` call for the step-start sources, then one per sweep.  A cold
+    step's first sweep iterates at the step-start state and reuses that
+    call; a step given a start iterate evaluates ``h`` there."""
     data, base = _linear_reference()
     calls = []
 
@@ -336,12 +366,82 @@ def test_h_called_once_per_sweep():
 
     kin = KineticsModel(n=1, m=1, f=base.f, h=h, g=base.g)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
-    state = initial_state(data, kin, cfg)
+    recent = [initial_state(data, kin, cfg)]
     for _ in range(5):
         del calls[:]
-        state, rep = picard_step(state, data, kin, cfg)
+        state, rep = picard_step(recent[-1], data, kin, cfg)
         assert rep.picard_iterations >= 3
         assert len(calls) == rep.picard_iterations
+        if len(recent) == 3:
+            del calls[:]
+            _, rep = picard_step(recent[-1], data, kin, cfg, _quadratic_start(*recent))
+            assert len(calls) == rep.picard_iterations + 1
+        recent = recent[-2:] + [state]
+
+
+def test_warm_step_checks_explicit_peclet():
+    """With theta < 1 the explicit operator sits at the step-start velocity,
+    which a warm sweep 1 no longer assembles at."""
+    data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: np.ones_like(z)],
+                       psi=[lambda t: 1.0], D=[0.005], lam=0.5, R0=1.0)
+    kin = zero_kinetics(1, 1)
+    g = build_grid(8)
+    # a stored surface velocity of 2 (mesh Peclet 25), while g = 0 keeps
+    # every iterate's velocity at 0
+    s0 = State(t=0.0, grid=g, Y=np.zeros((1, 9)), C=np.ones((1, 9)), R=1.0,
+               v=np.linspace(0.0, 2.0, 9))
+    start = (s0.Y, s0.C, s0.R, 0.0)
+    with pytest.raises(AssemblyError) as exc:
+        picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=0.5), start)
+    assert exc.value.code == "UNSTABLE_ASSEMBLY"
+    with pytest.raises(AssemblyError) as ref:
+        assemble_step(s0.C[0], g, (2.0, 0.0), np.zeros(9), 0.005, 1.0, 1e-2, 0.5)
+    assert str(exc.value) == str(ref.value)
+    # the implicit operator alone is stable at the iterates' velocity
+    _, rep = picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=1.0), start)
+    assert rep.picard_iterations == 2
+
+
+def _cold_run(data, kin, cfg, n_steps):
+    states, reports = [initial_state(data, kin, cfg)], []
+    for _ in range(n_steps):
+        state, rep = picard_step(states[-1], data, kin, cfg)
+        states.append(state)
+        reports.append(rep)
+    return states, reports
+
+
+def _max_state_gap(a, b):
+    return max(float(np.abs(a.Y - b.Y).max()), float(np.abs(a.C - b.C).max()),
+               float(np.abs(a.v - b.v).max()), abs(a.R - b.R))
+
+
+def _square_wave_problem(m):
+    """The Monod problem with a surface value that jumps every 20 steps of
+    1e-3: the extrapolation overshoots after each jump."""
+    data, kin = _monod_problem(m)
+    psi = [lambda t: 1.0 if math.floor(t / 0.02 + 1e-9) % 2 == 0 else 0.2]
+    return ProblemData(phi=data.phi, theta=data.theta, psi=psi, D=data.D, lam=data.lam,
+                       R0=data.R0), kin
+
+
+@pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _square_wave_problem])
+def test_warm_start_agrees_with_cold_steps(problem):
+    """From the third step on, run_simulation starts each step from the
+    quadratic extrapolation: the same fixed points in fewer sweeps."""
+    data, kin = problem(1)
+    cfg = SolverConfig(N=40, dt=1e-3)
+    traj = run_simulation(data, kin, cfg, t_end=0.2, snapshot_stride=1)
+    states, reports = _cold_run(data, kin, cfg, 200)
+    assert traj.outcome == "completed" and len(traj.reports) == 200
+    for k in (1, 2):  # steps 1 and 2 start cold
+        assert np.array_equal(traj.states[k].C, states[k].C)
+        assert traj.reports[k - 1].residual_history == reports[k - 1].residual_history
+    assert max(_max_state_gap(a, b) for a, b in zip(traj.states, states)) <= 1e-9
+    warm = [r.picard_iterations for r in traj.reports]
+    cold = [r.picard_iterations for r in reports]
+    assert sum(warm) < sum(cold)
+    assert max(warm) <= max(cold)
 
 
 # -- trajectories and outcomes -------------------------------------------------

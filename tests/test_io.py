@@ -16,6 +16,7 @@ from biofilmfront import (
     build_runspec,
     compile_expression,
     config_hash,
+    eval_kinetics,
     parse_config,
     run_simulation,
     write_timeseries,
@@ -154,7 +155,9 @@ def test_linear_kinetics_block():
         "preset": "linear", "A": [[-1.0]], "c": [0.5], "B": [[-2.0]], "d": [0.1],
     }
     spec = build_runspec(tree)
-    assert spec.kin.lipschitz_hint == pytest.approx(2.0)
+    f, h, g = eval_kinetics(spec.kin, np.array([2.0]), np.array([3.0]))
+    assert f[0] == pytest.approx(-1.5) and g == pytest.approx(-1.5)
+    assert h[0] == pytest.approx(-5.9)
 
 
 def test_monod_kinetics_block():
@@ -310,6 +313,37 @@ def test_energy_weights_flow_into_config():
     # defaults are unit weights
     mu_d, nu_d = SolverConfig().weights(2, 1)
     assert np.all(mu_d == 1.0) and np.all(nu_d == 1.0)
+
+
+def test_rerun_removes_stale_snapshots(tmp_path):
+    out = tmp_path / "run"
+    write_timeseries(_run_small(stride=1), str(out))
+    assert len(list(out.glob("snapshot_*.csv"))) == 11
+    manifest = write_timeseries(_run_small(stride=5), str(out))
+    assert sorted(p.name for p in out.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
+
+
+def test_rerun_keeps_other_files(tmp_path):
+    out = tmp_path / "run"
+    write_timeseries(_run_small(stride=1), str(out))
+    keep = ["snapshot_9.csv.bak", "snapshot_x.csv", "old_snapshot_9.csv", "notes.txt"]
+    for name in keep:
+        (out / name).write_text("kept\n")
+    manifest = write_timeseries(_run_small(stride=5), str(out))
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        manifest["files"] + ["manifest.json"] + keep)
+
+
+def test_manifest_picard_statistics(tmp_path):
+    traj = _run_small()
+    manifest = write_timeseries(traj, str(tmp_path / "run"))
+    sweeps = [r.picard_iterations for r in traj.reports]
+    assert manifest["picard"] == {"sweeps": sum(sweeps), "max_sweeps": max(sweeps)}
+    assert all(type(v) is int for v in manifest["picard"].values())
+    spec = build_runspec(_tree())
+    empty = run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.0)
+    manifest = write_timeseries(empty, str(tmp_path / "empty"))
+    assert manifest["picard"] == {"sweeps": 0, "max_sweeps": 0}
 
 
 def test_returned_manifest_is_the_written_one(tmp_path):

@@ -61,9 +61,13 @@ def test_linear_preset_matrix_action():
     assert np.allclose(g, expect.sum(axis=0))
 
 
-def test_linear_preset_lipschitz_hint():
-    kin = linear_preset([[-1.0, 0.5], [0.25, -2.0]], [0.0, 0.0], [[-3.0]], [0.0])
-    assert kin.lipschitz_hint == pytest.approx(3.75)  # max total abs sum of A vs B
+def test_linear_preset_substrate_action():
+    B = [[-3.0, 0.5], [0.25, -2.0]]
+    d = [0.1, 0.2]
+    kin = linear_preset([[-1.0]], [0.0], B, d)
+    C = np.array([[1.0, 2.0], [3.0, 4.0]])  # two substrates at two points
+    _, h, _ = eval_kinetics(kin, np.ones((1, 2)), C)
+    assert np.allclose(h, np.array(B) @ C + np.array(d)[:, None])
 
 
 def test_linear_preset_quasi_positive_only_when_trivial():
