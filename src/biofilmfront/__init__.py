@@ -8,8 +8,7 @@ per-step fixed-point coupling, then maps results back to physical
 coordinates.
 """
 
-from .boundary import (BoundaryState, R_FLOOR, boundary_step, detachment_rhs,
-                       integrate_thickness, r_max_bound, velocity_profile)
+from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
 from .coupler import (EnvelopeReport, PhysicalSnapshot, PhysicalTrajectory,
                       RBoundContext, SolverConfig, State, StepReport, Trajectory,
@@ -19,31 +18,25 @@ from .errors import (AssemblyError, ConfigError, EnvelopeViolation, GridError,
                      LinearSolveError, OrderRegression, OutputError,
                      PicardDivergence, SolverError, ThicknessCollapse,
                      ValidationError)
-from .grid import Grid, Profile, build_grid, cumtrapz, interp_linear
-from .kinetics import (KineticsModel, MonodParams, eval_kinetics, linear_preset,
-                       monod_preset, zero_kinetics)
+from .grid import Grid, build_grid
+from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
 from .mms import ConvergenceReport, mms_study
 from .output import write_timeseries
-from .parabolic import TridiagonalSystem, assemble_step, parabolic_step, solve_tridiagonal
 from .problem import ProblemData, ValidationReport, validate_problem
-from .transport import V1Segment, characteristic_foot, transport_step
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "BoundaryState", "ConfigError", "ConvergenceReport",
-    "EnvelopeReport", "EnvelopeViolation", "Grid", "GridError", "KineticsModel",
-    "LinearSolveError", "MonodParams", "OrderRegression", "OutputError",
-    "PhysicalSnapshot", "PhysicalTrajectory", "PicardDivergence", "ProblemData",
-    "Profile", "RBoundContext", "R_FLOOR", "RunSpec", "SolverConfig", "SolverError",
-    "State", "StepReport", "ThicknessCollapse", "Trajectory", "TridiagonalSystem",
-    "V1Segment", "ValidationError", "ValidationReport", "assemble_step",
-    "back_transform", "boundary_step", "build_grid", "build_runspec",
-    "characteristic_foot", "check_invariants", "compile_expression", "config_hash",
-    "cumtrapz", "detachment_rhs", "dissipation_envelope_check", "energy",
-    "eval_kinetics", "initial_state", "integrate_thickness", "interp_linear",
-    "linear_preset", "mms_study", "monod_preset", "parabolic_step", "parse_config",
-    "picard_step", "r_max_bound", "run_simulation", "solve_tridiagonal",
-    "transport_step", "validate_problem", "velocity_profile", "write_timeseries",
+    "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport",
+    "EnvelopeViolation", "Grid", "GridError", "KineticsModel", "LinearSolveError",
+    "MonodParams", "OrderRegression", "OutputError", "PhysicalSnapshot",
+    "PhysicalTrajectory", "PicardDivergence", "ProblemData", "RBoundContext",
+    "R_FLOOR", "RunSpec", "SolverConfig", "SolverError", "State", "StepReport",
+    "ThicknessCollapse", "Trajectory", "ValidationError", "ValidationReport",
+    "back_transform", "build_grid", "build_runspec", "check_invariants",
+    "compile_expression", "config_hash", "detachment_rhs",
+    "dissipation_envelope_check", "energy", "initial_state", "integrate_thickness",
+    "linear_preset", "mms_study", "monod_preset", "parse_config", "picard_step",
+    "r_max_bound", "run_simulation", "validate_problem", "write_timeseries",
     "zero_kinetics",
 ]

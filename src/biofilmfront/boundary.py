@@ -14,43 +14,19 @@ at or below ``R_FLOOR`` signals washout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, ThicknessCollapse, ValidationError
-from .grid import Grid, Profile, cumtrapz_dz
-from .kinetics import KineticsModel
+from .grid import cumtrapz_dz
 
 #: thickness at/below which a run is classified as washed out
 R_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class BoundaryState:
-    """Thickness and surface velocity at one time level."""
-
-    R: float
-    v1: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.R) and np.isfinite(self.v1)):
-            raise ValidationError("non-finite boundary state", code="NONFINITE_INPUT")
-
-
-def velocity_profile(Y: np.ndarray, C: np.ndarray, R: float, kin: KineticsModel,
-                     grid: Grid) -> Profile:
-    """Growth velocity ``v(z) = R**2 * int_0^z g``; ``v(0) = 0`` exactly.
-
-    ``Y`` and ``C`` are stacked nodal profiles of shapes ``(n, N+1)`` and
-    ``(m, N+1)``.
-    """
-    gvals = Profile(grid, np.asarray(kin.g(np.atleast_2d(Y), np.atleast_2d(C)), dtype=float))
-    return Profile(grid, velocity_nodes(gvals.values, float(R) ** 2, grid.dz))
-
-
 def velocity_nodes(gvals: np.ndarray, R2: float, dz: float) -> np.ndarray:
-    """Nodal velocity ``R2 * int_0^z g`` from raw nodal rates ``gvals``.
+    """Nodal velocity ``R2 * int_0^z g`` from raw nodal rates ``gvals``;
+    ``v(0) = 0`` exactly.
 
     Raises ``GridError`` ``NONFINITE`` when it is not finite.  Checking the
     last node suffices: a running sum carries any NaN or inf to its end.
@@ -76,28 +52,19 @@ def integrate_thickness(R: float, v1_of_t, lam: float, dt: float) -> float:
     return R + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def boundary_step(state: BoundaryState, v1_new: float, lam: float, dt: float) -> float:
-    """Advance the thickness by one RK4 step.
+def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: float) -> float:
+    """Advance the thickness by one RK4 step, with ``v1`` varying linearly
+    from ``v1_old`` to ``v1_new`` over the step.
 
-    ``v1`` varies linearly from ``state.v1`` to ``v1_new`` over the step.
+    The inputs are trusted (finite, ``lam > 0``, ``dt > 0``).
 
     Raises
     ------
     ThicknessCollapse
         When the updated thickness falls to ``R_FLOOR`` or below (washout).
     ValidationError
-        For nonpositive ``lam``/``dt`` or non-finite input.
+        Code ``NONFINITE`` when the updated thickness is not finite.
     """
-    if not (np.isfinite(v1_new) and np.isfinite(lam) and np.isfinite(dt)):
-        raise ValidationError("non-finite boundary step input", code="NONFINITE_INPUT")
-    if lam <= 0.0 or dt <= 0.0:
-        raise ValidationError("lam and dt must be > 0", code="NONPOSITIVE_PARAM")
-    return thickness_update(state.R, state.v1, v1_new, lam, dt)
-
-
-def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: float) -> float:
-    """RK4 thickness step from validated scalars, with the washout and
-    non-finite checks of :func:`boundary_step`."""
     slope = (v1_new - v1_old) / dt
     R_new = integrate_thickness(R, lambda s: v1_old + slope * s, lam, dt)
     if not math.isfinite(R_new):

@@ -87,18 +87,16 @@ def _parse_value(param: str, text: str):
 
 
 def _run_tree(tree: dict):
-    """Build, validate and run one configuration tree."""
+    """Build and run one configuration tree (the run validates it)."""
     spec = build_runspec(tree)
-    report = validate_problem(spec.data, spec.kin)
-    if not report.ok:
-        raise SolverError(
-            "invalid problem data: "
-            + "; ".join(f"{code}: {msg}" for code, msg in report.violations),
-            code=report.violations[0][0],
-        )
     traj = run_simulation(spec.data, spec.kin, spec.cfg, spec.t_end,
-                          snapshot_stride=spec.stride, validate=False)
+                          snapshot_stride=spec.stride)
     return spec, traj
+
+
+def _print_warnings(report) -> None:
+    for code, msg in report.warnings:
+        print(f"warning [{code}]: {msg}")
 
 
 def _cmd_simulate(args) -> int:
@@ -108,6 +106,7 @@ def _cmd_simulate(args) -> int:
     if args.grid_n is not None:
         _set_param(tree, "N", args.grid_n)
     spec, traj = _run_tree(tree)
+    _print_warnings(traj.validation)
     target = args.out or spec.out_dir or "out"
     write_timeseries(traj, target, config_hash=spec.config_hash)
     final = traj.final_state
@@ -178,20 +177,18 @@ def _cmd_verify(args) -> int:
     failures = []
 
     report = validate_problem(spec.data, spec.kin)
-    for code, msg in report.warnings:
-        print(f"warning [{code}]: {msg}")
+    _print_warnings(report)
     if report.ok:
         print("problem validation: ok")
     else:
         for code, msg in report.violations:
             print(f"problem validation: FAIL [{code}] {msg}")
-        failures.append("validation")
         print("verify: FAIL")
         return 1
 
     try:
         traj = run_simulation(spec.data, spec.kin, spec.cfg, spec.t_end,
-                              snapshot_stride=spec.stride, validate=False)
+                              snapshot_stride=spec.stride)
     except SolverError as exc:
         print(f"run: FAIL [{exc.code}] {exc}")
         print("verify: FAIL")

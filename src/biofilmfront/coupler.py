@@ -23,21 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from . import boundary, parabolic, transport
-from .boundary import r_max_bound, velocity_profile
-from .errors import (EnvelopeViolation, PicardDivergence, SolverError,
+from .boundary import r_max_bound
+from .errors import (AssemblyError, EnvelopeViolation, PicardDivergence, SolverError,
                      ThicknessCollapse, ValidationError)
 from .grid import Grid, build_grid, interp_rows
 from .kinetics import KineticsModel
-from .problem import ProblemData, validate_problem
+from .problem import ProblemData, ValidationReport, validate_problem
 
 #: nodal values below this (negative) level trip the negativity flags
 POSITIVITY_TOL = 1e-12
 #: slack added to the a priori thickness bound before flagging
 R_BOUND_SLACK = 1e-8
-
-#: terminal run classifications
-OUTCOMES = ("completed", "washout", "continuation_tripped", "picard_diverged",
-            "positivity_violated")
 
 
 @dataclass(frozen=True)
@@ -170,12 +166,14 @@ class RBoundContext:
 
 @dataclass
 class Trajectory:
-    """Recorded run: strided states, per-step reports, terminal outcome."""
+    """Recorded run: strided states, per-step reports, terminal outcome and
+    the report of the problem validation it started with."""
 
     grid: Grid
     cfg: SolverConfig
     data: ProblemData
     kin: KineticsModel
+    validation: ValidationReport
     states: list = field(default_factory=list)
     state_steps: list = field(default_factory=list)
     reports: list = field(default_factory=list)
@@ -252,9 +250,9 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
     tridiagonal solves, the velocity and the thickness).  They run the
-    stage functions' array kernels on raw arrays, with everything fixed
-    within the step (step-start sources, the explicit half of the
-    theta-scheme, the diagonals) computed once.
+    stages' array kernels on raw arrays, with everything fixed within the
+    step (step-start sources, the explicit half of the theta-scheme, the
+    diagonals) computed once.
 
     Raises
     ------
@@ -263,6 +261,10 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
         in a row.  The exception carries the residual history.
     ThicknessCollapse
         Propagated from the thickness update (washout).
+    AssemblyError, LinearSolveError
+        From the mesh-Peclet guard and the tridiagonal solves.
+    ValidationError, GridError
+        Code ``NONFINITE`` for a non-finite thickness, biomass or velocity.
     """
     grid, dt = state.grid, cfg.dt
     N, dz, nodes = grid.N, grid.dz, grid.nodes
@@ -417,17 +419,32 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     """Sample the problem data onto the grid and build the t = 0 state."""
     grid = build_grid(cfg.N)
     Y0, C0 = data.sample_initial(grid.nodes)
-    v0 = velocity_profile(Y0, C0, data.R0, kin, grid).values
+    v0 = boundary.velocity_nodes(np.asarray(kin.g(Y0, C0), dtype=float), data.R0**2, grid.dz)
     return State(t=0.0, grid=grid, Y=Y0, C=C0, R=data.R0, v=v0)
 
 
 def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
-                   t_end: float, snapshot_stride: int = 1,
-                   validate: bool = True) -> Trajectory:
+                   t_end: float, snapshot_stride: int = 1) -> Trajectory:
     """Run from t = 0 to ``t_end`` (rounded to whole steps) and classify the
-    outcome: ``completed``, ``washout`` (thickness floor), ``picard_diverged``,
-    ``continuation_tripped`` (norm blow-up) or ``positivity_violated`` (only
-    in ``positivity_mode="fail"``).
+    outcome:
+
+    - ``completed``: every step was taken;
+    - ``washout``: the thickness fell to its floor;
+    - ``picard_diverged``: a step's fixed-point iteration did not contract;
+    - ``assembly_rejected``: the mesh Peclet number of a step exceeded 1;
+    - ``solve_failed``: a tridiagonal solve hit a zero pivot, or a step
+      computed a non-finite value;
+    - ``continuation_tripped``: a monitored norm blew up;
+    - ``positivity_violated``: a nodal value went negative (only in
+      ``positivity_mode="fail"``).
+
+    The problem is validated at entry; an invalid one raises
+    ``ValidationError`` naming every violation, with the code of the first,
+    and a valid one's report (with its warnings) is kept on
+    ``Trajectory.validation``.  A step that fails keeps the trajectory
+    recorded up to it, and ``Trajectory.failure`` holds the error's code and
+    message, the step number and its end time ``t``, plus the residual
+    history (``picard_diverged``) or the thickness (``washout``).
 
     Snapshots are stored every ``snapshot_stride`` steps (plus t = 0 and the
     final accepted state); per-step scalar diagnostics are always complete.
@@ -438,15 +455,17 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
     if snapshot_stride < 1:
         raise ValidationError("snapshot_stride must be >= 1", code="NONPOSITIVE_PARAM")
-    if validate:
-        rep = validate_problem(data, kin)
-        if not rep.ok:
-            code, msg = rep.violations[0]
-            raise ValidationError(f"invalid problem data: {msg}", code=code)
+    rep = validate_problem(data, kin)
+    if not rep.ok:
+        raise ValidationError(
+            "invalid problem data: "
+            + "; ".join(f"{code}: {msg}" for code, msg in rep.violations),
+            code=rep.violations[0][0],
+        )
     cfg.weights(kin.n, kin.m)  # resolved and checked once, before the first step
 
     state = initial_state(data, kin, cfg)
-    traj = Trajectory(grid=state.grid, cfg=cfg, data=data, kin=kin)
+    traj = Trajectory(grid=state.grid, cfg=cfg, data=data, kin=kin, validation=rep)
     traj.states.append(state)
     traj.state_steps.append(0)
     traj.min_Y_seen = float(state.Y.min())
@@ -461,15 +480,19 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         start = _quadratic_start(*recent) if len(recent) == 3 else None
         try:
             state_new, report = picard_step(state, data, kin, cfg, start)
-        except PicardDivergence as exc:
-            outcome = "picard_diverged"
-            traj.failure = {"code": exc.code, "message": str(exc),
-                            "residual_history": exc.residual_history, "step": k}
-            break
-        except ThicknessCollapse as exc:
-            outcome = "washout"
-            traj.failure = {"code": exc.code, "message": str(exc),
-                            "thickness": exc.thickness, "step": k}
+        except SolverError as exc:
+            traj.failure = {"code": exc.code, "message": str(exc), "step": k,
+                            "t": state.t + cfg.dt}
+            if isinstance(exc, PicardDivergence):
+                outcome = "picard_diverged"
+                traj.failure["residual_history"] = exc.residual_history
+            elif isinstance(exc, ThicknessCollapse):
+                outcome = "washout"
+                traj.failure["thickness"] = exc.thickness
+            elif isinstance(exc, AssemblyError):
+                outcome = "assembly_rejected"
+            else:  # LinearSolveError, or a non-finite value the step computed
+                outcome = "solve_failed"
             break
 
         ctx.update(state_new.v1)

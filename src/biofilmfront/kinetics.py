@@ -56,44 +56,6 @@ class KineticsModel:
             )
 
 
-def _as_2d(arr: np.ndarray, rows: int, name: str) -> tuple[np.ndarray, bool]:
-    """Coerce (rows,) or (rows, K) input to 2D; report whether it was 1D."""
-    a = np.asarray(arr, dtype=float)
-    was_1d = a.ndim == 1
-    if was_1d:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] != rows:
-        raise ValidationError(
-            f"{name} must have {rows} rows, got shape {a.shape}",
-            code="DIMENSION_MISMATCH",
-        )
-    return a, was_1d
-
-
-def eval_kinetics(kin: KineticsModel, Y: np.ndarray, C: np.ndarray):
-    """Evaluate ``(f, h, g)`` at one state or a batch of states.
-
-    ``Y`` may be ``(n,)`` or ``(n, K)`` and ``C`` correspondingly ``(m,)`` or
-    ``(m, K)``; 1D inputs yield 1D outputs.  Non-finite inputs are rejected
-    with code ``NONFINITE_INPUT``.
-    """
-    Y2, squeeze = _as_2d(Y, kin.n, "Y")
-    C2, _ = _as_2d(C, kin.m, "C")
-    if Y2.shape[1] != C2.shape[1]:
-        raise ValidationError(
-            f"Y and C sample counts differ: {Y2.shape[1]} vs {C2.shape[1]}",
-            code="DIMENSION_MISMATCH",
-        )
-    if not (np.all(np.isfinite(Y2)) and np.all(np.isfinite(C2))):
-        raise ValidationError("non-finite state passed to kinetics", code="NONFINITE_INPUT")
-    fv = np.asarray(kin.f(Y2, C2), dtype=float)
-    hv = np.asarray(kin.h(Y2, C2), dtype=float)
-    gv = np.asarray(kin.g(Y2, C2), dtype=float)
-    if squeeze:
-        return fv[:, 0], hv[:, 0], float(gv.reshape(-1)[0])
-    return fv, hv, gv
-
-
 def zero_kinetics(n: int = 1, m: int = 1) -> KineticsModel:
     """Inert model: ``f = h = g = 0`` (trivially quasi-positive)."""
 

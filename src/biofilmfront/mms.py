@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parabolic, transport
 from .boundary import integrate_thickness
 from .errors import OrderRegression
-from .grid import build_grid
-from .parabolic import assemble_step, solve_tridiagonal
-from .transport import V1Segment, transport_step
+from .grid import build_grid, interp_rows
 
 ORDER_FLOORS = {
     "substrate_diffusion": 1.8,
@@ -95,13 +94,19 @@ def _diffusion_case(N_values, t_end, theta):
     for N in N_values:
         grid = build_grid(N)
         steps, dt = _steps_for(t_end, 0.5 * grid.dz)
+        # no advection (v1 = 0): the implicit matrix is the same every step
+        diff = D / grid.dz**2
+        adv = parabolic.advection_weights(grid, 0.0)
+        sub, sup = parabolic.implicit_off_diagonals(adv, diff, dt * theta)
+        diag = parabolic.implicit_diagonal(N, diff, dt * theta)
         C = exact(grid.nodes, 0.0)
         t = 0.0
         for _ in range(steps):
             H = theta * forcing(grid.nodes, t + dt) + (1.0 - theta) * forcing(grid.nodes, t)
             psi_end = 0.5 * math.exp(-(t + dt))
-            system = assemble_step(C, grid, (0.0, 0.0), H, D, psi_end, dt, theta)
-            C = solve_tridiagonal(system)
+            explicit = parabolic.explicit_part(C, adv, diff, dt * (1.0 - theta))
+            C = parabolic.gtsv_solve(sub[1:], diag, sup[:-1],
+                                     parabolic.step_rhs(explicit, H, dt, psi_end))
             t += dt
         errors.append(float(np.max(np.abs(C - exact(grid.nodes, t_end)))))
     return np.array(errors)
@@ -124,16 +129,13 @@ def _transport_case(N_values, t_end):
     for N in N_values:
         grid = build_grid(N)
         steps, dt = _steps_for(t_end, 0.5 * grid.dz)
+        # constant velocity: the same feet every step
+        feet = np.clip(transport.raw_feet(grid.nodes, dt, v1, "scaled"), 0.0, 1.0)
         Y = exact(grid.nodes, 0.0)[None, :]
         t = 0.0
         for _ in range(steps):
-            t_start = t
-
-            def sources(zq, stage, _t=t_start, _dt=dt):
-                when = _t if stage == "start" else _t + _dt
-                return np.full((1, len(zq)), -math.exp(-when))
-
-            Y, _ = transport_step(Y, grid, sources, V1Segment(v1, v1, dt))
+            Y = transport.advance(interp_rows(Y, feet, grid.nodes), -math.exp(-t),
+                                  -math.exp(-(t + dt)), dt)
             t += dt
         errors.append(float(np.max(np.abs(Y[0] - exact(grid.nodes, t_end)))))
     return np.array(errors)

@@ -115,7 +115,7 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     }
     if traj.failure is not None:
         manifest["failure"] = {k: v for k, v in traj.failure.items()
-                               if k in ("code", "message", "step", "thickness")}
+                               if k in ("code", "message", "step", "t", "thickness")}
     _write_text(os.path.join(out_dir, "manifest.json"),
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -6,32 +6,34 @@ import numpy as np
 import pytest
 
 from biofilmfront import (
-    BoundaryState,
     ThicknessCollapse,
-    boundary_step,
     build_grid,
     detachment_rhs,
     integrate_thickness,
     linear_preset,
     r_max_bound,
-    velocity_profile,
     zero_kinetics,
 )
+from biofilmfront.boundary import thickness_update, velocity_nodes
+
+
+def _velocity(Y, C, R, kin, g):
+    return velocity_nodes(kin.g(Y, C), R**2, g.dz)
 
 
 def test_velocity_zero_growth():
     g = build_grid(10)
-    v = velocity_profile(np.ones((1, 11)), np.ones((1, 11)), 1.0, zero_kinetics(1, 1), g)
-    assert np.all(v.values == 0.0)
+    v = _velocity(np.ones((1, 11)), np.ones((1, 11)), 1.0, zero_kinetics(1, 1), g)
+    assert np.all(v == 0.0)
 
 
 def test_velocity_constant_growth_exact():
     # g = c constant: v(z) = R^2 c z, exact under the trapezoid rule
     g = build_grid(10)
     kin = linear_preset([[0.0]], [0.7], [[0.0]], [0.0])
-    v = velocity_profile(np.ones((1, 11)), np.ones((1, 11)), 2.0, kin, g)
-    assert np.allclose(v.values, 4.0 * 0.7 * g.nodes, atol=1e-14)
-    assert v.values[0] == 0.0
+    v = _velocity(np.ones((1, 11)), np.ones((1, 11)), 2.0, kin, g)
+    assert np.allclose(v, 4.0 * 0.7 * g.nodes, atol=1e-14)
+    assert v[0] == 0.0
 
 
 def test_velocity_r_squared_scaling():
@@ -39,8 +41,8 @@ def test_velocity_r_squared_scaling():
     kin = linear_preset([[0.5]], [0.1], [[0.0]], [0.0])
     Y = np.linspace(0.2, 1.0, 21).reshape(1, -1)
     C = np.ones((1, 21))
-    v1 = velocity_profile(Y, C, 1.0, kin, g).values
-    v3 = velocity_profile(Y, C, 3.0, kin, g).values
+    v1 = _velocity(Y, C, 1.0, kin, g)
+    v3 = _velocity(Y, C, 3.0, kin, g)
     assert np.allclose(v3, 9.0 * v1, rtol=1e-14)
 
 
@@ -69,24 +71,21 @@ def test_equilibrium_preserved():
     # v1 = lam R^2 makes the right-hand side vanish identically
     lam, R = 0.5, 1.3
     v1 = lam * R**2
-    state = BoundaryState(R=R, v1=v1)
-    R_new = boundary_step(state, v1_new=v1, lam=lam, dt=0.1)
+    R_new = thickness_update(R, v1, v1, lam, 0.1)
     assert R_new == pytest.approx(R, abs=1e-12)
 
 
 def test_boundary_step_linear_v1_interpolation():
     """The step sees v1 varying linearly between its endpoints."""
     lam = 1e-12  # essentially pure growth dR/dt = R^2 v1(t)
-    state = BoundaryState(R=1.0, v1=0.0)
-    R_new = boundary_step(state, v1_new=1.0, lam=lam, dt=0.01)
+    R_new = thickness_update(1.0, 0.0, 1.0, lam, 0.01)
     # dR/dt = R^2 t/dt with R ~ 1: R(dt) ~ 1 + dt/2 to leading order
     assert R_new == pytest.approx(1.0 + 0.5 * 0.01, rel=1e-3)
 
 
 def test_collapse_raises():
-    state = BoundaryState(R=0.05, v1=-30.0)
     with pytest.raises(ThicknessCollapse) as exc:
-        boundary_step(state, v1_new=-30.0, lam=0.5, dt=20.0)
+        thickness_update(0.05, -30.0, -30.0, 0.5, 20.0)
     assert exc.value.code == "THICKNESS_COLLAPSE"
 
 

@@ -165,3 +165,65 @@ def test_sweep_summary_full_precision(good_cfg, tmp_path):
         last = (out / f"lambda={value}" / "scalars.csv").read_text().splitlines()[-1]
         assert fields[2] == last.split(",")[1]
         assert fields[2] == format(float(fields[2]), ".17g")
+
+
+PECLET_GROWTH = """
+problem:
+  kinetics: {preset: linear, A: [[1.0]], c: [0.0], B: [[0.0]], d: [0.0]}
+  phi: ["0.3 + 0.1*cos(pi*z)"]
+  theta: ["1 - 0.5*z^2"]
+  psi: [0.5]
+  D: [0.02]
+  lambda: 0.01
+  R0: 1.0
+solver: {N: 40, dt: 1.0e-2, t_end: 5.0}
+output: {stride: 25}
+"""
+
+
+def test_simulate_failed_step_writes_partial_outputs(tmp_path, capsys):
+    """The mesh Peclet number passes 1 at step 62: a classified outcome,
+    exit code 1, and the outputs of the 61 accepted steps."""
+    p = tmp_path / "peclet.yaml"
+    p.write_text(PECLET_GROWTH)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(p), "--out", str(out)])
+    assert rc == 1
+    assert "outcome: assembly_rejected" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "assembly_rejected"
+    assert manifest["n_steps"] == 61
+    assert manifest["snapshot_steps"] == [0, 25, 50, 61]
+    failure = manifest["failure"]
+    assert failure["code"] == "UNSTABLE_ASSEMBLY"
+    assert failure["step"] == 62 and failure["t"] == pytest.approx(0.62)
+    assert len((out / "scalars.csv").read_text().splitlines()) == 1 + 61
+    for name in manifest["files"]:
+        assert (out / name).exists()
+
+
+def test_simulate_prints_validation_warnings(tmp_path, capsys):
+    p = tmp_path / "neg.yaml"
+    p.write_text(GOOD.replace("phi: [0.0]", "phi: [-0.1]"))
+    rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "warning [NEGATIVE_INITIAL_DATA]: model preserves nonnegativity but initial " \
+           "data start negative" in lines
+    assert any(line.startswith("warning [SECOND_ORDER_COMPAT]: substrate 0: ")
+               for line in lines)
+
+
+def test_invalid_problem_names_every_violation(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text(GOOD.replace("psi: [0.0]", "psi: [0.5]").replace("D: [1.0]", "D: [-1.0]"))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [NONPOSITIVE_D]: invalid problem data: NONPOSITIVE_D: ")
+    assert "; COMPAT_MISMATCH: " in err
+    assert not (tmp_path / "o").exists()
+    assert main(["verify", "--config", str(p)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("]")[0] for line in lines[:2]] == [
+        "problem validation: FAIL [NONPOSITIVE_D", "problem validation: FAIL [COMPAT_MISMATCH"]
+    assert lines[2:] == ["verify: FAIL"]

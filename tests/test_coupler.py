@@ -7,7 +7,6 @@ import pytest
 
 from biofilmfront import (
     AssemblyError,
-    BoundaryState,
     EnvelopeViolation,
     GridError,
     KineticsModel,
@@ -16,11 +15,8 @@ from biofilmfront import (
     RBoundContext,
     SolverConfig,
     State,
-    V1Segment,
     ValidationError,
-    assemble_step,
     back_transform,
-    boundary_step,
     build_grid,
     check_invariants,
     dissipation_envelope_check,
@@ -28,15 +24,14 @@ from biofilmfront import (
     initial_state,
     linear_preset,
     monod_preset,
-    parabolic_step,
     picard_step,
     run_simulation,
-    transport_step,
-    velocity_profile,
     zero_kinetics,
 )
+from biofilmfront.boundary import velocity_nodes
 from biofilmfront.coupler import (StepReport, _boundary_flux, _contraction_ratio,
                                   _quadratic_start)
+from stages import substrate_step, thickness_step, transport_step
 
 
 def _substrate_only(theta=lambda z: np.cos(0.5 * math.pi * z), lam=0.5, R0=1.0):
@@ -147,14 +142,14 @@ def test_step_report_residuals_decrease():
 
 
 def reference_picard_step(state, data, kin, cfg, start=None):
-    """Reference coupled step built from the public stage functions.
+    """Reference coupled step built from one-stage steps (``stages.py``).
 
     This is the sweep as it was written before it moved onto the stages'
-    array kernels: every stage validates its arguments, builds its frozen
-    containers and evaluates ``h`` on every sweep, and the biomass sources
-    are interpolated at the nodes as well as at the feet.  The sweeps start
-    from ``start = (Y, C, R, v1)`` when given.  ``picard_step`` must
-    reproduce it bit for bit.
+    array kernels: every substrate is assembled and solved on its own, ``h``
+    is evaluated on every sweep, and the biomass sources are interpolated
+    at the nodes as well as at the feet.  The sweeps start from
+    ``start = (Y, C, R, v1)`` when given.  ``picard_step`` must reproduce
+    it bit for bit.
     """
     grid, dt = state.grid, cfg.dt
     t_new = state.t + dt
@@ -165,26 +160,25 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     F_start = R_start**2 * np.asarray(kin.f(Y0, C0), dtype=float)
     H_start = R_start**2 * np.asarray(kin.h(Y0, C0), dtype=float)
 
+    def velocity(Y, C, R):
+        return velocity_nodes(np.asarray(kin.g(Y, C), dtype=float), R**2, grid.dz)
+
     Yk, Ck, Rk, v1k = (Y0, C0, R_start, v1_start) if start is None else start
     residuals = []
     rising = 0
     for _ in range(cfg.picard_max_iter):
         H_end = Rk**2 * np.asarray(kin.h(Yk, Ck), dtype=float)
         H = theta * H_end + (1.0 - theta) * H_start
-        C_new = parabolic_step(C0, grid, (v1_start, v1k), H, data.D, psi_end, dt, theta)
+        C_new = np.array([substrate_step(C0[j], grid, (v1_start, v1k), H[j], float(D),
+                                         float(psi_end[j]), dt, theta)
+                          for j, D in enumerate(data.D)])
 
-        v_new = velocity_profile(Yk, C_new, Rk, kin, grid).values
-        v1_new = float(v_new[-1])
+        v1_new = float(velocity(Yk, C_new, Rk)[-1])
 
         F_end = Rk**2 * np.asarray(kin.f(Yk, C_new), dtype=float)
-
-        def sources(zq, stage, _Fs=F_start, _Fe=F_end):
-            rows = _Fs if stage == "start" else _Fe
-            return np.array([np.interp(zq, grid.nodes, row) for row in rows])
-
-        Y_new, tdiag = transport_step(Y0, grid, sources, V1Segment(v1_start, v1_new, dt),
-                                      cfg.transport_coefficient)
-        R_new = boundary_step(BoundaryState(R_start, v1_start), v1_new, data.lam, dt)
+        Y_new, clamped = transport_step(Y0, grid, F_start, F_end, (v1_start, v1_new), dt,
+                                        cfg.transport_coefficient)
+        R_new = thickness_step(R_start, (v1_start, v1_new), data.lam, dt)
 
         residual = max(
             float(np.max(np.abs(Y_new - Yk))),
@@ -201,8 +195,7 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     else:
         raise AssertionError("reference sweep did not converge")
 
-    v_final = velocity_profile(Yk, Ck, Rk, kin, grid).values
-    new_state = State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=v_final)
+    new_state = State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=velocity(Yk, Ck, Rk))
     mu, nu = cfg.weights(kin.n, kin.m)
     report = StepReport(
         t=t_new,
@@ -211,7 +204,7 @@ def reference_picard_step(state, data, kin, cfg, start=None):
         picard_iterations=len(residuals),
         residual_history=residuals,
         contraction_ratio=_contraction_ratio(residuals),
-        clamped_feet=tdiag.clamped_feet,
+        clamped_feet=clamped,
         energy=energy(new_state, mu, nu),
         boundary_energy_flux=_boundary_flux(new_state, data.D, nu),
     )
@@ -300,6 +293,11 @@ def test_picard_step_matches_reference_bitwise(problem, m, theta, coefficient):
 # -- checks on quantities computed inside the sweep ----------------------------
 
 
+#: the UNSTABLE_ASSEMBLY message for |v1| = 2, D = 0.005 and N = 8
+_PECLET_25_AT_N8 = ("advection too strong for centered differencing at N=8 (mesh Peclet "
+                    "25 > 1); refine the grid to N >= 201 or increase D")
+
+
 def test_sweep_raises_unstable_assembly():
     # linear growth g = 2 Y gives v1 = 2 at t = 0: mesh Peclet 25 at N = 8
     data = ProblemData(phi=[lambda z: np.ones_like(z)], theta=[lambda z: np.ones_like(z)],
@@ -310,10 +308,7 @@ def test_sweep_raises_unstable_assembly():
     with pytest.raises(AssemblyError) as exc:
         picard_step(s0, data, kin, cfg)
     assert exc.value.code == "UNSTABLE_ASSEMBLY"
-    # the same message the public assembly gives for that velocity
-    with pytest.raises(AssemblyError) as ref:
-        assemble_step(s0.C[0], s0.grid, (s0.v1, s0.v1), np.zeros(9), 0.005, 1.0, 1e-2, 0.5)
-    assert str(exc.value) == str(ref.value)
+    assert str(exc.value) == _PECLET_25_AT_N8
 
 
 def test_sweep_raises_on_nonfinite_velocity():
@@ -394,9 +389,7 @@ def test_warm_step_checks_explicit_peclet():
     with pytest.raises(AssemblyError) as exc:
         picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=0.5), start)
     assert exc.value.code == "UNSTABLE_ASSEMBLY"
-    with pytest.raises(AssemblyError) as ref:
-        assemble_step(s0.C[0], g, (2.0, 0.0), np.zeros(9), 0.005, 1.0, 1e-2, 0.5)
-    assert str(exc.value) == str(ref.value)
+    assert str(exc.value) == _PECLET_25_AT_N8
     # the implicit operator alone is stable at the iterates' velocity
     _, rep = picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=1.0), start)
     assert rep.picard_iterations == 2
@@ -581,6 +574,79 @@ def test_positivity_fail_mode():
     traj_mon = run_simulation(data, kin, cfg_mon, t_end=1.0, snapshot_stride=1)
     assert traj_mon.outcome == "completed"
     assert any("NEGATIVE_Y" in r.invariant_flags for r in traj_mon.reports)
+
+
+def _peclet_growth_problem():
+    """Linear growth whose surface velocity climbs until the mesh Peclet
+    number at N = 40 passes 1 (0.19 at t = 0, 1.1 at t = 0.62)."""
+    data = ProblemData(phi=[lambda z: 0.3 + 0.1 * np.cos(math.pi * z)],
+                       theta=[lambda z: 1.0 - 0.5 * z**2], psi=[lambda t: 0.5],
+                       D=[0.02], lam=0.01, R0=1.0)
+    return data, linear_preset([[1.0]], [0.0], [[0.0]], [0.0])
+
+
+def test_assembly_rejected_outcome():
+    data, kin = _peclet_growth_problem()
+    traj = run_simulation(data, kin, SolverConfig(N=40, dt=1e-2), t_end=5.0,
+                          snapshot_stride=25)
+    assert traj.outcome == "assembly_rejected"
+    fail = traj.failure
+    assert fail["code"] == "UNSTABLE_ASSEMBLY" and "mesh Peclet 1.1 > 1" in fail["message"]
+    assert fail["step"] == 62 and fail["t"] == pytest.approx(0.62)
+    # the steps before the failure are kept, and so is the last accepted state
+    assert len(traj.reports) == 61
+    assert traj.state_steps == [0, 25, 50, 61]
+    assert traj.final_state.t == pytest.approx(0.61)
+
+
+@pytest.mark.parametrize("rate,message", [
+    ("f", "non-finite state"),
+    ("h", "non-finite solution from elimination"),
+    ("g", "profile contains non-finite values"),
+])
+def test_solve_failed_outcome(rate, message):
+    """A rate that turns non-finite mid-run makes a step compute a non-finite
+    biomass (``f``), substrate solution (``h``, in the tridiagonal solve) or
+    velocity (``g``); the run ends as ``solve_failed``.  An infinite
+    tolerance accepts every step after one sweep, so the step's own checks
+    fire before the residual can."""
+    calls = []
+
+    def turning(Y, C, shape):
+        calls.append(None)
+        return np.zeros(shape) if len(calls) < 12 else np.full(shape, np.inf)
+
+    rates = {"f": lambda Y, C: np.zeros_like(Y), "h": lambda Y, C: np.zeros_like(C),
+             "g": lambda Y, C: np.zeros(Y.shape[1])}
+    shapes = {"f": lambda Y, C: Y.shape, "h": lambda Y, C: C.shape,
+              "g": lambda Y, C: Y.shape[1]}
+    rates[rate] = lambda Y, C: turning(Y, C, shapes[rate](Y, C))
+    kin = KineticsModel(n=1, m=1, **rates)
+    cfg = SolverConfig(N=10, dt=1e-3, picard_tol=math.inf)
+    traj = run_simulation(_substrate_only(), kin, cfg, t_end=0.1)
+    assert traj.outcome == "solve_failed"
+    assert traj.failure["code"] == "NONFINITE" and traj.failure["message"] == message
+    k = traj.failure["step"]
+    assert k > 1 and len(traj.reports) == k - 1
+    assert traj.failure["t"] == pytest.approx(k * 1e-3)
+    assert traj.final_state.t == pytest.approx((k - 1) * 1e-3)
+
+
+def test_invalid_problem_names_every_violation():
+    data = _substrate_only(lam=-1.0, R0=0.0)
+    with pytest.raises(ValidationError) as exc:
+        run_simulation(data, zero_kinetics(1, 1), SolverConfig(N=10), t_end=0.1)
+    assert exc.value.code == "NONPOSITIVE_LAMBDA"
+    assert str(exc.value).startswith("invalid problem data: NONPOSITIVE_LAMBDA: ")
+    assert "; NONPOSITIVE_R0: " in str(exc.value)
+
+
+def test_trajectory_keeps_validation_report():
+    # cos(pi z / 2) against psi = 0 fails the second-order matching condition
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
+                          t_end=1e-3)
+    assert traj.validation.ok
+    assert traj.validation.warning_codes() == {"SECOND_ORDER_COMPAT"}
 
 
 # -- energy audit ---------------------------------------------------------------

@@ -16,7 +16,6 @@ from biofilmfront import (
     build_runspec,
     compile_expression,
     config_hash,
-    eval_kinetics,
     parse_config,
     run_simulation,
     write_timeseries,
@@ -155,9 +154,10 @@ def test_linear_kinetics_block():
         "preset": "linear", "A": [[-1.0]], "c": [0.5], "B": [[-2.0]], "d": [0.1],
     }
     spec = build_runspec(tree)
-    f, h, g = eval_kinetics(spec.kin, np.array([2.0]), np.array([3.0]))
-    assert f[0] == pytest.approx(-1.5) and g == pytest.approx(-1.5)
-    assert h[0] == pytest.approx(-5.9)
+    Y, C = np.array([[2.0]]), np.array([[3.0]])
+    assert spec.kin.f(Y, C)[0, 0] == pytest.approx(-1.5)
+    assert spec.kin.g(Y, C)[0] == pytest.approx(-1.5)
+    assert spec.kin.h(Y, C)[0, 0] == pytest.approx(-5.9)
 
 
 def test_monod_kinetics_block():

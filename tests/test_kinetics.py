@@ -8,39 +8,26 @@ from biofilmfront import (
     KineticsModel,
     MonodParams,
     ValidationError,
-    eval_kinetics,
     linear_preset,
     monod_preset,
     zero_kinetics,
 )
 
 
+def _rates(kin, Y, C):
+    """``(f, h, g)`` at stacked states ``Y`` (n, K) and ``C`` (m, K)."""
+    return kin.f(Y, C), kin.h(Y, C), kin.g(Y, C)
+
+
 def test_zero_kinetics_vanishes():
     kin = zero_kinetics(2, 3)
     Y = np.ones((2, 5))
     C = np.ones((3, 5))
-    f, h, g = eval_kinetics(kin, Y, C)
+    f, h, g = _rates(kin, Y, C)
     assert f.shape == (2, 5)
     assert h.shape == (3, 5)
     assert np.all(f == 0.0) and np.all(h == 0.0) and np.all(np.asarray(g) == 0.0)
     assert kin.quasi_positive
-
-
-def test_eval_kinetics_1d_roundtrip():
-    kin = linear_preset([[-1.0]], [2.0], [[-3.0]], [0.5])
-    f, h, g = eval_kinetics(kin, np.array([1.0]), np.array([4.0]))
-    assert f.shape == (1,)
-    assert h.shape == (1,)
-    assert f[0] == pytest.approx(-1.0 + 2.0)
-    assert h[0] == pytest.approx(-12.0 + 0.5)
-    assert g == pytest.approx(1.0)
-
-
-def test_eval_kinetics_rejects_nonfinite():
-    kin = zero_kinetics(1, 1)
-    with pytest.raises(ValidationError) as exc:
-        eval_kinetics(kin, np.array([np.inf]), np.array([1.0]))
-    assert exc.value.code == "NONFINITE_INPUT"
 
 
 def test_kinetics_model_dimension_checked():
@@ -55,7 +42,7 @@ def test_linear_preset_matrix_action():
     kin = linear_preset(A, c, [[-1.0]], [0.0])
     Y = np.array([[1.0, 2.0], [3.0, 4.0]])  # two species at two points
     C = np.zeros((1, 2))
-    f, h, g = eval_kinetics(kin, Y, C)
+    f, h, g = _rates(kin, Y, C)
     expect = np.array(A) @ Y + np.array(c)[:, None]
     assert np.allclose(f, expect)
     assert np.allclose(g, expect.sum(axis=0))
@@ -66,7 +53,7 @@ def test_linear_preset_substrate_action():
     d = [0.1, 0.2]
     kin = linear_preset([[-1.0]], [0.0], B, d)
     C = np.array([[1.0, 2.0], [3.0, 4.0]])  # two substrates at two points
-    _, h, _ = eval_kinetics(kin, np.ones((1, 2)), C)
+    _, h, _ = _rates(kin, np.ones((1, 2)), C)
     assert np.allclose(h, np.array(B) @ C + np.array(d)[:, None])
 
 
@@ -85,7 +72,7 @@ def test_monod_growth_law_value():
     kin = _monod1()
     Y = np.array([[2.0]])
     C = np.array([[0.3]])  # C == K -> half saturation
-    f, h, g = eval_kinetics(kin, Y, C)
+    f, h, g = _rates(kin, Y, C)
     assert f[0, 0] == pytest.approx(0.4 * 0.5 * 2.0)
     assert h[0, 0] == pytest.approx(-(1.0 / 0.5) * 0.4 * 0.5 * 2.0)
     assert g[0] == pytest.approx(f[0, 0])
@@ -95,16 +82,16 @@ def test_monod_decay_shifts_growth():
     kin = monod_preset(
         MonodParams(mu=[0.4], K=[0.3], k_d=[0.1], limiting=[0], yields=[[0.5]]), m=1
     )
-    f, _, _ = eval_kinetics(kin, np.array([1.0]), np.array([0.3]))
-    assert f[0] == pytest.approx((0.4 * 0.5 - 0.1) * 1.0)
+    f, _, _ = _rates(kin, np.array([[1.0]]), np.array([[0.3]]))
+    assert f[0, 0] == pytest.approx((0.4 * 0.5 - 0.1) * 1.0)
 
 
 def test_monod_zero_yield_means_no_consumption():
     kin = monod_preset(
         MonodParams(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.0]]), m=1
     )
-    _, h, _ = eval_kinetics(kin, np.array([5.0]), np.array([1.0]))
-    assert h[0] == 0.0
+    _, h, _ = _rates(kin, np.array([[5.0]]), np.array([[1.0]]))
+    assert h[0, 0] == 0.0
     assert kin.quasi_positive  # no decay, no consumption
 
 
@@ -149,7 +136,7 @@ def test_monod_signs_on_nonnegative_orthant(yvals, cvals):
     kin = _monod1()
     Y = np.array(yvals).reshape(1, -1)
     C = np.array(cvals).reshape(1, -1)
-    f, h, _ = eval_kinetics(kin, Y, C)
+    f, h, _ = _rates(kin, Y, C)
     assert np.all(h <= 0.0)
     assert np.all(f >= 0.0)  # k_d = 0 here
     # consumption vanishes where either Y or C vanishes

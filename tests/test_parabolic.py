@@ -7,36 +7,33 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from biofilmfront import (
-    AssemblyError,
     LinearSolveError,
     ProblemData,
     SolverConfig,
-    TridiagonalSystem,
-    ValidationError,
-    assemble_step,
     build_grid,
     initial_state,
-    parabolic_step,
     picard_step,
-    solve_tridiagonal,
     zero_kinetics,
 )
+from biofilmfront.parabolic import (advection_weights, gtsv_solve, peclet_error,
+                                    peclet_unstable)
+from stages import assemble, substrate_step
 
 
 # -- tridiagonal solver -------------------------------------------------------
 
 
-def thomas(system):
-    """Reference Thomas elimination, without pivoting.
+def thomas(sub, diag, sup, rhs):
+    """Reference Thomas elimination, without pivoting, on full-length bands
+    (``sub[0]`` and ``sup[-1]`` are padding).
 
     Returns the solution and whether LAPACK ``gtsv`` would swap rows on this
     system: its partial pivoting swaps at step ``k`` when the running pivot
     ``|d[k-1]|`` is smaller than ``|sub[k]|``.
     """
-    n = len(system.diag)
-    d = system.diag.astype(float).copy()
-    r = system.rhs.astype(float).copy()
-    sub, sup = system.sub, system.sup
+    n = len(diag)
+    d = diag.astype(float).copy()
+    r = rhs.astype(float).copy()
     swaps = False
     for k in range(1, n):
         swaps = swaps or abs(d[k - 1]) < abs(sub[k])
@@ -51,58 +48,36 @@ def thomas(system):
 
 
 def test_tridiagonal_identity():
-    # bands are full length; sub[0] and sup[-1] are padding
-    sys_ = TridiagonalSystem(
-        sub=np.zeros(3), diag=np.ones(3), sup=np.zeros(3), rhs=np.array([1.0, 2.0, 3.0])
-    )
-    assert np.allclose(solve_tridiagonal(sys_), [1.0, 2.0, 3.0])
+    x = gtsv_solve(np.zeros(2), np.ones(3), np.zeros(2), np.array([1.0, 2.0, 3.0]))
+    assert np.allclose(x, [1.0, 2.0, 3.0])
 
 
 def test_tridiagonal_hand_solved_3x3():
     # [2 -1 0; -1 2 -1; 0 -1 2] x = [1, 0, 1] -> x = [1, 1, 1]
-    sys_ = TridiagonalSystem(
-        sub=np.array([0.0, -1.0, -1.0]),
-        diag=np.array([2.0, 2.0, 2.0]),
-        sup=np.array([-1.0, -1.0, 0.0]),
-        rhs=np.array([1.0, 0.0, 1.0]),
-    )
-    assert np.allclose(solve_tridiagonal(sys_), [1.0, 1.0, 1.0], atol=1e-14)
+    x = gtsv_solve(np.array([-1.0, -1.0]), np.array([2.0, 2.0, 2.0]), np.array([-1.0, -1.0]),
+                   np.array([1.0, 0.0, 1.0]))
+    assert np.allclose(x, [1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_tridiagonal_zero_pivot():
     # [1 1; 1 1] is singular: elimination leaves an exactly zero last pivot
-    sys_ = TridiagonalSystem(
-        sub=np.array([0.0, 1.0]), diag=np.array([1.0, 1.0]), sup=np.array([1.0, 0.0]),
-        rhs=np.array([1.0, 1.0]),
-    )
     with pytest.raises(LinearSolveError) as exc:
-        solve_tridiagonal(sys_)
+        gtsv_solve(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))
     assert exc.value.code == "ZERO_PIVOT"
 
 
 def test_tridiagonal_pivots_past_zero_diagonal():
     # [0 1; 1 1] is nonsingular; partial pivoting solves it despite diag[0] = 0
-    sys_ = TridiagonalSystem(
-        sub=np.array([0.0, 1.0]), diag=np.array([0.0, 1.0]), sup=np.array([1.0, 0.0]),
-        rhs=np.array([1.0, 1.0]),
-    )
+    rhs = np.array([1.0, 1.0])
+    x = gtsv_solve(np.array([1.0]), np.array([0.0, 1.0]), np.array([1.0]), rhs)
     A = np.array([[0.0, 1.0], [1.0, 1.0]])
-    assert np.allclose(solve_tridiagonal(sys_), np.linalg.solve(A, sys_.rhs), atol=1e-15)
+    assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-15)
 
 
 def test_tridiagonal_nonfinite():
-    sys_ = TridiagonalSystem(
-        sub=np.zeros(3), diag=np.ones(3), sup=np.zeros(3), rhs=np.array([np.inf, 0.0, 0.0])
-    )
     with pytest.raises(LinearSolveError) as exc:
-        solve_tridiagonal(sys_)
+        gtsv_solve(np.zeros(2), np.ones(3), np.zeros(2), np.array([np.inf, 0.0, 0.0]))
     assert exc.value.code == "NONFINITE"
-
-
-def test_tridiagonal_needs_two_rows():
-    with pytest.raises(ValidationError) as exc:
-        TridiagonalSystem(sub=np.zeros(1), diag=np.ones(1), sup=np.zeros(1), rhs=np.ones(1))
-    assert exc.value.code == "DIMENSION_MISMATCH"
 
 
 @settings(max_examples=60)
@@ -117,7 +92,7 @@ def test_tridiagonal_matches_dense_solver(n, seed):
     diag = 2.5 + np.abs(sub) + np.abs(sup)
     rhs = rng.uniform(-5.0, 5.0, n)
     A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    x = solve_tridiagonal(TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs))
+    x = gtsv_solve(sub[1:], diag, sup[:-1], rhs)
     assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-10)
 
 
@@ -141,16 +116,16 @@ def test_tridiagonal_bitwise_equals_thomas_on_assembled_systems(N, D, dt, theta,
     rng = np.random.default_rng(seed)
     g = build_grid(N)
     v1 = (2.0 * D * N * pe[0], 2.0 * D * N * pe[1])   # mesh Peclet |v1| dz / 2D < 1
-    sys_ = assemble_step(rng.uniform(0.0, 2.0, N + 1), g, v1=v1,
-                         H=rng.uniform(-1.0, 1.0, N + 1), D=D,
-                         psi_end=rng.uniform(0.0, 2.0), dt=dt, theta_scheme=theta)
-    x_ref, swaps = thomas(sys_)
-    x = solve_tridiagonal(sys_)
+    sub, diag, sup, rhs = assemble(rng.uniform(0.0, 2.0, N + 1), g, v1,
+                                   rng.uniform(-1.0, 1.0, N + 1), D,
+                                   rng.uniform(0.0, 2.0), dt, theta)
+    x_ref, swaps = thomas(sub, diag, sup, rhs)
+    x = gtsv_solve(sub[1:], diag, sup[:-1], rhs)
     event("gtsv pivots" if swaps else "no pivoting")
     assert v1[1] < 0.0 or not swaps
     if swaps:
         # both are stable eliminations: they agree to the forward error bound
-        A = np.diag(sys_.diag) + np.diag(sys_.sub[1:], -1) + np.diag(sys_.sup[:-1], 1)
+        A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
         bound = (N + 1) * np.finfo(float).eps * np.linalg.cond(A, np.inf)
         assert np.max(np.abs(x - x_ref)) <= bound * np.max(np.abs(x_ref))
     else:
@@ -164,45 +139,33 @@ def test_interior_stencil_fully_implicit():
     """v1 = 0, theta_scheme = 1: interior rows are the classic implicit stencil."""
     g = build_grid(4)
     dt, D = 0.01, 1.0
-    C = np.zeros(5)
-    sys_ = assemble_step(C, g, v1=(0.0, 0.0), H=np.zeros(5), D=D, psi_end=0.0,
-                         dt=dt, theta_scheme=1.0)
+    sub, diag, sup, _ = assemble(np.zeros(5), g, (0.0, 0.0), np.zeros(5), D, 0.0, dt, 1.0)
     r = dt * D / g.dz**2
-    assert sys_.diag[1] == pytest.approx(1.0 + 2.0 * r)
-    assert sys_.sub[1] == pytest.approx(-r)   # row 1, coupling to node 0
-    assert sys_.sup[1] == pytest.approx(-r)   # row 1, coupling to node 2
+    assert diag[1] == pytest.approx(1.0 + 2.0 * r)
+    assert sub[1] == pytest.approx(-r)   # row 1, coupling to node 0
+    assert sup[1] == pytest.approx(-r)   # row 1, coupling to node 2
     # boundary rows: ghost-node symmetry and exact Dirichlet
-    assert sys_.diag[0] == pytest.approx(1.0 + 2.0 * r)
-    assert sys_.sup[0] == pytest.approx(-2.0 * r)
-    assert sys_.diag[-1] == 1.0
-    assert sys_.sub[-1] == 0.0
+    assert diag[0] == pytest.approx(1.0 + 2.0 * r)
+    assert sup[0] == pytest.approx(-2.0 * r)
+    assert diag[-1] == 1.0
+    assert sub[-1] == 0.0
 
 
 def test_assembly_pe_guard():
     g = build_grid(10)  # dz = 0.1, so |z v1| dz / (2D) > 1 needs v1 > 20 at z=1
-    C = np.zeros(11)
-    with pytest.raises(AssemblyError) as exc:
-        assemble_step(C, g, v1=(25.0, 25.0), H=np.zeros(11), D=1.0, psi_end=0.0,
-                      dt=1e-3, theta_scheme=0.5)
-    assert exc.value.code == "UNSTABLE_ASSEMBLY"
+    D = 1.0
+    diff = D / g.dz**2
+    assert peclet_unstable(advection_weights(g, 25.0), diff)
+    assert peclet_unstable(advection_weights(g, -25.0), diff)
+    assert not peclet_unstable(advection_weights(g, 20.0), diff)
+    exc = peclet_error(25.0, 25.0, D, 0.5, g)
+    assert exc.code == "UNSTABLE_ASSEMBLY"
     # the fix is a grid with N > |v1| / (2D) = 12.5, or a larger D; the mesh
     # Peclet number does not depend on the time step
-    msg = str(exc.value)
+    msg = str(exc)
     assert "N >= 13" in msg
     assert "increase D" in msg
     assert "time step" not in msg and "dt" not in msg
-
-
-def test_pe_guard_skips_unused_explicit_operator():
-    g = build_grid(10)
-    C = np.zeros(11)
-    # huge *old* velocity is irrelevant when the scheme is fully implicit
-    sys_ = assemble_step(C, g, v1=(1e4, 0.0), H=np.zeros(11), D=1.0, psi_end=0.0,
-                         dt=1e-3, theta_scheme=1.0)
-    assert np.all(np.isfinite(sys_.diag))
-    with pytest.raises(AssemblyError):
-        assemble_step(C, g, v1=(1e4, 0.0), H=np.zeros(11), D=1.0, psi_end=0.0,
-                      dt=1e-3, theta_scheme=0.5)
 
 
 # -- one-step scheme -----------------------------------------------------------
@@ -210,8 +173,7 @@ def test_pe_guard_skips_unused_explicit_operator():
 
 def _step_plain(C, g, dt, psi=0.0, v1=(0.0, 0.0), H=None, theta=0.5, D=1.0):
     H = np.zeros(g.N + 1) if H is None else H
-    sys_ = assemble_step(C, g, v1=v1, H=H, D=D, psi_end=psi, dt=dt, theta_scheme=theta)
-    return solve_tridiagonal(sys_)
+    return substrate_step(C, g, v1, H, D, psi, dt, theta)
 
 
 def test_constant_steady_state_exact():
@@ -277,12 +239,15 @@ def test_implicit_positivity_with_source():
 
 
 def test_parabolic_step_multiple_substrates():
-    g = build_grid(12)
-    C = np.vstack([np.full(13, 1.0), np.linspace(0.0, 2.0, 13)])
-    C_new = parabolic_step(
-        C, g, v1=(0.0, 0.0), H=np.zeros((2, 13)),
-        D=np.array([1.0, 0.5]), psi_end=np.array([1.0, 2.0]), dt=0.01,
-    )
+    """The coupled step advances each substrate with its own D and surface
+    value; with zero kinetics the velocity stays 0."""
+    data = ProblemData(phi=[lambda z: np.zeros_like(z)],
+                       theta=[lambda z: np.ones_like(z), lambda z: 2.0 * z],
+                       psi=[lambda t: 1.0, lambda t: 2.0], D=[1.0, 0.5], lam=0.5, R0=1.0)
+    kin = zero_kinetics(1, 2)
+    cfg = SolverConfig(N=12, dt=0.01)
+    s1, _ = picard_step(initial_state(data, kin, cfg), data, kin, cfg)
+    C_new = s1.C
     assert C_new.shape == (2, 13)
     assert np.allclose(C_new[0], 1.0, rtol=1e-15)   # constant substrate untouched
     assert C_new[1, -1] == 2.0              # Dirichlet trace, second substrate

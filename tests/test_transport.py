@@ -6,78 +6,67 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biofilmfront import V1Segment, build_grid, characteristic_foot, transport_step
+from biofilmfront import ValidationError, build_grid
+from biofilmfront.transport import clamped_mask, raw_feet
+from stages import transport_step
 
 
-def _zero_sources(z, stage):
-    return np.zeros((1, len(z)))
+def _foot(z, v1_mean, dt, coefficient):
+    """Clamped foot of one point, and whether it was clamped."""
+    raw = raw_feet(np.array([z]), dt, v1_mean, coefficient)
+    return float(np.clip(raw, 0.0, 1.0)[0]), bool(clamped_mask(raw)[0])
 
 
 def test_scaled_foot_closed_form():
-    seg = V1Segment(v1_old=1.0, v1_new=1.0, dt=0.1)
-    foot, clamped = characteristic_foot(0.5, seg, coefficient="scaled")
+    foot, clamped = _foot(0.5, 1.0, 0.1, "scaled")
     assert foot == pytest.approx(0.5 * math.exp(0.1), rel=1e-14)
     assert not clamped
 
 
-def test_scaled_foot_averages_endpoints():
-    seg = V1Segment(v1_old=0.0, v1_new=2.0, dt=0.1)
-    foot, _ = characteristic_foot(0.5, seg, coefficient="scaled")
-    assert foot == pytest.approx(0.5 * math.exp(0.1), rel=1e-14)
-
-
 def test_unscaled_foot_closed_form():
-    seg = V1Segment(v1_old=1.0, v1_new=1.0, dt=0.1)
-    foot, clamped = characteristic_foot(0.5, seg, coefficient="unscaled")
+    foot, clamped = _foot(0.5, 1.0, 0.1, "unscaled")
     assert foot == pytest.approx(0.6, rel=1e-14)
     assert not clamped
 
 
 def test_foot_clamped_above():
-    seg = V1Segment(v1_old=1.0, v1_new=1.0, dt=1.0)
-    foot, clamped = characteristic_foot(0.9, seg, coefficient="scaled")
+    foot, clamped = _foot(0.9, 1.0, 1.0, "scaled")
     assert foot == 1.0
     assert clamped
 
 
 def test_foot_clamped_below_unscaled():
-    seg = V1Segment(v1_old=-5.0, v1_new=-5.0, dt=0.1)
-    foot, clamped = characteristic_foot(0.1, seg, coefficient="unscaled")
+    foot, clamped = _foot(0.1, -5.0, 0.1, "unscaled")
     assert foot == 0.0
     assert clamped
 
 
 def test_scaled_foot_fixed_at_origin():
     # z = 0 is invariant under the multiplicative displacement
-    seg = V1Segment(v1_old=-2.0, v1_new=-2.0, dt=0.5)
-    foot, clamped = characteristic_foot(0.0, seg, coefficient="scaled")
+    foot, clamped = _foot(0.0, -2.0, 0.5, "scaled")
     assert foot == 0.0 and not clamped
 
 
 def test_invalid_coefficient_rejected():
-    seg = V1Segment(v1_old=0.0, v1_new=0.0, dt=0.1)
-    with pytest.raises(Exception):
-        characteristic_foot(0.5, seg, coefficient="weird")
+    with pytest.raises(ValidationError) as exc:
+        raw_feet(np.array([0.5]), 0.1, 0.0, "weird")
+    assert exc.value.code == "SCHEMA_VIOLATION"
 
 
 def test_constant_field_invariant():
     g = build_grid(20)
     Y = np.full((1, 21), 0.7)
-    seg = V1Segment(v1_old=0.4, v1_new=-0.2, dt=0.05)
-    Y_new, diag = transport_step(Y, g, _zero_sources, seg)
+    zero = np.zeros((1, 21))
+    Y_new, clamped = transport_step(Y, g, zero, zero, (0.4, -0.2), 0.05)
     assert np.allclose(Y_new, 0.7, atol=1e-15)
-    assert diag.clamped_feet == 0 or diag.clamped_feet > 0  # recorded either way
+    assert clamped == 1  # the surface node's foot z e^{0.005} leaves the domain
 
 
 def test_zero_velocity_constant_source():
     g = build_grid(10)
     Y = np.zeros((1, 11))
-    seg = V1Segment(v1_old=0.0, v1_new=0.0, dt=0.25)
-
-    def ones(z, stage):
-        return np.ones((1, len(z)))
-
-    Y_new, _ = transport_step(Y, g, ones, seg)
+    ones = np.ones((1, 11))
+    Y_new, _ = transport_step(Y, g, ones, ones, (0.0, 0.0), 0.25)
     # trapezoid of a constant source over the step is exact
     assert np.allclose(Y_new, 0.25, atol=1e-15)
 
@@ -85,12 +74,7 @@ def test_zero_velocity_constant_source():
 def test_duhamel_uses_both_stages():
     g = build_grid(10)
     Y = np.zeros((1, 11))
-    seg = V1Segment(v1_old=0.0, v1_new=0.0, dt=0.1)
-
-    def staged(z, stage):
-        return (np.ones if stage == "start" else np.zeros)((1, len(z)))
-
-    Y_new, _ = transport_step(Y, g, staged, seg)
+    Y_new, _ = transport_step(Y, g, np.ones((1, 11)), np.zeros((1, 11)), (0.0, 0.0), 0.1)
     assert np.allclose(Y_new, 0.5 * 0.1 * 1.0, atol=1e-15)
 
 
@@ -98,12 +82,8 @@ def test_pure_advection_maximum_principle():
     rng = np.random.default_rng(7)
     g = build_grid(30)
     Y = rng.uniform(-1.0, 2.0, size=(2, 31))
-    seg = V1Segment(v1_old=0.8, v1_new=0.3, dt=0.2)
-
-    def z2(z, stage):
-        return np.zeros((2, len(z)))
-
-    Y_new, _ = transport_step(Y, g, z2, seg)
+    zero = np.zeros((2, 31))
+    Y_new, _ = transport_step(Y, g, zero, zero, (0.8, 0.3), 0.2)
     assert Y_new.min() >= Y.min() - 1e-14
     assert Y_new.max() <= Y.max() + 1e-14
 
@@ -117,12 +97,8 @@ def test_positivity_preserved(yvals, v1):
     """Nonnegative data plus a nonnegative sampler cannot produce negatives."""
     g = build_grid(20)
     Y = np.array(yvals).reshape(1, -1)
-    seg = V1Segment(v1_old=v1, v1_new=v1, dt=0.05)
-
-    def srcs(z, stage):
-        return np.interp(z, g.nodes, np.maximum(Y[0], 0.0)).reshape(1, -1)
-
-    Y_new, _ = transport_step(Y, g, srcs, seg)
+    F = np.maximum(Y, 0.0)
+    Y_new, _ = transport_step(Y, g, F, F, (v1, v1), 0.05)
     assert Y_new.min() >= 0.0
 
 
@@ -133,21 +109,9 @@ def test_discrete_gronwall_bound():
     Y = (0.5 + 0.5 * np.cos(math.pi * g.nodes)).reshape(1, -1)
     phi_norm = np.max(np.abs(Y))
     dt, n_steps = 0.01, 100
-    seg = V1Segment(v1_old=0.3, v1_new=0.3, dt=dt)
     for k in range(n_steps):
-        field = L * Y[0] + c0  # lagged linear source, both stages
-
-        def srcs(z, stage, field=field):
-            return np.interp(z, g.nodes, field).reshape(1, -1)
-
-        Y, _ = transport_step(Y, g, srcs, seg)
+        field = L * Y + c0  # lagged linear source, both stages
+        Y, _ = transport_step(Y, g, field, field, (0.3, 0.3), dt)
         t = (k + 1) * dt
         bound = math.exp(L * t) * (phi_norm + t * c0)
         assert np.max(np.abs(Y)) <= 1.1 * bound
-
-
-def test_shape_validation():
-    g = build_grid(10)
-    seg = V1Segment(v1_old=0.0, v1_new=0.0, dt=0.1)
-    with pytest.raises(Exception):
-        transport_step(np.zeros((1, 5)), g, _zero_sources, seg)
