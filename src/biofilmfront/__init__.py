@@ -15,9 +15,8 @@ from .coupler import (EnvelopeReport, PhysicalSnapshot, PhysicalTrajectory,
                       back_transform, check_invariants, dissipation_envelope_check,
                       energy, initial_state, picard_step, run_simulation)
 from .errors import (AssemblyError, ConfigError, EnvelopeViolation, GridError,
-                     LinearSolveError, OrderRegression, OutputError,
-                     PicardDivergence, SolverError, ThicknessCollapse,
-                     ValidationError)
+                     InvalidProblem, LinearSolveError, OrderRegression, OutputError,
+                     PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
 from .grid import Grid, build_grid
 from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
 from .mms import ConvergenceReport, mms_study
@@ -28,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport",
-    "EnvelopeViolation", "Grid", "GridError", "KineticsModel", "LinearSolveError",
-    "MonodParams", "OrderRegression", "OutputError", "PhysicalSnapshot",
+    "EnvelopeViolation", "Grid", "GridError", "InvalidProblem", "KineticsModel",
+    "LinearSolveError", "MonodParams", "OrderRegression", "OutputError", "PhysicalSnapshot",
     "PhysicalTrajectory", "PicardDivergence", "ProblemData", "RBoundContext",
     "R_FLOOR", "RunSpec", "SolverConfig", "SolverError", "State", "StepReport",
     "ThicknessCollapse", "Trajectory", "ValidationError", "ValidationReport",

@@ -17,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from .boundary import detachment_rhs
 from .config import build_runspec, load_tree
 from .coupler import dissipation_envelope_check, energy, run_simulation
-from .errors import EnvelopeViolation, SolverError
+from .errors import EnvelopeViolation, InvalidProblem, SolverError
 from .mms import ORDER_FLOORS, mms_study
 from .output import _table, _write_text, write_timeseries
-from .problem import validate_problem
 
 _INT_PARAMS = {"N", "picard_max_iter", "stride"}
 _EQUILIBRIUM_RHS_TOL = 1e-8
@@ -68,6 +67,8 @@ def _set_param(tree: dict, name: str, value) -> None:
         return
     if name in ("lambda", "R0"):
         tree.setdefault("problem", {})[name] = value
+    elif name == "stride":
+        tree.setdefault("output", {})[name] = value
     else:
         tree.setdefault("solver", {})[name] = value
 
@@ -176,23 +177,21 @@ def _cmd_verify(args) -> int:
     spec = build_runspec(tree)
     failures = []
 
-    report = validate_problem(spec.data, spec.kin)
-    _print_warnings(report)
-    if report.ok:
-        print("problem validation: ok")
-    else:
-        for code, msg in report.violations:
-            print(f"problem validation: FAIL [{code}] {msg}")
-        print("verify: FAIL")
-        return 1
-
     try:
         traj = run_simulation(spec.data, spec.kin, spec.cfg, spec.t_end,
                               snapshot_stride=spec.stride)
+    except InvalidProblem as exc:
+        _print_warnings(exc.report)
+        for code, msg in exc.report.violations:
+            print(f"problem validation: FAIL [{code}] {msg}")
+        print("verify: FAIL")
+        return 1
     except SolverError as exc:
         print(f"run: FAIL [{exc.code}] {exc}")
         print("verify: FAIL")
         return 1
+    _print_warnings(traj.validation)
+    print("problem validation: ok")
 
     if traj.outcome in ("completed", "washout"):
         print(f"run outcome: {traj.outcome} ({len(traj.reports)} steps)")

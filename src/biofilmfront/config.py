@@ -237,8 +237,7 @@ class RunSpec:
 
 _PROBLEM_KEYS = {"kinetics", "phi", "theta", "psi", "D", "lambda", "R0"}
 _SOLVER_KEYS = {"N", "dt", "t_end", "picard_tol", "picard_max_iter", "theta_scheme",
-                "transport_coefficient", "positivity_mode", "continuation_threshold",
-                "energy_weights"}
+                "positivity_mode", "continuation_threshold", "energy_weights"}
 _OUTPUT_KEYS = {"directory", "stride"}
 _VERIFY_KEYS = {"alpha", "beta", "M0", "tol", "include_boundary"}
 
@@ -285,26 +284,21 @@ def build_runspec(tree: dict) -> RunSpec:
             mu = _num_list(weights["mu"], "solver.energy_weights.mu", length=n)
         if "nu" in weights:
             nu = _num_list(weights["nu"], "solver.energy_weights.nu", length=m)
+    # SolverConfig checks every range but N's (build_grid only runs later)
     cfg = SolverConfig(
         N=_int(_get(solver, "N", "solver", default=100), "solver.N", minimum=4),
-        dt=_num(_get(solver, "dt", "solver", default=1e-3), "solver.dt", positive=True),
+        dt=_num(_get(solver, "dt", "solver", default=1e-3), "solver.dt"),
         picard_tol=_num(_get(solver, "picard_tol", "solver", default=1e-10),
-                        "solver.picard_tol", positive=True),
+                        "solver.picard_tol"),
         picard_max_iter=_int(_get(solver, "picard_max_iter", "solver", default=50),
-                             "solver.picard_max_iter", minimum=1),
+                             "solver.picard_max_iter"),
         theta_scheme=_num(_get(solver, "theta_scheme", "solver", default=0.5),
                           "solver.theta_scheme"),
-        transport_coefficient=_get(solver, "transport_coefficient", "solver",
-                                   default="scaled"),
         positivity_mode=_get(solver, "positivity_mode", "solver", default="monitor"),
         continuation_threshold=_num(_get(solver, "continuation_threshold", "solver",
-                                         default=1e6), "solver.continuation_threshold",
-                                    positive=True),
+                                         default=1e6), "solver.continuation_threshold"),
         mu=mu, nu=nu,
     )
-    if not 0.5 <= cfg.theta_scheme <= 1.0:
-        raise ConfigError("solver.theta_scheme: must lie in [0.5, 1]",
-                          code="SCHEMA_VIOLATION")
 
     out = _get(tree, "output", "config", default={}) or {}
     _require_mapping(out, "output")

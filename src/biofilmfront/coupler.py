@@ -24,8 +24,8 @@ import numpy as np
 
 from . import boundary, parabolic, transport
 from .boundary import r_max_bound
-from .errors import (AssemblyError, EnvelopeViolation, PicardDivergence, SolverError,
-                     ThicknessCollapse, ValidationError)
+from .errors import (AssemblyError, EnvelopeViolation, InvalidProblem, PicardDivergence,
+                     SolverError, ThicknessCollapse, ValidationError)
 from .grid import Grid, build_grid, interp_rows
 from .kinetics import KineticsModel
 from .problem import ProblemData, ValidationReport, validate_problem
@@ -93,7 +93,6 @@ class SolverConfig:
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
     theta_scheme: float = 0.5
-    transport_coefficient: str = "scaled"   # or "unscaled"
     positivity_mode: str = "monitor"        # or "fail"
     continuation_threshold: float = 1e6
     mu: np.ndarray | None = None            # biomass energy weights
@@ -106,9 +105,10 @@ class SolverConfig:
             raise ValidationError(f"dt must be > 0, got {self.dt}", code="NONPOSITIVE_PARAM")
         if not 0.5 <= self.theta_scheme <= 1.0:
             raise ValidationError("theta_scheme must lie in [0.5, 1]", code="SCHEMA_VIOLATION")
-        if self.transport_coefficient not in ("scaled", "unscaled"):
-            raise ValidationError("transport_coefficient must be 'scaled' or 'unscaled'",
-                                  code="SCHEMA_VIOLATION")
+        for name in ("picard_tol", "continuation_threshold"):
+            if not getattr(self, name) > 0.0:  # NaN fails too
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}",
+                                      code="NONPOSITIVE_PARAM")
         if self.positivity_mode not in ("monitor", "fail"):
             raise ValidationError("positivity_mode must be 'monitor' or 'fail'",
                                   code="SCHEMA_VIOLATION")
@@ -197,12 +197,11 @@ class Trajectory:
         return np.array([self.states[0].v1] + [r.v1 for r in self.reports])
 
 
-def energy(s: State, mu: np.ndarray | None = None, nu: np.ndarray | None = None) -> float:
+def energy(s: State, mu: np.ndarray, nu: np.ndarray) -> float:
     """Weighted squared-profile energy
-    ``E = 1/2 sum_i mu_i int Y_i^2 + 1/2 sum_j nu_j int C_j^2``."""
+    ``E = 1/2 sum_i mu_i int Y_i^2 + 1/2 sum_j nu_j int C_j^2``, with the
+    weights of :meth:`SolverConfig.weights`."""
     dz = s.grid.dz
-    mu = np.ones(s.Y.shape[0]) if mu is None else np.atleast_1d(mu)
-    nu = np.ones(s.C.shape[0]) if nu is None else np.atleast_1d(nu)
     return 0.5 * float(_weighted_square_integral(s.Y, mu, dz)
                        + _weighted_square_integral(s.C, nu, dz))
 
@@ -270,7 +269,6 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     N, dz, nodes = grid.N, grid.dz, grid.nodes
     t_new = state.t + dt
     theta = cfg.theta_scheme
-    coefficient = cfg.transport_coefficient
     lam = data.lam
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
     psi_end = data.psi_at(t_new)
@@ -301,15 +299,10 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     rising = 0
     converged = False
 
-    for sweep in range(cfg.picard_max_iter):
+    for _ in range(cfg.picard_max_iter):
         R2 = Rk**2
-        # (1) substrates: theta-blended sources, iterate-lagged at the end
-        # stage.  A cold sweep 1 iterates at the step-start state, where h
-        # is H_start.
-        if sweep or start is not None:
-            H_end = R2 * np.asarray(kin.h(Yk, Ck), dtype=float)
-        else:
-            H_end = H_start
+        # (1) substrates: theta-blended sources, iterate-lagged at the end stage
+        H_end = R2 * np.asarray(kin.h(Yk, Ck), dtype=float)
         rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
         adv = parabolic.advection_weights(grid, v1k)
         C_new = np.empty_like(C0)
@@ -325,8 +318,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
 
         # (3) biomass transport along characteristics
         F_end = R2 * np.asarray(kin.f(Yk, C_new), dtype=float)
-        unclamped = transport.raw_feet(nodes, dt, 0.5 * (v1_start + v1_new), coefficient)
-        feet = np.clip(unclamped, 0.0, 1.0)
+        unclamped = transport.raw_feet(nodes, dt, 0.5 * (v1_start + v1_new))
+        feet = np.minimum(unclamped, 1.0)
         Y_new = transport.advance(interp_rows(Y0, feet, nodes), interp_rows(F_start, feet, nodes),
                                   F_end, dt)
 
@@ -382,16 +375,16 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
 
 
 def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext,
-                     minima: tuple[float, float] | None = None) -> set:
+                     minima: tuple[float, float]) -> set:
     """Evaluate the per-step invariant monitors, returning raised flags.
 
     ``NEGATIVE_Y`` / ``NEGATIVE_C``: nodal values below ``-POSITIVITY_TOL``.
     ``R_BOUND_EXCEEDED``: thickness above the running a priori bound.
     ``CONTINUATION``: any monitored norm above ``cfg.continuation_threshold``.
-    ``minima`` passes ``(s.Y.min(), s.C.min())`` when the caller has them.
+    ``minima`` is ``(s.Y.min(), s.C.min())``, which the run loop has already.
     """
     Y, C = s.Y, s.C
-    y_min, c_min = (float(Y.min()), float(C.min())) if minima is None else minima
+    y_min, c_min = minima
     flags = set()
     if y_min < -POSITIVITY_TOL:
         flags.add("NEGATIVE_Y")
@@ -439,8 +432,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
       ``positivity_mode="fail"``).
 
     The problem is validated at entry; an invalid one raises
-    ``ValidationError`` naming every violation, with the code of the first,
-    and a valid one's report (with its warnings) is kept on
+    :class:`InvalidProblem`, which names every violation and carries the
+    report, and a valid one's report (with its warnings) is kept on
     ``Trajectory.validation``.  A step that fails keeps the trajectory
     recorded up to it, and ``Trajectory.failure`` holds the error's code and
     message, the step number and its end time ``t``, plus the residual
@@ -457,11 +450,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         raise ValidationError("snapshot_stride must be >= 1", code="NONPOSITIVE_PARAM")
     rep = validate_problem(data, kin)
     if not rep.ok:
-        raise ValidationError(
-            "invalid problem data: "
-            + "; ".join(f"{code}: {msg}" for code, msg in rep.violations),
-            code=rep.violations[0][0],
-        )
+        raise InvalidProblem(rep)
     cfg.weights(kin.n, kin.m)  # resolved and checked once, before the first step
 
     state = initial_state(data, kin, cfg)

@@ -28,6 +28,25 @@ class ValidationError(SolverError):
     """Invalid model data or parameters (nonpositive rates, shape mismatch...)."""
 
 
+class InvalidProblem(ValidationError):
+    """Problem data that :func:`biofilmfront.validate_problem` rejected.  The
+    message names every violation; the code is the first one's.
+
+    Attributes
+    ----------
+    report : ValidationReport
+        The full report, warnings included.
+    """
+
+    def __init__(self, report):
+        super().__init__(
+            "invalid problem data: "
+            + "; ".join(f"{code}: {msg}" for code, msg in report.violations),
+            code=report.violations[0][0],
+        )
+        self.report = report
+
+
 class GridError(SolverError):
     """Grid construction or interpolation domain failures."""
 

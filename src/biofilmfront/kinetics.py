@@ -32,10 +32,7 @@ class KineticsModel:
     f, h, g : callable
         Vectorized rate functions, see module docstring.  Each must be a pure
         function of ``(Y, C)``: the same arguments give the same result, and
-        a call has no effect the solver could observe.  The coupled step
-        relies on this; it evaluates ``h`` at the step-start state once and
-        reuses that value for the first Picard sweep of a step that starts
-        from the step-start state.
+        a call has no effect the solver could observe.
     quasi_positive : bool
         Set when the rates can never drive nonnegative data negative
         (``f_i >= 0`` and ``h_j >= 0`` whenever ``Y >= 0`` and ``C >= 0``).

@@ -130,7 +130,7 @@ def _transport_case(N_values, t_end):
         grid = build_grid(N)
         steps, dt = _steps_for(t_end, 0.5 * grid.dz)
         # constant velocity: the same feet every step
-        feet = np.clip(transport.raw_feet(grid.nodes, dt, v1, "scaled"), 0.0, 1.0)
+        feet = np.minimum(transport.raw_feet(grid.nodes, dt, v1), 1.0)
         Y = exact(grid.nodes, 0.0)[None, :]
         t = 0.0
         for _ in range(steps):

@@ -8,11 +8,10 @@ by the trapezoid rule along the characteristic:
 
 ``Y_new(z_k) = Y(foot(z_k)) + dt/2 * (F(foot(z_k), start) + F(z_k, end))``.
 
-With the default ``z``-proportional advection coefficient the foot is
-``z * exp(dt * v1_mean)`` (exact when ``v1`` varies linearly over the step);
-the ``"unscaled"`` variant drops the ``z`` factor and uses
-``z + dt * v1_mean``.  Feet leaving the domain are clamped onto it (constant
-extrapolation of the boundary value) and counted in the step report.
+The foot is ``z * exp(dt * v1_mean)``, exact when ``v1`` varies linearly over
+the step.  It never leaves the domain below (``z * exp(x) >= 0``); feet beyond
+``z = 1`` are clamped onto the surface (constant extrapolation of the boundary
+value) and counted in the step report.
 
 The functions here are the step's array kernels; the coupled step
 (:func:`biofilmfront.coupler.picard_step`) interpolates with
@@ -23,25 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 
-
-def raw_feet(z: np.ndarray, dt: float, v1_mean: float, coefficient: str) -> np.ndarray:
+def raw_feet(z: np.ndarray, dt: float, v1_mean: float) -> np.ndarray:
     """Unclamped backward feet of the points ``z``, for the step's time-mean
-    surface velocity ``v1_mean``; an unknown coefficient is a
-    ``SCHEMA_VIOLATION``."""
-    if coefficient == "scaled":
-        return z * np.exp(dt * v1_mean)
-    if coefficient == "unscaled":
-        return z + dt * v1_mean
-    raise ValidationError(
-        f"unknown transport coefficient {coefficient!r}", code="SCHEMA_VIOLATION"
-    )
+    surface velocity ``v1_mean``."""
+    return z * np.exp(dt * v1_mean)
 
 
 def clamped_mask(raw: np.ndarray) -> np.ndarray:
-    """Mask of the feet that left the domain."""
-    return (raw > 1.0) | (raw < 0.0)
+    """Mask of the feet that left the domain (through the surface)."""
+    return raw > 1.0
 
 
 def advance(Y_foot: np.ndarray, F_foot: np.ndarray, F_node: np.ndarray,

@@ -38,7 +38,7 @@ def substrate_step(C, grid, v1, H, D, psi_end, dt, theta=0.5):
     return parabolic.gtsv_solve(sub[1:], diag, sup[:-1], rhs)
 
 
-def transport_step(Y, grid, F_start, F_end, v1, dt, coefficient="scaled"):
+def transport_step(Y, grid, F_start, F_end, v1, dt):
     """Stacked biomass profiles advanced by one semi-Lagrangian step.
 
     ``F_start`` and ``F_end`` are nodal source rows at the step's start and
@@ -48,7 +48,7 @@ def transport_step(Y, grid, F_start, F_end, v1, dt, coefficient="scaled"):
     """
     nodes = grid.nodes
     v1_mean = 0.5 * (v1[0] + v1[1])
-    raw = nodes * np.exp(dt * v1_mean) if coefficient == "scaled" else nodes + dt * v1_mean
+    raw = nodes * np.exp(dt * v1_mean)
     feet = np.clip(raw, 0.0, 1.0)
 
     def at(rows, z):

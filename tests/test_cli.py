@@ -71,6 +71,24 @@ def test_simulate_bad_config_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key,value,code", [
+    ("theta_scheme", "0.25", "SCHEMA_VIOLATION"),
+    ("dt", "-1.0e-3", "NONPOSITIVE_PARAM"),
+    ("picard_max_iter", "0", "NONPOSITIVE_PARAM"),
+    ("picard_tol", "0.0", "NONPOSITIVE_PARAM"),
+    ("continuation_threshold", ".nan", "NONPOSITIVE_PARAM"),
+])
+def test_simulate_out_of_range_solver_setting_exit_2(key, value, code, tmp_path, capsys):
+    solver = {**{"N": "20", "dt": "1.0e-3", "t_end": "0.02"}, key: value}
+    p = tmp_path / "bad.yaml"
+    p.write_text(GOOD.replace("solver: {N: 20, dt: 1.0e-3, t_end: 0.02}", "solver: {"
+                              + ", ".join(f"{k}: {v}" for k, v in solver.items()) + "}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error [{code}]: {key} must ")
+    assert not out.exists()
+
+
 def test_missing_file_exit_2(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                "--out", str(tmp_path / "o")])
@@ -118,6 +136,16 @@ def test_sweep_summary(good_cfg, tmp_path, capsys):
     r_weak = float(lines[1].split(",")[2])
     r_strong = float(lines[2].split(",")[2])
     assert r_strong < r_weak
+
+
+def test_sweep_stride(good_cfg, tmp_path):
+    # bare ``stride`` is the output block's snapshot stride
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", "stride",
+                 "--values", "5,20", "--out", str(out)]) == 0
+    for stride, steps in (("5", [0, 5, 10, 15, 20]), ("20", [0, 20])):
+        manifest = json.loads((out / f"stride={stride}" / "manifest.json").read_text())
+        assert manifest["snapshot_steps"] == steps
 
 
 def test_sweep_parallel_matches_serial(good_cfg, tmp_path):
@@ -227,3 +255,23 @@ def test_invalid_problem_names_every_violation(tmp_path, capsys):
     assert [line.split("]")[0] for line in lines[:2]] == [
         "problem validation: FAIL [NONPOSITIVE_D", "problem validation: FAIL [COMPAT_MISMATCH"]
     assert lines[2:] == ["verify: FAIL"]
+
+
+def test_verify_invalid_problem_prints_its_warnings(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text(GOOD.replace("phi: [0.0]", "phi: [-0.1]").replace("D: [1.0]", "D: [-1.0]"))
+    assert main(["verify", "--config", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "warning [NEGATIVE_INITIAL_DATA]: model preserves nonnegativity but initial data "
+        "start negative",
+        "problem validation: FAIL [NONPOSITIVE_D] diffusivities must be > 0, got [-1.]",
+        "verify: FAIL",
+    ]
+
+
+def test_verify_prints_validation_warnings(good_cfg, capsys):
+    # cos(pi z / 2) against psi = 0 fails the second-order matching condition
+    assert main(["verify", "--config", str(good_cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("warning [SECOND_ORDER_COMPAT]: substrate 0: ")
+    assert lines[1] == "problem validation: ok"

@@ -9,6 +9,7 @@ from biofilmfront import (
     AssemblyError,
     EnvelopeViolation,
     GridError,
+    InvalidProblem,
     KineticsModel,
     MonodParams,
     ProblemData,
@@ -94,6 +95,20 @@ def test_solver_config_validated_once():
     assert exc.value.code == "NONPOSITIVE_PARAM"
 
 
+@pytest.mark.parametrize("name", ["picard_tol", "continuation_threshold"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_solver_config_rejects_nonpositive_tolerances(name, value):
+    with pytest.raises(ValidationError) as exc:
+        SolverConfig(**{name: value})
+    assert exc.value.code == "NONPOSITIVE_PARAM"
+    assert name in str(exc.value)
+
+
+def test_solver_config_accepts_infinite_tolerances():
+    cfg = SolverConfig(picard_tol=math.inf, continuation_threshold=math.inf)
+    assert cfg.picard_tol == math.inf and cfg.continuation_threshold == math.inf
+
+
 def test_rbound_context_tracks_running_max():
     ctx = RBoundContext(R0=1.0, lam=0.5)
     assert ctx.bound() == pytest.approx(1.0)
@@ -107,7 +122,8 @@ def test_check_invariants_flags():
     g = build_grid(4)
     s = State(t=0.0, grid=g, Y=np.full((1, 5), -1e-6), C=np.zeros((1, 5)), R=5.0,
               v=np.zeros(5))
-    flags = check_invariants(s, SolverConfig(N=4), RBoundContext(R0=1.0, lam=0.5))
+    flags = check_invariants(s, SolverConfig(N=4), RBoundContext(R0=1.0, lam=0.5),
+                             (float(s.Y.min()), float(s.C.min())))
     assert "NEGATIVE_Y" in flags
     assert "R_BOUND_EXCEEDED" in flags
     assert "NEGATIVE_C" not in flags
@@ -176,8 +192,7 @@ def reference_picard_step(state, data, kin, cfg, start=None):
         v1_new = float(velocity(Yk, C_new, Rk)[-1])
 
         F_end = Rk**2 * np.asarray(kin.f(Yk, C_new), dtype=float)
-        Y_new, clamped = transport_step(Y0, grid, F_start, F_end, (v1_start, v1_new), dt,
-                                        cfg.transport_coefficient)
+        Y_new, clamped = transport_step(Y0, grid, F_start, F_end, (v1_start, v1_new), dt)
         R_new = thickness_step(R_start, (v1_start, v1_new), data.lam, dt)
 
         residual = max(
@@ -267,16 +282,14 @@ def _assert_same_step(got, want):
     assert rep.boundary_energy_flux == rep_ref.boundary_energy_flux
 
 
-@pytest.mark.parametrize("coefficient", ["scaled", "unscaled"])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _zero_problem])
-def test_picard_step_matches_reference_bitwise(problem, m, theta, coefficient):
+def test_picard_step_matches_reference_bitwise(problem, m, theta):
     """Cold steps, and from the third step on also steps started from the
     quadratic extrapolation of the last three states."""
     data, kin = problem(m)
-    cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta,
-                       transport_coefficient=coefficient)
+    cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta)
     state = initial_state(data, kin, cfg)
     recent = [state]
     for _ in range(6):
@@ -349,9 +362,8 @@ def test_step_rejects_nonfinite_biomass():
 
 
 def test_h_called_once_per_sweep():
-    """One ``h`` call for the step-start sources, then one per sweep.  A cold
-    step's first sweep iterates at the step-start state and reuses that
-    call; a step given a start iterate evaluates ``h`` there."""
+    """One ``h`` call for the step-start sources, then one per sweep, cold
+    (iterated from the step-start state) or warm (from a start iterate)."""
     data, base = _linear_reference()
     calls = []
 
@@ -366,7 +378,7 @@ def test_h_called_once_per_sweep():
         del calls[:]
         state, rep = picard_step(recent[-1], data, kin, cfg)
         assert rep.picard_iterations >= 3
-        assert len(calls) == rep.picard_iterations
+        assert len(calls) == rep.picard_iterations + 1
         if len(recent) == 3:
             del calls[:]
             _, rep = picard_step(recent[-1], data, kin, cfg, _quadratic_start(*recent))
@@ -634,11 +646,13 @@ def test_solve_failed_outcome(rate, message):
 
 def test_invalid_problem_names_every_violation():
     data = _substrate_only(lam=-1.0, R0=0.0)
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(InvalidProblem) as exc:
         run_simulation(data, zero_kinetics(1, 1), SolverConfig(N=10), t_end=0.1)
     assert exc.value.code == "NONPOSITIVE_LAMBDA"
     assert str(exc.value).startswith("invalid problem data: NONPOSITIVE_LAMBDA: ")
     assert "; NONPOSITIVE_R0: " in str(exc.value)
+    assert [code for code, _ in exc.value.report.violations] == [
+        "NONPOSITIVE_LAMBDA", "NONPOSITIVE_R0"]
 
 
 def test_trajectory_keeps_validation_report():

@@ -1,5 +1,6 @@
 """Configuration parsing, the expression mini-language, and run output files."""
 
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,7 @@ from biofilmfront import (
     write_timeseries,
     zero_kinetics,
 )
-from biofilmfront.config import load_tree
+from biofilmfront.config import _SOLVER_KEYS, load_tree
 from biofilmfront.coupler import back_transform
 from biofilmfront.output import _table
 
@@ -128,6 +129,23 @@ def test_theta_scheme_range_enforced():
     tree["solver"]["theta_scheme"] = 0.25
     with pytest.raises(SolverError):
         build_runspec(tree)
+
+
+def test_transport_coefficient_key_rejected():
+    # the characteristic foot is always z e^{dt v1}; there is no option left
+    tree = _tree()
+    tree["solver"]["transport_coefficient"] = "scaled"
+    with pytest.raises(ConfigError) as exc:
+        build_runspec(tree)
+    assert exc.value.code == "UNKNOWN_KEY"
+
+
+def test_solver_keys_match_solver_config():
+    """Every solver setting has one YAML key and no key outlives its setting:
+    the energy weights ``mu``/``nu`` sit under ``energy_weights``, and
+    ``t_end`` is the run's, not ``SolverConfig``'s."""
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert _SOLVER_KEYS == fields - {"mu", "nu"} | {"t_end", "energy_weights"}
 
 
 def test_formats_key_rejected():

@@ -6,51 +6,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biofilmfront import ValidationError, build_grid
+from biofilmfront import build_grid
 from biofilmfront.transport import clamped_mask, raw_feet
 from stages import transport_step
 
 
-def _foot(z, v1_mean, dt, coefficient):
+def _foot(z, v1_mean, dt):
     """Clamped foot of one point, and whether it was clamped."""
-    raw = raw_feet(np.array([z]), dt, v1_mean, coefficient)
-    return float(np.clip(raw, 0.0, 1.0)[0]), bool(clamped_mask(raw)[0])
+    raw = raw_feet(np.array([z]), dt, v1_mean)
+    return float(np.minimum(raw, 1.0)[0]), bool(clamped_mask(raw)[0])
 
 
 def test_scaled_foot_closed_form():
-    foot, clamped = _foot(0.5, 1.0, 0.1, "scaled")
+    foot, clamped = _foot(0.5, 1.0, 0.1)
     assert foot == pytest.approx(0.5 * math.exp(0.1), rel=1e-14)
     assert not clamped
 
 
-def test_unscaled_foot_closed_form():
-    foot, clamped = _foot(0.5, 1.0, 0.1, "unscaled")
-    assert foot == pytest.approx(0.6, rel=1e-14)
-    assert not clamped
-
-
 def test_foot_clamped_above():
-    foot, clamped = _foot(0.9, 1.0, 1.0, "scaled")
+    foot, clamped = _foot(0.9, 1.0, 1.0)
     assert foot == 1.0
-    assert clamped
-
-
-def test_foot_clamped_below_unscaled():
-    foot, clamped = _foot(0.1, -5.0, 0.1, "unscaled")
-    assert foot == 0.0
     assert clamped
 
 
 def test_scaled_foot_fixed_at_origin():
     # z = 0 is invariant under the multiplicative displacement
-    foot, clamped = _foot(0.0, -2.0, 0.5, "scaled")
+    foot, clamped = _foot(0.0, -2.0, 0.5)
     assert foot == 0.0 and not clamped
-
-
-def test_invalid_coefficient_rejected():
-    with pytest.raises(ValidationError) as exc:
-        raw_feet(np.array([0.5]), 0.1, 0.0, "weird")
-    assert exc.value.code == "SCHEMA_VIOLATION"
 
 
 def test_constant_field_invariant():
