@@ -282,7 +282,9 @@ def _assert_same_step(got, want):
     assert rep.boundary_energy_flux == rep_ref.boundary_energy_flux
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
+#: the ``-scaled`` suffix names the foot z*e^{dt*v1} that both steps trace;
+#: it keeps each case's id from before the unscaled foot was removed
+@pytest.mark.parametrize("theta", [0.5, 1.0], ids=["0.5-scaled", "1.0-scaled"])
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _zero_problem])
 def test_picard_step_matches_reference_bitwise(problem, m, theta):
