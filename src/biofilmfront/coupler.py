@@ -34,6 +34,9 @@ from .problem import ProblemData, ValidationReport, validate_problem
 POSITIVITY_TOL = 1e-12
 #: slack added to the a priori thickness bound before flagging
 R_BOUND_SLACK = 1e-8
+#: accepted states a warm start extrapolates through, a quartic at most: a
+#: quintic does worse on coarse steps and after jumps in the surface data
+START_HISTORY = 5
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,11 @@ class SolverConfig:
                                   code="SCHEMA_VIOLATION")
         if self.picard_max_iter < 1:
             raise ValidationError("picard_max_iter must be >= 1", code="NONPOSITIVE_PARAM")
+        for name in ("mu", "nu"):
+            w = getattr(self, name)
+            if w is not None and not np.all(np.asarray(w, dtype=float) > 0.0):  # NaN fails too
+                raise ValidationError(f"energy weights {name} must be > 0, got {w}",
+                                      code="NONPOSITIVE_PARAM")
         object.__setattr__(self, "_weights", {})  # (n, m) -> resolved (mu, nu)
 
     def weights(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,9 +132,9 @@ class SolverConfig:
             # copies, frozen below without touching the caller's arrays
             mu = np.ones(n) if self.mu is None else np.atleast_1d(np.array(self.mu, dtype=float))
             nu = np.ones(m) if self.nu is None else np.atleast_1d(np.array(self.nu, dtype=float))
-            if mu.shape != (n,) or nu.shape != (m,) or np.any(mu <= 0) or np.any(nu <= 0):
-                raise ValidationError("energy weights must be positive and match (n, m)",
-                                      code="NONPOSITIVE_PARAM")
+            if mu.shape != (n,) or nu.shape != (m,):
+                raise ValidationError(f"energy weights need {n} mu and {m} nu entries, got "
+                                      f"{mu.size} and {nu.size}", code="DIMENSION_MISMATCH")
             mu.setflags(write=False)
             nu.setflags(write=False)
             resolved = self._weights[(n, m)] = (mu, nu)
@@ -400,12 +408,57 @@ def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext,
     return flags
 
 
-def _quadratic_start(older: State, old: State, last: State) -> tuple:
-    """Start iterate ``(Y, C, R, v1)`` for the step after ``last``: the
-    quadratic through three accepted states one ``dt`` apart, evaluated one
-    ``dt`` on, ``X* = 3 (X_n - X_{n-1}) + X_{n-2}``."""
-    return (3.0 * (last.Y - old.Y) + older.Y, 3.0 * (last.C - old.C) + older.C,
-            3.0 * (last.R - old.R) + older.R, 3.0 * (last.v1 - old.v1) + older.v1)
+def _start_weights(s: int, count: int) -> np.ndarray:
+    """Row weights of :class:`_StartHistory` after ``count`` pushes, for the
+    polynomial through its newest ``s`` states: ``(-1)^(s-1-i) binom(s, i)``
+    on the ``i``-th oldest, zero on the rows it does not use."""
+    w = np.zeros(START_HISTORY)
+    for i in range(s):
+        w[(count - s + i) % START_HISTORY] = (-1) ** (s - 1 - i) * math.comb(s, i)
+    w.setflags(write=False)
+    return w
+
+
+class _StartHistory:
+    """The last :data:`START_HISTORY` accepted states of a run, packed as
+    ``(Y, C, R, v1)`` one per row of a rolling buffer, and the start iterate
+    they predict for the next step."""
+
+    #: row weights by (states used, pushes modulo START_HISTORY)
+    _WEIGHTS = {(s, r): _start_weights(s, r)
+                for s in range(3, START_HISTORY + 1) for r in range(START_HISTORY)}
+
+    def __init__(self, n: int, m: int, K: int):
+        self._buf = np.zeros((START_HISTORY, (n + m) * K + 2))
+        self._x = np.empty((n + m) * K + 2)
+        # views of Y and C within the rows and within the start
+        self._Y = self._buf[:, :n * K].reshape(START_HISTORY, n, K)
+        self._C = self._buf[:, n * K:-2].reshape(START_HISTORY, m, K)
+        self._Y_start = self._x[:n * K].reshape(n, K)
+        self._C_start = self._x[n * K:-2].reshape(m, K)
+        self._count = 0
+
+    def push(self, state: State) -> None:
+        row = self._count % START_HISTORY
+        self._Y[row] = state.Y
+        self._C[row] = state.C
+        self._buf[row, -2] = state.R
+        self._buf[row, -1] = state.v1
+        self._count += 1
+
+    def start(self) -> tuple | None:
+        """Start iterate ``(Y, C, R, v1)``: the polynomial through the newest
+        ``s = min(pushes, START_HISTORY)`` states, one ``dt`` apart, evaluated
+        one ``dt`` on, ``X* = sum_i (-1)^(s-1-i) binom(s, i) X_i`` (oldest
+        first).  ``None`` (a cold start) below three states.  ``Y`` and ``C``
+        are views of one array, which the next call overwrites."""
+        count = self._count
+        if count < 3:
+            return None
+        x = self._x
+        self._WEIGHTS[min(count, START_HISTORY), count % START_HISTORY].dot(self._buf, out=x)
+        R, v1 = x[-2:].tolist()
+        return self._Y_start, self._C_start, R, v1
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
@@ -434,7 +487,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     The problem is validated at entry; an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
     report, and a valid one's report (with its warnings) is kept on
-    ``Trajectory.validation``.  A step that fails keeps the trajectory
+    ``Trajectory.validation``.  When ``t_end`` is not a whole number of steps,
+    that report also carries a ``HORIZON_ROUNDED`` warning naming the
+    horizon the run takes instead.  A step that fails keeps the trajectory
     recorded up to it, and ``Trajectory.failure`` holds the error's code and
     message, the step number and its end time ``t``, plus the residual
     history (``picard_diverged``) or the thickness (``washout``).
@@ -442,7 +497,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     Snapshots are stored every ``snapshot_stride`` steps (plus t = 0 and the
     final accepted state); per-step scalar diagnostics are always complete.
     From the third step on, each step's Picard iteration starts from the
-    quadratic extrapolation of the last three accepted states.
+    polynomial extrapolation of the last ``s = min(k, START_HISTORY)``
+    accepted states (``k`` of them exist before step ``k``): a quadratic at
+    step 3, a cubic at step 4 and a quartic from step 5 on.
     """
     if t_end < 0.0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
@@ -451,6 +508,11 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     rep = validate_problem(data, kin)
     if not rep.ok:
         raise InvalidProblem(rep)
+    n_steps = int(round(t_end / cfg.dt))
+    if abs(t_end / cfg.dt - n_steps) > 1e-6:  # more than rounding off a whole step count
+        rep.warnings.append(("HORIZON_ROUNDED", f"t_end={t_end:.12g} is not a whole number of "
+                             f"steps of dt={cfg.dt:.12g}: running {n_steps} steps, to "
+                             f"t={n_steps * cfg.dt:.12g}"))
     cfg.weights(kin.n, kin.m)  # resolved and checked once, before the first step
 
     state = initial_state(data, kin, cfg)
@@ -462,13 +524,12 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     ctx = RBoundContext(R0=data.R0, lam=data.lam)
     ctx.update(state.v1)
 
-    n_steps = int(round(t_end / cfg.dt))
     outcome = "completed"
-    recent = [state]  # the last three accepted states, oldest first
+    history = _StartHistory(kin.n, kin.m, state.grid.N + 1)
+    history.push(state)
     for k in range(1, n_steps + 1):
-        start = _quadratic_start(*recent) if len(recent) == 3 else None
         try:
-            state_new, report = picard_step(state, data, kin, cfg, start)
+            state_new, report = picard_step(state, data, kin, cfg, history.start())
         except SolverError as exc:
             traj.failure = {"code": exc.code, "message": str(exc), "step": k,
                             "t": state.t + cfg.dt}
@@ -491,7 +552,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         traj.min_Y_seen = min(traj.min_Y_seen, y_min)
         traj.min_C_seen = min(traj.min_C_seen, c_min)
         state = state_new
-        recent = recent[-2:] + [state]
+        history.push(state)
         if k % snapshot_stride == 0 or k == n_steps:
             traj.states.append(state)
             traj.state_steps.append(k)

@@ -109,6 +109,7 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
         "config_hash": config_hash,
         "outcome": traj.outcome,
         "n_steps": len(traj.reports),
+        "t_final": traj.final_state.t,
         "snapshot_steps": list(traj.state_steps),
         "picard": {"sweeps": sum(sweeps), "max_sweeps": max(sweeps, default=0)},
         "files": files,

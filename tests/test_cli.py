@@ -89,6 +89,45 @@ def test_simulate_out_of_range_solver_setting_exit_2(key, value, code, tmp_path,
     assert not out.exists()
 
 
+def test_nonpositive_energy_weight_exit_2(tmp_path, capsys):
+    """A sign error in the energy weights is a configuration error for
+    simulate and verify alike, found before anything runs."""
+    p = tmp_path / "bad.yaml"
+    p.write_text(GOOD.replace("t_end: 0.02}", "t_end: 0.02, energy_weights: {mu: [-1.0]}}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert main(["verify", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error [NONPOSITIVE_PARAM]: energy weights mu must be > 0, got [-1.]"] * 2
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_rounded_horizon_is_reported(tmp_path, capsys):
+    """t_end = 0.0105 with dt = 1e-3 runs 10 steps: both commands say so and
+    the manifest records the time of the last step."""
+    p = tmp_path / "run.yaml"
+    p.write_text(GOOD.replace("t_end: 0.02", "t_end: 0.0105"))
+    warning = ("warning [HORIZON_ROUNDED]: t_end=0.0105 is not a whole number of steps "
+               "of dt=0.001: running 10 steps, to t=0.01")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    assert warning in capsys.readouterr().out.splitlines()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_steps"] == 10 and manifest["t_final"] == pytest.approx(0.01)
+    assert main(["verify", "--config", str(p)]) == 0
+    assert warning in capsys.readouterr().out.splitlines()
+
+
+def test_whole_step_horizon_is_not_reported(good_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(good_cfg), "--out", str(out)]) == 0
+    assert "HORIZON_ROUNDED" not in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_steps"] == 20 and manifest["t_final"] == pytest.approx(0.02)
+
+
 def test_missing_file_exit_2(tmp_path):
     rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                "--out", str(tmp_path / "o")])

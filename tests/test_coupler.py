@@ -1,6 +1,9 @@
 """Coupled step, trajectory outcomes, energy audit and physical back-transform."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +33,8 @@ from biofilmfront import (
     zero_kinetics,
 )
 from biofilmfront.boundary import velocity_nodes
-from biofilmfront.coupler import (StepReport, _boundary_flux, _contraction_ratio,
-                                  _quadratic_start)
+from biofilmfront.coupler import (START_HISTORY, StepReport, _boundary_flux,
+                                  _contraction_ratio, _StartHistory)
 from stages import substrate_step, thickness_step, transport_step
 
 
@@ -92,7 +95,7 @@ def test_solver_config_validated_once():
     assert mu_in.flags.writeable  # the caller's array is not frozen
     with pytest.raises(ValidationError) as exc:
         cfg.weights(2, 1)
-    assert exc.value.code == "NONPOSITIVE_PARAM"
+    assert exc.value.code == "DIMENSION_MISMATCH"
 
 
 @pytest.mark.parametrize("name", ["picard_tol", "continuation_threshold"])
@@ -102,6 +105,15 @@ def test_solver_config_rejects_nonpositive_tolerances(name, value):
         SolverConfig(**{name: value})
     assert exc.value.code == "NONPOSITIVE_PARAM"
     assert name in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["mu", "nu"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_solver_config_rejects_nonpositive_energy_weights(name, value):
+    with pytest.raises(ValidationError) as exc:
+        SolverConfig(**{name: np.array([1.0, value])})
+    assert exc.value.code == "NONPOSITIVE_PARAM"
+    assert f"energy weights {name}" in str(exc.value)
 
 
 def test_solver_config_accepts_infinite_tolerances():
@@ -289,20 +301,22 @@ def _assert_same_step(got, want):
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _zero_problem])
 def test_picard_step_matches_reference_bitwise(problem, m, theta):
     """Cold steps, and from the third step on also steps started from the
-    quadratic extrapolation of the last three states."""
+    extrapolation run_simulation uses: a quadratic, a cubic, then quartics
+    (the last one from a buffer that has rolled over)."""
     data, kin = problem(m)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta)
     state = initial_state(data, kin, cfg)
-    recent = [state]
-    for _ in range(6):
+    history = _StartHistory(kin.n, kin.m, cfg.N + 1)
+    history.push(state)
+    for _ in range(START_HISTORY + 1):
         got = picard_step(state, data, kin, cfg)
         _assert_same_step(got, reference_picard_step(state, data, kin, cfg))
-        if len(recent) == 3:
-            start = _quadratic_start(*recent)
+        start = history.start()
+        if start is not None:
             _assert_same_step(picard_step(state, data, kin, cfg, start),
                               reference_picard_step(state, data, kin, cfg, start))
         state = got[0]
-        recent = recent[-2:] + [state]
+        history.push(state)
 
 
 # -- checks on quantities computed inside the sweep ----------------------------
@@ -344,12 +358,29 @@ def test_sweep_raises_on_nonfinite_velocity():
     assert len(calls) == 2  # the first sweep's velocity
 
 
-def test_quadratic_start_is_exact_for_quadratics():
+@pytest.mark.parametrize("s", [3, 4, 5])
+def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
+    """The start after ``s`` states is exact for degree ``s - 1``; with
+    ``s = 5`` also after the rolling buffer has wrapped, when it extrapolates
+    through the newest five of nine states."""
     g = build_grid(4)
-    states = [State(t=t, grid=g, Y=np.full((1, 5), 1.0 + t * t), C=np.full((1, 5), 2.0 * t),
-                    R=3.0 - t * t, v=np.linspace(0.0, t * t, 5)) for t in (0.0, 1.0, 2.0)]
-    Y, C, R, v1 = _quadratic_start(*states)
-    assert np.all(Y == 10.0) and np.all(C == 6.0) and R == -6.0 and v1 == 9.0
+
+    def p(t):  # integer coefficients and times: every value is exact
+        return sum((k + 1) * (-t) ** k for k in range(s))
+
+    def state(t):
+        return State(t=t, grid=g, Y=np.stack([np.full(5, p(t)), np.arange(5.0) * p(t)]),
+                     C=np.full((1, 5), 2.0 * p(t)), R=1.0 - p(t),
+                     v=np.linspace(0.0, -p(t), 5))
+
+    history = _StartHistory(2, 1, 5)
+    for pushes in range(s + (4 if s == START_HISTORY else 0)):
+        assert (history.start() is None) == (pushes < 3)
+        history.push(state(float(pushes)))
+    Y, C, R, v1 = history.start()
+    want = state(float(pushes + 1))
+    assert np.array_equal(Y, want.Y) and np.array_equal(C, want.C)
+    assert R == want.R and v1 == want.v1
 
 
 def test_step_rejects_nonfinite_biomass():
@@ -375,17 +406,21 @@ def test_h_called_once_per_sweep():
 
     kin = KineticsModel(n=1, m=1, f=base.f, h=h, g=base.g)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
-    recent = [initial_state(data, kin, cfg)]
-    for _ in range(5):
+    state = initial_state(data, kin, cfg)
+    history = _StartHistory(kin.n, kin.m, cfg.N + 1)
+    history.push(state)
+    for _ in range(START_HISTORY + 1):
         del calls[:]
-        state, rep = picard_step(recent[-1], data, kin, cfg)
+        new_state, rep = picard_step(state, data, kin, cfg)
         assert rep.picard_iterations >= 3
         assert len(calls) == rep.picard_iterations + 1
-        if len(recent) == 3:
+        start = history.start()
+        if start is not None:
             del calls[:]
-            _, rep = picard_step(recent[-1], data, kin, cfg, _quadratic_start(*recent))
+            _, rep = picard_step(state, data, kin, cfg, start)
             assert len(calls) == rep.picard_iterations + 1
-        recent = recent[-2:] + [state]
+        state = new_state
+        history.push(state)
 
 
 def test_warm_step_checks_explicit_peclet():
@@ -435,7 +470,8 @@ def _square_wave_problem(m):
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _square_wave_problem])
 def test_warm_start_agrees_with_cold_steps(problem):
     """From the third step on, run_simulation starts each step from the
-    quadratic extrapolation: the same fixed points in fewer sweeps."""
+    extrapolation of up to five accepted states: the same fixed points in
+    fewer sweeps."""
     data, kin = problem(1)
     cfg = SolverConfig(N=40, dt=1e-3)
     traj = run_simulation(data, kin, cfg, t_end=0.2, snapshot_stride=1)
@@ -449,6 +485,17 @@ def test_warm_start_agrees_with_cold_steps(problem):
     cold = [r.picard_iterations for r in reports]
     assert sum(warm) < sum(cold)
     assert max(warm) <= max(cold)
+
+
+def test_warm_steps_of_c01_take_one_sweep():
+    """c01's reaction-free problem: sweep 1 does not depend on the iterate,
+    so every step whose start is a cubic or quartic extrapolation
+    (the 4th on) meets the tolerance at once."""
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=20, dt=1e-3),
+                          t_end=0.2, snapshot_stride=50)
+    sweeps = [r.picard_iterations for r in traj.reports]
+    assert len(sweeps) == 200
+    assert sweeps[:3] == [2, 2, 2] and set(sweeps[3:]) == {1}
 
 
 # -- trajectories and outcomes -------------------------------------------------
@@ -732,3 +779,38 @@ def test_back_transform_snapshot_geometry():
     assert last.x[0] == 0.0
     assert last.x[-1] == pytest.approx(R_end)
     assert np.allclose(np.diff(last.x), R_end * traj.grid.dz)
+
+
+# -- the benchmark's tracer ------------------------------------------------------
+
+
+def test_traced_run_matches_untraced(monkeypatch):
+    """The benchmark's per-layer metrics come from runs traced by
+    ``perfbench/spans.py``, which rebinds package functions and wraps the
+    rate callables.  A package change that a traced run cannot survive (say,
+    a rate callable that may be ``None``) fails here.  The module is loaded
+    from its source, with nothing written next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+
+    data, kin = _monod_problem(1)
+    cfg = SolverConfig(N=40, dt=1e-3)
+    plain = run_simulation(data, kin, cfg, t_end=0.05, snapshot_stride=50)
+    tracer = spans.Tracer()
+    traced_kin = tracer.kinetics(kin)
+    tracer.install()
+    try:
+        traced = run_simulation(data, traced_kin, cfg, t_end=0.05, snapshot_stride=50)
+    finally:
+        tracer.uninstall()
+
+    assert plain.outcome == traced.outcome == "completed" and len(traced.reports) == 50
+    assert traced.final_state.R.hex() == plain.final_state.R.hex()
+    assert ([r.picard_iterations for r in traced.reports]
+            == [r.picard_iterations for r in plain.reports])
+    assert tracer.stats["coupler.picard_step"].calls == 50
+    assert all(tracer.stats[f"kinetics.{name}"].calls > 0 for name in spans.KINETICS)
