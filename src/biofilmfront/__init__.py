@@ -11,9 +11,9 @@ coordinates.
 from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
 from .coupler import (EnvelopeReport, PhysicalSnapshot, PhysicalTrajectory,
-                      RBoundContext, SolverConfig, State, StepReport, Trajectory,
-                      back_transform, check_invariants, dissipation_envelope_check,
-                      energy, initial_state, picard_step, run_simulation)
+                      SolverConfig, State, StepReport, Trajectory, back_transform,
+                      check_invariants, dissipation_envelope_check, energy, initial_state,
+                      picard_step, run_simulation)
 from .errors import (AssemblyError, ConfigError, EnvelopeViolation, GridError,
                      InvalidProblem, LinearSolveError, OrderRegression, OutputError,
                      PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
@@ -29,9 +29,9 @@ __all__ = [
     "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport",
     "EnvelopeViolation", "Grid", "GridError", "InvalidProblem", "KineticsModel",
     "LinearSolveError", "MonodParams", "OrderRegression", "OutputError", "PhysicalSnapshot",
-    "PhysicalTrajectory", "PicardDivergence", "ProblemData", "RBoundContext",
-    "R_FLOOR", "RunSpec", "SolverConfig", "SolverError", "State", "StepReport",
-    "ThicknessCollapse", "Trajectory", "ValidationError", "ValidationReport",
+    "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec",
+    "SolverConfig", "SolverError", "State", "StepReport", "ThicknessCollapse",
+    "Trajectory", "ValidationError", "ValidationReport",
     "back_transform", "build_grid", "build_runspec", "check_invariants",
     "compile_expression", "config_hash", "detachment_rhs",
     "dissipation_envelope_check", "energy", "initial_state", "integrate_thickness",

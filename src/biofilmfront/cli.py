@@ -1,7 +1,8 @@
 """Command-line interface: simulate, sweep, verify, mms.
 
 Exit codes: 0 success, 1 classified run/check failure (washout, divergence,
-invariant or order violation), 2 usage or configuration errors.
+invariant or order violation) or any other package error, 2 usage errors and
+invalid input: a ``ConfigError``, ``ValidationError`` or ``GridError``.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from concurrent.futures import ProcessPoolExecutor
 from .boundary import detachment_rhs
 from .config import build_runspec, load_tree
 from .coupler import dissipation_envelope_check, energy, run_simulation
-from .errors import EnvelopeViolation, InvalidProblem, SolverError
+from .errors import (ConfigError, EnvelopeViolation, GridError, InvalidProblem, SolverError,
+                     ValidationError)
 from .mms import ORDER_FLOORS, mms_study
 from .output import _table, _write_text, write_timeseries
 
-_INT_PARAMS = {"N", "picard_max_iter", "stride"}
 _EQUILIBRIUM_RHS_TOL = 1e-8
 _EQUILIBRIUM_REL_TOL = 1e-6
 
@@ -61,7 +62,7 @@ def _set_param(tree: dict, name: str, value) -> None:
         node = tree
         for key in keys[:-1]:
             if not isinstance(node, dict) or key not in node:
-                raise SolverError(f"unknown sweep parameter path {name!r}", code="UNKNOWN_KEY")
+                raise ConfigError(f"unknown sweep parameter path {name!r}", code="UNKNOWN_KEY")
             node = node[key]
         node[keys[-1]] = value
         return
@@ -73,17 +74,13 @@ def _set_param(tree: dict, name: str, value) -> None:
         tree.setdefault("solver", {})[name] = value
 
 
-def _parse_value(param: str, text: str):
-    leaf = param.rsplit(".", 1)[-1]
-    if leaf in _INT_PARAMS or re.fullmatch(r"[+-]?\d+", text):
-        try:
-            return int(text)
-        except ValueError:
-            pass
+def _parse_value(text: str):
+    if re.fullmatch(r"[+-]?\d+", text):
+        return int(text)
     try:
         return float(text)
     except ValueError:
-        raise SolverError(f"cannot parse sweep value {text!r} as a number",
+        raise ConfigError(f"cannot parse sweep value {text!r} as a number",
                           code="SCHEMA_VIOLATION") from None
 
 
@@ -143,7 +140,7 @@ def _cmd_sweep(args) -> int:
         return 2
     jobs = []
     for text in value_texts:
-        value = _parse_value(args.param, text)
+        value = _parse_value(text)
         jobs.append(json.dumps({
             "tree": copy.deepcopy(tree),
             "param": args.param,
@@ -271,12 +268,7 @@ def main(argv=None) -> int:
         return _cmd_mms(args)
     except SolverError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        if exc.code in ("PARSE_ERROR", "UNKNOWN_KEY", "SCHEMA_VIOLATION",
-                        "DIMENSION_MISMATCH", "NONPOSITIVE_PARAM", "TOO_COARSE",
-                        "NONPOSITIVE_D", "NONPOSITIVE_LAMBDA", "NONPOSITIVE_R0",
-                        "COMPAT_MISMATCH", "NONFINITE_INPUT"):
-            return 2
-        return 1
+        return 2 if isinstance(exc, (ConfigError, ValidationError, GridError)) else 1
 
 
 if __name__ == "__main__":

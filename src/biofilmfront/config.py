@@ -231,7 +231,6 @@ class RunSpec:
     out_dir: str | None
     stride: int
     verify: dict | None
-    tree: dict
     config_hash: str
 
 
@@ -326,7 +325,7 @@ def build_runspec(tree: dict) -> RunSpec:
         }
 
     return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out_dir,
-                   stride=stride, verify=verify, tree=tree,
+                   stride=stride, verify=verify,
                    config_hash=config_hash(tree))
 
 

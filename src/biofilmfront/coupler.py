@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -122,23 +121,16 @@ class SolverConfig:
             if w is not None and not np.all(np.asarray(w, dtype=float) > 0.0):  # NaN fails too
                 raise ValidationError(f"energy weights {name} must be > 0, got {w}",
                                       code="NONPOSITIVE_PARAM")
-        object.__setattr__(self, "_weights", {})  # (n, m) -> resolved (mu, nu)
 
     def weights(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Energy weights ``(mu, nu)`` for ``n`` species and ``m`` substrates
-        (unit weights by default), resolved once per ``(n, m)``."""
-        resolved = self._weights.get((n, m))
-        if resolved is None:
-            # copies, frozen below without touching the caller's arrays
-            mu = np.ones(n) if self.mu is None else np.atleast_1d(np.array(self.mu, dtype=float))
-            nu = np.ones(m) if self.nu is None else np.atleast_1d(np.array(self.nu, dtype=float))
-            if mu.shape != (n,) or nu.shape != (m,):
-                raise ValidationError(f"energy weights need {n} mu and {m} nu entries, got "
-                                      f"{mu.size} and {nu.size}", code="DIMENSION_MISMATCH")
-            mu.setflags(write=False)
-            nu.setflags(write=False)
-            resolved = self._weights[(n, m)] = (mu, nu)
-        return resolved
+        (unit weights by default), as copies of the configured ones."""
+        mu = np.ones(n) if self.mu is None else np.atleast_1d(np.array(self.mu, dtype=float))
+        nu = np.ones(m) if self.nu is None else np.atleast_1d(np.array(self.nu, dtype=float))
+        if mu.shape != (n,) or nu.shape != (m,):
+            raise ValidationError(f"energy weights need {n} mu and {m} nu entries, got "
+                                  f"{mu.size} and {nu.size}", code="DIMENSION_MISMATCH")
+        return mu, nu
 
 
 @dataclass
@@ -148,28 +140,24 @@ class StepReport:
     t: float
     R: float
     v1: float
-    picard_iterations: int
     residual_history: list
-    contraction_ratio: float
     clamped_feet: int
     energy: float
     boundary_energy_flux: float
-    invariant_flags: set = field(default_factory=set)
+    invariant_flags: set
 
+    @property
+    def picard_iterations(self) -> int:
+        return len(self.residual_history)
 
-@dataclass
-class RBoundContext:
-    """Inputs of the running a priori thickness bound."""
-
-    R0: float
-    lam: float
-    v1_max: float = 0.0
-
-    def update(self, v1: float) -> None:
-        self.v1_max = max(self.v1_max, abs(float(v1)))
-
-    def bound(self) -> float:
-        return r_max_bound(self.R0, self.lam, self.v1_max)
+    @property
+    def contraction_ratio(self) -> float:
+        """Geometric mean of successive residual ratios; NaN under 2 sweeps,
+        which is most warm steps of a smooth run."""
+        res = self.residual_history
+        if len(res) < 2 or res[0] <= 0.0:
+            return float("nan")
+        return float((res[-1] / res[0]) ** (1.0 / (len(res) - 1)))
 
 
 @dataclass
@@ -179,7 +167,6 @@ class Trajectory:
 
     grid: Grid
     cfg: SolverConfig
-    data: ProblemData
     kin: KineticsModel
     validation: ValidationReport
     states: list = field(default_factory=list)
@@ -235,16 +222,14 @@ def _boundary_flux(s: State, D: np.ndarray, nu: np.ndarray) -> float:
     return abs(float(total))
 
 
-def _contraction_ratio(residuals: Sequence[float]) -> float:
-    """Geometric mean of successive residual ratios (NaN if under 2 sweeps)."""
-    if len(residuals) < 2 or residuals[0] <= 0.0:
-        return float("nan")
-    return float((residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1)))
-
-
-def picard_step(state: State, data: ProblemData, kin: KineticsModel,
-                cfg: SolverConfig, start: tuple | None = None) -> tuple[State, StepReport]:
-    """Advance one step of length ``cfg.dt`` by fixed-point iteration.
+def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
+                start: tuple | None = None) -> tuple[State, list[float], int]:
+    """Advance one step of length ``cfg.dt`` by fixed-point iteration and
+    return ``(new_state, residuals, clamped_feet)``: the converged state, the
+    residual of every sweep, and how many characteristic feet of the last
+    sweep fell past ``z = 1`` and were clamped onto it.  The step computes
+    nothing about the run; :func:`run_simulation` builds the step's
+    :class:`StepReport` (energy, surface flux, invariant flags) from these.
 
     Every sweep restarts all substeps from the converged state at the step
     start, with sources/coefficients taken from the latest iterate; the
@@ -365,29 +350,17 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel,
     # this step's own, so the state wraps them without copies.
     if not np.isfinite(Yk).all():
         raise ValidationError("non-finite state", code="NONFINITE")
-    new_state = State._wrap(t_new, grid, Yk, Ck, Rk, v_final)
-
-    mu, nu = cfg.weights(kin.n, kin.m)
-    report = StepReport(
-        t=t_new,
-        R=new_state.R,
-        v1=new_state.v1,
-        picard_iterations=len(residuals),
-        residual_history=residuals,
-        contraction_ratio=_contraction_ratio(residuals),
-        clamped_feet=int(transport.clamped_mask(unclamped).sum()),
-        energy=energy(new_state, mu, nu),
-        boundary_energy_flux=_boundary_flux(new_state, data.D, nu),
-    )
-    return new_state, report
+    return (State._wrap(t_new, grid, Yk, Ck, Rk, v_final), residuals,
+            int(transport.clamped_mask(unclamped).sum()))
 
 
-def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext,
+def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
                      minima: tuple[float, float]) -> set:
     """Evaluate the per-step invariant monitors, returning raised flags.
 
     ``NEGATIVE_Y`` / ``NEGATIVE_C``: nodal values below ``-POSITIVITY_TOL``.
-    ``R_BOUND_EXCEEDED``: thickness above the running a priori bound.
+    ``R_BOUND_EXCEEDED``: thickness above ``r_bound``, the running a priori
+    bound.
     ``CONTINUATION``: any monitored norm above ``cfg.continuation_threshold``.
     ``minima`` is ``(s.Y.min(), s.C.min())``, which the run loop has already.
     """
@@ -398,7 +371,7 @@ def check_invariants(s: State, cfg: SolverConfig, bound_context: RBoundContext,
         flags.add("NEGATIVE_Y")
     if c_min < -POSITIVITY_TOL:
         flags.add("NEGATIVE_C")
-    if s.R > bound_context.bound() + R_BOUND_SLACK:
+    if s.R > r_bound + R_BOUND_SLACK:
         flags.add("R_BOUND_EXCEEDED")
     # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz
     dy = float(np.abs(Y[:, 1:] - Y[:, :-1]).max()) / s.grid.dz
@@ -513,23 +486,22 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         rep.warnings.append(("HORIZON_ROUNDED", f"t_end={t_end:.12g} is not a whole number of "
                              f"steps of dt={cfg.dt:.12g}: running {n_steps} steps, to "
                              f"t={n_steps * cfg.dt:.12g}"))
-    cfg.weights(kin.n, kin.m)  # resolved and checked once, before the first step
+    mu, nu = cfg.weights(kin.n, kin.m)  # checked once, before the first step
 
     state = initial_state(data, kin, cfg)
-    traj = Trajectory(grid=state.grid, cfg=cfg, data=data, kin=kin, validation=rep)
+    traj = Trajectory(grid=state.grid, cfg=cfg, kin=kin, validation=rep)
     traj.states.append(state)
     traj.state_steps.append(0)
     traj.min_Y_seen = float(state.Y.min())
     traj.min_C_seen = float(state.C.min())
-    ctx = RBoundContext(R0=data.R0, lam=data.lam)
-    ctx.update(state.v1)
+    v1_max = abs(state.v1)  # running max |v1| of the a priori thickness bound
 
     outcome = "completed"
     history = _StartHistory(kin.n, kin.m, state.grid.N + 1)
     history.push(state)
     for k in range(1, n_steps + 1):
         try:
-            state_new, report = picard_step(state, data, kin, cfg, history.start())
+            state_new, residuals, clamped = picard_step(state, data, kin, cfg, history.start())
         except SolverError as exc:
             traj.failure = {"code": exc.code, "message": str(exc), "step": k,
                             "t": state.t + cfg.dt}
@@ -545,10 +517,14 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
                 outcome = "solve_failed"
             break
 
-        ctx.update(state_new.v1)
+        v1_max = max(v1_max, abs(state_new.v1))
         y_min, c_min = float(state_new.Y.min()), float(state_new.C.min())
-        report.invariant_flags = check_invariants(state_new, cfg, ctx, (y_min, c_min))
-        traj.reports.append(report)
+        flags = check_invariants(state_new, cfg, r_max_bound(data.R0, data.lam, v1_max),
+                                 (y_min, c_min))
+        traj.reports.append(StepReport(
+            t=state_new.t, R=state_new.R, v1=state_new.v1, residual_history=residuals,
+            clamped_feet=clamped, energy=energy(state_new, mu, nu),
+            boundary_energy_flux=_boundary_flux(state_new, data.D, nu), invariant_flags=flags))
         traj.min_Y_seen = min(traj.min_Y_seen, y_min)
         traj.min_C_seen = min(traj.min_C_seen, c_min)
         state = state_new
@@ -557,11 +533,10 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             traj.states.append(state)
             traj.state_steps.append(k)
 
-        if "CONTINUATION" in report.invariant_flags:
+        if "CONTINUATION" in flags:
             outcome = "continuation_tripped"
             break
-        if cfg.positivity_mode == "fail" and (
-                report.invariant_flags & {"NEGATIVE_Y", "NEGATIVE_C"}):
+        if cfg.positivity_mode == "fail" and flags & {"NEGATIVE_Y", "NEGATIVE_C"}:
             outcome = "positivity_violated"
             break
 

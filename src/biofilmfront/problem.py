@@ -18,6 +18,8 @@ from .kinetics import KineticsModel
 
 #: tolerance for the Dirichlet/initial-data compatibility check theta(1) == psi(0)
 COMPAT_TOL = 1e-12
+#: cells of the grid the initial data and rates are checked on
+N_SAMPLE = 200
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ class ValidationReport:
         return {code for code, _ in self.warnings}
 
 
-def validate_problem(data: ProblemData, kin: KineticsModel, n_sample: int = 200) -> ValidationReport:
+def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     """Check problem data against the model for shape, sign, finiteness and
     boundary/initial-data compatibility.
 
@@ -145,7 +147,7 @@ def validate_problem(data: ProblemData, kin: KineticsModel, n_sample: int = 200)
     elif data.R0 <= 0.0:
         rep.violations.append(("NONPOSITIVE_R0", f"initial thickness must be > 0, got {data.R0}"))
 
-    grid = build_grid(max(int(n_sample), 4))
+    grid = build_grid(N_SAMPLE)
     Y0, C0 = data.sample_initial(grid.nodes)
     psi0 = data.psi_at(0.0)
     if not (np.all(np.isfinite(Y0)) and np.all(np.isfinite(C0)) and np.all(np.isfinite(psi0))):

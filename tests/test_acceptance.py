@@ -134,9 +134,8 @@ def _contraction_reference():
 def _first_step_contraction(dt):
     data, kin = _contraction_reference()
     cfg = bf.SolverConfig(N=50, dt=dt, picard_tol=1e-12, picard_max_iter=80)
-    s0 = bf.initial_state(data, kin, cfg)
-    _, rep = bf.picard_step(s0, data, kin, cfg)
-    return rep.contraction_ratio
+    traj = bf.run_simulation(data, kin, cfg, t_end=dt)  # one step, started cold
+    return traj.reports[0].contraction_ratio
 
 
 def test_c07_picard_contraction_scaling():

@@ -134,6 +134,31 @@ def test_missing_file_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
+    """phi = 1/(3z - 1) is finite on problem validation's sample grid but
+    infinite at node 10 of N = 30.  The t = 0 state rejects it: invalid input,
+    which exits 2 like every ValidationError."""
+    p = tmp_path / "run.yaml"
+    p.write_text(GOOD.replace("phi: [0.0]", 'phi: ["1/(3*z-1)"]').replace("N: 20", "N: 30"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error [NONFINITE]: non-finite state\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param,values,message", [
+    ("lambda", "0.5,abc", "error [SCHEMA_VIOLATION]: cannot parse sweep value 'abc' as a number"),
+    ("solver.nope.dt", "1e-3", "error [UNKNOWN_KEY]: unknown sweep parameter path "
+                               "'solver.nope.dt'"),
+])
+def test_sweep_bad_parameter_exit_2(param, values, message, good_cfg, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", param, "--values", values,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_usage_error_exit_2():
     assert main(["simulate", "--no-such-flag"]) == 2
     assert main([]) == 2

@@ -16,7 +16,6 @@ from biofilmfront import (
     KineticsModel,
     MonodParams,
     ProblemData,
-    RBoundContext,
     SolverConfig,
     State,
     ValidationError,
@@ -32,9 +31,10 @@ from biofilmfront import (
     run_simulation,
     zero_kinetics,
 )
-from biofilmfront.boundary import velocity_nodes
-from biofilmfront.coupler import (START_HISTORY, StepReport, _boundary_flux,
-                                  _contraction_ratio, _StartHistory)
+from biofilmfront import coupler
+from biofilmfront.boundary import r_max_bound, velocity_nodes
+from biofilmfront.coupler import START_HISTORY, _StartHistory
+from biofilmfront.grid import interp_rows
 from stages import substrate_step, thickness_step, transport_step
 
 
@@ -88,9 +88,8 @@ def test_solver_config_validated_once():
     mu_in = np.array([2.0])
     cfg = SolverConfig(mu=mu_in)
     with pytest.raises(AttributeError):
-        cfg.dt = 1.0  # frozen: its resolved energy weights cannot go stale
+        cfg.dt = 1.0  # frozen
     mu, nu = cfg.weights(1, 1)
-    assert cfg.weights(1, 1)[0] is mu
     assert mu[0] == 2.0 and nu[0] == 1.0
     assert mu_in.flags.writeable  # the caller's array is not frozen
     with pytest.raises(ValidationError) as exc:
@@ -121,21 +120,35 @@ def test_solver_config_accepts_infinite_tolerances():
     assert cfg.picard_tol == math.inf and cfg.continuation_threshold == math.inf
 
 
-def test_rbound_context_tracks_running_max():
-    ctx = RBoundContext(R0=1.0, lam=0.5)
-    assert ctx.bound() == pytest.approx(1.0)
-    ctx.update(2.0)
-    assert ctx.bound() == pytest.approx(2.0)
-    ctx.update(0.5)  # running max keeps the larger value
-    assert ctx.bound() == pytest.approx(2.0)
+def test_thickness_bound_uses_running_v1_max(monkeypatch):
+    """Each step's thickness bound is taken at the largest ``|v1|`` seen so
+    far, t = 0 included.  Here ``g = C - 1/2`` on a substrate that fills up
+    from the surface: ``v1`` starts negative, passes 0 and ends above its
+    initial magnitude."""
+    seen = []
+
+    def spy(R0, lam, v1_max):
+        seen.append(v1_max)
+        return r_max_bound(R0, lam, v1_max)
+
+    monkeypatch.setattr(coupler, "r_max_bound", spy)
+    kin = KineticsModel(n=1, m=1, f=lambda Y, C: np.zeros_like(Y),
+                        h=lambda Y, C: np.zeros_like(C), g=lambda Y, C: C[0] - 0.5)
+    data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: 0.2 + 0.8 * z**8],
+                       psi=[lambda t: 1.0], D=[1.0], lam=0.5, R0=1.0)
+    traj = run_simulation(data, kin, SolverConfig(N=30, dt=5e-3), t_end=0.5)
+    v1 = np.abs(traj.v1_series())
+    assert traj.outcome == "completed" and len(seen) == len(traj.reports) == 100
+    assert v1.argmin() > 0 and v1[-1] > v1[0]  # |v1| falls, then rises past its start
+    # never decreasing, and at least every |v1| so far
+    assert seen == np.maximum.accumulate(v1)[1:].tolist()
 
 
 def test_check_invariants_flags():
     g = build_grid(4)
     s = State(t=0.0, grid=g, Y=np.full((1, 5), -1e-6), C=np.zeros((1, 5)), R=5.0,
               v=np.zeros(5))
-    flags = check_invariants(s, SolverConfig(N=4), RBoundContext(R0=1.0, lam=0.5),
-                             (float(s.Y.min()), float(s.C.min())))
+    flags = check_invariants(s, SolverConfig(N=4), 1.0, (float(s.Y.min()), float(s.C.min())))
     assert "NEGATIVE_Y" in flags
     assert "R_BOUND_EXCEEDED" in flags
     assert "NEGATIVE_C" not in flags
@@ -149,8 +162,8 @@ def test_zero_kinetics_converges_in_two_iterations():
     kin = zero_kinetics(1, 1)
     cfg = SolverConfig(N=20, dt=1e-3)
     s0 = initial_state(data, kin, cfg)
-    s1, rep = picard_step(s0, data, kin, cfg)
-    assert rep.picard_iterations <= 2
+    s1, residuals, _ = picard_step(s0, data, kin, cfg)
+    assert len(residuals) <= 2
     assert s1.t == pytest.approx(1e-3)
     assert np.all(s1.Y == 0.0)  # no reactions, no advection of a zero field
 
@@ -158,9 +171,9 @@ def test_zero_kinetics_converges_in_two_iterations():
 def test_step_report_residuals_decrease():
     data, kin = _linear_reference()
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
-    s0 = initial_state(data, kin, cfg)
-    _, rep = picard_step(s0, data, kin, cfg)
+    rep = run_simulation(data, kin, cfg, t_end=5e-3).reports[0]
     hist = rep.residual_history
+    assert rep.picard_iterations == len(hist)
     assert len(hist) >= 3
     assert all(b < a for a, b in zip(hist, hist[1:]))
     assert 0.0 < rep.contraction_ratio < 1.0
@@ -177,7 +190,7 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     is evaluated on every sweep, and the biomass sources are interpolated
     at the nodes as well as at the feet.  The sweeps start from
     ``start = (Y, C, R, v1)`` when given.  ``picard_step`` must reproduce
-    it bit for bit.
+    its ``(state, residuals, clamped_feet)`` bit for bit.
     """
     grid, dt = state.grid, cfg.dt
     t_new = state.t + dt
@@ -222,20 +235,7 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     else:
         raise AssertionError("reference sweep did not converge")
 
-    new_state = State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=velocity(Yk, Ck, Rk))
-    mu, nu = cfg.weights(kin.n, kin.m)
-    report = StepReport(
-        t=t_new,
-        R=new_state.R,
-        v1=new_state.v1,
-        picard_iterations=len(residuals),
-        residual_history=residuals,
-        contraction_ratio=_contraction_ratio(residuals),
-        clamped_feet=clamped,
-        energy=energy(new_state, mu, nu),
-        boundary_energy_flux=_boundary_flux(new_state, data.D, nu),
-    )
-    return new_state, report
+    return State(t=t_new, grid=grid, Y=Yk, C=Ck, R=Rk, v=velocity(Yk, Ck, Rk)), residuals, clamped
 
 
 def _monod_problem(m):
@@ -281,17 +281,14 @@ def _zero_problem(m):
 
 
 def _assert_same_step(got, want):
-    (s, rep), (s_ref, rep_ref) = got, want
+    (s, residuals, clamped), (s_ref, residuals_ref, clamped_ref) = got, want
     assert s.t == s_ref.t
     assert np.array_equal(s.Y, s_ref.Y)
     assert np.array_equal(s.C, s_ref.C)
     assert np.array_equal(s.v, s_ref.v)
     assert s.R == s_ref.R
-    assert rep.residual_history == rep_ref.residual_history
-    assert rep.picard_iterations == rep_ref.picard_iterations
-    assert rep.clamped_feet == rep_ref.clamped_feet
-    assert rep.energy == rep_ref.energy
-    assert rep.boundary_energy_flux == rep_ref.boundary_energy_flux
+    assert residuals == residuals_ref
+    assert clamped == clamped_ref
 
 
 #: the ``-scaled`` suffix names the foot z*e^{dt*v1} that both steps trace;
@@ -383,6 +380,27 @@ def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
     assert R == want.R and v1 == want.v1
 
 
+def test_step_clamps_feet_before_interpolating(monkeypatch):
+    """On a growing film (``v1 > 0``) the foot ``z e^(dt v1)`` of the surface
+    node lands past ``z = 1``; the step clamps it onto the surface, so every
+    point it interpolates at lies in [0, 1], as ``interp_rows`` asks."""
+    queries = []
+
+    def recorder(rows, z, nodes):
+        queries.append(np.array(z))
+        return interp_rows(rows, z, nodes)
+
+    monkeypatch.setattr(coupler, "interp_rows", recorder)
+    data, kin = _monod_problem(1)
+    cfg = SolverConfig(N=30, dt=5e-3)
+    s0 = initial_state(data, kin, cfg)
+    assert s0.v1 > 0.0
+    _, residuals, clamped = picard_step(s0, data, kin, cfg)
+    assert clamped > 0
+    assert len(queries) == 2 * len(residuals)  # Y0 and F_start, every sweep
+    assert all(float(q.max()) <= 1.0 for q in queries)
+
+
 def test_step_rejects_nonfinite_biomass():
     # f = inf makes Y infinite; an infinite tolerance lets that sweep converge
     kin = KineticsModel(n=1, m=1, f=lambda Y, C: np.full_like(Y, np.inf),
@@ -411,14 +429,14 @@ def test_h_called_once_per_sweep():
     history.push(state)
     for _ in range(START_HISTORY + 1):
         del calls[:]
-        new_state, rep = picard_step(state, data, kin, cfg)
-        assert rep.picard_iterations >= 3
-        assert len(calls) == rep.picard_iterations + 1
+        new_state, residuals, _ = picard_step(state, data, kin, cfg)
+        assert len(residuals) >= 3
+        assert len(calls) == len(residuals) + 1
         start = history.start()
         if start is not None:
             del calls[:]
-            _, rep = picard_step(state, data, kin, cfg, start)
-            assert len(calls) == rep.picard_iterations + 1
+            _, residuals, _ = picard_step(state, data, kin, cfg, start)
+            assert len(calls) == len(residuals) + 1
         state = new_state
         history.push(state)
 
@@ -440,17 +458,19 @@ def test_warm_step_checks_explicit_peclet():
     assert exc.value.code == "UNSTABLE_ASSEMBLY"
     assert str(exc.value) == _PECLET_25_AT_N8
     # the implicit operator alone is stable at the iterates' velocity
-    _, rep = picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=1.0), start)
-    assert rep.picard_iterations == 2
+    _, residuals, _ = picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=1.0),
+                                  start)
+    assert len(residuals) == 2
 
 
 def _cold_run(data, kin, cfg, n_steps):
-    states, reports = [initial_state(data, kin, cfg)], []
+    """States and per-step residual histories of ``n_steps`` cold steps."""
+    states, histories = [initial_state(data, kin, cfg)], []
     for _ in range(n_steps):
-        state, rep = picard_step(states[-1], data, kin, cfg)
+        state, residuals, _ = picard_step(states[-1], data, kin, cfg)
         states.append(state)
-        reports.append(rep)
-    return states, reports
+        histories.append(residuals)
+    return states, histories
 
 
 def _max_state_gap(a, b):
@@ -475,14 +495,14 @@ def test_warm_start_agrees_with_cold_steps(problem):
     data, kin = problem(1)
     cfg = SolverConfig(N=40, dt=1e-3)
     traj = run_simulation(data, kin, cfg, t_end=0.2, snapshot_stride=1)
-    states, reports = _cold_run(data, kin, cfg, 200)
+    states, histories = _cold_run(data, kin, cfg, 200)
     assert traj.outcome == "completed" and len(traj.reports) == 200
     for k in (1, 2):  # steps 1 and 2 start cold
         assert np.array_equal(traj.states[k].C, states[k].C)
-        assert traj.reports[k - 1].residual_history == reports[k - 1].residual_history
+        assert traj.reports[k - 1].residual_history == histories[k - 1]
     assert max(_max_state_gap(a, b) for a, b in zip(traj.states, states)) <= 1e-9
     warm = [r.picard_iterations for r in traj.reports]
-    cold = [r.picard_iterations for r in reports]
+    cold = [len(h) for h in histories]
     assert sum(warm) < sum(cold)
     assert max(warm) <= max(cold)
 
@@ -752,6 +772,26 @@ def test_envelope_with_production_budget():
                           snapshot_stride=10**9)
     rep = dissipation_envelope_check(traj, alpha=1.0, beta=0.3, M0=0.5)
     assert np.all(rep.margins >= 0.0)
+
+
+def test_envelope_budget_with_surface_flux():
+    """``include_boundary`` adds the recorded surface energy flux, summed
+    over the steps, to the leak-free budget.  Substrate flows in through
+    the surface (psi = 1) while it decays inside."""
+    data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: np.ones_like(z)],
+                       psi=[lambda t: 1.0], D=[1.0], lam=0.5, R0=1.0)
+    kin = linear_preset([[-1.0]], [0.0], [[-1.0]], [0.0])
+    dt = 2e-3
+    traj = run_simulation(data, kin, SolverConfig(N=40, dt=dt), t_end=0.5,
+                          snapshot_stride=10**9)
+    sealed = dissipation_envelope_check(traj, alpha=1.0, beta=1.0, M0=0.0)
+    leaky = dissipation_envelope_check(traj, alpha=1.0, beta=1.0, M0=0.0,
+                                       include_boundary=True)
+    flux = np.array([r.boundary_energy_flux for r in traj.reports])
+    assert np.all(flux > 0.0)
+    want = sealed.budget + np.concatenate([[0.0], np.cumsum(flux * dt)])
+    assert leaky.budget == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.all(sealed.margins >= 0.0) and np.all(leaky.margins >= sealed.margins)
 
 
 # -- physical back-transform -----------------------------------------------------

@@ -246,7 +246,7 @@ def test_parabolic_step_multiple_substrates():
                        psi=[lambda t: 1.0, lambda t: 2.0], D=[1.0, 0.5], lam=0.5, R0=1.0)
     kin = zero_kinetics(1, 2)
     cfg = SolverConfig(N=12, dt=0.01)
-    s1, _ = picard_step(initial_state(data, kin, cfg), data, kin, cfg)
+    s1 = picard_step(initial_state(data, kin, cfg), data, kin, cfg)[0]
     C_new = s1.C
     assert C_new.shape == (2, 13)
     assert np.allclose(C_new[0], 1.0, rtol=1e-15)   # constant substrate untouched
@@ -272,8 +272,7 @@ def test_parabolic_step_lagged_source_scaling():
         data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: np.zeros_like(z)],
                            psi=[lambda t: 0.0], D=[1.0], lam=1e-9, R0=R)
         s0 = initial_state(data, kin, cfg)
-        s1, _ = picard_step(s0, data, kin, cfg)
-        return s1.C
+        return picard_step(s0, data, kin, cfg)[0].C
 
     C1, C2 = deposit(1.0), deposit(2.0)
     # compare away from the Dirichlet edge where the source is visible
