@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -118,18 +119,35 @@ def _num(value, path, positive=False, nonnegative=False):
         raise ConfigError(f"{path}: must be >= 0, got {v}", code="SCHEMA_VIOLATION")
     return v
 
-def _int(value, path, minimum=None):
+def _int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}", code="SCHEMA_VIOLATION")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}", code="SCHEMA_VIOLATION")
     return int(value)
 
 
-def _num_list(value, path, length=None):
+def _str(value, path):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}", code="SCHEMA_VIOLATION")
+    return value
+
+
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected a boolean, got {value!r}", code="SCHEMA_VIOLATION")
+    return value
+
+
+def _checked(block: dict, checks: dict, path: str) -> dict:
+    """The keys of ``block`` that ``checks`` lists, each through its check;
+    an absent key is left to the library's default."""
+    return {key: check(block[key], f"{path}.{key}")
+            for key, check in checks.items() if key in block}
+
+
+def _num_list(value, path, length=None, item=_num):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of numbers", code="SCHEMA_VIOLATION")
-    out = [_num(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    out = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
     if length is not None and len(out) != length:
         raise ConfigError(f"{path}: expected {length} entries, got {len(out)}",
                           code="SCHEMA_VIOLATION")
@@ -208,9 +226,8 @@ def _build_kinetics(block: dict, n: int, m: int, path: str) -> KineticsModel:
         mu=_num_list(_get(block, "mu", path, required=True), f"{path}.mu", length=n),
         K=_num_list(_get(block, "K", path, required=True), f"{path}.K", length=n),
         k_d=_num_list(_get(block, "k_d", path, default=[0.0] * n), f"{path}.k_d", length=n),
-        limiting=np.array([_int(v, f"{path}.limiting[{i}]", minimum=0)
-                           for i, v in enumerate(_get(block, "limiting", path,
-                                                      default=[0] * n))]),
+        limiting=_num_list(_get(block, "limiting", path, default=[0] * n),
+                           f"{path}.limiting", item=_int),
         yields=_matrix(_get(block, "yields", path, default=[[0.0] * m] * n),
                        f"{path}.yields", (n, m)),
     )
@@ -235,10 +252,18 @@ class RunSpec:
 
 
 _PROBLEM_KEYS = {"kinetics", "phi", "theta", "psi", "D", "lambda", "R0"}
-_SOLVER_KEYS = {"N", "dt", "t_end", "picard_tol", "picard_max_iter", "theta_scheme",
-                "positivity_mode", "continuation_threshold", "energy_weights"}
+#: type checks of the solver keys that are ``SolverConfig`` fields; the
+#: library owns their defaults and ranges
+_SOLVER_CHECKS = {"N": _int, "dt": _num, "picard_tol": _num, "picard_max_iter": _int,
+                  "theta_scheme": _num, "positivity_mode": _str,
+                  "continuation_threshold": _num}
+_SOLVER_KEYS = set(_SOLVER_CHECKS) | {"t_end", "energy_weights"}
 _OUTPUT_KEYS = {"directory", "stride"}
-_VERIFY_KEYS = {"alpha", "beta", "M0", "tol", "include_boundary"}
+#: checks of the verify constants; their ranges are checked here, since
+#: ``dissipation_envelope_check`` runs only after the simulation
+_positive, _nonnegative = partial(_num, positive=True), partial(_num, nonnegative=True)
+_VERIFY_CHECKS = {"alpha": _positive, "beta": _nonnegative, "M0": _nonnegative,
+                  "tol": _positive, "include_boundary": _bool}
 
 
 def build_runspec(tree: dict) -> RunSpec:
@@ -272,8 +297,7 @@ def build_runspec(tree: dict) -> RunSpec:
 
     solver = _require_mapping(_get(tree, "solver", "config", required=True), "solver")
     _check_keys(solver, _SOLVER_KEYS, "solver")
-    t_end = _num(_get(solver, "t_end", "solver", required=True), "solver.t_end",
-                 nonnegative=True)
+    t_end = _num(_get(solver, "t_end", "solver", required=True), "solver.t_end")
     weights = _get(solver, "energy_weights", "solver", default=None)
     mu = nu = None
     if weights is not None:
@@ -283,46 +307,19 @@ def build_runspec(tree: dict) -> RunSpec:
             mu = _num_list(weights["mu"], "solver.energy_weights.mu", length=n)
         if "nu" in weights:
             nu = _num_list(weights["nu"], "solver.energy_weights.nu", length=m)
-    # SolverConfig checks every range but N's (build_grid only runs later)
-    cfg = SolverConfig(
-        N=_int(_get(solver, "N", "solver", default=100), "solver.N", minimum=4),
-        dt=_num(_get(solver, "dt", "solver", default=1e-3), "solver.dt"),
-        picard_tol=_num(_get(solver, "picard_tol", "solver", default=1e-10),
-                        "solver.picard_tol"),
-        picard_max_iter=_int(_get(solver, "picard_max_iter", "solver", default=50),
-                             "solver.picard_max_iter"),
-        theta_scheme=_num(_get(solver, "theta_scheme", "solver", default=0.5),
-                          "solver.theta_scheme"),
-        positivity_mode=_get(solver, "positivity_mode", "solver", default="monitor"),
-        continuation_threshold=_num(_get(solver, "continuation_threshold", "solver",
-                                         default=1e6), "solver.continuation_threshold"),
-        mu=mu, nu=nu,
-    )
+    cfg = SolverConfig(**_checked(solver, _SOLVER_CHECKS, "solver"), mu=mu, nu=nu)
 
-    out = _get(tree, "output", "config", default={}) or {}
-    _require_mapping(out, "output")
+    out = _require_mapping(_get(tree, "output", "config", default={}) or {}, "output")
     _check_keys(out, _OUTPUT_KEYS, "output")
-    out_dir = _get(out, "directory", "output", default=None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("output.directory: expected a string", code="SCHEMA_VIOLATION")
-    stride = _int(_get(out, "stride", "output", default=1), "output.stride", minimum=1)
+    out_dir = _str(out["directory"], "output.directory") if "directory" in out else None
+    stride = _int(_get(out, "stride", "output", default=1), "output.stride")
 
     verify = _get(tree, "verify", "config", default=None)
     if verify is not None:
         _require_mapping(verify, "verify")
-        _check_keys(verify, _VERIFY_KEYS, "verify")
-        verify = {
-            "alpha": _num(_get(verify, "alpha", "verify", required=True), "verify.alpha",
-                          positive=True),
-            "beta": _num(_get(verify, "beta", "verify", default=0.0), "verify.beta",
-                         nonnegative=True),
-            "M0": _num(_get(verify, "M0", "verify", default=0.0), "verify.M0",
-                       nonnegative=True),
-            "tol": _num(_get(verify, "tol", "verify", default=1e-3), "verify.tol",
-                        positive=True),
-            "include_boundary": bool(_get(verify, "include_boundary", "verify",
-                                          default=False)),
-        }
+        _check_keys(verify, set(_VERIFY_CHECKS), "verify")
+        _get(verify, "alpha", "verify", required=True)  # the one constant without a default
+        verify = _checked(verify, _VERIFY_CHECKS, "verify")
 
     return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out_dir,
                    stride=stride, verify=verify,

@@ -25,7 +25,7 @@ from . import boundary, parabolic, transport
 from .boundary import r_max_bound
 from .errors import (AssemblyError, EnvelopeViolation, InvalidProblem, PicardDivergence,
                      SolverError, ThicknessCollapse, ValidationError)
-from .grid import Grid, build_grid, interp_rows
+from .grid import Grid, build_grid, interp_rows, trapz_dz
 from .kinetics import KineticsModel
 from .problem import ProblemData, ValidationReport, validate_problem
 
@@ -205,8 +205,7 @@ def _weighted_square_integral(rows: np.ndarray, w: np.ndarray, dz: float) -> flo
     """``sum_i w_i int rows_i^2`` by the trapezoid rule, summed in row order."""
     total = 0.0
     for w_i, row in zip(w.tolist(), rows):
-        sq = row**2
-        total += w_i * (dz * (sq.sum() - 0.5 * (sq[0] + sq[-1])))
+        total += w_i * trapz_dz(row**2, dz)
     return total
 
 
@@ -457,6 +456,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     - ``positivity_violated``: a nodal value went negative (only in
       ``positivity_mode="fail"``).
 
+    A negative ``t_end`` or a ``snapshot_stride`` below 1 raises
+    :class:`ValidationError` ``NONPOSITIVE_PARAM``, and a ``t_end`` whose
+    step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``.
     The problem is validated at entry; an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
     report, and a valid one's report (with its warnings) is kept on
@@ -476,13 +478,18 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     """
     if t_end < 0.0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
+    steps = t_end / cfg.dt
+    if not math.isfinite(steps):
+        raise ValidationError(f"t_end / dt must be finite, got t_end={t_end}, dt={cfg.dt}",
+                              code="NONFINITE_INPUT")
     if snapshot_stride < 1:
-        raise ValidationError("snapshot_stride must be >= 1", code="NONPOSITIVE_PARAM")
+        raise ValidationError(f"snapshot_stride must be >= 1, got {snapshot_stride}",
+                              code="NONPOSITIVE_PARAM")
     rep = validate_problem(data, kin)
     if not rep.ok:
         raise InvalidProblem(rep)
-    n_steps = int(round(t_end / cfg.dt))
-    if abs(t_end / cfg.dt - n_steps) > 1e-6:  # more than rounding off a whole step count
+    n_steps = int(round(steps))
+    if abs(steps - n_steps) > 1e-6:  # more than rounding off a whole step count
         rep.warnings.append(("HORIZON_ROUNDED", f"t_end={t_end:.12g} is not a whole number of "
                              f"steps of dt={cfg.dt:.12g}: running {n_steps} steps, to "
                              f"t={n_steps * cfg.dt:.12g}"))
@@ -564,8 +571,8 @@ class EnvelopeReport:
     margins: np.ndarray
 
 
-def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float,
-                               M0: float, tol: float = 1e-3,
+def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0,
+                               M0: float = 0.0, tol: float = 1e-3,
                                include_boundary: bool = False) -> EnvelopeReport:
     """Check recorded energies against the dissipation envelope
     ``E(t) <= exp(-gamma t) E(0) + M_R (beta + M0) / gamma`` with
@@ -623,8 +630,6 @@ class PhysicalSnapshot:
 
     t_phys: float
     x: np.ndarray
-    X: np.ndarray   # biomass fractions on the physical nodes
-    S: np.ndarray   # substrate concentrations
     u: np.ndarray   # physical velocity
 
 
@@ -644,7 +649,8 @@ def back_transform(traj: Trajectory) -> PhysicalTrajectory:
     The computational clock integrates ``dt = L**2 dt_c``, so physical time
     is accumulated with the trapezoid rule on ``R**2``; positions scale as
     ``x = z * L`` and the physical velocity is ``u = v / L`` (the thickness
-    ``L`` equals ``R``).
+    ``L`` equals ``R``).  The fields ``Y`` and ``C`` keep their nodal values,
+    so a snapshot holds only ``x`` and ``u``.
 
     Raises
     ------
@@ -668,8 +674,6 @@ def back_transform(traj: Trajectory) -> PhysicalTrajectory:
         snapshots.append(PhysicalSnapshot(
             t_phys=float(t_phys[step]),
             x=s.grid.nodes * L,
-            X=s.Y.copy(),
-            S=s.C.copy(),
             u=s.v / L,
         ))
     return PhysicalTrajectory(t_phys=t_phys, L=R, u1=u1, snapshots=snapshots)

@@ -7,6 +7,8 @@ wrappers can branch on failure class without parsing message text.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SolverError(Exception):
     """Base class for all package errors.
@@ -22,6 +24,11 @@ class SolverError(Exception):
     def __init__(self, message: str, *, code: str = "ERROR"):
         super().__init__(message)
         self.code = code
+
+    def __reduce__(self):
+        # rebuilt without ``__init__``, whose signature varies by subclass, so
+        # an error raised in a worker process reaches the parent whole
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ValidationError(SolverError):

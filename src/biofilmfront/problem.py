@@ -196,8 +196,9 @@ def _second_order_compat(rep, data, nodes, C0, hvals, gvals):
     dt_fd = 1e-6
     for j in range(data.m):
         c = C0[j]
-        d2 = (c[-3] - 2.0 * c[-2] + c[-1]) / dz ** 2          # one-sided curvature at z=1
-        d1 = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * dz)  # one-sided slope at z=1
+        # one-sided, second-order curvature and slope at z=1
+        d2 = (2.0 * c[-1] - 5.0 * c[-2] + 4.0 * c[-3] - c[-4]) / dz ** 2
+        d1 = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * dz)
         lhs = data.D[j] * d2 + v1_0 * d1 + R0sq * hvals[j, -1]
         psi_rate = (float(data.psi[j](dt_fd)) - float(data.psi[j](-dt_fd))) / (2.0 * dt_fd)
         scale = max(1.0, abs(lhs), abs(psi_rate))

@@ -1,9 +1,12 @@
 """Command-line entry points: simulate, sweep, verify, mms."""
 
 import json
+import pickle
 
 import pytest
 
+from biofilmfront import (ConfigError, InvalidProblem, OutputError, PicardDivergence,
+                          ThicknessCollapse, ValidationReport)
 from biofilmfront.cli import main
 
 GOOD = """
@@ -138,13 +141,50 @@ def test_missing_file_exit_2(tmp_path):
 def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     """phi = 1/(3z - 1) is finite on problem validation's sample grid but
     infinite at node 10 of N = 30.  The t = 0 state rejects it: invalid input,
-    which exits 2 like every ValidationError."""
+    which exits 2 like every ValidationError, from simulate and verify alike."""
     p = tmp_path / "run.yaml"
     p.write_text(GOOD.replace("phi: [0.0]", 'phi: ["1/(3*z-1)"]').replace("N: 20", "N: 30"))
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error [NONFINITE]: non-finite state\n"
+    assert main(["verify", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error [NONFINITE]: non-finite state\n" * 2
+    assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("N: 20", "N: 3", "error [TOO_COARSE]: grid needs at least 4 cells, got N=3"),
+    ("t_end: 0.02", "t_end: -1",
+     "error [NONPOSITIVE_PARAM]: t_end must be >= 0, got -1.0"),
+    ("stride: 10", "stride: 0",
+     "error [NONPOSITIVE_PARAM]: snapshot_stride must be >= 1, got 0"),
+    ("t_end: 0.02", "t_end: .nan",
+     "error [NONFINITE_INPUT]: t_end / dt must be finite, got t_end=nan, dt=0.001"),
+    ("t_end: 0.02", "t_end: .inf",
+     "error [NONFINITE_INPUT]: t_end / dt must be finite, got t_end=inf, dt=0.001"),
+], ids=["N", "t_end", "stride", "t_end_nan", "t_end_inf"])
+def test_library_range_error_exit_2(old, new, message, tmp_path, capsys):
+    """The library checks these ranges before the first step; simulate and
+    verify both exit 2 with its error and print nothing else."""
+    p = tmp_path / "bad.yaml"
+    p.write_text(GOOD.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert main(["verify", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] * 2
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_include_boundary_string_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.yaml"
+    p.write_text(DISSIPATIVE.replace("verify: {alpha: 1.0}",
+                                     'verify: {alpha: 1.0, include_boundary: "false"}'))
+    assert main(["verify", "--config", str(p)]) == 2
+    assert capsys.readouterr().err == ("error [SCHEMA_VIOLATION]: verify.include_boundary: "
+                                       "expected a boolean, got 'false'\n")
 
 
 @pytest.mark.parametrize("param,values,message", [
@@ -157,6 +197,47 @@ def test_sweep_bad_parameter_exit_2(param, values, message, good_cfg, tmp_path, 
     assert main(["sweep", "--config", str(good_cfg), "--param", param, "--values", values,
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_config_with_a_date_exit_2(jobs, tmp_path, capsys):
+    """A YAML date is a schema violation in sweep as in simulate, serial or
+    in worker processes."""
+    p = tmp_path / "date.yaml"
+    p.write_text(GOOD.replace("psi: [0.0]", "psi: [2001-01-01]"))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(p), "--param", "lambda", "--values", "0.5",
+                 "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error [SCHEMA_VIOLATION]: problem.psi[0]: expected "
+                                       "number or expression, got date\n")
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+
+
+def test_sweep_invalid_problem_in_workers_exit_2(tmp_path, capsys):
+    """An invalid problem raised in a worker process reaches the parent
+    whole, report included, and exits 2 as in a serial sweep."""
+    p = tmp_path / "bad.yaml"
+    p.write_text(GOOD.replace("D: [1.0]", "D: [-1.0]"))
+    assert main(["sweep", "--config", str(p), "--param", "lambda", "--values", "0.25,0.5",
+                 "--jobs", "2", "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error [NONPOSITIVE_D]: invalid problem data: NONPOSITIVE_D: ")
+
+
+@pytest.mark.parametrize("exc", [
+    ConfigError("bad key", code="UNKNOWN_KEY"),
+    InvalidProblem(ValidationReport(violations=[("NONPOSITIVE_D", "D < 0")],
+                                    warnings=[("NEGATIVE_INITIAL_DATA", "phi < 0")])),
+    ThicknessCollapse("washout", thickness=1e-9),
+    PicardDivergence("no contraction", residual_history=[1.0, 2.0]),
+    OutputError("cannot write"),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickling(exc):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    assert set(vars(back)) == set(vars(exc)) and back.code == exc.code
+    if isinstance(exc, InvalidProblem):
+        assert back.report == exc.report
 
 
 def test_usage_error_exit_2():
@@ -294,9 +375,14 @@ def test_simulate_failed_step_writes_partial_outputs(tmp_path, capsys):
         assert (out / name).exists()
 
 
+#: 1 - z^2 against psi = 0 fails the second-order matching condition:
+#: D theta''(1) = -2, not psi'(0) = 0
+SECOND_ORDER_MISMATCH = GOOD.replace('"cos(pi*z/2)"', '"1 - z^2"')
+
+
 def test_simulate_prints_validation_warnings(tmp_path, capsys):
     p = tmp_path / "neg.yaml"
-    p.write_text(GOOD.replace("phi: [0.0]", "phi: [-0.1]"))
+    p.write_text(SECOND_ORDER_MISMATCH.replace("phi: [0.0]", "phi: [-0.1]"))
     rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
@@ -333,9 +419,10 @@ def test_verify_invalid_problem_prints_its_warnings(tmp_path, capsys):
     ]
 
 
-def test_verify_prints_validation_warnings(good_cfg, capsys):
-    # cos(pi z / 2) against psi = 0 fails the second-order matching condition
-    assert main(["verify", "--config", str(good_cfg)]) == 0
+def test_verify_prints_validation_warnings(tmp_path, capsys):
+    p = tmp_path / "run.yaml"
+    p.write_text(SECOND_ORDER_MISMATCH)
+    assert main(["verify", "--config", str(p)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("warning [SECOND_ORDER_COMPAT]: substrate 0: ")
     assert lines[1] == "problem validation: ok"

@@ -713,6 +713,17 @@ def test_solve_failed_outcome(rate, message):
     assert traj.final_state.t == pytest.approx((k - 1) * 1e-3)
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, 1e308])
+def test_nonfinite_step_count_rejected(t_end):
+    """A horizon without a finite step count is invalid input, rejected
+    before the problem is validated (1e308 / 1e-3 overflows)."""
+    with pytest.raises(ValidationError) as exc:
+        run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3),
+                       t_end=t_end)
+    assert exc.value.code == "NONFINITE_INPUT"
+    assert str(exc.value) == f"t_end / dt must be finite, got t_end={t_end}, dt=0.001"
+
+
 def test_invalid_problem_names_every_violation():
     data = _substrate_only(lam=-1.0, R0=0.0)
     with pytest.raises(InvalidProblem) as exc:
@@ -725,9 +736,10 @@ def test_invalid_problem_names_every_violation():
 
 
 def test_trajectory_keeps_validation_report():
-    # cos(pi z / 2) against psi = 0 fails the second-order matching condition
-    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
-                          t_end=1e-3)
+    # 1 - z^2 against psi = 0 fails the second-order matching condition:
+    # D theta''(1) = -2, not psi'(0) = 0
+    traj = run_simulation(_substrate_only(theta=lambda z: 1.0 - z**2), zero_kinetics(1, 1),
+                          SolverConfig(N=10), t_end=1e-3)
     assert traj.validation.ok
     assert traj.validation.warning_codes() == {"SECOND_ORDER_COMPAT"}
 

@@ -17,6 +17,7 @@ from biofilmfront import (
     build_runspec,
     compile_expression,
     config_hash,
+    dissipation_envelope_check,
     parse_config,
     run_simulation,
     write_timeseries,
@@ -188,6 +189,20 @@ def test_monod_kinetics_block():
     assert not spec.kin.quasi_positive
 
 
+@pytest.mark.parametrize("limiting,message", [
+    (0, "problem.kinetics.limiting: expected a non-empty list of numbers"),
+    ([0.5], "problem.kinetics.limiting[0]: expected an integer, got 0.5"),
+])
+def test_monod_limiting_must_be_a_list_of_integers(limiting, message):
+    tree = _tree()
+    tree["problem"]["kinetics"] = {"preset": "monod", "mu": [0.4], "K": [0.3],
+                                   "limiting": limiting}
+    with pytest.raises(ConfigError) as exc:
+        build_runspec(tree)
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == message
+
+
 def test_nodal_list_profile():
     tree = _tree()
     tree["problem"]["theta"] = [[0.0, 1.0, 0.0]]
@@ -197,11 +212,36 @@ def test_nodal_list_profile():
 
 
 def test_verify_block_parsed():
-    tree = _tree(verify={"alpha": 1.0, "beta": 0.1})
-    spec = build_runspec(tree)
-    assert spec.verify["alpha"] == 1.0
-    assert spec.verify["tol"] == 1e-3  # default
-    assert spec.verify["include_boundary"] is False
+    """The block hands on only the constants it sets, checked; the audit
+    owns the defaults of the others."""
+    spec = build_runspec(_tree(verify={"alpha": 1.0, "beta": 0.1}))
+    assert spec.verify == {"alpha": 1.0, "beta": 0.1}
+
+
+def test_verify_block_with_only_alpha_audits_with_the_defaults():
+    spec = build_runspec(_tree(verify={"alpha": 1.0}))
+    assert spec.verify == {"alpha": 1.0}
+    traj = run_simulation(spec.data, spec.kin, spec.cfg, spec.t_end)
+    got = dissipation_envelope_check(traj, **spec.verify)
+    # the defaults docs/config.md documents
+    want = dissipation_envelope_check(traj, alpha=1.0, beta=0.0, M0=0.0, tol=1e-3,
+                                      include_boundary=False)
+    assert np.array_equal(got.budget, want.budget)
+    assert np.array_equal(got.margins, want.margins)
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_include_boundary_must_be_a_boolean(value):
+    # bool("false") is True, so only a YAML boolean is read
+    with pytest.raises(ConfigError) as exc:
+        build_runspec(_tree(verify={"alpha": 1.0, "include_boundary": value}))
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == f"verify.include_boundary: expected a boolean, got {value!r}"
+
+
+def test_solver_block_with_only_t_end_takes_the_library_defaults():
+    spec = build_runspec(_tree(solver={"t_end": 0.05}))
+    assert spec.cfg == SolverConfig()
 
 
 def test_config_hash_ignores_formatting(tmp_path):

@@ -104,6 +104,27 @@ def test_negative_initial_data_silent_without_positivity():
     assert "NEGATIVE_INITIAL_DATA" not in report.warning_codes()
 
 
+@pytest.mark.parametrize("kin", [zero_kinetics(1, 1),
+                                 linear_preset([[-1.0]], [0.0], [[-1.0]], [0.0])],
+                         ids=["zero", "linear_decay"])
+def test_second_order_compat_holds_for_cos_data(kin):
+    """theta = cos(pi z / 2) with psi = 0 and no biomass meets the
+    second-order matching condition exactly: theta''(1) = theta(1) = 0, so
+    D theta''(1) + v1 theta'(1) + R0^2 h(1) = 0 = psi'(0).  The curvature
+    stencil at z = 1 is second order, so it reads about 1e-6 here, and
+    nothing warns."""
+    rep = validate_problem(_data(phi=[lambda z: np.zeros_like(z)]), kin)
+    assert rep.ok and rep.warnings == []
+
+
+def test_second_order_compat_warns_on_mismatch():
+    # theta = 1 - z^2 against psi = 0: D theta''(1) = -2, not psi'(0) = 0
+    data = _data(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: 1.0 - z**2])
+    rep = validate_problem(data, zero_kinetics(1, 1))
+    assert rep.warning_codes() == {"SECOND_ORDER_COMPAT"}
+    assert "does not match the interior balance -2 at t=0" in rep.warnings[0][1]
+
+
 def test_nonfinite_initial_data():
     data = _data(phi=[lambda z: np.where(z > 0.5, np.nan, 1.0)])
     report = validate_problem(data, zero_kinetics(1, 1))
