@@ -10,10 +10,9 @@ coordinates.
 
 from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
-from .coupler import (EnvelopeReport, PhysicalSnapshot, PhysicalTrajectory,
-                      SolverConfig, State, StepReport, Trajectory, back_transform,
-                      check_invariants, dissipation_envelope_check, energy, initial_state,
-                      picard_step, run_simulation)
+from .coupler import (EnvelopeReport, PhysicalTrajectory, SolverConfig, State, StepReport,
+                      Trajectory, back_transform, check_invariants, dissipation_envelope_check,
+                      energy, initial_state, picard_step, run_simulation)
 from .errors import (AssemblyError, ConfigError, EnvelopeViolation, GridError,
                      InvalidProblem, LinearSolveError, OrderRegression, OutputError,
                      PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport",
     "EnvelopeViolation", "Grid", "GridError", "InvalidProblem", "KineticsModel",
-    "LinearSolveError", "MonodParams", "OrderRegression", "OutputError", "PhysicalSnapshot",
+    "LinearSolveError", "MonodParams", "OrderRegression", "OutputError",
     "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec",
     "SolverConfig", "SolverError", "State", "StepReport", "ThicknessCollapse",
     "Trajectory", "ValidationError", "ValidationReport",

@@ -270,6 +270,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     F_start = R2_start * np.asarray(kin.f(Y0, C0), dtype=float)
     H_start = R2_start * np.asarray(kin.h(Y0, C0), dtype=float)
     H_lag = (1.0 - theta) * H_start
+    # Y0 and F_start stacked, interpolated at each sweep's feet by one call
+    YF_start = np.concatenate((Y0, F_start))
 
     # substrate operators: the explicit half and the diagonal are fixed
     # across sweeps; the off-diagonals follow the iterate's v1
@@ -311,9 +313,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         # (3) biomass transport along characteristics
         F_end = R2 * np.asarray(kin.f(Yk, C_new), dtype=float)
         unclamped = transport.raw_feet(nodes, dt, 0.5 * (v1_start + v1_new))
-        feet = np.minimum(unclamped, 1.0)
-        Y_new = transport.advance(interp_rows(Y0, feet, nodes), interp_rows(F_start, feet, nodes),
-                                  F_end, dt)
+        YF_foot = interp_rows(YF_start, np.minimum(unclamped, 1.0), nodes)
+        Y_new = transport.advance(YF_foot[:kin.n], YF_foot[kin.n:], F_end, dt)
 
         # (4) thickness
         R_new = boundary.thickness_update(R_start, v1_start, v1_new, lam, dt)
@@ -625,32 +626,22 @@ def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0
 
 
 @dataclass
-class PhysicalSnapshot:
-    """One stored state mapped to physical coordinates."""
-
-    t_phys: float
-    x: np.ndarray
-    u: np.ndarray   # physical velocity
-
-
-@dataclass
 class PhysicalTrajectory:
     """Physical-domain view of a run: thickness and velocity vs physical time."""
 
     t_phys: np.ndarray
     L: np.ndarray
     u1: np.ndarray
-    snapshots: list
 
 
 def back_transform(traj: Trajectory) -> PhysicalTrajectory:
     """Map a recorded run to the physical moving domain.
 
     The computational clock integrates ``dt = L**2 dt_c``, so physical time
-    is accumulated with the trapezoid rule on ``R**2``; positions scale as
-    ``x = z * L`` and the physical velocity is ``u = v / L`` (the thickness
-    ``L`` equals ``R``).  The fields ``Y`` and ``C`` keep their nodal values,
-    so a snapshot holds only ``x`` and ``u``.
+    is accumulated with the trapezoid rule on ``R**2``; the thickness ``L``
+    equals ``R`` and the physical surface speed is ``u1 = v1 / L``.  A stored
+    profile maps by ``x = z * L`` and ``u = v / L``, with ``Y`` and ``C``
+    keeping their nodal values.
 
     Raises
     ------
@@ -666,14 +657,4 @@ def back_transform(traj: Trajectory) -> PhysicalTrajectory:
     t_phys = np.zeros_like(times)
     if len(times) > 1:
         t_phys[1:] = np.cumsum(0.5 * np.diff(times) * (Rsq[:-1] + Rsq[1:]))
-    u1 = traj.v1_series() / R
-
-    snapshots = []
-    for s, step in zip(traj.states, traj.state_steps):
-        L = s.R
-        snapshots.append(PhysicalSnapshot(
-            t_phys=float(t_phys[step]),
-            x=s.grid.nodes * L,
-            u=s.v / L,
-        ))
-    return PhysicalTrajectory(t_phys=t_phys, L=R, u1=u1, snapshots=snapshots)
+    return PhysicalTrajectory(t_phys=t_phys, L=R, u1=traj.v1_series() / R)

@@ -3,9 +3,13 @@
 All files are plain CSV with LF line endings, ``.`` decimal separator and
 full double precision (17 significant digits), so identical runs produce
 bitwise-identical bytes.  Each file is formatted by one ``%`` over a
-whole-file row template and written by one ``write``, one file at a time.
-An accompanying ``manifest.json`` indexes the files together with the
-configuration hash and terminal outcome.
+whole-file template (one per call for all snapshots, with the shared ``z``
+column already in it) and written by one ``write``, one file at a time.
+An existing file is overwritten in place and then cut to length, never
+truncated first, since on ext4 (``auto_da_alloc``) that starts writeback at
+close; there is no fsync or atomic rename, so outputs are no more
+crash-safe than before.  An accompanying ``manifest.json`` indexes the
+files together with the configuration hash and terminal outcome.
 """
 
 from __future__ import annotations
@@ -37,9 +41,17 @@ def _table(header: str, row: str, values) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 over what the file held, from
+    offset 0, then cut the file to the length written.  Truncating first
+    would start writeback at close on ext4 (``auto_da_alloc``), which made
+    rewriting a run's files the slowest part of a dense run.  Binary mode
+    keeps LF line endings on every platform.  No fsync or atomic rename, as
+    before: a crash can leave a file partly rewritten."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            fh.truncate()
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from None
 
@@ -79,14 +91,18 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
                        "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%s", values))
     files = ["scalars.csv"]
 
+    # every snapshot lies on traj.grid: its z column is formatted once, into
+    # a whole-file template that leaves a conversion per Y, C and v value
+    n, m = traj.kin.n, traj.kin.m
+    header = ",".join(["z"] + [f"Y{i + 1}" for i in range(n)]
+                      + [f"C{j + 1}" for j in range(m)] + ["v"])
+    row = ",%.17g" * (n + m + 1) + "\n"
+    snapshot = header + "\n" + "".join("%.17g" % z + row
+                                       for z in traj.grid.nodes.tolist())
     for idx, s in enumerate(traj.states):
-        n, m = s.Y.shape[0], s.C.shape[0]
-        header = ",".join(["z"] + [f"Y{i + 1}" for i in range(n)]
-                          + [f"C{j + 1}" for j in range(m)] + ["v"])
-        row = ",".join(["%.17g"] * (n + m + 2))
         name = f"snapshot_{idx}.csv"
         _write_text(os.path.join(out_dir, name),
-                    _table(header, row, _columns(s.grid.nodes, s.Y, s.C, s.v)))
+                    snapshot % tuple(_columns(s.Y, s.C, s.v)))
         files.append(name)
 
     phys = back_transform(traj)
@@ -111,6 +127,8 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
         "n_steps": len(traj.reports),
         "t_final": traj.final_state.t,
         "snapshot_steps": list(traj.state_steps),
+        "min_Y_seen": traj.min_Y_seen,
+        "min_C_seen": traj.min_C_seen,
         "picard": {"sweeps": sum(sweeps), "max_sweeps": max(sweeps, default=0)},
         "files": files,
     }

@@ -406,9 +406,12 @@ def test_manifest_picard_statistics(tmp_path):
 
 def test_returned_manifest_is_the_written_one(tmp_path):
     out = tmp_path / "run"
-    manifest = write_timeseries(_run_small(), str(out), config_hash="cd" * 32)
+    traj = _run_small()
+    manifest = write_timeseries(traj, str(out), config_hash="cd" * 32)
     assert manifest == json.loads((out / "manifest.json").read_text())
     assert "manifest.json" not in manifest["files"]
+    assert manifest["min_Y_seen"] == traj.min_Y_seen
+    assert manifest["min_C_seen"] == traj.min_C_seen
 
 
 # -- writer oracle: the per-value formatter the batched writer replaced ------------
@@ -473,6 +476,28 @@ def test_table_matches_per_value_format(block):
     ncols = block.shape[1]
     text = _table("h", ",".join(["%.17g"] * ncols), block.ravel().tolist())
     assert text == "h\n" + "".join(",".join(_fmt(x) for x in row) + "\n" for row in block)
+
+
+def _run_long():
+    """A run with more, longer files than ``_run_small()``'s: finer grid, more
+    steps, a snapshot every step."""
+    tree = _tree()
+    tree["solver"]["N"] = 40
+    spec = build_runspec(tree)
+    return run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.03, snapshot_stride=1)
+
+
+@pytest.mark.parametrize("earlier,later", [("long", "small"), ("small", "long")])
+def test_rerun_writes_the_bytes_of_a_fresh_directory(tmp_path, earlier, later):
+    """Files are rewritten in place and then cut to what this run wrote, so
+    no tail of a longer earlier file survives and a longer file grows."""
+    runs = {"long": _run_long, "small": _run_small}
+    out = tmp_path / "run"
+    write_timeseries(runs[earlier](), str(out))
+    traj = runs[later]()
+    write_timeseries(traj, str(out))
+    for name, data in _oracle_files(traj).items():
+        assert (out / name).read_bytes() == data, name
 
 
 # -- write failures ----------------------------------------------------------------
