@@ -14,7 +14,6 @@ import copy
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .boundary import detachment_rhs
 from .config import _OUTPUT_KEYS, _PROBLEM_KEYS, build_runspec, load_tree
@@ -145,6 +144,8 @@ def _cmd_sweep(args) -> int:
             "out_dir": f"{args.out}/{args.param}={text}",
         })
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only sweeps use a pool
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import yaml
 
 from .coupler import SolverConfig
 from .errors import ConfigError
@@ -334,6 +333,8 @@ def config_hash(tree: dict) -> str:
 
 def load_tree(path: str) -> dict:
     """Read and parse a YAML config file into a tree (syntax errors carry the line)."""
+    import yaml  # here, not at module level: a run built in code never parses YAML
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

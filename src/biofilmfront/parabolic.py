@@ -17,17 +17,55 @@ implicit matrix, the explicit half and the right-hand side, the mesh-Peclet
 guard and one ``gtsv`` solve per substrate.  Full-length arrays have
 ``N + 1`` entries, one per node; ``adv`` arrays hold the centered advection
 weights of the interior nodes 1..N-1 only.
+
+The solve is LAPACK's ``dgtsv`` from scipy's compiled f2py wrapper module
+``scipy/linalg/_flapack``, loaded by :func:`_load_dgtsv` from its file.
+Only that extension is loaded, not ``scipy.linalg``: the package's
+``__init__`` also imports scipy's array-API layer, which pulls in
+``numpy.f2py`` and about 280 further modules, and costs about two thirds
+of the package's import time, for a solver that calls one routine.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .errors import AssemblyError, LinearSolveError
 from .grid import Grid
+
+
+def _load_dgtsv():
+    """LAPACK ``dgtsv`` from scipy's ``_flapack`` extension, the routine
+    ``scipy.linalg.lapack.dgtsv`` is, loaded from its file without importing
+    ``scipy.linalg`` (``import scipy`` does the wheel's library set-up).
+
+    The interpreter enters an f2py module in ``sys.modules`` when it creates
+    it.  That entry is removed unless it was there before: left behind, a
+    later ``import scipy.linalg`` would take it as found and never bind it
+    as the package's ``_flapack`` attribute.
+    """
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    path = os.path.join(directory, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK wrapper "
+                          f"{os.path.basename(path)} in {directory}")
+    name = "scipy.linalg._flapack"
+    registered = name in sys.modules
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = loader.create_module(importlib.machinery.ModuleSpec(name, loader, origin=path))
+    loader.exec_module(module)
+    if not registered:
+        del sys.modules[name]
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 def advection_weights(grid: Grid, v1: float) -> np.ndarray:

@@ -6,19 +6,59 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import biofilmfront
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(biofilmfront.__file__)))
+CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "zero_kinetics.yaml")
+
+
+def _python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run with ``args`` by a fresh interpreter
+    that imports the package from this source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 def test_import_does_not_load_scipy_integrate():
+    """The package loads scipy's LAPACK wrapper alone, not ``scipy.linalg``
+    (whose ``__init__`` pulls in ``numpy.f2py``), and leaves no entry for
+    it in ``sys.modules``; PyYAML and the process pool load only when a
+    config is parsed or a sweep runs in parallel."""
     code = ("import sys, biofilmfront, biofilmfront.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+            "print('scipy.integrate' in sys.modules); "
+            "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'scipy.linalg._flapack', "
+            "'concurrent.futures.process', 'yaml') if m in sys.modules)); "
+            "biofilmfront.parse_config(sys.argv[1]); "
+            "print('yaml' in sys.modules)")
+    assert _python(code, CONFIG).splitlines() == ["False", "[]", "True"]
+
+
+_SAME_BITS = """
+import numpy as np
+rng = np.random.default_rng(7)
+dl, d, du, b = (rng.uniform(-1.0, 1.0, n) for n in (40, 41, 40, 41))
+*_, x, info = parabolic.dgtsv(dl, d, du, b)
+*_, x_ref, info_ref = scipy.linalg.lapack.dgtsv(dl, d, du, b)
+print((x.tobytes(), info) == (x_ref.tobytes(), info_ref))
+print(scipy.linalg._flapack is sys.modules['scipy.linalg._flapack'])
+"""
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "biofilmfront"])
+def test_gtsv_loader_in_either_import_order(first):
+    """Whether ``scipy.linalg`` is imported before or after the package, both
+    routines solve a system to the same bits and ``scipy.linalg`` keeps its
+    own registered ``_flapack``."""
+    imports = ["import scipy.linalg.lapack", "from biofilmfront import parabolic"]
+    if first == "biofilmfront":
+        imports.reverse()
+    code = "import sys\n" + "\n".join(imports) + _SAME_BITS
+    assert _python(code).splitlines() == ["True", "True"]
 
 
 def _definitions(tree):

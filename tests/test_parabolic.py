@@ -1,10 +1,12 @@
 """Tridiagonal solver and one-step substrate scheme."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
+from scipy.linalg import lapack
 
 from biofilmfront import (
     LinearSolveError,
@@ -15,6 +17,7 @@ from biofilmfront import (
     picard_step,
     zero_kinetics,
 )
+from biofilmfront import parabolic
 from biofilmfront.parabolic import (advection_weights, gtsv_solve, peclet_error,
                                     peclet_unstable)
 from stages import assemble, substrate_step
@@ -94,6 +97,40 @@ def test_tridiagonal_matches_dense_solver(n, seed):
     A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
     x = gtsv_solve(sub[1:], diag, sup[:-1], rhs)
     assert np.allclose(x, np.linalg.solve(A, rhs), atol=1e-10)
+
+
+def assert_same_solve(dl, d, du, b):
+    """The module's ``dgtsv``, loaded from scipy's ``_flapack`` file, returns
+    ``scipy.linalg.lapack.dgtsv``'s ``(x, info)`` bit for bit; returns info."""
+    *_, x, info = parabolic.dgtsv(dl, d, du, b)
+    *_, x_ref, info_ref = lapack.dgtsv(dl, d, du, b)
+    assert (x.tobytes(), info) == (x_ref.tobytes(), info_ref)
+    return info
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=2**31 - 1))
+def test_loaded_dgtsv_matches_scipy_bitwise(n, seed):
+    # no diagonal dominance and some exact zeros, so rows swap and pivots vanish
+    rng = np.random.default_rng(seed)
+    dl, d, du = (rng.uniform(-1.0, 1.0, k) * (rng.random(k) < 0.8) for k in (n - 1, n, n - 1))
+    info = assert_same_solve(dl, d, du, rng.uniform(-5.0, 5.0, n))
+    event("singular" if info else "solved")
+
+
+@pytest.mark.parametrize("d, info", [([0.0, 1.0], 0), ([1.0, 1.0], 2)],
+                         ids=["pivoting", "singular"])
+def test_loaded_dgtsv_matches_scipy_on_2x2(d, info):
+    # [[0, 1], [1, 1]] needs a row swap; [[1, 1], [1, 1]] has a zero last pivot
+    one = np.array([1.0])
+    assert assert_same_solve(one, np.array(d), one, np.array([1.0, 2.0])) == info
+
+
+def test_missing_lapack_wrapper_names_directory_and_version(monkeypatch, tmp_path):
+    fake = type("scipy", (), {"__file__": str(tmp_path / "__init__.py"), "__version__": "0.0"})
+    monkeypatch.setattr(parabolic, "scipy", fake)
+    with pytest.raises(ImportError, match=r"scipy 0\.0 .* in " + re.escape(str(tmp_path / "linalg"))):
+        parabolic._load_dgtsv()
 
 
 @settings(max_examples=200, deadline=None)
