@@ -65,8 +65,17 @@ def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: flo
     ValidationError
         Code ``NONFINITE`` when the updated thickness is not finite.
     """
+    # integrate_thickness's arithmetic, with v1 at 0, dt/2 and dt written out
     slope = (v1_new - v1_old) / dt
-    R_new = integrate_thickness(R, lambda s: v1_old + slope * s, lam, dt)
+    v1_mid, v1_end = v1_old + slope * (0.5 * dt), v1_old + slope * dt
+    k1 = R * R * v1_old - lam * R**4
+    x = R + 0.5 * dt * k1
+    k2 = x * x * v1_mid - lam * x**4
+    x = R + 0.5 * dt * k2
+    k3 = x * x * v1_mid - lam * x**4
+    x = R + dt * k3
+    k4 = x * x * v1_end - lam * x**4
+    R_new = R + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not math.isfinite(R_new):
         raise ValidationError("thickness update produced non-finite value", code="NONFINITE")
     if R_new <= R_FLOOR:
@@ -86,5 +95,4 @@ def r_max_bound(R0: float, lam: float, v1_max: float) -> float:
     """
     if lam <= 0.0:
         raise ValidationError(f"lam must be > 0, got {lam}", code="NONPOSITIVE_LAMBDA")
-    v1_max = max(float(v1_max), 0.0)
-    return max(float(R0), float(np.sqrt(v1_max / lam)))
+    return max(float(R0), math.sqrt(max(float(v1_max), 0.0) / lam))

@@ -25,7 +25,7 @@ from . import boundary, parabolic, transport
 from .boundary import r_max_bound
 from .errors import (AssemblyError, EnvelopeViolation, InvalidProblem, PicardDivergence,
                      SolverError, ThicknessCollapse, ValidationError)
-from .grid import Grid, build_grid, interp_rows, trapz_dz
+from .grid import Grid, build_grid, interp_rows
 from .kinetics import KineticsModel
 from .problem import ProblemData, ValidationReport, validate_problem
 
@@ -40,7 +40,8 @@ START_HISTORY = 5
 
 @dataclass(frozen=True)
 class State:
-    """Full solver state at one time level (arrays are frozen copies)."""
+    """Full solver state at one time level (arrays are frozen copies);
+    ``Y`` and ``C`` are the rows of one packed array ``X``."""
 
     t: float
     grid: Grid
@@ -48,38 +49,33 @@ class State:
     C: np.ndarray
     R: float
     v: np.ndarray
+    X: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = self.grid.N + 1
-        Y = np.atleast_2d(np.asarray(self.Y, dtype=float)).copy()
-        C = np.atleast_2d(np.asarray(self.C, dtype=float)).copy()
+        Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
+        C = np.atleast_2d(np.asarray(self.C, dtype=float))
         v = np.asarray(self.v, dtype=float).copy()
         if Y.shape[1] != K or C.shape[1] != K or v.shape != (K,):
             raise ValidationError("state arrays do not match the grid", code="DIMENSION_MISMATCH")
-        if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(C))
-                and np.all(np.isfinite(v)) and np.isfinite(self.R)):
+        X = np.concatenate((Y, C))
+        if not (np.isfinite(X).all() and np.isfinite(v).all() and np.isfinite(self.R)):
             raise ValidationError("non-finite state", code="NONFINITE")
         if v[0] != 0.0:
             raise ValidationError("velocity must vanish at z=0", code="NONZERO_BASE_VELOCITY")
-        for a in (Y, C, v):
-            a.setflags(write=False)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "R", float(self.R))
+        self._freeze(self.t, self.grid, X, len(Y), float(self.R), v)
 
-    @classmethod
-    def _wrap(cls, t: float, grid: Grid, Y: np.ndarray, C: np.ndarray, R: float,
-              v: np.ndarray) -> "State":
-        """Freeze and wrap arrays that the caller owns and has checked: 2-D
-        float ``Y`` and ``C`` and a velocity with ``v[0] = 0`` on ``grid``,
-        all finite.  The coupled step builds its states this way, without the
+    def _freeze(self, t: float, grid: Grid, X: np.ndarray, n: int, R: float,
+                v: np.ndarray) -> "State":
+        """Freeze and take arrays that the caller owns and has checked: a
+        packed float ``X`` with ``n`` rows of ``Y`` and a velocity with
+        ``v[0] = 0`` on ``grid``, all finite.  The coupled step builds its
+        states as ``object.__new__(State)._freeze(...)``, without the
         constructor's copies and checks."""
-        for a in (Y, C, v):
-            a.setflags(write=False)
-        s = object.__new__(cls)
-        vars(s).update(t=t, grid=grid, Y=Y, C=C, R=R, v=v)
-        return s
+        X.setflags(write=False)
+        v.setflags(write=False)
+        vars(self).update(t=t, grid=grid, X=X, Y=X[:n], C=X[n:], R=R, v=v)
+        return self
 
     @property
     def v1(self) -> float:
@@ -195,34 +191,45 @@ class Trajectory:
 def energy(s: State, mu: np.ndarray, nu: np.ndarray) -> float:
     """Weighted squared-profile energy
     ``E = 1/2 sum_i mu_i int Y_i^2 + 1/2 sum_j nu_j int C_j^2``, with the
-    weights of :meth:`SolverConfig.weights`."""
-    dz = s.grid.dz
-    return 0.5 * float(_weighted_square_integral(s.Y, mu, dz)
-                       + _weighted_square_integral(s.C, nu, dz))
-
-
-def _weighted_square_integral(rows: np.ndarray, w: np.ndarray, dz: float) -> float:
-    """``sum_i w_i int rows_i^2`` by the trapezoid rule, summed in row order."""
-    total = 0.0
-    for w_i, row in zip(w.tolist(), rows):
-        total += w_i * trapz_dz(row**2, dz)
-    return total
+    weights of :meth:`SolverConfig.weights`.  Each integral is the trapezoid
+    rule on one row of ``s.X**2``; each sum runs in row order."""
+    sq = s.X * s.X
+    rows = (s.grid.dz * (sq.sum(axis=1) - 0.5 * (sq[:, 0] + sq[:, -1]))).tolist()
+    n = len(s.Y)
+    total_Y = total_C = 0.0
+    for w, row in zip(mu.tolist(), rows[:n]):
+        total_Y += w * row
+    for w, row in zip(nu.tolist(), rows[n:]):
+        total_C += w * row
+    return 0.5 * (total_Y + total_C)
 
 
 def _boundary_flux(s: State, D: np.ndarray, nu: np.ndarray) -> float:
     """Magnitude of the surface energy-flux terms
     ``sum_j nu_j (v1 * C_j(1)^2 / 2 + D_j C_j(1) dC_j/dz(1))``."""
-    dz = s.grid.dz
+    dz, v1 = s.grid.dz, s.v1
     total = 0.0
-    for j in range(s.C.shape[0]):
-        c = s.C[j]
-        slope = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * dz)
-        total += nu[j] * (0.5 * s.v1 * c[-1] ** 2 + D[j] * c[-1] * slope)
-    return abs(float(total))
+    for nu_j, D_j, (c3, c2, c1) in zip(nu.tolist(), D.tolist(), s.C[:, -3:].tolist()):
+        slope = (3.0 * c1 - 4.0 * c2 + c3) / (2.0 * dz)
+        total += nu_j * (0.5 * v1 * c1 ** 2 + D_j * c1 * slope)
+    return abs(total)
+
+
+class _StepContext:
+    """What a run's steps share: the weights ``dt theta`` and ``dt (1 -
+    theta)``, ``nodes[1:N]``, and per substrate ``D/dz^2`` and the implicit
+    operator's bands, whose off-diagonals each sweep rewrites."""
+
+    def __init__(self, grid: Grid, data: ProblemData, cfg: SolverConfig):
+        self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
+        self.interior = grid.nodes[1:grid.N]
+        self.diffs = [float(D) / grid.dz**2 for D in data.D]
+        self.bands = [parabolic.implicit_bands(grid.N, diff, self.a_new) for diff in self.diffs]
 
 
 def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
-                start: tuple | None = None) -> tuple[State, list[float], int]:
+                start: tuple | None = None,
+                ctx: _StepContext | None = None) -> tuple[State, list[float], int]:
     """Advance one step of length ``cfg.dt`` by fixed-point iteration and
     return ``(new_state, residuals, clamped_feet)``: the converged state, the
     residual of every sweep, and how many characteristic feet of the last
@@ -233,17 +240,17 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     Every sweep restarts all substeps from the converged state at the step
     start, with sources/coefficients taken from the latest iterate; the
     residual is the largest sup-norm change of ``(Y, C, R, v1)`` between
-    sweeps.  The first iterate is ``start = (Y, C, R, v1)`` when given (a
-    prediction of the step's end state) and the step-start state otherwise.
-    The fixed point is unique, so the start changes only how many sweeps
-    reach it.
+    sweeps.  The first iterate is ``start = (X, R, v1)`` when given (a
+    prediction of the step's end state, ``Y`` and ``C`` packed in ``X`` as in
+    :attr:`State.X`) and the step-start state otherwise.  The fixed point is
+    unique, so the start changes only how many sweeps reach it.
 
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
     tridiagonal solves, the velocity and the thickness).  They run the
-    stages' array kernels on raw arrays, with everything fixed within the
-    step (step-start sources, the explicit half of the theta-scheme, the
-    diagonals) computed once.
+    stages' array kernels on raw arrays, with what is fixed for the run
+    taken from ``ctx`` (built here when a caller passes none) and what is
+    fixed within the step computed once.
 
     Raises
     ------
@@ -257,54 +264,48 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     ValidationError, GridError
         Code ``NONFINITE`` for a non-finite thickness, biomass or velocity.
     """
-    grid, dt = state.grid, cfg.dt
-    N, dz, nodes = grid.N, grid.dz, grid.nodes
+    grid, dt, n = state.grid, cfg.dt, kin.n
+    dz, nodes = grid.dz, grid.nodes
     t_new = state.t + dt
     theta = cfg.theta_scheme
-    lam = data.lam
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
     psi_end = data.psi_at(t_new)
+    ctx = _StepContext(grid, data, cfg) if ctx is None else ctx
 
     # step-start source fields, fixed across sweeps
     R2_start = R_start**2
     F_start = R2_start * np.asarray(kin.f(Y0, C0), dtype=float)
-    H_start = R2_start * np.asarray(kin.h(Y0, C0), dtype=float)
-    H_lag = (1.0 - theta) * H_start
+    H_lag = (1.0 - theta) * (R2_start * np.asarray(kin.h(Y0, C0), dtype=float))
     # Y0 and F_start stacked, interpolated at each sweep's feet by one call
     YF_start = np.concatenate((Y0, F_start))
-
-    # substrate operators: the explicit half and the diagonal are fixed
-    # across sweeps; the off-diagonals follow the iterate's v1
-    a_new, a_old = dt * theta, dt * (1.0 - theta)
-    adv_old = parabolic.advection_weights(grid, v1_start)
-    diffs = [float(D) / dz**2 for D in data.D]
-    explicit = np.array([parabolic.explicit_part(C0[j], adv_old, diff, a_old)
-                         for j, diff in enumerate(diffs)])
-    diags = [parabolic.implicit_diagonal(N, diff, a_new) for diff in diffs]
-
-    Yk, Ck, Rk, v1k = (Y0, C0, R_start, v1_start) if start is None else start
-    # The sweeps guard the implicit operator at each iterate's v1; the
-    # explicit one (theta < 1) sits at v1_start.
-    if theta < 1.0:
-        for j, diff in enumerate(diffs):
-            if parabolic.peclet_unstable(adv_old, diff):
-                raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
+    Xk, Rk, v1k = (state.X, R_start, v1_start) if start is None else start
+    # The explicit half of the substrate scheme sits at v1_start, and so does
+    # its mesh-Peclet guard (theta < 1); the sweeps guard the implicit
+    # operator at each iterate's v1.
+    adv_old = parabolic.advection_weights(ctx.interior, v1_start, dz)
+    explicit = np.empty(C0.shape)
+    for j, diff in enumerate(ctx.diffs):
+        if theta < 1.0 and parabolic.peclet_unstable(adv_old, diff):
+            raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
+        explicit[j] = parabolic.explicit_part(C0[j], adv_old, diff, ctx.a_old)
     residuals: list[float] = []
     rising = 0
     converged = False
 
     for _ in range(cfg.picard_max_iter):
         R2 = Rk**2
+        Yk = Xk[:n]
+        X = np.empty(Xk.shape)
         # (1) substrates: theta-blended sources, iterate-lagged at the end stage
-        H_end = R2 * np.asarray(kin.h(Yk, Ck), dtype=float)
+        H_end = R2 * np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
         rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
-        adv = parabolic.advection_weights(grid, v1k)
-        C_new = np.empty_like(C0)
-        for j, diff in enumerate(diffs):
+        adv = parabolic.advection_weights(ctx.interior, v1k, dz)
+        for j, (diff, (dl, d, du)) in enumerate(zip(ctx.diffs, ctx.bands)):
             if parabolic.peclet_unstable(adv, diff):
                 raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
-            sub, sup = parabolic.implicit_off_diagonals(adv, diff, a_new)
-            C_new[j] = parabolic.gtsv_solve(sub[1:], diags[j], sup[:-1], rhs[j])
+            parabolic.implicit_off_diagonals(adv, diff, ctx.a_new, dl, du)
+            X[n + j] = parabolic.gtsv_solve(dl, d, du, rhs[j])
+        C_new = X[n:]
 
         # (2) velocity from the freshest fields available
         g_new = np.asarray(kin.g(Yk, C_new), dtype=float)
@@ -314,20 +315,15 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         F_end = R2 * np.asarray(kin.f(Yk, C_new), dtype=float)
         unclamped = transport.raw_feet(nodes, dt, 0.5 * (v1_start + v1_new))
         YF_foot = interp_rows(YF_start, np.minimum(unclamped, 1.0), nodes)
-        Y_new = transport.advance(YF_foot[:kin.n], YF_foot[kin.n:], F_end, dt)
+        X[:n] = transport.advance(YF_foot[:n], YF_foot[n:], F_end, dt)
 
         # (4) thickness
-        R_new = boundary.thickness_update(R_start, v1_start, v1_new, lam, dt)
+        R_new = boundary.thickness_update(R_start, v1_start, v1_new, data.lam, dt)
 
-        residual = max(
-            float(np.abs(Y_new - Yk).max()),
-            float(np.abs(C_new - Ck).max()),
-            abs(R_new - Rk),
-            abs(v1_new - v1k),
-        )
+        residual = max(float(np.abs(X - Xk).max()), abs(R_new - Rk), abs(v1_new - v1k))
         residuals.append(residual)
         rising = rising + 1 if len(residuals) >= 2 and residual > residuals[-2] else 0
-        Yk, Ck, Rk, v1k = Y_new, C_new, R_new, v1_new
+        Xk, Rk, v1k = X, R_new, v1_new
         if residual <= cfg.picard_tol:
             converged = True
             break
@@ -344,14 +340,14 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         )
 
     # make the stored velocity exactly consistent with the converged fields
-    v_final = boundary.velocity_nodes(np.asarray(kin.g(Yk, Ck), dtype=float), Rk**2, dz)
+    v_final = boundary.velocity_nodes(np.asarray(kin.g(Xk[:n], Xk[n:]), dtype=float), Rk**2, dz)
     # C (gtsv), R (thickness) and v (velocity_nodes, with v[0] = 0) are
     # checked where they are computed; Y is checked here.  The arrays are
     # this step's own, so the state wraps them without copies.
-    if not np.isfinite(Yk).all():
+    if not np.isfinite(Xk[:n]).all():
         raise ValidationError("non-finite state", code="NONFINITE")
-    return (State._wrap(t_new, grid, Yk, Ck, Rk, v_final), residuals,
-            int(transport.clamped_mask(unclamped).sum()))
+    return (object.__new__(State)._freeze(t_new, grid, Xk, n, Rk, v_final), residuals,
+            int(np.count_nonzero(transport.clamped_mask(unclamped))))
 
 
 def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
@@ -364,7 +360,6 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
     ``CONTINUATION``: any monitored norm above ``cfg.continuation_threshold``.
     ``minima`` is ``(s.Y.min(), s.C.min())``, which the run loop has already.
     """
-    Y, C = s.Y, s.C
     y_min, c_min = minima
     flags = set()
     if y_min < -POSITIVITY_TOL:
@@ -374,9 +369,8 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
     if s.R > r_bound + R_BOUND_SLACK:
         flags.add("R_BOUND_EXCEEDED")
     # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz
-    dy = float(np.abs(Y[:, 1:] - Y[:, :-1]).max()) / s.grid.dz
-    if max(float(Y.max()), -y_min, float(C.max()), -c_min, abs(s.R), dy) \
-            > cfg.continuation_threshold:
+    dy = float(np.abs(s.Y[:, 1:] - s.Y[:, :-1]).max()) / s.grid.dz
+    if max(float(s.X.max()), -y_min, -c_min, abs(s.R), dy) > cfg.continuation_threshold:
         flags.add("CONTINUATION")
     return flags
 
@@ -394,7 +388,7 @@ def _start_weights(s: int, count: int) -> np.ndarray:
 
 class _StartHistory:
     """The last :data:`START_HISTORY` accepted states of a run, packed as
-    ``(Y, C, R, v1)`` one per row of a rolling buffer, and the start iterate
+    ``(X, R, v1)`` one per row of a rolling buffer, and the start iterate
     they predict for the next step."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
@@ -404,34 +398,31 @@ class _StartHistory:
     def __init__(self, n: int, m: int, K: int):
         self._buf = np.zeros((START_HISTORY, (n + m) * K + 2))
         self._x = np.empty((n + m) * K + 2)
-        # views of Y and C within the rows and within the start
-        self._Y = self._buf[:, :n * K].reshape(START_HISTORY, n, K)
-        self._C = self._buf[:, n * K:-2].reshape(START_HISTORY, m, K)
-        self._Y_start = self._x[:n * K].reshape(n, K)
-        self._C_start = self._x[n * K:-2].reshape(m, K)
+        # views of the packed X within the rows and within the start
+        self._X = self._buf[:, :-2].reshape(START_HISTORY, n + m, K)
+        self._X_start = self._x[:-2].reshape(n + m, K)
         self._count = 0
 
     def push(self, state: State) -> None:
         row = self._count % START_HISTORY
-        self._Y[row] = state.Y
-        self._C[row] = state.C
+        self._X[row] = state.X
         self._buf[row, -2] = state.R
         self._buf[row, -1] = state.v1
         self._count += 1
 
     def start(self) -> tuple | None:
-        """Start iterate ``(Y, C, R, v1)``: the polynomial through the newest
+        """Start iterate ``(X, R, v1)``: the polynomial through the newest
         ``s = min(pushes, START_HISTORY)`` states, one ``dt`` apart, evaluated
         one ``dt`` on, ``X* = sum_i (-1)^(s-1-i) binom(s, i) X_i`` (oldest
-        first).  ``None`` (a cold start) below three states.  ``Y`` and ``C``
-        are views of one array, which the next call overwrites."""
+        first).  ``None`` (a cold start) below three states.  ``X`` packs
+        ``Y`` and ``C`` as :attr:`State.X` does; the next call overwrites it."""
         count = self._count
         if count < 3:
             return None
         x = self._x
         self._WEIGHTS[min(count, START_HISTORY), count % START_HISTORY].dot(self._buf, out=x)
         R, v1 = x[-2:].tolist()
-        return self._Y_start, self._C_start, R, v1
+        return self._X_start, R, v1
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
@@ -505,11 +496,13 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     v1_max = abs(state.v1)  # running max |v1| of the a priori thickness bound
 
     outcome = "completed"
+    ctx = _StepContext(state.grid, data, cfg)
     history = _StartHistory(kin.n, kin.m, state.grid.N + 1)
     history.push(state)
     for k in range(1, n_steps + 1):
         try:
-            state_new, residuals, clamped = picard_step(state, data, kin, cfg, history.start())
+            state_new, residuals, clamped = picard_step(state, data, kin, cfg, history.start(),
+                                                        ctx)
         except SolverError as exc:
             traj.failure = {"code": exc.code, "message": str(exc), "step": k,
                             "t": state.t + cfg.dt}
@@ -526,7 +519,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             break
 
         v1_max = max(v1_max, abs(state_new.v1))
-        y_min, c_min = float(state_new.Y.min()), float(state_new.C.min())
+        row_min = state_new.X.min(axis=1).tolist()
+        y_min, c_min = min(row_min[:kin.n]), min(row_min[kin.n:])
         flags = check_invariants(state_new, cfg, r_max_bound(data.R0, data.lam, v1_max),
                                  (y_min, c_min))
         traj.reports.append(StepReport(

@@ -56,12 +56,6 @@ def build_grid(N: int) -> Grid:
     return Grid(int(N))
 
 
-def trapz_dz(values: np.ndarray, dz: float) -> float:
-    """Trapezoid integral of nodal values with uniform spacing ``dz``."""
-    v = np.asarray(values, dtype=float)
-    return float(dz * (v.sum() - 0.5 * (v[0] + v[-1])))
-
-
 def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:
     """Running trapezoid integral ``z -> int_0^z`` of nodal values with uniform
     spacing ``dz``.
@@ -72,13 +66,15 @@ def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:
     """
     out = np.empty_like(values)
     out[0] = 0.0
-    np.cumsum(dz * (values[1:] + values[:-1]) / 2.0, out=out[1:])
+    tail = np.add(values[1:], values[:-1], out=out[1:])
+    tail *= dz
+    tail /= 2.0
+    np.add.accumulate(tail, out=tail)
     return out
 
 
 def interp_rows(rows: np.ndarray, z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Interpolate each row of ``rows`` at query points ``z`` (assumed in [0,1])."""
-    rows = np.atleast_2d(rows)
+    """Interpolate each row of 2-D ``rows`` at query points ``z`` (in [0, 1])."""
     out = np.empty((rows.shape[0], len(z)))
     for i in range(rows.shape[0]):
         out[i] = np.interp(z, nodes, rows[i])

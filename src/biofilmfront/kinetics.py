@@ -176,20 +176,24 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
 
     consuming = yields > 0.0  # (n, m) mask
     # (species, substrate, mu, K, yield) of every consuming pair, in i-major order
-    pairs = [(i, j, mu[i], K[i], yields[i, j])
+    pairs = [(i, int(j), float(mu[i]), float(K[i]), float(yields[i, j]))
              for i in range(n) for j in np.nonzero(consuming[i])[0]]
 
-    mu_col, K_col, k_d_col = mu[:, None], K[:, None], k_d[:, None]
+    # a single species' constants as Python floats, which numpy applies faster
+    mu_col, K_col, k_d_col = (float(x[0]) if n == 1 else x[:, None] for x in (mu, K, k_d))
+    # limiting substrates l, l+1, ... are taken as a view, any others by index
+    lo = int(limiting[0])
+    rows = slice(lo, lo + n) if np.array_equal(limiting, np.arange(lo, lo + n)) else limiting
 
     def f(Y, C):
-        Cl = C[limiting]                      # (n, K) limiting substrate per species
+        Cl = C[rows]                          # (n, K) limiting substrate per species
         return (mu_col * Cl / (K_col + Cl) - k_d_col) * Y
 
     def h(Y, C):
-        out = np.zeros_like(np.asarray(C, dtype=float))
+        out = np.zeros(C.shape)
         for i, j, mu_i, K_i, yield_ij in pairs:
-            rate = mu_i * C[j] / (K_i + C[j]) * Y[i]
-            out[j] -= rate / yield_ij
+            Cj = C[j]
+            out[j] -= mu_i * Cj / (K_i + Cj) * Y[i] / yield_ij
         return out
 
     def g(Y, C):

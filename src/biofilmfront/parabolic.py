@@ -16,7 +16,8 @@ The functions here are the step's array kernels.  The coupled step
 implicit matrix, the explicit half and the right-hand side, the mesh-Peclet
 guard and one ``gtsv`` solve per substrate.  Full-length arrays have
 ``N + 1`` entries, one per node; ``adv`` arrays hold the centered advection
-weights of the interior nodes 1..N-1 only.
+weights of the interior nodes 1..N-1 only; the off-diagonal bands have
+``N`` entries, as ``gtsv`` takes them.
 
 The solve is LAPACK's ``dgtsv`` from scipy's compiled f2py wrapper module
 ``scipy/linalg/_flapack``, loaded by :func:`_load_dgtsv` from its file.
@@ -68,9 +69,9 @@ def _load_dgtsv():
 dgtsv = _load_dgtsv()
 
 
-def advection_weights(grid: Grid, v1: float) -> np.ndarray:
-    """Centered advection weights ``z * v1 / (2 dz)`` at the interior nodes."""
-    return grid.nodes[1:grid.N] * v1 / (2.0 * grid.dz)
+def advection_weights(interior: np.ndarray, v1: float, dz: float) -> np.ndarray:
+    """Centered advection weights ``z * v1 / (2 dz)`` at ``interior = nodes[1:N]``."""
+    return interior * v1 / (2.0 * dz)
 
 
 def peclet_unstable(adv: np.ndarray, diff: float) -> bool:
@@ -107,26 +108,24 @@ def peclet_error(v1_new: float, v1_old: float, D: float, theta_scheme: float,
     )
 
 
-def implicit_diagonal(N: int, diff: float, a_new: float) -> np.ndarray:
-    """Main diagonal: ``1 + 2 dt theta D / dz^2`` except the Dirichlet row's 1."""
-    diag = np.ones(N + 1)
-    diag[:N] = 1.0 + 2.0 * a_new * diff
-    return diag
+def implicit_bands(N: int, diff: float, a_new: float):
+    """Bands ``(dl, d, du)`` of the implicit operator, with the entries no
+    velocity changes: the diagonal ``1 + 2 dt theta D / dz^2`` but the
+    Dirichlet row's 1, ``dl[-1] = 0`` and the no-flux row's ghost-node
+    ``du[0]`` (advection vanishes at ``z = 0``)."""
+    d = np.ones(N + 1)
+    d[:N] = 1.0 + 2.0 * a_new * diff
+    dl, du = np.zeros(N), np.zeros(N)
+    du[0] = -2.0 * a_new * diff
+    return dl, d, du
 
 
-def implicit_off_diagonals(adv: np.ndarray, diff: float, a_new: float):
-    """Full-length ``(sub, sup)`` bands of the implicit operator.
-
-    The no-flux row uses the ghost node ``C_{-1} = C_1`` (advection vanishes
-    at ``z = 0``); the exact Dirichlet row has no off-diagonal entries.
-    """
-    N = len(adv) + 1
-    sub = np.zeros(N + 1)
-    sup = np.zeros(N + 1)
-    sub[1:N] = -a_new * (diff - adv)
-    sup[1:N] = -a_new * (diff + adv)
-    sup[0] = -2.0 * a_new * diff
-    return sub, sup
+def implicit_off_diagonals(adv: np.ndarray, diff: float, a_new: float, dl: np.ndarray,
+                           du: np.ndarray) -> None:
+    """Write the off-diagonal entries that follow the advection weights
+    ``adv`` into the bands ``dl``, ``du`` of :func:`implicit_bands`."""
+    np.multiply(-a_new, diff - adv, out=dl[:-1])
+    np.multiply(-a_new, diff + adv, out=du[1:])
 
 
 def explicit_part(C: np.ndarray, adv_old: np.ndarray, diff: float, a_old: float) -> np.ndarray:

@@ -189,8 +189,9 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     array kernels: every substrate is assembled and solved on its own, ``h``
     is evaluated on every sweep, and the biomass sources are interpolated
     at the nodes as well as at the feet.  The sweeps start from
-    ``start = (Y, C, R, v1)`` when given.  ``picard_step`` must reproduce
-    its ``(state, residuals, clamped_feet)`` bit for bit.
+    ``start = (X, R, v1)`` when given, with ``Y`` and ``C`` packed in ``X``.
+    ``picard_step`` must reproduce its ``(state, residuals, clamped_feet)``
+    bit for bit.
     """
     grid, dt = state.grid, cfg.dt
     t_new = state.t + dt
@@ -204,7 +205,11 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     def velocity(Y, C, R):
         return velocity_nodes(np.asarray(kin.g(Y, C), dtype=float), R**2, grid.dz)
 
-    Yk, Ck, Rk, v1k = (Y0, C0, R_start, v1_start) if start is None else start
+    if start is None:
+        Yk, Ck, Rk, v1k = Y0, C0, R_start, v1_start
+    else:
+        X, Rk, v1k = start
+        Yk, Ck = X[:kin.n], X[kin.n:]
     residuals = []
     rising = 0
     for _ in range(cfg.picard_max_iter):
@@ -374,9 +379,9 @@ def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
     for pushes in range(s + (4 if s == START_HISTORY else 0)):
         assert (history.start() is None) == (pushes < 3)
         history.push(state(float(pushes)))
-    Y, C, R, v1 = history.start()
+    X, R, v1 = history.start()
     want = state(float(pushes + 1))
-    assert np.array_equal(Y, want.Y) and np.array_equal(C, want.C)
+    assert np.array_equal(X[:2], want.Y) and np.array_equal(X[2:], want.C)
     assert R == want.R and v1 == want.v1
 
 
@@ -452,7 +457,7 @@ def test_warm_step_checks_explicit_peclet():
     # every iterate's velocity at 0
     s0 = State(t=0.0, grid=g, Y=np.zeros((1, 9)), C=np.ones((1, 9)), R=1.0,
                v=np.linspace(0.0, 2.0, 9))
-    start = (s0.Y, s0.C, s0.R, 0.0)
+    start = (s0.X, s0.R, 0.0)
     with pytest.raises(AssemblyError) as exc:
         picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=0.5), start)
     assert exc.value.code == "UNSTABLE_ASSEMBLY"

@@ -106,4 +106,4 @@ def test_interp_linear_midpoint():
     g = build_grid(4)
     row = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
     # halfway between nodes 1 and 2
-    assert interp_rows(row, np.array([0.375]), g.nodes)[0, 0] == pytest.approx(2.5)
+    assert interp_rows(row[None, :], np.array([0.375]), g.nodes)[0, 0] == pytest.approx(2.5)

@@ -192,9 +192,10 @@ def test_assembly_pe_guard():
     g = build_grid(10)  # dz = 0.1, so |z v1| dz / (2D) > 1 needs v1 > 20 at z=1
     D = 1.0
     diff = D / g.dz**2
-    assert peclet_unstable(advection_weights(g, 25.0), diff)
-    assert peclet_unstable(advection_weights(g, -25.0), diff)
-    assert not peclet_unstable(advection_weights(g, 20.0), diff)
+    interior = g.nodes[1:g.N]
+    assert peclet_unstable(advection_weights(interior, 25.0, g.dz), diff)
+    assert peclet_unstable(advection_weights(interior, -25.0, g.dz), diff)
+    assert not peclet_unstable(advection_weights(interior, 20.0, g.dz), diff)
     exc = peclet_error(25.0, 25.0, D, 0.5, g)
     assert exc.code == "UNSTABLE_ASSEMBLY"
     # the fix is a grid with N > |v1| / (2D) = 12.5, or a larger D; the mesh
