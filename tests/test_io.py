@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +269,16 @@ def test_config_hash_sees_value_changes():
     assert config_hash(t1) != config_hash(t2)
 
 
+@pytest.mark.parametrize("name", ["equilibrium", "linear_dissipative", "monod_growth",
+                                  "zero_kinetics"])
+def test_load_tree_matches_pure_python_loader(name):
+    """``load_tree`` parses with libyaml's loader when PyYAML has it; the
+    shipped configs give the trees of PyYAML's pure-Python safe loader."""
+    yaml = pytest.importorskip("yaml")
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+    assert load_tree(str(path)) == yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+
+
 def test_load_tree_errors(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_tree(str(tmp_path / "missing.yaml"))
@@ -278,6 +289,7 @@ def test_load_tree_errors(tmp_path):
     with pytest.raises(ConfigError) as exc:
         load_tree(str(bad))
     assert exc.value.code == "PARSE_ERROR"
+    assert "(line 2)" in str(exc.value)
 
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
