@@ -426,9 +426,20 @@ class _StartHistory:
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
-    """Sample the problem data onto the grid and build the t = 0 state."""
+    """Sample the problem data onto the grid and build the t = 0 state.
+
+    Raises :class:`ValidationError` ``NONFINITE_INPUT`` naming the profile,
+    the node and its ``z`` where the sampled initial data are not finite.
+    """
     grid = build_grid(cfg.N)
     Y0, C0 = data.sample_initial(grid.nodes)
+    for name, rows in (("phi", Y0), ("theta", C0)):
+        bad = np.argwhere(~np.isfinite(rows))
+        if bad.size:
+            i, k = bad[0].tolist()
+            raise ValidationError(f"initial data {name}[{i}] is not finite at node {k} "
+                                  f"(z={grid.nodes[k]:.6g}) of N={grid.N}",
+                                  code="NONFINITE_INPUT")
     v0 = boundary.velocity_nodes(np.asarray(kin.g(Y0, C0), dtype=float), data.R0**2, grid.dz)
     return State(t=0.0, grid=grid, Y=Y0, C=C0, R=data.R0, v=v0)
 
