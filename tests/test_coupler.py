@@ -321,6 +321,36 @@ def test_picard_step_matches_reference_bitwise(problem, m, theta):
         history.push(state)
 
 
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_run_states_match_direct_steps_and_stay_frozen(theta):
+    """run_simulation builds one step context for the run, and its states
+    keep ``Y`` and ``C`` in one packed array each.  Replayed by direct
+    ``picard_step`` calls, which build their own context, from the same
+    start iterates, the run gives the same states bit for bit; and no
+    recorded state changes after the run, or while later steps run."""
+    data, kin = _monod_problem(2)
+    cfg = SolverConfig(N=30, dt=5e-3, theta_scheme=theta)
+    traj = run_simulation(data, kin, cfg, t_end=0.1, snapshot_stride=1)
+    assert traj.outcome == "completed" and traj.state_steps == list(range(21))
+
+    def frozen_copy(s):
+        return s.t, s.R, s.Y.tobytes(), s.C.tobytes(), s.v.tobytes(), s.X.tobytes()
+
+    recorded = [frozen_copy(s) for s in traj.states]
+    state = traj.states[0]
+    replayed = [frozen_copy(state)]
+    history = _StartHistory(kin.n, kin.m, cfg.N + 1)
+    history.push(state)
+    for _ in range(20):
+        state = picard_step(state, data, kin, cfg, history.start())[0]
+        replayed.append(frozen_copy(state))
+        history.push(state)
+    assert replayed == recorded == [frozen_copy(s) for s in traj.states]
+    for s in traj.states:
+        assert not any(a.flags.writeable for a in (s.X, s.Y, s.C, s.v))
+        assert np.shares_memory(s.Y, s.X) and np.shares_memory(s.C, s.X)
+
+
 # -- checks on quantities computed inside the sweep ----------------------------
 
 
