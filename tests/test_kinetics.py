@@ -142,3 +142,30 @@ def test_monod_signs_on_nonnegative_orthant(yvals, cvals):
     # consumption vanishes where either Y or C vanishes
     mask = (Y == 0.0) | (C == 0.0)
     assert np.all(h[mask.reshape(1, -1)] == 0.0)
+
+
+@pytest.mark.parametrize("limiting,yields", [
+    ([0], [[0.08]]),                                  # one species: scalar constants
+    ([0, 1], [[0.08, 0.0], [0.1, 0.2]]),              # consecutive: a view of C
+    ([1, 0], [[0.08, 0.0], [0.1, 0.2]]),              # not consecutive: an index
+    ([0, 0, 1], [[0.08, 0.0], [0.1, 0.2], [0.05, 0.0]]),  # three species eat substrate 0
+], ids=["n1", "consecutive", "swapped", "shared"])
+def test_monod_rates_match_written_out_formulas_bitwise(limiting, yields):
+    """``f`` and ``h`` of the Monod preset equal the formulas of its
+    docstring, evaluated row by row in the same order, bit for bit, whether
+    ``f`` takes the limiting substrates as a view or by index."""
+    n, m = len(limiting), len(yields[0])
+    mu, K, k_d = [0.5, 0.3, 0.7][:n], [0.05, 0.1, 0.2][:n], [0.02, 0.01, 0.0][:n]
+    kin = monod_preset(MonodParams(mu=mu, K=K, k_d=k_d, limiting=limiting, yields=yields), m=m)
+    rng = np.random.default_rng(7)
+    Y, C = rng.uniform(0.0, 1.0, (n, 33)), rng.uniform(0.0, 2.0, (m, 33))
+    f_want = np.array([(mu[i] * C[l] / (K[i] + C[l]) - k_d[i]) * Y[i]
+                       for i, l in enumerate(limiting)])
+    h_want = np.zeros((m, 33))
+    for i in range(n):            # consuming pairs in species-major order
+        for j in range(m):
+            if yields[i][j] > 0.0:
+                h_want[j] -= mu[i] * C[j] / (K[i] + C[j]) * Y[i] / yields[i][j]
+    assert kin.f(Y, C).tobytes() == f_want.tobytes()
+    assert kin.h(Y, C).tobytes() == h_want.tobytes()
+    assert kin.g(Y, C).tobytes() == f_want.sum(axis=0).tobytes()
