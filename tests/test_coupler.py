@@ -887,5 +887,8 @@ def test_traced_run_matches_untraced(monkeypatch):
     assert traced.final_state.R.hex() == plain.final_state.R.hex()
     assert ([r.picard_iterations for r in traced.reports]
             == [r.picard_iterations for r in plain.reports])
-    assert tracer.stats["coupler.picard_step"].calls == 50
+    # the per-step sites stay module functions called once per step, so
+    # their per-layer keys cannot silently read 0
+    for key in ("coupler.picard_step", "coupler.energy", "coupler.check_invariants"):
+        assert tracer.stats[key].calls == 50, key
     assert all(tracer.stats[f"kinetics.{name}"].calls > 0 for name in spans.KINETICS)
