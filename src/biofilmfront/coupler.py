@@ -12,6 +12,15 @@ until successive iterates agree in sup norm.  The run loop assembles a
 :class:`Trajectory` with per-step diagnostics, classifies the terminal
 outcome, and exposes energy/invariant monitors plus the map back to physical
 (moving-domain) coordinates.
+
+Work is done as rarely as it can be.  Per run: the theta-scheme weights,
+``D/dz^2`` and the implicit operator's bands (:class:`_StepContext`).  Per
+step: the step-start sources and the explicit half of the substrate scheme.
+Per sweep: the rates at the iterate, the off-diagonals at its ``v1``, the
+solves, the transport and the thickness.  Per accepted step, after the
+sweeps: the invariant flags, the energy and the surface flux.  An iterate
+keeps ``Y`` and ``C`` as the rows of one packed ``(n + m, N + 1)`` array,
+as a :class:`State` does, so residuals and monitors take one pass over it.
 """
 
 from __future__ import annotations
@@ -245,12 +254,19 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     :attr:`State.X`) and the step-start state otherwise.  The fixed point is
     unique, so the start changes only how many sweeps reach it.
 
+    What is fixed for the run comes in ``ctx`` (:class:`_StepContext`):
+    :func:`run_simulation` builds it once, and the step builds its own when
+    a caller passes none.  What is fixed for the step is computed once
+    before the sweeps: the step-start sources ``f`` and ``h``, the explicit
+    half of the theta-scheme and its mesh-Peclet guard.  Each sweep
+    evaluates ``h``, ``g`` and ``f`` once at the iterate, rewrites the
+    off-diagonals in ``ctx``'s bands, and writes its new ``(Y, C)`` into a
+    fresh packed array, which becomes the state's ``X`` when the sweeps
+    converge; no later step writes to it.
+
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
-    tridiagonal solves, the velocity and the thickness).  They run the
-    stages' array kernels on raw arrays, with what is fixed for the run
-    taken from ``ctx`` (built here when a caller passes none) and what is
-    fixed within the step computed once.
+    tridiagonal solves, the velocity and the thickness).
 
     Raises
     ------
@@ -358,7 +374,10 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
     ``R_BOUND_EXCEEDED``: thickness above ``r_bound``, the running a priori
     bound.
     ``CONTINUATION``: any monitored norm above ``cfg.continuation_threshold``.
-    ``minima`` is ``(s.Y.min(), s.C.min())``, which the run loop has already.
+
+    It runs once per accepted step, not per sweep.  ``minima`` is
+    ``(s.Y.min(), s.C.min())``, which the run loop takes from one pass over
+    the packed ``s.X``; the maximum takes one more.
     """
     y_min, c_min = minima
     flags = set()
