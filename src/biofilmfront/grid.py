@@ -64,7 +64,7 @@ def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:
     over [0, 1].  The arithmetic is that of
     ``scipy.integrate.cumulative_trapezoid(..., initial=0.0)``, bit for bit.
     """
-    out = np.empty_like(values)
+    out = np.empty(len(values))
     out[0] = 0.0
     tail = np.add(values[1:], values[:-1], out=out[1:])
     tail *= dz

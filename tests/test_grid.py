@@ -95,6 +95,15 @@ def test_cumtrapz_bitwise_equals_scipy(N, seed, scale):
     assert np.array_equal(cumtrapz_dz(vals, g.dz), ref)
 
 
+def test_cumtrapz_of_integer_values_is_float():
+    """Integer nodal values integrate in floating point, as scipy's
+    cumulative_trapezoid does, not truncated into an integer array."""
+    g = build_grid(4)
+    vals = np.arange(5)
+    assert np.array_equal(cumtrapz_dz(vals, g.dz),
+                          cumulative_trapezoid(vals, dx=g.dz, initial=0.0))
+
+
 def test_interp_linear_hits_nodes():
     g = build_grid(10)
     rows = np.vstack([np.sin(3 * g.nodes), np.cos(g.nodes)])
