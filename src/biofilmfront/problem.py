@@ -107,9 +107,10 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     """Check problem data against the model for shape, sign, finiteness and
     boundary/initial-data compatibility.
 
-    Violations (fatal): ``DIMENSION_MISMATCH`` (also when ``f``, ``h`` or
-    ``g`` at the initial data is not of shape ``(n, K)``, ``(m, K)`` or
-    ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
+    Violations (fatal): ``DIMENSION_MISMATCH`` (counts that disagree with
+    the kinetics; ``D`` or ``psi`` without one entry per substrate; ``f``,
+    ``h`` or ``g`` at the initial data not of shape ``(n, K)``, ``(m, K)``
+    or ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
     ``NONFINITE_INPUT``, ``COMPAT_MISMATCH`` (``theta_j(1) != psi_j(0)``
     beyond ``COMPAT_TOL``).
 
@@ -132,6 +133,12 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
             "DIMENSION_MISMATCH",
             f"D must have shape ({data.m},), got {data.D.shape}",
         ))
+    if len(data.psi) != data.m:
+        rep.violations.append((
+            "DIMENSION_MISMATCH",
+            f"psi has {len(data.psi)} entries, expected {data.m} (one per substrate, as theta)",
+        ))
+    if not rep.ok:
         return rep
 
     if not np.all(np.isfinite(data.D)):

@@ -73,6 +73,22 @@ def test_dimension_mismatch_detected():
     assert "DIMENSION_MISMATCH" in report.codes()
 
 
+@pytest.mark.parametrize("psi", [[lambda t: 0.0] * 2, []], ids=["too_many", "too_few"])
+def test_psi_count_checked(psi):
+    """One boundary value per substrate, checked before any is evaluated."""
+    report = validate_problem(_data(psi=psi), zero_kinetics(1, 1))
+    assert report.violations == [(
+        "DIMENSION_MISMATCH",
+        f"psi has {len(psi)} entries, expected 1 (one per substrate, as theta)")]
+
+
+def test_psi_count_checked_with_two_substrates():
+    data = _data(theta=[lambda z: np.cos(0.5 * math.pi * z)] * 2, D=[1.0, 1.0])
+    report = validate_problem(data, zero_kinetics(1, 2))
+    assert report.codes() == {"DIMENSION_MISMATCH"}
+    assert "psi has 1 entries, expected 2" in report.violations[0][1]
+
+
 def test_kinetics_species_count_checked():
     report = validate_problem(_data(), zero_kinetics(2, 1))
     assert "DIMENSION_MISMATCH" in report.codes()
