@@ -53,6 +53,31 @@ class KineticsModel:
             )
 
 
+def _array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; a ragged or non-numeric one is a
+    ``DIMENSION_MISMATCH`` naming the parameter."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a rectangular array of numbers, got {value!r}",
+                              code="DIMENSION_MISMATCH") from None
+
+
+def _shaped(value, name: str, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``, a scalar filling every entry;
+    any other shape is a ``DIMENSION_MISMATCH`` saying ``what`` it holds."""
+    x = _array(value, name)
+    if x.ndim == 0:
+        return np.full(shape, x)
+    x = np.array(x, ndmin=len(shape))
+    if x.shape != shape:
+        got = f"{len(x)} entries" if x.ndim == 1 else f"shape {x.shape}"
+        want = shape[0] if len(shape) == 1 else shape
+        raise ValidationError(f"{name} has {got}, expected {want} ({what})",
+                              code="DIMENSION_MISMATCH")
+    return x
+
+
 def zero_kinetics(n: int = 1, m: int = 1) -> KineticsModel:
     """Inert model: ``f = h = g = 0`` (trivially quasi-positive)."""
 
@@ -72,12 +97,10 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
     """Affine kinetics ``f = A Y + c``, ``h = B C + d``, ``g = sum_i f_i``.
 
     Shapes: ``A (n, n)``, ``c (n,)``, ``B (m, m)``, ``d (m,)``.  Mismatched
-    shapes raise ``DIMENSION_MISMATCH``.
+    shapes and ragged matrices raise ``DIMENSION_MISMATCH``.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+    A, B = np.atleast_2d(_array(A, "A")), np.atleast_2d(_array(B, "B"))
+    c, d = np.atleast_1d(_array(c, "c")), np.atleast_1d(_array(d, "d"))
     n, m = len(c), len(d)
     if A.shape != (n, n) or B.shape != (m, m):
         raise ValidationError(
@@ -104,32 +127,31 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
 
 @dataclass(frozen=True)
 class MonodParams:
-    """Parameters for saturation (Monod) growth kinetics.
+    """Parameters for saturation (Monod) growth kinetics, as array-likes.
 
     Attributes
     ----------
-    mu : numpy.ndarray, shape (n,)
+    mu : shape (n,)
         Maximum specific growth rates, strictly positive.
-    K : numpy.ndarray, shape (n,)
+    K : shape (n,)
         Half-saturation constants, strictly positive.
-    k_d : numpy.ndarray, shape (n,)
+    k_d : shape (n,), default 0
         Decay/maintenance rates, nonnegative.
-    limiting : numpy.ndarray of int, shape (n,)
+    limiting : shape (n,) of int, default 0
         Index of the substrate limiting each species' growth.
-    yields : numpy.ndarray, shape (n, m)
+    yields : shape (n, m), default 0
         Yield coefficients; entry ``(i, j) > 0`` means species ``i`` consumes
         substrate ``j`` with that yield, ``0`` means no consumption.
+
+    A scalar stands for that value in every entry, so the defaults mean no
+    decay, growth limited by substrate 0 and no consumption.
     """
 
     mu: np.ndarray
     K: np.ndarray
-    k_d: np.ndarray
-    limiting: np.ndarray
-    yields: np.ndarray
-
-    def __post_init__(self):
-        for name in ("mu", "K", "k_d", "limiting", "yields"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+    k_d: np.ndarray | float = 0.0
+    limiting: np.ndarray | int = 0
+    yields: np.ndarray | float = 0.0
 
 
 def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
@@ -140,26 +162,27 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
     ``-(1 / yields[i, j]) * mu_i * C_j / (K_i + C_j) * Y_i`` over consuming
     species.  Expansion ``g = sum_i f_i``.
 
+    ``n`` is the length of ``mu``; ``m`` defaults to the column count of
+    ``yields`` (1 for a scalar).
+
     Raises
     ------
     ValidationError
-        Code ``NONPOSITIVE_PARAM`` for ``mu <= 0``, ``K <= 0``, ``k_d < 0`` or
-        a negative yield; ``DIMENSION_MISMATCH`` for inconsistent shapes or a
-        limiting index outside ``[0, m)``.
+        Code ``NONFINITE_INPUT`` for a non-finite ``mu``, ``K``, ``k_d`` or
+        yield; ``NONPOSITIVE_PARAM`` for ``mu <= 0``, ``K <= 0``, ``k_d < 0``
+        or a negative yield; ``DIMENSION_MISMATCH`` for a parameter of the
+        wrong shape, a ragged one, or a limiting index that is not an integer
+        in ``[0, m)``.
     """
-    mu = np.atleast_1d(np.asarray(params.mu, dtype=float))
-    K = np.atleast_1d(np.asarray(params.K, dtype=float))
-    k_d = np.atleast_1d(np.asarray(params.k_d, dtype=float))
-    limiting = np.atleast_1d(np.asarray(params.limiting, dtype=int))
-    yields = np.atleast_2d(np.asarray(params.yields, dtype=float))
-    n = len(mu)
+    n = len(np.atleast_1d(_array(params.mu, "mu")))
+    mu, K, k_d, limiting = (_shaped(getattr(params, name), name, (n,), "one per species, as mu")
+                            for name in ("mu", "K", "k_d", "limiting"))
     if m is None:
-        m = yields.shape[1]
-    if K.shape != (n,) or k_d.shape != (n,) or limiting.shape != (n,) or yields.shape != (n, m):
-        raise ValidationError(
-            f"inconsistent Monod parameter shapes for n={n}, m={m}",
-            code="DIMENSION_MISMATCH",
-        )
+        m = np.atleast_2d(_array(params.yields, "yields")).shape[1]
+    yields = _shaped(params.yields, "yields", (n, m),
+                     "one row per species, one column per substrate")
+    if not all(np.all(np.isfinite(x)) for x in (mu, K, k_d, yields)):
+        raise ValidationError("non-finite Monod parameters", code="NONFINITE_INPUT")
     if np.any(mu <= 0.0) or np.any(K <= 0.0):
         raise ValidationError("mu and K must be > 0", code="NONPOSITIVE_PARAM")
     if np.any(k_d < 0.0):
@@ -169,10 +192,11 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
             "yields must be > 0 for consuming pairs (0 = no consumption)",
             code="NONPOSITIVE_PARAM",
         )
-    if np.any(limiting < 0) or np.any(limiting >= m):
-        raise ValidationError(
-            f"limiting substrate indices must lie in [0, {m})", code="DIMENSION_MISMATCH"
-        )
+    if not np.all(np.isin(limiting, np.arange(m))):
+        raise ValidationError(f"limiting substrate indices must be integers in [0, {m}), "
+                              f"got {np.asarray(params.limiting).tolist()}",
+                              code="DIMENSION_MISMATCH")
+    limiting = limiting.astype(int)
 
     consuming = yields > 0.0  # (n, m) mask
     # (species, substrate, mu, K, yield) of every consuming pair, in i-major order

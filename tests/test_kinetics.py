@@ -169,3 +169,51 @@ def test_monod_rates_match_written_out_formulas_bitwise(limiting, yields):
     assert kin.f(Y, C).tobytes() == f_want.tobytes()
     assert kin.h(Y, C).tobytes() == h_want.tobytes()
     assert kin.g(Y, C).tobytes() == f_want.sum(axis=0).tobytes()
+
+
+def test_monod_defaults_mean_no_decay_substrate_0_and_no_consumption():
+    """``k_d``, ``limiting`` and ``yields`` default to 0 for every species,
+    sized by ``mu`` and ``m``, with the rates of the written-out zeros."""
+    kin = monod_preset(MonodParams(mu=[0.5, 0.3], K=[0.05, 0.1]), m=2)
+    zeros = monod_preset(MonodParams(mu=[0.5, 0.3], K=[0.05, 0.1], k_d=[0.0, 0.0],
+                                     limiting=[0, 0], yields=[[0.0, 0.0], [0.0, 0.0]]), m=2)
+    assert (kin.n, kin.m) == (2, 2) and kin.quasi_positive
+    Y, C = np.random.default_rng(3).uniform(0.0, 1.0, (2, 9)), np.full((2, 9), 0.5)
+    for got, want in zip(_rates(kin, Y, C), _rates(zeros, Y, C)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad,message", [
+    (dict(K=[0.3, 0.3]), "K has 2 entries, expected 1 (one per species, as mu)"),
+    (dict(k_d=[0.0, 0.0]), "k_d has 2 entries, expected 1 (one per species, as mu)"),
+    (dict(limiting=[0, 0]), "limiting has 2 entries, expected 1 (one per species, as mu)"),
+    (dict(yields=[[0.5], [0.5]]),
+     "yields has shape (2, 1), expected (1, 1) (one row per species, one column per substrate)"),
+    (dict(yields=[[0.5], [0.5, 0.1]]),
+     "yields must be a rectangular array of numbers, got [[0.5], [0.5, 0.1]]"),
+    (dict(limiting=[0.7]), "limiting substrate indices must be integers in [0, 1), got [0.7]"),
+], ids=["K", "k_d", "limiting", "yields", "yields_ragged", "limiting_fraction"])
+def test_monod_shape_errors_name_the_parameter(bad, message):
+    with pytest.raises(ValidationError) as exc:
+        monod_preset(MonodParams(**{"mu": [0.4], "K": [0.3], **bad}), m=1)
+    assert exc.value.code == "DIMENSION_MISMATCH"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bad", [dict(mu=[np.nan]), dict(K=[np.inf]), dict(k_d=[np.nan]),
+                                 dict(yields=[[np.inf]])], ids=["mu", "K", "k_d", "yields"])
+def test_monod_rejects_nonfinite_params(bad):
+    with pytest.raises(ValidationError) as exc:
+        monod_preset(MonodParams(**{"mu": [0.4], "K": [0.3], **bad}), m=1)
+    assert exc.value.code == "NONFINITE_INPUT"
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_linear_preset_rejects_a_ragged_matrix(name):
+    args = dict(A=[[-1.0, 0.0], [0.0, -1.0]], c=[0.0, 0.0], B=[[-1.0]], d=[0.0])
+    args[name] = [[-1.0], [0.0, -1.0]]
+    with pytest.raises(ValidationError) as exc:
+        linear_preset(**args)
+    assert exc.value.code == "DIMENSION_MISMATCH"
+    assert str(exc.value) == (f"{name} must be a rectangular array of numbers, "
+                              "got [[-1.0], [0.0, -1.0]]")
