@@ -16,7 +16,7 @@ import re
 import sys
 
 from .boundary import detachment_rhs
-from .config import _OUTPUT_KEYS, _PROBLEM_KEYS, build_runspec, load_tree
+from .config import _OUTPUT_KEYS, _PROBLEM_KEYS, _SOLVER_KEYS, build_runspec, load_tree
 from .coupler import dissipation_envelope_check, energy, run_simulation
 from .errors import (ConfigError, EnvelopeViolation, GridError, InvalidProblem, SolverError,
                      ValidationError)
@@ -66,7 +66,10 @@ def _set_param(tree: dict, name: str, value) -> None:
             node = node[key]
         node[keys[-1]] = value
         return
-    block = "problem" if name in _PROBLEM_KEYS else "output" if name in _OUTPUT_KEYS else "solver"
+    blocks = (("problem", _PROBLEM_KEYS), ("solver", _SOLVER_KEYS), ("output", _OUTPUT_KEYS))
+    block = next((b for b, keys in blocks if name in keys), None)
+    if block is None:
+        raise ConfigError(f"unknown sweep parameter {name!r}", code="UNKNOWN_KEY")
     tree.setdefault(block, {})[name] = value
 
 

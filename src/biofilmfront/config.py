@@ -1,4 +1,4 @@
-"""Run configuration: YAML schema, expression mini-language, RunSpec builder.
+"""Run configuration: YAML types, expression mini-language, RunSpec builder.
 
 A run is described by a single YAML document with four blocks::
 
@@ -11,8 +11,13 @@ Initial profiles accept plain numbers, expression strings in ``z`` (e.g.
 ``"0.2 + 0.1*cos(pi*z/2)"``) or lists of nodal values (resampled linearly);
 boundary values accept numbers or expression strings in ``t``.  The expression
 language supports ``+ - * / ^``, ``exp``, ``cos``, ``sin``, the constants
-``pi`` and ``e``, and the single free variable.  Unknown keys anywhere in the
-tree are errors.
+``pi`` and ``e``, and the single free variable.
+
+Every block is read by one helper, :func:`_read`: it rejects unknown keys,
+requires the listed ones and checks the YAML type of each key present.  The
+keys a block sets go on to the library's constructors (``ProblemData``, the
+kinetics presets, ``SolverConfig``), which own every default, shape, length
+and range; ``validate_problem`` checks the counts of ``D`` and ``psi``.
 """
 
 from __future__ import annotations
@@ -93,19 +98,27 @@ def _require_mapping(value, path):
     return value
 
 
-def _check_keys(block: dict, allowed: set, path: str):
-    unknown = set(block) - allowed
+def _read(block, path: str, checks: dict, required=()) -> dict:
+    """The keys of the mapping ``block`` that it sets, each through its check
+    in ``checks``.  A key ``checks`` does not list, or a ``required`` one
+    missing or null, is an error; an absent key is left to the library's
+    default."""
+    _require_mapping(block, path)
+    unknown = set(block) - set(checks)
     if unknown:
         key = sorted(str(k) for k in unknown)[0]
         raise ConfigError(f"unknown key {path}.{key}", code="UNKNOWN_KEY")
-
-
-def _get(block, key, path, required=False, default=None):
-    if key not in block:
-        if required:
+    for key in required:
+        if block.get(key) is None:
             raise ConfigError(f"missing required key {path}.{key}", code="SCHEMA_VIOLATION")
-        return default
-    return block[key]
+    prefix = "" if path == "config" else f"{path}."  # top-level keys are named bare
+    return {key: check(block[key], prefix + key) for key, check in checks.items() if key in block}
+
+
+def _block(checks: dict, required=()):
+    """The check of a nested block, read by :func:`_read`; a block set to
+    ``null`` reads as absent."""
+    return lambda value, path: None if value is None else _read(value, path, checks, required)
 
 
 def _num(value, path, positive=False, nonnegative=False):
@@ -136,42 +149,31 @@ def _bool(value, path):
     return value
 
 
-def _checked(block: dict, checks: dict, path: str) -> dict:
-    """The keys of ``block`` that ``checks`` lists, each through its check;
-    an absent key is left to the library's default."""
-    return {key: check(block[key], f"{path}.{key}")
-            for key, check in checks.items() if key in block}
-
-
-def _num_list(value, path, length=None, item=_num):
+def _list(value, path, item, of=""):
+    """A non-empty list, each entry through ``item``."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of numbers", code="SCHEMA_VIOLATION")
-    out = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if length is not None and len(out) != length:
-        raise ConfigError(f"{path}: expected {length} entries, got {len(out)}",
-                          code="SCHEMA_VIOLATION")
-    return np.array(out)
+        raise ConfigError(f"{path}: expected a non-empty list{of}", code="SCHEMA_VIOLATION")
+    return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _matrix(value, path, shape):
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of rows", code="SCHEMA_VIOLATION")
-    rows = [_num_list(r, f"{path}[{i}]", length=shape[1]) for i, r in enumerate(value)]
-    if len(rows) != shape[0]:
-        raise ConfigError(f"{path}: expected {shape[0]} rows, got {len(rows)}",
-                          code="SCHEMA_VIOLATION")
-    return np.array(rows)
+def _num_list(value, path, item=_num):
+    return np.array(_list(value, path, item, " of numbers"))
 
 
-def _profile_callable(entry, path, variable):
-    """Number, expression string or nodal list -> vectorized callable."""
+def _matrix(value, path):
+    """A list of number lists, as nested lists: the library checks the shape."""
+    return _list(value, path, partial(_list, item=_num, of=" of numbers"), " of number lists")
+
+
+def _profile_callable(entry, path):
+    """Number, expression string in z or nodal list -> vectorized callable."""
     if isinstance(entry, bool):
         raise ConfigError(f"{path}: expected number/expression/list", code="SCHEMA_VIOLATION")
     if isinstance(entry, (int, float)):
         value = float(entry)
         return lambda x, _v=value: np.full_like(np.asarray(x, dtype=float), _v)
     if isinstance(entry, str):
-        return compile_expression(entry, variable)
+        return compile_expression(entry, "z")
     if isinstance(entry, list):
         vals = _num_list(entry, path)
         if len(vals) < 2:
@@ -199,38 +201,33 @@ def _time_callable(entry, path):
 
 # -- kinetics block ------------------------------------------------------------
 
-_KINETICS_KEYS = {
-    "zero": {"preset"},
-    "linear": {"preset", "A", "c", "B", "d"},
-    "monod": {"preset", "mu", "K", "k_d", "limiting", "yields"},
-}
+#: the keys of each preset past ``preset``: the parameters of ``linear_preset``
+#: and the fields of ``MonodParams``, which own their shapes and defaults
+_LINEAR_CHECKS = {"A": _matrix, "c": _num_list, "B": _matrix, "d": _num_list}
+_MONOD_CHECKS = {"mu": _num_list, "K": _num_list, "k_d": _num_list,
+                 "limiting": partial(_num_list, item=_int), "yields": _matrix}
+_PRESETS = {"zero": ({}, ()), "linear": (_LINEAR_CHECKS, tuple(_LINEAR_CHECKS)),
+            "monod": (_MONOD_CHECKS, ("mu", "K"))}
 
 
-def _build_kinetics(block: dict, n: int, m: int, path: str) -> KineticsModel:
-    _require_mapping(block, path)
-    preset = _get(block, "preset", path, required=True)
-    if preset not in _KINETICS_KEYS:
-        raise ConfigError(f"{path}.preset: unknown preset {preset!r} "
-                          f"(choose from {sorted(_KINETICS_KEYS)})", code="SCHEMA_VIOLATION")
-    _check_keys(block, _KINETICS_KEYS[preset], path)
+def _kinetics(block, path):
+    """The preset's name and the keys the block sets past it."""
+    preset = _require_mapping(block, path).get("preset")
+    if not isinstance(preset, str) or preset not in _PRESETS:
+        raise ConfigError(f"{path}.preset: expected one of {sorted(_PRESETS)}, got {preset!r}",
+                          code="SCHEMA_VIOLATION")
+    checks, required = _PRESETS[preset]
+    keys = _read(block, path, {"preset": _str, **checks}, required)
+    del keys["preset"]
+    return preset, keys
+
+
+def _build_kinetics(preset: str, keys: dict, n: int, m: int) -> KineticsModel:
     if preset == "zero":
         return zero_kinetics(n=n, m=m)
     if preset == "linear":
-        A = _matrix(_get(block, "A", path, required=True), f"{path}.A", (n, n))
-        c = _num_list(_get(block, "c", path, required=True), f"{path}.c", length=n)
-        B = _matrix(_get(block, "B", path, required=True), f"{path}.B", (m, m))
-        d = _num_list(_get(block, "d", path, required=True), f"{path}.d", length=m)
-        return linear_preset(A, c, B, d)
-    params = MonodParams(
-        mu=_num_list(_get(block, "mu", path, required=True), f"{path}.mu", length=n),
-        K=_num_list(_get(block, "K", path, required=True), f"{path}.K", length=n),
-        k_d=_num_list(_get(block, "k_d", path, default=[0.0] * n), f"{path}.k_d", length=n),
-        limiting=_num_list(_get(block, "limiting", path, default=[0] * n),
-                           f"{path}.limiting", item=_int),
-        yields=_matrix(_get(block, "yields", path, default=[[0.0] * m] * n),
-                       f"{path}.yields", (n, m)),
-    )
-    return monod_preset(params, m=m)
+        return linear_preset(**keys)
+    return monod_preset(MonodParams(**keys), m=m)
 
 
 # -- run spec ------------------------------------------------------------------
@@ -250,78 +247,45 @@ class RunSpec:
     config_hash: str
 
 
-_PROBLEM_KEYS = {"kinetics", "phi", "theta", "psi", "D", "lambda", "R0"}
-#: type checks of the solver keys that are ``SolverConfig`` fields; the
-#: library owns their defaults and ranges
+_profiles = partial(_list, item=_profile_callable)
+_PROBLEM_CHECKS = {"phi": _profiles, "theta": _profiles,
+                   "psi": partial(_list, item=_time_callable), "D": _num_list,
+                   "lambda": _num, "R0": _num, "kinetics": _kinetics}
+_PROBLEM_KEYS = set(_PROBLEM_CHECKS)
+#: the solver keys that are ``SolverConfig`` fields, the run's ``t_end`` and
+#: the energy weights; the library owns their defaults and ranges
 _SOLVER_CHECKS = {"N": _int, "dt": _num, "picard_tol": _num, "picard_max_iter": _int,
                   "theta_scheme": _num, "positivity_mode": _str,
-                  "continuation_threshold": _num}
-_SOLVER_KEYS = set(_SOLVER_CHECKS) | {"t_end", "energy_weights"}
-_OUTPUT_KEYS = {"directory", "stride"}
+                  "continuation_threshold": _num, "t_end": _num,
+                  "energy_weights": _block({"mu": _num_list, "nu": _num_list})}
+_SOLVER_KEYS = set(_SOLVER_CHECKS)
+_OUTPUT_CHECKS = {"directory": _str, "stride": _int}
+_OUTPUT_KEYS = set(_OUTPUT_CHECKS)
 #: checks of the verify constants; their ranges are checked here, since
 #: ``dissipation_envelope_check`` runs only after the simulation
 _positive, _nonnegative = partial(_num, positive=True), partial(_num, nonnegative=True)
 _VERIFY_CHECKS = {"alpha": _positive, "beta": _nonnegative, "M0": _nonnegative,
                   "tol": _positive, "include_boundary": _bool}
+_CONFIG_CHECKS = {"problem": _block(_PROBLEM_CHECKS, tuple(_PROBLEM_CHECKS)),
+                  "solver": _block(_SOLVER_CHECKS, ("t_end",)),
+                  "output": _block(_OUTPUT_CHECKS),
+                  "verify": _block(_VERIFY_CHECKS, ("alpha",))}
 
 
 def build_runspec(tree: dict) -> RunSpec:
-    """Validate a parsed configuration tree and build all model objects."""
-    _require_mapping(tree, "config")
-    _check_keys(tree, {"problem", "solver", "output", "verify"}, "config")
-
-    prob = _require_mapping(_get(tree, "problem", "config", required=True), "problem")
-    _check_keys(prob, _PROBLEM_KEYS, "problem")
-    phi_raw = _get(prob, "phi", "problem", required=True)
-    theta_raw = _get(prob, "theta", "problem", required=True)
-    psi_raw = _get(prob, "psi", "problem", required=True)
-    for name, raw in (("phi", phi_raw), ("theta", theta_raw), ("psi", psi_raw)):
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"problem.{name}: expected a non-empty list",
-                              code="SCHEMA_VIOLATION")
-    n, m = len(phi_raw), len(theta_raw)
-    if len(psi_raw) != m:
-        raise ConfigError(f"problem.psi: expected {m} entries (one per substrate), "
-                          f"got {len(psi_raw)}", code="SCHEMA_VIOLATION")
-
-    phi = [_profile_callable(e, f"problem.phi[{i}]", "z") for i, e in enumerate(phi_raw)]
-    theta = [_profile_callable(e, f"problem.theta[{i}]", "z") for i, e in enumerate(theta_raw)]
-    psi = [_time_callable(e, f"problem.psi[{i}]") for i, e in enumerate(psi_raw)]
-    D = _num_list(_get(prob, "D", "problem", required=True), "problem.D", length=m)
-    lam = _num(_get(prob, "lambda", "problem", required=True), "problem.lambda")
-    R0 = _num(_get(prob, "R0", "problem", required=True), "problem.R0")
-    kin = _build_kinetics(_get(prob, "kinetics", "problem", required=True), n, m,
-                          "problem.kinetics")
-    data = ProblemData(phi=phi, theta=theta, psi=psi, D=D, lam=lam, R0=R0)
-
-    solver = _require_mapping(_get(tree, "solver", "config", required=True), "solver")
-    _check_keys(solver, _SOLVER_KEYS, "solver")
-    t_end = _num(_get(solver, "t_end", "solver", required=True), "solver.t_end")
-    weights = _get(solver, "energy_weights", "solver", default=None)
-    mu = nu = None
-    if weights is not None:
-        _require_mapping(weights, "solver.energy_weights")
-        _check_keys(weights, {"mu", "nu"}, "solver.energy_weights")
-        if "mu" in weights:
-            mu = _num_list(weights["mu"], "solver.energy_weights.mu", length=n)
-        if "nu" in weights:
-            nu = _num_list(weights["nu"], "solver.energy_weights.nu", length=m)
-    cfg = SolverConfig(**_checked(solver, _SOLVER_CHECKS, "solver"), mu=mu, nu=nu)
-
-    out = _require_mapping(_get(tree, "output", "config", default={}) or {}, "output")
-    _check_keys(out, _OUTPUT_KEYS, "output")
-    out_dir = _str(out["directory"], "output.directory") if "directory" in out else None
-    stride = _int(_get(out, "stride", "output", default=1), "output.stride")
-
-    verify = _get(tree, "verify", "config", default=None)
-    if verify is not None:
-        _require_mapping(verify, "verify")
-        _check_keys(verify, set(_VERIFY_CHECKS), "verify")
-        _get(verify, "alpha", "verify", required=True)  # the one constant without a default
-        verify = _checked(verify, _VERIFY_CHECKS, "verify")
-
-    return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out_dir,
-                   stride=stride, verify=verify,
+    """Type-check a parsed configuration tree and build all model objects,
+    whose constructors check every shape, length and range."""
+    top = _read(tree, "config", _CONFIG_CHECKS, ("problem", "solver"))
+    prob, solver = top["problem"], top["solver"]
+    n, m = len(prob["phi"]), len(prob["theta"])
+    kin = _build_kinetics(*prob["kinetics"], n, m)
+    data = ProblemData(phi=prob["phi"], theta=prob["theta"], psi=prob["psi"], D=prob["D"],
+                       lam=prob["lambda"], R0=prob["R0"])
+    t_end, weights = solver.pop("t_end"), solver.pop("energy_weights", None) or {}
+    cfg = SolverConfig(**solver, **weights)
+    out = top.get("output") or {}
+    return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out.get("directory"),
+                   stride=out.get("stride", 1), verify=top.get("verify"),
                    config_hash=config_hash(tree))
 
 

@@ -189,8 +189,58 @@ def test_include_boundary_string_exit_2(tmp_path, capsys):
                                        "expected a boolean, got 'false'\n")
 
 
+MONOD = GOOD.replace("{preset: zero}", "{preset: monod, mu: [0.4], K: [0.3]}")
+LINEAR = GOOD.replace("{preset: zero}", "{preset: linear, A: [[-1.0]], c: [0.0], B: [[-1.0]], "
+                                        "d: [0.0]}")
+
+
+@pytest.mark.parametrize("text,old,new,verify_rc,message", [
+    (GOOD, "D: [1.0]", "D: [1.0, 1.0]", 1,
+     "error [DIMENSION_MISMATCH]: invalid problem data: DIMENSION_MISMATCH: D must have "
+     "shape (1,), got (2,)"),
+    (GOOD, "psi: [0.0]", "psi: [0.0, 0.0]", 1,
+     "error [DIMENSION_MISMATCH]: invalid problem data: DIMENSION_MISMATCH: psi has 2 entries, "
+     "expected 1 (one per substrate, as theta)"),
+    (MONOD, "K: [0.3]", "K: [0.3, 0.3]", 2,
+     "error [DIMENSION_MISMATCH]: K has 2 entries, expected 1 (one per species, as mu)"),
+    (MONOD, "K: [0.3]", "K: [0.3], limiting: [0, 0]", 2,
+     "error [DIMENSION_MISMATCH]: limiting has 2 entries, expected 1 (one per species, as mu)"),
+    (MONOD, "K: [0.3]", "K: [0.3], yields: [[0.5], [0.5, 0.1]]", 2,
+     "error [DIMENSION_MISMATCH]: yields must be a rectangular array of numbers, got "
+     "[[0.5], [0.5, 0.1]]"),
+    (LINEAR, "A: [[-1.0]]", "A: [[-1.0], [0.0, -1.0]]", 2,
+     "error [DIMENSION_MISMATCH]: A must be a rectangular array of numbers, got "
+     "[[-1.0], [0.0, -1.0]]"),
+    (LINEAR, "c: [0.0]", "c: [0.0, 0.0]", 2,
+     "error [DIMENSION_MISMATCH]: matrix/vector shapes disagree: A(1, 1) vs c(2,), "
+     "B(1, 1) vs d(1,)"),
+    (GOOD, "t_end: 0.02}", "t_end: 0.02, energy_weights: {mu: [1.0, 1.0]}}", 2,
+     "error [DIMENSION_MISMATCH]: energy weights need 1 mu and 1 nu entries, got 2 and 1"),
+], ids=["D", "psi", "K", "limiting", "yields_ragged", "A_ragged", "c", "energy_weights_mu"])
+def test_malformed_shape_is_one_error_line(text, old, new, verify_rc, message, tmp_path,
+                                            capsys):
+    """The library finds every malformed shape the config hands on: simulate
+    exits 2 with one line naming the key.  verify exits 2 as well, except on
+    a problem violation (``D``, ``psi``), which it reports as a failed check."""
+    p = tmp_path / "bad.yaml"
+    p.write_text(text.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and captured.out == ""
+    assert not out.exists()
+    assert main(["verify", "--config", str(p)]) == verify_rc
+    if verify_rc == 1:
+        violation = message.split("DIMENSION_MISMATCH: ", 1)[1]
+        assert capsys.readouterr().out.splitlines() == [
+            f"problem validation: FAIL [DIMENSION_MISMATCH] {violation}", "verify: FAIL"]
+    else:
+        assert capsys.readouterr().err.splitlines() == [message]
+
+
 @pytest.mark.parametrize("param,values,message", [
     ("lambda", "0.5,abc", "error [SCHEMA_VIOLATION]: cannot parse sweep value 'abc' as a number"),
+    ("lamda", "0.5", "error [UNKNOWN_KEY]: unknown sweep parameter 'lamda'"),
     ("solver.nope.dt", "1e-3", "error [UNKNOWN_KEY]: unknown sweep parameter path "
                                "'solver.nope.dt'"),
 ])

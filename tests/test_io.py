@@ -1,6 +1,7 @@
 """Configuration parsing, the expression mini-language, and run output files."""
 
 import dataclasses
+import inspect
 import json
 import math
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from biofilmfront import (
     ConfigError,
+    MonodParams,
     OutputError,
     SolverConfig,
     SolverError,
@@ -19,12 +21,14 @@ from biofilmfront import (
     compile_expression,
     config_hash,
     dissipation_envelope_check,
+    linear_preset,
     parse_config,
     run_simulation,
     write_timeseries,
     zero_kinetics,
 )
-from biofilmfront.config import _SOLVER_KEYS, load_tree
+from biofilmfront.cli import main
+from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_KEYS, load_tree
 from biofilmfront.coupler import back_transform
 from biofilmfront.output import _table
 
@@ -119,11 +123,18 @@ def test_missing_required_key():
     assert exc.value.code == "SCHEMA_VIOLATION"
 
 
-def test_psi_length_must_match_substrates():
+def test_psi_length_must_match_substrates(tmp_path, capsys):
+    """The config hands ``psi`` on as the file sets it; ``validate_problem``
+    owns its count, so the run, not the parse, rejects one too many."""
     tree = _tree()
     tree["problem"]["psi"] = [0.0, 1.0]
-    with pytest.raises(ConfigError):
-        build_runspec(tree)
+    assert len(build_runspec(tree).data.psi) == 2
+    p = tmp_path / "run.yaml"
+    p.write_text(json.dumps(tree))  # JSON is YAML
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error [DIMENSION_MISMATCH]: invalid problem data: DIMENSION_MISMATCH: psi has 2 "
+        "entries, expected 1 (one per substrate, as theta)\n")
 
 
 def test_theta_scheme_range_enforced():
@@ -148,6 +159,16 @@ def test_solver_keys_match_solver_config():
     ``t_end`` is the run's, not ``SolverConfig``'s."""
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert _SOLVER_KEYS == fields - {"mu", "nu"} | {"t_end", "energy_weights"}
+
+
+def test_monod_keys_match_monod_params():
+    """The Monod block has one key per ``MonodParams`` field, whose defaults
+    apply to the keys a file leaves out."""
+    assert set(_MONOD_CHECKS) == {f.name for f in dataclasses.fields(MonodParams)}
+
+
+def test_linear_keys_match_linear_preset():
+    assert list(_LINEAR_CHECKS) == list(inspect.signature(linear_preset).parameters)
 
 
 def test_formats_key_rejected():
@@ -188,6 +209,32 @@ def test_monod_kinetics_block():
     }
     spec = build_runspec(tree)
     assert not spec.kin.quasi_positive
+
+
+@pytest.mark.parametrize("kinetics,got", [
+    ({"preset": "quadratic"}, "'quadratic'"),
+    ({"preset": ["zero"]}, "['zero']"),
+    ({}, "None"),
+], ids=["unknown", "list", "missing"])
+def test_preset_must_be_a_known_name(kinetics, got):
+    tree = _tree()
+    tree["problem"]["kinetics"] = kinetics
+    with pytest.raises(ConfigError) as exc:
+        build_runspec(tree)
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == ("problem.kinetics.preset: expected one of ['linear', 'monod', "
+                              f"'zero'], got {got}")
+
+
+def test_monod_block_with_only_mu_and_K_takes_the_library_defaults():
+    """Two substrates and no ``k_d``, ``limiting`` or ``yields``: the preset
+    sizes its zero defaults from ``mu`` and the substrate count."""
+    tree = _tree()
+    tree["problem"].update(kinetics={"preset": "monod", "mu": [0.4], "K": [0.3]},
+                           theta=["cos(pi*z/2)"] * 2, psi=[0.0, 0.0], D=[1.0, 1.0])
+    spec = build_runspec(tree)
+    assert (spec.kin.n, spec.kin.m) == (1, 2) and spec.kin.quasi_positive
+    assert run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.005).outcome == "completed"
 
 
 @pytest.mark.parametrize("limiting,message", [
