@@ -42,9 +42,13 @@ from .problem import ProblemData, ValidationReport, validate_problem
 POSITIVITY_TOL = 1e-12
 #: slack added to the a priori thickness bound before flagging
 R_BOUND_SLACK = 1e-8
-#: accepted states a warm start extrapolates through, a quartic at most: a
-#: quintic does worse on coarse steps and after jumps in the surface data
-START_HISTORY = 5
+#: accepted states a warm start extrapolates through, a quintic at most.
+#: Against a quartic it saves sweeps on smooth Monod runs at every step tried
+#: (N=40: 1.87 -> 1.23 per step at dt=1e-3, 4.14 -> 3.90 at dt=2e-2); it
+#: costs up to 3% more on linear kinetics at dt=1e-2 and when the surface
+#: data jump every 4-10 steps.  A sextic loses on the shipped Monod run and
+#: at dt=2e-2.
+START_HISTORY = 6
 
 
 @dataclass(frozen=True)
@@ -496,7 +500,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     From the third step on, each step's Picard iteration starts from the
     polynomial extrapolation of the last ``s = min(k, START_HISTORY)``
     accepted states (``k`` of them exist before step ``k``): a quadratic at
-    step 3, a cubic at step 4 and a quartic from step 5 on.
+    step 3, a cubic at step 4, a quartic at step 5 and a quintic from step 6
+    on.
     """
     if t_end < 0.0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")

@@ -83,12 +83,12 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
 
     values = []
     for r in traj.reports:
-        residual = r.residual_history[-1] if r.residual_history else 0.0
-        values += (r.t, r.R, r.v1, r.energy, r.picard_iterations, residual,
-                   ";".join(sorted(r.invariant_flags)))
-    _write_text(os.path.join(out_dir, "scalars.csv"),
-                _table("t,R,v1,energy,picard_iters,residual,flags",
-                       "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%s", values))
+        res = r.residual_history or [0.0]
+        values += (r.t, r.R, r.v1, r.energy, r.picard_iterations, res[-1], res[0],
+                   r.clamped_feet, r.boundary_energy_flux, ";".join(sorted(r.invariant_flags)))
+    _write_text(os.path.join(out_dir, "scalars.csv"), _table(
+        "t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,boundary_energy_flux,"
+        "flags", "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%s", values))
     files = ["scalars.csv"]
 
     # every snapshot lies on traj.grid: its z column is formatted once, into

@@ -345,6 +345,22 @@ def test_sweep_stride(good_cfg, tmp_path):
         assert manifest["snapshot_steps"] == steps
 
 
+def test_sweep_dotted_path(good_cfg, tmp_path):
+    """The dotted-path example of docs/config.md, ``problem.lambda``, runs
+    the same configurations as the bare name ``lambda``."""
+    dotted, bare = tmp_path / "d", tmp_path / "b"
+    assert main(["sweep", "--config", str(good_cfg), "--param", "problem.lambda",
+                 "--values", "0.25,0.5", "--out", str(dotted)]) == 0
+    assert main(["sweep", "--config", str(good_cfg), "--param", "lambda",
+                 "--values", "0.25,0.5", "--out", str(bare)]) == 0
+    rows = (dotted / "sweep_summary.csv").read_text().splitlines()
+    assert rows[0] == "problem.lambda,outcome,final_R,final_energy,steps"
+    assert rows[1:] == (bare / "sweep_summary.csv").read_text().splitlines()[1:]
+    for value in ("0.25", "0.5"):
+        assert ((dotted / f"problem.lambda={value}" / "scalars.csv").read_bytes()
+                == (bare / f"lambda={value}" / "scalars.csv").read_bytes())
+
+
 def test_sweep_parallel_matches_serial(good_cfg, tmp_path):
     serial, par = tmp_path / "s", tmp_path / "p"
     assert main(["sweep", "--config", str(good_cfg), "--param", "solver.dt",

@@ -303,8 +303,8 @@ def _assert_same_step(got, want):
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _zero_problem])
 def test_picard_step_matches_reference_bitwise(problem, m, theta):
     """Cold steps, and from the third step on also steps started from the
-    extrapolation run_simulation uses: a quadratic, a cubic, then quartics
-    (the last one from a buffer that has rolled over)."""
+    extrapolation run_simulation uses: a quadratic, a cubic, a quartic, then
+    quintics (the last one from a buffer that has rolled over)."""
     data, kin = problem(m)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta)
     state = initial_state(data, kin, cfg)
@@ -390,11 +390,11 @@ def test_sweep_raises_on_nonfinite_velocity():
     assert len(calls) == 2  # the first sweep's velocity
 
 
-@pytest.mark.parametrize("s", [3, 4, 5])
+@pytest.mark.parametrize("s", range(3, START_HISTORY + 1))
 def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
     """The start after ``s`` states is exact for degree ``s - 1``; with
-    ``s = 5`` also after the rolling buffer has wrapped, when it extrapolates
-    through the newest five of nine states."""
+    ``s = START_HISTORY`` also after the rolling buffer has wrapped, when it
+    extrapolates through the newest ``s`` of ``s + 4`` states."""
     g = build_grid(4)
 
     def p(t):  # integer coefficients and times: every value is exact
@@ -525,8 +525,8 @@ def _square_wave_problem(m):
 @pytest.mark.parametrize("problem", [_monod_problem, _linear_problem, _square_wave_problem])
 def test_warm_start_agrees_with_cold_steps(problem):
     """From the third step on, run_simulation starts each step from the
-    extrapolation of up to five accepted states: the same fixed points in
-    fewer sweeps."""
+    extrapolation of up to START_HISTORY accepted states: the same fixed
+    points in fewer sweeps."""
     data, kin = problem(1)
     cfg = SolverConfig(N=40, dt=1e-3)
     traj = run_simulation(data, kin, cfg, t_end=0.2, snapshot_stride=1)
@@ -544,13 +544,25 @@ def test_warm_start_agrees_with_cold_steps(problem):
 
 def test_warm_steps_of_c01_take_one_sweep():
     """c01's reaction-free problem: sweep 1 does not depend on the iterate,
-    so every step whose start is a cubic or quartic extrapolation
+    so every step whose start is a cubic or higher extrapolation
     (the 4th on) meets the tolerance at once."""
     traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=20, dt=1e-3),
                           t_end=0.2, snapshot_stride=50)
     sweeps = [r.picard_iterations for r in traj.reports]
     assert len(sweeps) == 200
     assert sweeps[:3] == [2, 2, 2] and set(sweeps[3:]) == {1}
+
+
+def test_monod_warm_steps_sweep_count():
+    """The shipped Monod problem at N=40, dt=1e-3 over 200 steps, as the
+    benchmark's monod_n40 runs it: the quintic start takes 245 sweeps, where
+    a quartic took 373 (most steps needed a second sweep)."""
+    data, kin = _monod_problem(1)
+    traj = run_simulation(data, kin, SolverConfig(N=40, dt=1e-3), t_end=0.2,
+                          snapshot_stride=1000)
+    sweeps = [r.picard_iterations for r in traj.reports]
+    assert traj.outcome == "completed" and len(sweeps) == 200
+    assert sum(sweeps) <= 250
 
 
 # -- trajectories and outcomes -------------------------------------------------

@@ -374,7 +374,8 @@ def test_scalars_header_and_shape(tmp_path):
     out = tmp_path / "run"
     write_timeseries(traj, str(out))
     lines = (out / "scalars.csv").read_text().splitlines()
-    assert lines[0] == "t,R,v1,energy,picard_iters,residual,flags"
+    assert lines[0] == ("t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,"
+                        "boundary_energy_flux,flags")
     assert len(lines) == 1 + 10  # one row per accepted step
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1e-3)
@@ -483,12 +484,15 @@ def _fmt(x):
 def _oracle_files(traj):
     """Every CSV file of a run, formatted one value and one line at a time."""
     files = {}
-    lines = ["t,R,v1,energy,picard_iters,residual,flags"]
+    lines = ["t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,"
+             "boundary_energy_flux,flags"]
     for r in traj.reports:
         residual = r.residual_history[-1] if r.residual_history else 0.0
+        first = r.residual_history[0] if r.residual_history else 0.0
         lines.append(",".join([
             _fmt(r.t), _fmt(r.R), _fmt(r.v1), _fmt(r.energy),
-            str(r.picard_iterations), _fmt(residual), ";".join(sorted(r.invariant_flags)),
+            str(r.picard_iterations), _fmt(residual), _fmt(first), str(r.clamped_feet),
+            _fmt(r.boundary_energy_flux), ";".join(sorted(r.invariant_flags)),
         ]))
     files["scalars.csv"] = lines
     for idx, s in enumerate(traj.states):
