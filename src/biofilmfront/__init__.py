@@ -10,9 +10,9 @@ coordinates.
 
 from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
-from .coupler import (EnvelopeReport, PhysicalTrajectory, SolverConfig, State, StepReport,
+from .coupler import (FLAGS, EnvelopeReport, PhysicalTrajectory, SolverConfig, State,
                       Trajectory, back_transform, check_invariants, dissipation_envelope_check,
-                      energy, initial_state, picard_step, run_simulation)
+                      energy, flag_names, initial_state, picard_step, run_simulation)
 from .errors import (AssemblyError, ConfigError, EnvelopeViolation, GridError,
                      InvalidProblem, LinearSolveError, OrderRegression, OutputError,
                      PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
@@ -26,15 +26,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport",
-    "EnvelopeViolation", "Grid", "GridError", "InvalidProblem", "KineticsModel",
+    "EnvelopeViolation", "FLAGS", "Grid", "GridError", "InvalidProblem", "KineticsModel",
     "LinearSolveError", "MonodParams", "OrderRegression", "OutputError",
     "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec",
-    "SolverConfig", "SolverError", "State", "StepReport", "ThicknessCollapse",
+    "SolverConfig", "SolverError", "State", "ThicknessCollapse",
     "Trajectory", "ValidationError", "ValidationReport",
     "back_transform", "build_grid", "build_runspec", "check_invariants",
     "compile_expression", "config_hash", "detachment_rhs",
-    "dissipation_envelope_check", "energy", "initial_state", "integrate_thickness",
-    "linear_preset", "mms_study", "monod_preset", "parse_config", "picard_step",
-    "r_max_bound", "run_simulation", "validate_problem", "write_timeseries",
+    "dissipation_envelope_check", "energy", "flag_names", "initial_state",
+    "integrate_thickness", "linear_preset", "mms_study", "monod_preset", "parse_config",
+    "picard_step", "r_max_bound", "run_simulation", "validate_problem", "write_timeseries",
     "zero_kinetics",
 ]

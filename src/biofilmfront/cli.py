@@ -15,9 +15,12 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .boundary import detachment_rhs
 from .config import _OUTPUT_KEYS, _PROBLEM_KEYS, _SOLVER_KEYS, build_runspec, load_tree
-from .coupler import dissipation_envelope_check, energy, run_simulation
+from .coupler import (NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED, dissipation_envelope_check,
+                      energy, flag_names, run_simulation)
 from .errors import (ConfigError, EnvelopeViolation, GridError, InvalidProblem, SolverError,
                      ValidationError)
 from .mms import ORDER_FLOORS, mms_study
@@ -136,16 +139,9 @@ def _cmd_sweep(args) -> int:
     if not value_texts:
         print("error: --values is empty", file=sys.stderr)
         return 2
-    jobs = []
-    for text in value_texts:
-        value = _parse_value(text)
-        jobs.append({
-            "tree": copy.deepcopy(tree),
-            "param": args.param,
-            "value": value,
-            "value_text": text,
-            "out_dir": f"{args.out}/{args.param}={text}",
-        })
+    jobs = [{"tree": copy.deepcopy(tree), "param": args.param, "value": _parse_value(text),
+             "value_text": text, "out_dir": f"{args.out}/{args.param}={text}"}
+            for text in value_texts]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps use a pool
 
@@ -156,10 +152,8 @@ def _cmd_sweep(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "sweep_summary.csv")
-    values = []
-    for row in rows:
-        values += (row["value_text"], row["outcome"], row["final_R"],
-                   row["final_energy"], row["steps"])
+    values = [row[key] for row in rows
+              for key in ("value_text", "outcome", "final_R", "final_energy", "steps")]
     _write_text(summary, _table(f"{args.param},outcome,final_R,final_energy,steps",
                                 "%s,%s,%.17g,%.17g,%d", values))
     for row in rows:
@@ -170,13 +164,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tree = load_tree(args.config)
-    spec = build_runspec(tree)
     failures = []
-
     try:
-        traj = run_simulation(spec.data, spec.kin, spec.cfg, spec.t_end,
-                              snapshot_stride=spec.stride)
+        spec, traj = _run_tree(load_tree(args.config))
     except InvalidProblem as exc:
         _print_warnings(exc.report)
         for code, msg in exc.report.violations:
@@ -192,16 +182,16 @@ def _cmd_verify(args) -> int:
         print(f"run outcome: FAIL ({traj.outcome})")
         failures.append("outcome")
 
-    neg_flags = {"NEGATIVE_Y", "NEGATIVE_C"}
-    hit = {f for r in traj.reports for f in r.invariant_flags}
-    if hit & neg_flags:
-        print(f"positivity: FAIL (flags {sorted(hit & neg_flags)}, "
-              f"min Y={traj.min_Y_seen:.3e}, min C={traj.min_C_seen:.3e})")
+    hit = int(np.bitwise_or.reduce(traj.reports.invariant_flags))
+    negative = flag_names(hit & (NEGATIVE_Y | NEGATIVE_C))
+    minima = f"min Y={traj.min_Y_seen:.3e}, min C={traj.min_C_seen:.3e}"
+    if negative:
+        print(f"positivity: FAIL (flags {negative}, {minima})")
         failures.append("positivity")
     else:
-        print(f"positivity: ok (min Y={traj.min_Y_seen:.3e}, min C={traj.min_C_seen:.3e})")
+        print(f"positivity: ok ({minima})")
 
-    if "R_BOUND_EXCEEDED" in hit:
+    if hit & R_BOUND_EXCEEDED:
         print("thickness bound: FAIL (R exceeded its a priori bound)")
         failures.append("thickness bound")
     else:

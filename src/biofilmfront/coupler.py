@@ -142,63 +142,65 @@ class SolverConfig:
         return mu, nu
 
 
-@dataclass
-class StepReport:
-    """Diagnostics for one accepted time step."""
+#: invariant flags, ``FLAGS[i]`` on bit ``i`` of the ``invariant_flags`` column;
+#: alphabetical, so :func:`flag_names` lists them sorted
+FLAGS = ("CONTINUATION", "NEGATIVE_C", "NEGATIVE_Y", "R_BOUND_EXCEEDED")
+CONTINUATION, NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED = (1 << i for i in range(len(FLAGS)))
 
-    t: float
-    R: float
-    v1: float
-    residual_history: list
-    clamped_feet: int
-    energy: float
-    boundary_energy_flux: float
-    invariant_flags: set
+#: columns of :attr:`Trajectory.reports` (``.flags`` of an array is numpy's, hence
+#: ``invariant_flags``)
+STEP_COLUMNS = np.dtype([
+    ("t", float), ("R", float), ("v1", float), ("energy", float),
+    ("picard_iterations", np.int64), ("residual", float), ("first_residual", float),
+    ("contraction_ratio", float), ("clamped_feet", np.int64),
+    ("boundary_energy_flux", float), ("invariant_flags", np.int64),
+    ("min_Y", float), ("min_C", float)])
 
-    @property
-    def picard_iterations(self) -> int:
-        return len(self.residual_history)
 
-    @property
-    def contraction_ratio(self) -> float:
-        """Geometric mean of successive residual ratios; NaN under 2 sweeps,
-        which is most warm steps of a smooth run."""
-        res = self.residual_history
-        if len(res) < 2 or res[0] <= 0.0:
-            return float("nan")
-        return float((res[-1] / res[0]) ** (1.0 / (len(res) - 1)))
+def flag_names(mask: int) -> list[str]:
+    """Names of the flags set in ``mask``, in :data:`FLAGS` order."""
+    return [name for i, name in enumerate(FLAGS) if mask >> i & 1]
 
 
 @dataclass
 class Trajectory:
-    """Recorded run: strided states, per-step reports, terminal outcome and
-    the report of the problem validation it started with."""
+    """Recorded run: strided states, per-step scalars (``reports``, a record
+    array with one row per accepted step and the columns :data:`STEP_COLUMNS`),
+    terminal outcome and the report of the problem validation it started with."""
 
     grid: Grid
     cfg: SolverConfig
     kin: KineticsModel
     validation: ValidationReport
-    states: list = field(default_factory=list)
-    state_steps: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
-    outcome: str = "completed"
-    failure: dict | None = None
-    min_Y_seen: float = math.inf
-    min_C_seen: float = math.inf
+    states: list
+    state_steps: list
+    reports: np.recarray
+    outcome: str
+    failure: dict | None
 
     @property
     def final_state(self) -> State:
         return self.states[-1]
 
+    @property
+    def min_Y_seen(self) -> float:
+        """Smallest nodal biomass at t = 0 and every accepted step."""
+        return min([float(self.states[0].Y.min())] + self.reports.min_Y.tolist())
+
+    @property
+    def min_C_seen(self) -> float:
+        """Smallest nodal substrate at t = 0 and every accepted step."""
+        return min([float(self.states[0].C.min())] + self.reports.min_C.tolist())
+
     def times(self) -> np.ndarray:
         """Times of all recorded steps including t = 0."""
-        return np.array([self.states[0].t] + [r.t for r in self.reports])
+        return np.concatenate(([self.states[0].t], self.reports.t))
 
     def thickness_series(self) -> np.ndarray:
-        return np.array([self.states[0].R] + [r.R for r in self.reports])
+        return np.concatenate(([self.states[0].R], self.reports.R))
 
     def v1_series(self) -> np.ndarray:
-        return np.array([self.states[0].v1] + [r.v1 for r in self.reports])
+        return np.concatenate(([self.states[0].v1], self.reports.v1))
 
 
 def energy(s: State, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -247,8 +249,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     return ``(new_state, residuals, clamped_feet)``: the converged state, the
     residual of every sweep, and how many characteristic feet of the last
     sweep fell past ``z = 1`` and were clamped onto it.  The step computes
-    nothing about the run; :func:`run_simulation` builds the step's
-    :class:`StepReport` (energy, surface flux, invariant flags) from these.
+    nothing about the run; :func:`run_simulation` writes the step's row of
+    ``Trajectory.reports`` (energy, surface flux, invariant flags) from these.
 
     Every sweep restarts all substeps from the converged state at the step
     start, with sources/coefficients taken from the latest iterate; the
@@ -371,8 +373,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
 
 
 def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
-                     minima: tuple[float, float]) -> set:
-    """Evaluate the per-step invariant monitors, returning raised flags.
+                     minima: tuple[float, float]) -> int:
+    """Evaluate the per-step invariant monitors, returning a :data:`FLAGS` bitmask.
 
     ``NEGATIVE_Y`` / ``NEGATIVE_C``: nodal values below ``-POSITIVITY_TOL``.
     ``R_BOUND_EXCEEDED``: thickness above ``r_bound``, the running a priori
@@ -384,17 +386,17 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
     the packed ``s.X``; the maximum takes one more.
     """
     y_min, c_min = minima
-    flags = set()
+    flags = 0
     if y_min < -POSITIVITY_TOL:
-        flags.add("NEGATIVE_Y")
+        flags |= NEGATIVE_Y
     if c_min < -POSITIVITY_TOL:
-        flags.add("NEGATIVE_C")
+        flags |= NEGATIVE_C
     if s.R > r_bound + R_BOUND_SLACK:
-        flags.add("R_BOUND_EXCEEDED")
+        flags |= R_BOUND_EXCEEDED
     # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz
     dy = float(np.abs(s.Y[:, 1:] - s.Y[:, :-1]).max()) / s.grid.dz
     if max(float(s.X.max()), -y_min, -c_min, abs(s.R), dy) > cfg.continuation_threshold:
-        flags.add("CONTINUATION")
+        flags |= CONTINUATION
     return flags
 
 
@@ -496,7 +498,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     history (``picard_diverged``) or the thickness (``washout``).
 
     Snapshots are stored every ``snapshot_stride`` steps (plus t = 0 and the
-    final accepted state); per-step scalar diagnostics are always complete.
+    final accepted state); ``Trajectory.reports`` has a row per accepted step.
     From the third step on, each step's Picard iteration starts from the
     polynomial extrapolation of the last ``s = min(k, START_HISTORY)``
     accepted states (``k`` of them exist before step ``k``): a quadratic at
@@ -523,11 +525,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     mu, nu = cfg.weights(kin.n, kin.m)  # checked once, before the first step
 
     state = initial_state(data, kin, cfg)
-    traj = Trajectory(grid=state.grid, cfg=cfg, kin=kin, validation=rep)
-    traj.states.append(state)
-    traj.state_steps.append(0)
-    traj.min_Y_seen = float(state.Y.min())
-    traj.min_C_seen = float(state.C.min())
+    states, state_steps, failure = [state], [0], None
+    reports = np.recarray(n_steps, STEP_COLUMNS)
+    done = 0  # rows of reports written
     v1_max = abs(state.v1)  # running max |v1| of the a priori thickness bound
 
     outcome = "completed"
@@ -539,14 +539,13 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             state_new, residuals, clamped = picard_step(state, data, kin, cfg, history.start(),
                                                         ctx)
         except SolverError as exc:
-            traj.failure = {"code": exc.code, "message": str(exc), "step": k,
-                            "t": state.t + cfg.dt}
+            failure = {"code": exc.code, "message": str(exc), "step": k, "t": state.t + cfg.dt}
             if isinstance(exc, PicardDivergence):
                 outcome = "picard_diverged"
-                traj.failure["residual_history"] = exc.residual_history
+                failure["residual_history"] = exc.residual_history
             elif isinstance(exc, ThicknessCollapse):
                 outcome = "washout"
-                traj.failure["thickness"] = exc.thickness
+                failure["thickness"] = exc.thickness
             elif isinstance(exc, AssemblyError):
                 outcome = "assembly_rejected"
             else:  # LinearSolveError, or a non-finite value the step computed
@@ -558,31 +557,33 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         y_min, c_min = min(row_min[:kin.n]), min(row_min[kin.n:])
         flags = check_invariants(state_new, cfg, r_max_bound(data.R0, data.lam, v1_max),
                                  (y_min, c_min))
-        traj.reports.append(StepReport(
-            t=state_new.t, R=state_new.R, v1=state_new.v1, residual_history=residuals,
-            clamped_feet=clamped, energy=energy(state_new, mu, nu),
-            boundary_energy_flux=_boundary_flux(state_new, data.D, nu), invariant_flags=flags))
-        traj.min_Y_seen = min(traj.min_Y_seen, y_min)
-        traj.min_C_seen = min(traj.min_C_seen, c_min)
+        sweeps = len(residuals)
+        ratio = (math.nan if sweeps < 2 or residuals[0] <= 0.0
+                 else (residuals[-1] / residuals[0]) ** (1.0 / (sweeps - 1)))
+        reports[k - 1] = (state_new.t, state_new.R, state_new.v1, energy(state_new, mu, nu),
+                          sweeps, residuals[-1], residuals[0], ratio, clamped,
+                          _boundary_flux(state_new, data.D, nu), flags, y_min, c_min)
+        done = k
         state = state_new
         history.push(state)
         if k % snapshot_stride == 0 or k == n_steps:
-            traj.states.append(state)
-            traj.state_steps.append(k)
+            states.append(state)
+            state_steps.append(k)
 
-        if "CONTINUATION" in flags:
+        if flags & CONTINUATION:
             outcome = "continuation_tripped"
             break
-        if cfg.positivity_mode == "fail" and flags & {"NEGATIVE_Y", "NEGATIVE_C"}:
+        if cfg.positivity_mode == "fail" and flags & (NEGATIVE_Y | NEGATIVE_C):
             outcome = "positivity_violated"
             break
 
-    if traj.state_steps[-1] != len(traj.reports):
+    if state_steps[-1] != done:
         # early break between stride points: keep the last accepted state
-        traj.states.append(state)
-        traj.state_steps.append(len(traj.reports))
-    traj.outcome = outcome
-    return traj
+        states.append(state)
+        state_steps.append(done)
+    return Trajectory(grid=state.grid, cfg=cfg, kin=kin, validation=rep, states=states,
+                      state_steps=state_steps, reports=reports[:done], outcome=outcome,
+                      failure=failure)
 
 
 # -- energy dissipation envelope ----------------------------------------------
@@ -630,10 +631,10 @@ def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0
 
     times = traj.times()
     E0 = energy(traj.states[0], mu, nu)
-    energies = np.array([E0] + [r.energy for r in traj.reports])
+    energies = np.concatenate(([E0], traj.reports.energy))
     budget = np.exp(-gamma * times) * E0 + M_R * (beta + M0) / gamma
     if include_boundary:
-        flux = np.array([0.0] + [r.boundary_energy_flux for r in traj.reports])
+        flux = np.concatenate(([0.0], traj.reports.boundary_energy_flux))
         steps = np.diff(times, prepend=times[0])
         budget = budget + np.cumsum(flux * steps)
 

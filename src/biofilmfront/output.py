@@ -20,13 +20,18 @@ import re
 
 import numpy as np
 
-from .coupler import Trajectory, back_transform
+from .coupler import FLAGS, Trajectory, back_transform, flag_names
 from .errors import OutputError
 
 PACKAGE_NAME = "biofilmfront"
 
 #: names of the snapshot files, the only ones a rerun removes
 _SNAPSHOT_NAME = re.compile(r"snapshot_[0-9]+\.csv")
+#: ``flags`` text of ``scalars.csv`` by bitmask: the names, ``;``-joined
+_FLAG_TEXT = [";".join(flag_names(mask)) for mask in range(1 << len(FLAGS))]
+#: columns of ``scalars.csv`` before ``flags``, as named in ``Trajectory.reports``
+_SCALAR_COLUMNS = ("t", "R", "v1", "energy", "picard_iterations", "residual",
+                   "first_residual", "clamped_feet", "boundary_energy_flux")
 
 
 def _table(header: str, row: str, values) -> str:
@@ -81,14 +86,12 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     except OSError as exc:
         raise OutputError(f"cannot create {out_dir!r}: {exc}") from None
 
-    values = []
-    for r in traj.reports:
-        res = r.residual_history or [0.0]
-        values += (r.t, r.R, r.v1, r.energy, r.picard_iterations, res[-1], res[0],
-                   r.clamped_feet, r.boundary_energy_flux, ";".join(sorted(r.invariant_flags)))
+    cols = [traj.reports[name].tolist() for name in _SCALAR_COLUMNS]
+    cols.append([_FLAG_TEXT[mask] for mask in traj.reports.invariant_flags.tolist()])
     _write_text(os.path.join(out_dir, "scalars.csv"), _table(
         "t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,boundary_energy_flux,"
-        "flags", "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%s", values))
+        "flags", "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%s",
+        [v for row in zip(*cols) for v in row]))
     files = ["scalars.csv"]
 
     # every snapshot lies on traj.grid: its z column is formatted once, into
@@ -119,7 +122,7 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     except OSError as exc:
         raise OutputError(f"cannot remove stale snapshots in {out_dir!r}: {exc}") from None
 
-    sweeps = [r.picard_iterations for r in traj.reports]
+    sweeps = traj.reports.picard_iterations
     manifest = {
         "package": PACKAGE_NAME,
         "config_hash": config_hash,
@@ -129,7 +132,7 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
         "snapshot_steps": list(traj.state_steps),
         "min_Y_seen": traj.min_Y_seen,
         "min_C_seen": traj.min_C_seen,
-        "picard": {"sweeps": sum(sweeps), "max_sweeps": max(sweeps, default=0)},
+        "picard": {"sweeps": int(sweeps.sum()), "max_sweeps": int(sweeps.max(initial=0))},
         "files": files,
     }
     if traj.failure is not None:

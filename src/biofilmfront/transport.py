@@ -11,7 +11,7 @@ by the trapezoid rule along the characteristic:
 The foot is ``z * exp(dt * v1_mean)``, exact when ``v1`` varies linearly over
 the step.  It never leaves the domain below (``z * exp(x) >= 0``); feet beyond
 ``z = 1`` are clamped onto the surface (constant extrapolation of the boundary
-value) and counted in the step report.
+value) and counted in the step's row of ``Trajectory.reports``.
 
 The functions here are the step's array kernels; the coupled step
 (:func:`biofilmfront.coupler.picard_step`) interpolates with

@@ -24,6 +24,7 @@ from biofilmfront import (
     check_invariants,
     dissipation_envelope_check,
     energy,
+    flag_names,
     initial_state,
     linear_preset,
     monod_preset,
@@ -148,7 +149,8 @@ def test_check_invariants_flags():
     g = build_grid(4)
     s = State(t=0.0, grid=g, Y=np.full((1, 5), -1e-6), C=np.zeros((1, 5)), R=5.0,
               v=np.zeros(5))
-    flags = check_invariants(s, SolverConfig(N=4), 1.0, (float(s.Y.min()), float(s.C.min())))
+    flags = flag_names(check_invariants(s, SolverConfig(N=4), 1.0,
+                                        (float(s.Y.min()), float(s.C.min()))))
     assert "NEGATIVE_Y" in flags
     assert "R_BOUND_EXCEEDED" in flags
     assert "NEGATIVE_C" not in flags
@@ -169,14 +171,18 @@ def test_zero_kinetics_converges_in_two_iterations():
 
 
 def test_step_report_residuals_decrease():
+    """A run's first step is the cold ``picard_step``: its row records that
+    step's sweep count, first and last residual and contraction ratio."""
     data, kin = _linear_reference()
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
-    rep = run_simulation(data, kin, cfg, t_end=5e-3).reports[0]
-    hist = rep.residual_history
-    assert rep.picard_iterations == len(hist)
+    _, hist, _ = picard_step(initial_state(data, kin, cfg), data, kin, cfg)
     assert len(hist) >= 3
     assert all(b < a for a, b in zip(hist, hist[1:]))
-    assert 0.0 < rep.contraction_ratio < 1.0
+    row = run_simulation(data, kin, cfg, t_end=5e-3).reports[0]
+    assert row.picard_iterations == len(hist)
+    assert row.first_residual == hist[0] and row.residual == hist[-1]
+    assert row.contraction_ratio == (hist[-1] / hist[0]) ** (1.0 / (len(hist) - 1))
+    assert 0.0 < row.contraction_ratio < 1.0
 
 
 # -- lockstep oracle for the coupled step ----------------------------------------
@@ -533,8 +539,11 @@ def test_warm_start_agrees_with_cold_steps(problem):
     states, histories = _cold_run(data, kin, cfg, 200)
     assert traj.outcome == "completed" and len(traj.reports) == 200
     for k in (1, 2):  # steps 1 and 2 start cold
-        assert np.array_equal(traj.states[k].C, states[k].C)
-        assert traj.reports[k - 1].residual_history == histories[k - 1]
+        a, b, row, hist = traj.states[k], states[k], traj.reports[k - 1], histories[k - 1]
+        assert all(np.array_equal(x, y) for x, y in ((a.Y, b.Y), (a.C, b.C), (a.v, b.v)))
+        assert a.R == b.R
+        assert row.picard_iterations == len(hist)
+        assert row.first_residual == hist[0] and row.residual == hist[-1]
     assert max(_max_state_gap(a, b) for a, b in zip(traj.states, states)) <= 1e-9
     warm = [r.picard_iterations for r in traj.reports]
     cold = [len(h) for h in histories]
@@ -607,7 +616,7 @@ def test_rerun_is_deterministic():
     t2 = run_simulation(data, kin, cfg, t_end=0.1, snapshot_stride=10)
     assert t1.final_state.R == t2.final_state.R
     assert np.array_equal(t1.final_state.C, t2.final_state.C)
-    assert [r.energy for r in t1.reports] == [r.energy for r in t2.reports]
+    assert t1.reports.energy.tolist() == t2.reports.energy.tolist()
 
 
 def test_washout_outcome():
@@ -678,7 +687,7 @@ def test_continuation_monitor_trips():
     cfg = SolverConfig(N=10, dt=1e-3, continuation_threshold=10.0)
     traj = run_simulation(data, kin, cfg, t_end=2.0, snapshot_stride=100)
     assert traj.outcome == "continuation_tripped"
-    assert "CONTINUATION" in traj.reports[-1].invariant_flags
+    assert "CONTINUATION" in flag_names(traj.reports[-1].invariant_flags)
     assert traj.final_state.t < 2.0
 
 
@@ -701,7 +710,7 @@ def test_positivity_fail_mode():
     cfg_mon = SolverConfig(N=10, dt=1e-2, positivity_mode="monitor")
     traj_mon = run_simulation(data, kin, cfg_mon, t_end=1.0, snapshot_stride=1)
     assert traj_mon.outcome == "completed"
-    assert any("NEGATIVE_Y" in r.invariant_flags for r in traj_mon.reports)
+    assert any("NEGATIVE_Y" in flag_names(f) for f in traj_mon.reports.invariant_flags)
 
 
 def _peclet_growth_problem():
@@ -846,7 +855,7 @@ def test_envelope_budget_with_surface_flux():
     sealed = dissipation_envelope_check(traj, alpha=1.0, beta=1.0, M0=0.0)
     leaky = dissipation_envelope_check(traj, alpha=1.0, beta=1.0, M0=0.0,
                                        include_boundary=True)
-    flux = np.array([r.boundary_energy_flux for r in traj.reports])
+    flux = traj.reports.boundary_energy_flux
     assert np.all(flux > 0.0)
     want = sealed.budget + np.concatenate([[0.0], np.cumsum(flux * dt)])
     assert leaky.budget == pytest.approx(want, rel=1e-12, abs=0.0)

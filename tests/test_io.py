@@ -12,6 +12,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from biofilmfront import (
+    FLAGS,
     ConfigError,
     MonodParams,
     OutputError,
@@ -487,12 +488,11 @@ def _oracle_files(traj):
     lines = ["t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,"
              "boundary_energy_flux,flags"]
     for r in traj.reports:
-        residual = r.residual_history[-1] if r.residual_history else 0.0
-        first = r.residual_history[0] if r.residual_history else 0.0
+        flags = {name for i, name in enumerate(FLAGS) if r.invariant_flags & (1 << i)}
         lines.append(",".join([
             _fmt(r.t), _fmt(r.R), _fmt(r.v1), _fmt(r.energy),
-            str(r.picard_iterations), _fmt(residual), _fmt(first), str(r.clamped_feet),
-            _fmt(r.boundary_energy_flux), ";".join(sorted(r.invariant_flags)),
+            str(r.picard_iterations), _fmt(r.residual), _fmt(r.first_residual),
+            str(r.clamped_feet), _fmt(r.boundary_energy_flux), ";".join(sorted(flags)),
         ]))
     files["scalars.csv"] = lines
     for idx, s in enumerate(traj.states):
@@ -528,6 +528,40 @@ def test_writer_matches_per_value_oracle(tmp_path):
     assert len(expected) == 1 + 11 + 1  # scalars, a snapshot per step and t = 0, physical
     for name, data in expected.items():
         assert (out / name).read_bytes() == data, name
+
+
+def test_writer_flags_match_per_value_oracle(tmp_path):
+    """Rows that raise invariant flags: a source that drives both Y and C
+    negative from the first steps, so ``flags`` reads
+    ``NEGATIVE_C;NEGATIVE_Y``."""
+    tree = _tree()
+    tree["problem"].update(
+        kinetics={"preset": "linear", "A": [[0.0]], "c": [-5.0], "B": [[-1.0]], "d": [-2.0]},
+        phi=[0.05], theta=["0.1*cos(pi*z/2)"])
+    spec = build_runspec(tree)
+    traj = run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.05, snapshot_stride=25)
+    assert traj.outcome == "completed"
+    write_timeseries(traj, str(tmp_path / "run"))
+    expected = _oracle_files(traj)["scalars.csv"]
+    assert expected.endswith(b",NEGATIVE_C;NEGATIVE_Y\n")
+    assert (tmp_path / "run" / "scalars.csv").read_bytes() == expected
+
+
+def test_empty_run_outputs(tmp_path):
+    """``t_end = 0`` takes no step: the per-step table has no rows, the
+    series hold t = 0 alone and ``scalars.csv`` is its header."""
+    spec = build_runspec(_tree())
+    traj = run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.0)
+    assert traj.outcome == "completed" and len(traj.reports) == 0
+    assert traj.times().tolist() == [0.0] and traj.state_steps == [0]
+    s0 = traj.states[0]
+    assert traj.min_Y_seen == float(s0.Y.min()) and traj.min_C_seen == float(s0.C.min())
+    manifest = write_timeseries(traj, str(tmp_path / "run"))
+    assert (tmp_path / "run" / "scalars.csv").read_text() == (
+        "t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,"
+        "boundary_energy_flux,flags\n")
+    assert manifest["n_steps"] == 0
+    assert manifest["picard"] == {"sweeps": 0, "max_sweeps": 0}
 
 
 @given(hnp.arrays(np.float64,
