@@ -13,12 +13,12 @@ until successive iterates agree in sup norm.  The run loop assembles a
 outcome, and exposes energy/invariant monitors plus the map back to physical
 (moving-domain) coordinates.
 
-Work is done as rarely as it can be.  Per run: the theta-scheme weights,
-``D/dz^2`` and the implicit operator's bands (:class:`_StepContext`).  Per
-step: the step-start sources and the explicit half of the substrate scheme.
-Per sweep: the rates at the iterate, the off-diagonals at its ``v1``, the
-solves, the transport and the thickness.  Per accepted step, after the
-sweeps: the invariant flags, the energy and the surface flux.  An iterate
+A run is one object, :class:`_Run`.  Work is done as rarely as it can be.
+Per run: the theta-scheme weights, ``D/dz^2`` and the implicit operator's
+bands.  Per step: the step-start sources and the explicit half of the
+substrate scheme.  Per sweep: the rates at the iterate, the off-diagonals at
+its ``v1``, the solves, the transport and the thickness.  Per accepted step,
+after the sweeps: the invariant flags, the energy and the surface flux.  An iterate
 keeps ``Y`` and ``C`` as the rows of one packed ``(n + m, N + 1)`` array,
 as a :class:`State` does, so residuals and monitors take one pass over it.
 """
@@ -152,9 +152,8 @@ CONTINUATION, NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED = (1 << i for i in range(
 STEP_COLUMNS = np.dtype([
     ("t", float), ("R", float), ("v1", float), ("energy", float),
     ("picard_iterations", np.int64), ("residual", float), ("first_residual", float),
-    ("contraction_ratio", float), ("clamped_feet", np.int64),
-    ("boundary_energy_flux", float), ("invariant_flags", np.int64),
-    ("min_Y", float), ("min_C", float)])
+    ("clamped_feet", np.int64), ("boundary_energy_flux", float),
+    ("invariant_flags", np.int64), ("min_Y", float), ("min_C", float)])
 
 
 def flag_names(mask: int) -> list[str]:
@@ -230,21 +229,9 @@ def _boundary_flux(s: State, D: np.ndarray, nu: np.ndarray) -> float:
     return abs(total)
 
 
-class _StepContext:
-    """What a run's steps share: the weights ``dt theta`` and ``dt (1 -
-    theta)``, ``nodes[1:N]``, and per substrate ``D/dz^2`` and the implicit
-    operator's bands, whose off-diagonals each sweep rewrites."""
-
-    def __init__(self, grid: Grid, data: ProblemData, cfg: SolverConfig):
-        self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
-        self.interior = grid.nodes[1:grid.N]
-        self.diffs = [float(D) / grid.dz**2 for D in data.D]
-        self.bands = [parabolic.implicit_bands(grid.N, diff, self.a_new) for diff in self.diffs]
-
-
 def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
                 start: tuple | None = None,
-                ctx: _StepContext | None = None) -> tuple[State, list[float], int]:
+                run: _Run | None = None) -> tuple[State, list[float], int]:
     """Advance one step of length ``cfg.dt`` by fixed-point iteration and
     return ``(new_state, residuals, clamped_feet)``: the converged state, the
     residual of every sweep, and how many characteristic feet of the last
@@ -260,13 +247,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     :attr:`State.X`) and the step-start state otherwise.  The fixed point is
     unique, so the start changes only how many sweeps reach it.
 
-    What is fixed for the run comes in ``ctx`` (:class:`_StepContext`):
-    :func:`run_simulation` builds it once, and the step builds its own when
-    a caller passes none.  What is fixed for the step is computed once
-    before the sweeps: the step-start sources ``f`` and ``h``, the explicit
-    half of the theta-scheme and its mesh-Peclet guard.  Each sweep
-    evaluates ``h``, ``g`` and ``f`` once at the iterate, rewrites the
-    off-diagonals in ``ctx``'s bands, and writes its new ``(Y, C)`` into a
+    What is fixed for the run comes in ``run`` (:class:`_Run`):
+    :func:`run_simulation` builds it once, and the step builds its own from
+    ``state`` when a caller passes none.  What is fixed for the step is
+    computed once before the sweeps: the step-start sources ``f`` and ``h``,
+    the explicit half of the theta-scheme and its mesh-Peclet guard.  Each
+    sweep evaluates ``h``, ``g`` and ``f`` once at the iterate, rewrites the
+    off-diagonals in ``run``'s bands, and writes its new ``(Y, C)`` into a
     fresh packed array, which becomes the state's ``X`` when the sweeps
     converge; no later step writes to it.
 
@@ -292,7 +279,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     theta = cfg.theta_scheme
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
     psi_end = data.psi_at(t_new)
-    ctx = _StepContext(grid, data, cfg) if ctx is None else ctx
+    run = _Run(state, data, cfg) if run is None else run
 
     # step-start source fields, fixed across sweeps
     R2_start = R_start**2
@@ -304,12 +291,12 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     # The explicit half of the substrate scheme sits at v1_start, and so does
     # its mesh-Peclet guard (theta < 1); the sweeps guard the implicit
     # operator at each iterate's v1.
-    adv_old = parabolic.advection_weights(ctx.interior, v1_start, dz)
+    adv_old = parabolic.advection_weights(run.interior, v1_start, dz)
     explicit = np.empty(C0.shape)
-    for j, diff in enumerate(ctx.diffs):
+    for j, diff in enumerate(run.diffs):
         if theta < 1.0 and parabolic.peclet_unstable(adv_old, diff):
             raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
-        explicit[j] = parabolic.explicit_part(C0[j], adv_old, diff, ctx.a_old)
+        explicit[j] = parabolic.explicit_part(C0[j], adv_old, diff, run.a_old)
     residuals: list[float] = []
     rising = 0
     converged = False
@@ -321,11 +308,11 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         # (1) substrates: theta-blended sources, iterate-lagged at the end stage
         H_end = R2 * np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
         rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
-        adv = parabolic.advection_weights(ctx.interior, v1k, dz)
-        for j, (diff, (dl, d, du)) in enumerate(zip(ctx.diffs, ctx.bands)):
+        adv = parabolic.advection_weights(run.interior, v1k, dz)
+        for j, (diff, (dl, d, du)) in enumerate(zip(run.diffs, run.bands)):
             if parabolic.peclet_unstable(adv, diff):
                 raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
-            parabolic.implicit_off_diagonals(adv, diff, ctx.a_new, dl, du)
+            parabolic.implicit_off_diagonals(adv, diff, run.a_new, dl, du)
             X[n + j] = parabolic.gtsv_solve(dl, d, du, rhs[j])
         C_new = X[n:]
 
@@ -401,7 +388,7 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
 
 
 def _start_weights(s: int, count: int) -> np.ndarray:
-    """Row weights of :class:`_StartHistory` after ``count`` pushes, for the
+    """Row weights of the start buffer after ``count`` pushes, for the
     polynomial through its newest ``s`` states: ``(-1)^(s-1-i) binom(s, i)``
     on the ``i``-th oldest, zero on the rows it does not use."""
     w = np.zeros(START_HISTORY)
@@ -411,43 +398,86 @@ def _start_weights(s: int, count: int) -> np.ndarray:
     return w
 
 
-class _StartHistory:
-    """The last :data:`START_HISTORY` accepted states of a run, packed as
-    ``(X, R, v1)`` one per row of a rolling buffer, and the start iterate
-    they predict for the next step."""
+class _Run:
+    """One run from its start ``state``: what its steps share (the weights
+    ``dt theta`` and ``dt (1 - theta)``, ``nodes[1:N]``, and per substrate
+    ``D/dz^2`` and the implicit operator's bands, whose off-diagonals each
+    sweep rewrites), the newest accepted state, the last
+    :data:`START_HISTORY` of them as ``(X, R, v1)`` rows of a rolling buffer
+    and their ``count`` (the start state included), the running max
+    ``|v1|``, the ``reports`` table and the states kept every ``stride``."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
     _WEIGHTS = {(s, r): _start_weights(s, r)
                 for s in range(3, START_HISTORY + 1) for r in range(START_HISTORY)}
 
-    def __init__(self, n: int, m: int, K: int):
-        self._buf = np.zeros((START_HISTORY, (n + m) * K + 2))
-        self._x = np.empty((n + m) * K + 2)
+    def __init__(self, state: State, data: ProblemData, cfg: SolverConfig, n_steps: int = 0,
+                 stride: int = 1):
+        grid = state.grid
+        self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
+        self.interior = grid.nodes[1:grid.N]
+        self.diffs = [float(D) / grid.dz**2 for D in data.D]
+        self.bands = [parabolic.implicit_bands(grid.N, diff, self.a_new) for diff in self.diffs]
+        self._buf = np.zeros((START_HISTORY, state.X.size + 2))
+        self._x = np.empty(state.X.size + 2)
         # views of the packed X within the rows and within the start
-        self._X = self._buf[:, :-2].reshape(START_HISTORY, n + m, K)
-        self._X_start = self._x[:-2].reshape(n + m, K)
-        self._count = 0
+        self._X = self._buf[:, :-2].reshape((START_HISTORY,) + state.X.shape)
+        self._X_start = self._x[:-2].reshape(state.X.shape)
+        self.count = 0
+        self.v1_max = abs(state.v1)  # of the a priori thickness bound
+        self.reports = np.recarray(n_steps, STEP_COLUMNS)
+        self.stride, self.states, self.state_steps = stride, [state], [0]
+        self.push(state)
 
     def push(self, state: State) -> None:
-        row = self._count % START_HISTORY
+        """Take ``state`` as the newest accepted one."""
+        row = self.count % START_HISTORY
         self._X[row] = state.X
-        self._buf[row, -2] = state.R
-        self._buf[row, -1] = state.v1
-        self._count += 1
+        self._buf[row, -2:] = state.R, state.v1
+        self.count += 1
+        self.state = state
 
     def start(self) -> tuple | None:
         """Start iterate ``(X, R, v1)``: the polynomial through the newest
-        ``s = min(pushes, START_HISTORY)`` states, one ``dt`` apart, evaluated
+        ``s = min(count, START_HISTORY)`` states, one ``dt`` apart, evaluated
         one ``dt`` on, ``X* = sum_i (-1)^(s-1-i) binom(s, i) X_i`` (oldest
         first).  ``None`` (a cold start) below three states.  ``X`` packs
         ``Y`` and ``C`` as :attr:`State.X` does; the next call overwrites it."""
-        count = self._count
+        count = self.count
         if count < 3:
             return None
-        x = self._x
-        self._WEIGHTS[min(count, START_HISTORY), count % START_HISTORY].dot(self._buf, out=x)
-        R, v1 = x[-2:].tolist()
+        self._WEIGHTS[min(count, START_HISTORY), count % START_HISTORY].dot(self._buf, out=self._x)
+        R, v1 = self._x[-2:].tolist()
         return self._X_start, R, v1
+
+    def accept(self, step: tuple, data: ProblemData, cfg: SolverConfig, mu: np.ndarray,
+               nu: np.ndarray) -> int:
+        """Record the ``(state, residuals, clamped_feet)`` of :func:`picard_step`
+        as the next step: write its row of ``reports``, push the state and
+        keep it on the stride.  Returns the row's invariant flags."""
+        state, residuals, clamped = step
+        k = self.count
+        self.v1_max = max(self.v1_max, abs(state.v1))
+        row_min, n = state.X.min(axis=1).tolist(), len(state.Y)
+        y_min, c_min = min(row_min[:n]), min(row_min[n:])
+        flags = check_invariants(state, cfg, r_max_bound(data.R0, data.lam, self.v1_max),
+                                 (y_min, c_min))
+        self.reports[k - 1] = (state.t, state.R, state.v1, energy(state, mu, nu),
+                               len(residuals), residuals[-1], residuals[0], clamped,
+                               _boundary_flux(state, data.D, nu), flags, y_min, c_min)
+        self.push(state)
+        if k % self.stride == 0:
+            self.states.append(state)
+            self.state_steps.append(k)
+        return flags
+
+    def finish(self) -> None:
+        """Keep the last accepted state off the stride; cut ``reports``."""
+        done = self.count - 1
+        if self.state_steps[-1] != done:
+            self.states.append(self.state)
+            self.state_steps.append(done)
+        self.reports = self.reports[:done]
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
@@ -497,6 +527,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     message, the step number and its end time ``t``, plus the residual
     history (``picard_diverged``) or the thickness (``washout``).
 
+    One :class:`_Run` holds the run between steps; each step is
+    :func:`picard_step`, then :meth:`_Run.accept`, then the stop checks.
     Snapshots are stored every ``snapshot_stride`` steps (plus t = 0 and the
     final accepted state); ``Trajectory.reports`` has a row per accepted step.
     From the third step on, each step's Picard iteration starts from the
@@ -524,22 +556,14 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
                              f"t={n_steps * cfg.dt:.12g}"))
     mu, nu = cfg.weights(kin.n, kin.m)  # checked once, before the first step
 
-    state = initial_state(data, kin, cfg)
-    states, state_steps, failure = [state], [0], None
-    reports = np.recarray(n_steps, STEP_COLUMNS)
-    done = 0  # rows of reports written
-    v1_max = abs(state.v1)  # running max |v1| of the a priori thickness bound
-
-    outcome = "completed"
-    ctx = _StepContext(state.grid, data, cfg)
-    history = _StartHistory(kin.n, kin.m, state.grid.N + 1)
-    history.push(state)
+    run = _Run(initial_state(data, kin, cfg), data, cfg, n_steps, snapshot_stride)
+    outcome, failure = "completed", None
     for k in range(1, n_steps + 1):
         try:
-            state_new, residuals, clamped = picard_step(state, data, kin, cfg, history.start(),
-                                                        ctx)
+            step = picard_step(run.state, data, kin, cfg, run.start(), run)
         except SolverError as exc:
-            failure = {"code": exc.code, "message": str(exc), "step": k, "t": state.t + cfg.dt}
+            failure = {"code": exc.code, "message": str(exc), "step": k,
+                       "t": run.state.t + cfg.dt}
             if isinstance(exc, PicardDivergence):
                 outcome = "picard_diverged"
                 failure["residual_history"] = exc.residual_history
@@ -551,25 +575,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             else:  # LinearSolveError, or a non-finite value the step computed
                 outcome = "solve_failed"
             break
-
-        v1_max = max(v1_max, abs(state_new.v1))
-        row_min = state_new.X.min(axis=1).tolist()
-        y_min, c_min = min(row_min[:kin.n]), min(row_min[kin.n:])
-        flags = check_invariants(state_new, cfg, r_max_bound(data.R0, data.lam, v1_max),
-                                 (y_min, c_min))
-        sweeps = len(residuals)
-        ratio = (math.nan if sweeps < 2 or residuals[0] <= 0.0
-                 else (residuals[-1] / residuals[0]) ** (1.0 / (sweeps - 1)))
-        reports[k - 1] = (state_new.t, state_new.R, state_new.v1, energy(state_new, mu, nu),
-                          sweeps, residuals[-1], residuals[0], ratio, clamped,
-                          _boundary_flux(state_new, data.D, nu), flags, y_min, c_min)
-        done = k
-        state = state_new
-        history.push(state)
-        if k % snapshot_stride == 0 or k == n_steps:
-            states.append(state)
-            state_steps.append(k)
-
+        flags = run.accept(step, data, cfg, mu, nu)
         if flags & CONTINUATION:
             outcome = "continuation_tripped"
             break
@@ -577,12 +583,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             outcome = "positivity_violated"
             break
 
-    if state_steps[-1] != done:
-        # early break between stride points: keep the last accepted state
-        states.append(state)
-        state_steps.append(done)
-    return Trajectory(grid=state.grid, cfg=cfg, kin=kin, validation=rep, states=states,
-                      state_steps=state_steps, reports=reports[:done], outcome=outcome,
+    run.finish()
+    return Trajectory(grid=run.state.grid, cfg=cfg, kin=kin, validation=rep, states=run.states,
+                      state_steps=run.state_steps, reports=run.reports, outcome=outcome,
                       failure=failure)
 
 

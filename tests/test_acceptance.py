@@ -134,8 +134,9 @@ def _contraction_reference():
 def _first_step_contraction(dt):
     data, kin = _contraction_reference()
     cfg = bf.SolverConfig(N=50, dt=dt, picard_tol=1e-12, picard_max_iter=80)
-    traj = bf.run_simulation(data, kin, cfg, t_end=dt)  # one step, started cold
-    return traj.reports[0].contraction_ratio
+    row = bf.run_simulation(data, kin, cfg, t_end=dt).reports[0]  # one step, started cold
+    # geometric mean reduction per sweep
+    return (row.residual / row.first_residual) ** (1.0 / (row.picard_iterations - 1))
 
 
 def test_c07_picard_contraction_scaling():

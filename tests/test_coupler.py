@@ -34,7 +34,7 @@ from biofilmfront import (
 )
 from biofilmfront import coupler
 from biofilmfront.boundary import r_max_bound, velocity_nodes
-from biofilmfront.coupler import START_HISTORY, _StartHistory
+from biofilmfront.coupler import START_HISTORY, _Run
 from biofilmfront.grid import interp_rows
 from stages import substrate_step, thickness_step, transport_step
 
@@ -172,7 +172,8 @@ def test_zero_kinetics_converges_in_two_iterations():
 
 def test_step_report_residuals_decrease():
     """A run's first step is the cold ``picard_step``: its row records that
-    step's sweep count, first and last residual and contraction ratio."""
+    step's sweep count and first and last residual, and so its contraction
+    ratio."""
     data, kin = _linear_reference()
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
     _, hist, _ = picard_step(initial_state(data, kin, cfg), data, kin, cfg)
@@ -181,8 +182,9 @@ def test_step_report_residuals_decrease():
     row = run_simulation(data, kin, cfg, t_end=5e-3).reports[0]
     assert row.picard_iterations == len(hist)
     assert row.first_residual == hist[0] and row.residual == hist[-1]
-    assert row.contraction_ratio == (hist[-1] / hist[0]) ** (1.0 / (len(hist) - 1))
-    assert 0.0 < row.contraction_ratio < 1.0
+    ratio = (row.residual / row.first_residual) ** (1.0 / (row.picard_iterations - 1))
+    assert ratio == (hist[-1] / hist[0]) ** (1.0 / (len(hist) - 1))
+    assert 0.0 < ratio < 1.0
 
 
 # -- lockstep oracle for the coupled step ----------------------------------------
@@ -314,25 +316,24 @@ def test_picard_step_matches_reference_bitwise(problem, m, theta):
     data, kin = problem(m)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12, theta_scheme=theta)
     state = initial_state(data, kin, cfg)
-    history = _StartHistory(kin.n, kin.m, cfg.N + 1)
-    history.push(state)
+    run = _Run(state, data, cfg)
     for _ in range(START_HISTORY + 1):
         got = picard_step(state, data, kin, cfg)
         _assert_same_step(got, reference_picard_step(state, data, kin, cfg))
-        start = history.start()
+        start = run.start()
         if start is not None:
             _assert_same_step(picard_step(state, data, kin, cfg, start),
                               reference_picard_step(state, data, kin, cfg, start))
         state = got[0]
-        history.push(state)
+        run.push(state)
 
 
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 def test_run_states_match_direct_steps_and_stay_frozen(theta):
-    """run_simulation builds one step context for the run, and its states
+    """run_simulation builds one run object for the run, and its states
     keep ``Y`` and ``C`` in one packed array each.  Replayed by direct
-    ``picard_step`` calls, which build their own context, from the same
-    start iterates, the run gives the same states bit for bit; and no
+    ``picard_step`` calls on a run object of their own, which gives them the
+    same start iterates, the run gives the same states bit for bit; and no
     recorded state changes after the run, or while later steps run."""
     data, kin = _monod_problem(2)
     cfg = SolverConfig(N=30, dt=5e-3, theta_scheme=theta)
@@ -345,12 +346,11 @@ def test_run_states_match_direct_steps_and_stay_frozen(theta):
     recorded = [frozen_copy(s) for s in traj.states]
     state = traj.states[0]
     replayed = [frozen_copy(state)]
-    history = _StartHistory(kin.n, kin.m, cfg.N + 1)
-    history.push(state)
+    run = _Run(state, data, cfg)
     for _ in range(20):
-        state = picard_step(state, data, kin, cfg, history.start())[0]
+        state = picard_step(state, data, kin, cfg, run.start(), run)[0]
         replayed.append(frozen_copy(state))
-        history.push(state)
+        run.push(state)
     assert replayed == recorded == [frozen_copy(s) for s in traj.states]
     for s in traj.states:
         assert not any(a.flags.writeable for a in (s.X, s.Y, s.C, s.v))
@@ -411,11 +411,11 @@ def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
                      C=np.full((1, 5), 2.0 * p(t)), R=1.0 - p(t),
                      v=np.linspace(0.0, -p(t), 5))
 
-    history = _StartHistory(2, 1, 5)
-    for pushes in range(s + (4 if s == START_HISTORY else 0)):
-        assert (history.start() is None) == (pushes < 3)
-        history.push(state(float(pushes)))
-    X, R, v1 = history.start()
+    run = _Run(state(0.0), _substrate_only(), SolverConfig(N=4))
+    for pushes in range(1, s + (4 if s == START_HISTORY else 0)):
+        assert (run.start() is None) == (pushes < 3)
+        run.push(state(float(pushes)))
+    X, R, v1 = run.start()
     want = state(float(pushes + 1))
     assert np.array_equal(X[:2], want.Y) and np.array_equal(X[2:], want.C)
     assert R == want.R and v1 == want.v1
@@ -466,20 +466,19 @@ def test_h_called_once_per_sweep():
     kin = KineticsModel(n=1, m=1, f=base.f, h=h, g=base.g)
     cfg = SolverConfig(N=30, dt=5e-3, picard_tol=1e-12)
     state = initial_state(data, kin, cfg)
-    history = _StartHistory(kin.n, kin.m, cfg.N + 1)
-    history.push(state)
+    run = _Run(state, data, cfg)
     for _ in range(START_HISTORY + 1):
         del calls[:]
         new_state, residuals, _ = picard_step(state, data, kin, cfg)
         assert len(residuals) >= 3
         assert len(calls) == len(residuals) + 1
-        start = history.start()
+        start = run.start()
         if start is not None:
             del calls[:]
             _, residuals, _ = picard_step(state, data, kin, cfg, start)
             assert len(calls) == len(residuals) + 1
         state = new_state
-        history.push(state)
+        run.push(state)
 
 
 def test_warm_step_checks_explicit_peclet():
@@ -586,14 +585,17 @@ def test_detachment_decay_closed_form():
     assert traj.final_state.R == pytest.approx(exact, abs=1e-9)
 
 
-def test_snapshot_stride():
+@pytest.mark.parametrize("n_steps, kept", [(10, [0, 5, 10]), (12, [0, 5, 10, 12])])
+def test_snapshot_stride(n_steps, kept):
+    """States every ``stride`` steps, and the last one also off the stride."""
     data = _substrate_only()
     traj = run_simulation(data, zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3),
-                          t_end=0.01, snapshot_stride=5)
-    assert traj.state_steps == [0, 5, 10]
-    assert len(traj.reports) == 10
+                          t_end=n_steps * 1e-3, snapshot_stride=5)
+    assert traj.outcome == "completed" and traj.state_steps == kept
+    assert len(traj.reports) == n_steps
+    assert traj.final_state.t == traj.reports.t[-1]
     times = traj.times()
-    assert len(times) == 11 and times[0] == 0.0
+    assert len(times) == n_steps + 1 and times[0] == 0.0
 
 
 def test_dt_halving_consistency():
