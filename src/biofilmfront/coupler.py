@@ -13,14 +13,16 @@ until successive iterates agree in sup norm.  The run loop assembles a
 outcome, and exposes energy/invariant monitors plus the map back to physical
 (moving-domain) coordinates.
 
-A run is one object, :class:`_Run`.  Work is done as rarely as it can be.
-Per run: the theta-scheme weights, ``D/dz^2`` and the implicit operator's
-bands.  Per step: the step-start sources and the explicit half of the
-substrate scheme.  Per sweep: the rates at the iterate, the off-diagonals at
-its ``v1``, the solves, the transport and the thickness.  Per accepted step,
-after the sweeps: the invariant flags, the energy and the surface flux.  An iterate
-keeps ``Y`` and ``C`` as the rows of one packed ``(n + m, N + 1)`` array,
-as a :class:`State` does, so residuals and monitors take one pass over it.
+A run is one object, :class:`_Run`, which also keeps the clock: step ``k``
+ends at ``t = k dt`` exactly, not at a sum of ``k`` steps.  Work is done as
+rarely as it can be.  Per run: the theta-scheme weights, ``D/dz^2`` and the
+implicit operator's bands.  Per step: the step-start sources and the
+explicit half of the substrate scheme.  Per sweep: the rates at the iterate,
+the off-diagonals at its ``v1``, the solves, the transport and the
+thickness.  Per accepted step, after the sweeps: the invariant flags, the
+energy and the surface flux.  An iterate keeps ``Y`` and ``C`` as the rows
+of one packed ``(n + m, N + 1)`` array, as a :class:`State` does, so
+residuals and monitors take one pass over it.
 """
 
 from __future__ import annotations
@@ -249,13 +251,15 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
 
     What is fixed for the run comes in ``run`` (:class:`_Run`):
     :func:`run_simulation` builds it once, and the step builds its own from
-    ``state`` when a caller passes none.  What is fixed for the step is
-    computed once before the sweeps: the step-start sources ``f`` and ``h``,
-    the explicit half of the theta-scheme and its mesh-Peclet guard.  Each
-    sweep evaluates ``h``, ``g`` and ``f`` once at the iterate, rewrites the
-    off-diagonals in ``run``'s bands, and writes its new ``(Y, C)`` into a
-    fresh packed array, which becomes the state's ``X`` when the sweeps
-    converge; no later step writes to it.
+    ``state`` when a caller passes none.  The step ends at ``run.t0 +
+    run.count dt``: a run's step ``k`` ends at ``k dt``, and a direct call at
+    ``state.t + dt``.  What is fixed for the step is computed once before the
+    sweeps: the step-start sources ``f`` and ``h``, the explicit half of the
+    theta-scheme and its mesh-Peclet guard.  Each sweep evaluates ``h``,
+    ``g`` and ``f`` once at the iterate, rewrites the off-diagonals in
+    ``run``'s bands, and writes its new ``(Y, C)`` into a fresh packed array,
+    which becomes the state's ``X`` when the sweeps converge; no later step
+    writes to it.
 
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
@@ -275,11 +279,11 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     """
     grid, dt, n = state.grid, cfg.dt, kin.n
     dz, nodes = grid.dz, grid.nodes
-    t_new = state.t + dt
+    run = _Run(state, data, cfg) if run is None else run
+    t_new = run.t0 + run.count * dt
     theta = cfg.theta_scheme
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
     psi_end = data.psi_at(t_new)
-    run = _Run(state, data, cfg) if run is None else run
 
     # step-start source fields, fixed across sweeps
     R2_start = R_start**2
@@ -388,9 +392,8 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
 
 
 def _start_weights(s: int, count: int) -> np.ndarray:
-    """Row weights of the start buffer after ``count`` pushes, for the
-    polynomial through its newest ``s`` states: ``(-1)^(s-1-i) binom(s, i)``
-    on the ``i``-th oldest, zero on the rows it does not use."""
+    """Start-buffer row weights after ``count`` pushes for the polynomial through
+    the newest ``s`` rows: ``(-1)^(s-1-i) binom(s, i)`` on the ``i``-th oldest."""
     w = np.zeros(START_HISTORY)
     for i in range(s):
         w[(count - s + i) % START_HISTORY] = (-1) ** (s - 1 - i) * math.comb(s, i)
@@ -399,13 +402,12 @@ def _start_weights(s: int, count: int) -> np.ndarray:
 
 
 class _Run:
-    """One run from its start ``state``: what its steps share (the weights
-    ``dt theta`` and ``dt (1 - theta)``, ``nodes[1:N]``, and per substrate
-    ``D/dz^2`` and the implicit operator's bands, whose off-diagonals each
-    sweep rewrites), the newest accepted state, the last
-    :data:`START_HISTORY` of them as ``(X, R, v1)`` rows of a rolling buffer
-    and their ``count`` (the start state included), the running max
-    ``|v1|``, the ``reports`` table and the states kept every ``stride``."""
+    """One run from its start ``state`` at ``t0``: the weights ``dt theta`` and
+    ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` and the implicit bands that
+    its sweeps share; the newest accepted ``state`` and the ``count`` of them
+    (the start included), the last :data:`START_HISTORY` as ``(X, R, v1)`` rows
+    of a rolling buffer; the running max ``|v1|`` of the a priori thickness
+    bound; ``reports``; and the states kept."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
     _WEIGHTS = {(s, r): _start_weights(s, r)
@@ -413,18 +415,15 @@ class _Run:
 
     def __init__(self, state: State, data: ProblemData, cfg: SolverConfig, n_steps: int = 0,
                  stride: int = 1):
-        grid = state.grid
         self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
-        self.interior = grid.nodes[1:grid.N]
-        self.diffs = [float(D) / grid.dz**2 for D in data.D]
-        self.bands = [parabolic.implicit_bands(grid.N, diff, self.a_new) for diff in self.diffs]
+        self.interior = state.grid.nodes[1:state.grid.N]
+        self.diffs = [float(D) / state.grid.dz**2 for D in data.D]
+        self.bands = [parabolic.implicit_bands(state.grid.N, d, self.a_new) for d in self.diffs]
         self._buf = np.zeros((START_HISTORY, state.X.size + 2))
         self._x = np.empty(state.X.size + 2)
-        # views of the packed X within the rows and within the start
         self._X = self._buf[:, :-2].reshape((START_HISTORY,) + state.X.shape)
         self._X_start = self._x[:-2].reshape(state.X.shape)
-        self.count = 0
-        self.v1_max = abs(state.v1)  # of the a priori thickness bound
+        self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
         self.stride, self.states, self.state_steps = stride, [state], [0]
         self.push(state)
@@ -433,7 +432,8 @@ class _Run:
         """Take ``state`` as the newest accepted one."""
         row = self.count % START_HISTORY
         self._X[row] = state.X
-        self._buf[row, -2:] = state.R, state.v1
+        self._buf[row, -2] = state.R
+        self._buf[row, -1] = state.v1
         self.count += 1
         self.state = state
 
@@ -452,9 +452,8 @@ class _Run:
 
     def accept(self, step: tuple, data: ProblemData, cfg: SolverConfig, mu: np.ndarray,
                nu: np.ndarray) -> int:
-        """Record the ``(state, residuals, clamped_feet)`` of :func:`picard_step`
-        as the next step: write its row of ``reports``, push the state and
-        keep it on the stride.  Returns the row's invariant flags."""
+        """Record :func:`picard_step`'s ``(state, residuals, clamped_feet)``
+        as the next step's row and state; return the row's invariant flags."""
         state, residuals, clamped = step
         k = self.count
         self.v1_max = max(self.v1_max, abs(state.v1))
@@ -473,11 +472,10 @@ class _Run:
 
     def finish(self) -> None:
         """Keep the last accepted state off the stride; cut ``reports``."""
-        done = self.count - 1
-        if self.state_steps[-1] != done:
+        if self.states[-1] is not self.state:
             self.states.append(self.state)
-            self.state_steps.append(done)
-        self.reports = self.reports[:done]
+            self.state_steps.append(self.count - 1)
+        self.reports = self.reports[:self.count - 1]
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
@@ -527,10 +525,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     message, the step number and its end time ``t``, plus the residual
     history (``picard_diverged``) or the thickness (``washout``).
 
-    One :class:`_Run` holds the run between steps; each step is
-    :func:`picard_step`, then :meth:`_Run.accept`, then the stop checks.
-    Snapshots are stored every ``snapshot_stride`` steps (plus t = 0 and the
-    final accepted state); ``Trajectory.reports`` has a row per accepted step.
+    Step ``k`` ends at ``t = k dt`` exactly, not at a sum of steps.  Snapshots
+    are stored every ``snapshot_stride`` steps (plus t = 0 and the final
+    accepted state); ``Trajectory.reports`` has a row per accepted step.
     From the third step on, each step's Picard iteration starts from the
     polynomial extrapolation of the last ``s = min(k, START_HISTORY)``
     accepted states (``k`` of them exist before step ``k``): a quadratic at
@@ -562,8 +559,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         try:
             step = picard_step(run.state, data, kin, cfg, run.start(), run)
         except SolverError as exc:
-            failure = {"code": exc.code, "message": str(exc), "step": k,
-                       "t": run.state.t + cfg.dt}
+            failure = {"code": exc.code, "message": str(exc), "step": k, "t": k * cfg.dt}
             if isinstance(exc, PicardDivergence):
                 outcome = "picard_diverged"
                 failure["residual_history"] = exc.residual_history

@@ -585,7 +585,8 @@ def test_detachment_decay_closed_form():
     assert traj.final_state.R == pytest.approx(exact, abs=1e-9)
 
 
-@pytest.mark.parametrize("n_steps, kept", [(10, [0, 5, 10]), (12, [0, 5, 10, 12])])
+@pytest.mark.parametrize("n_steps, kept", [(10, [0, 5, 10]), (12, [0, 5, 10, 12])],
+                         ids=["on_stride", "off_stride"])
 def test_snapshot_stride(n_steps, kept):
     """States every ``stride`` steps, and the last one also off the stride."""
     data = _substrate_only()
@@ -596,6 +597,24 @@ def test_snapshot_stride(n_steps, kept):
     assert traj.final_state.t == traj.reports.t[-1]
     times = traj.times()
     assert len(times) == n_steps + 1 and times[0] == 0.0
+
+
+def test_steps_end_on_exact_time_levels():
+    """Step ``k`` ends at ``k dt`` exactly, not at a sum of ``k`` steps
+    (1000 steps of 1e-3 sum to 1.0000000000000007), also when it fails."""
+    data = _substrate_only()
+    traj = run_simulation(data, zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3), t_end=1.0,
+                          snapshot_stride=1000)
+    assert traj.outcome == "completed" and traj.final_state.t == 1.0
+    assert traj.reports.t.tolist() == [k * 1e-3 for k in range(1, 1001)]
+    # a surface value that turns infinite from t = 0.5 on fails step 500
+    bad = ProblemData(phi=data.phi, theta=data.theta,
+                      psi=[lambda t: 0.0 if t < 0.5 else math.inf], D=data.D, lam=data.lam,
+                      R0=data.R0)
+    traj = run_simulation(bad, zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3), t_end=1.0)
+    assert traj.outcome == "solve_failed" and traj.failure["step"] == 500
+    assert traj.failure["t"] == 500 * 1e-3 == 0.5
+    assert traj.reports.t[-1] == 499 * 1e-3
 
 
 def test_dt_halving_consistency():
