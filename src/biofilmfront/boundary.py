@@ -42,13 +42,17 @@ def detachment_rhs(R: float, v1: float, lam: float) -> float:
     return R * R * v1 - lam * R ** 4
 
 
-def integrate_thickness(R: float, v1_of_t, lam: float, dt: float) -> float:
-    """One RK4 step of the thickness equation with ``v1`` a callable of the
-    local time offset in [0, dt]."""
-    k1 = detachment_rhs(R, v1_of_t(0.0), lam)
-    k2 = detachment_rhs(R + 0.5 * dt * k1, v1_of_t(0.5 * dt), lam)
-    k3 = detachment_rhs(R + 0.5 * dt * k2, v1_of_t(0.5 * dt), lam)
-    k4 = detachment_rhs(R + dt * k3, v1_of_t(dt), lam)
+def integrate_thickness(R: float, v1: tuple, lam: float, dt: float) -> float:
+    """One RK4 step of the thickness equation, with ``v1 = (v1_start, v1_mid,
+    v1_end)`` the surface velocity at the stage times 0, dt/2 and dt."""
+    v1_start, v1_mid, v1_end = v1
+    k1 = R * R * v1_start - lam * R**4
+    x = R + 0.5 * dt * k1
+    k2 = x * x * v1_mid - lam * x**4
+    x = R + 0.5 * dt * k2
+    k3 = x * x * v1_mid - lam * x**4
+    x = R + dt * k3
+    k4 = x * x * v1_end - lam * x**4
     return R + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -65,17 +69,9 @@ def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: flo
     ValidationError
         Code ``NONFINITE`` when the updated thickness is not finite.
     """
-    # integrate_thickness's arithmetic, with v1 at 0, dt/2 and dt written out
     slope = (v1_new - v1_old) / dt
-    v1_mid, v1_end = v1_old + slope * (0.5 * dt), v1_old + slope * dt
-    k1 = R * R * v1_old - lam * R**4
-    x = R + 0.5 * dt * k1
-    k2 = x * x * v1_mid - lam * x**4
-    x = R + 0.5 * dt * k2
-    k3 = x * x * v1_mid - lam * x**4
-    x = R + dt * k3
-    k4 = x * x * v1_end - lam * x**4
-    R_new = R + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    R_new = integrate_thickness(R, (v1_old, v1_old + slope * (0.5 * dt), v1_old + slope * dt),
+                                lam, dt)
     if not math.isfinite(R_new):
         raise ValidationError("thickness update produced non-finite value", code="NONFINITE")
     if R_new <= R_FLOOR:

@@ -18,7 +18,8 @@ import sys
 import numpy as np
 
 from .boundary import detachment_rhs
-from .config import _OUTPUT_KEYS, _PROBLEM_KEYS, _SOLVER_KEYS, build_runspec, load_tree
+from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, build_runspec,
+                     load_tree)
 from .coupler import (NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED, dissipation_envelope_check,
                       energy, flag_names, run_simulation)
 from .errors import (ConfigError, EnvelopeViolation, GridError, InvalidProblem, SolverError,
@@ -69,8 +70,9 @@ def _set_param(tree: dict, name: str, value) -> None:
             node = node[key]
         node[keys[-1]] = value
         return
-    blocks = (("problem", _PROBLEM_KEYS), ("solver", _SOLVER_KEYS), ("output", _OUTPUT_KEYS))
-    block = next((b for b, keys in blocks if name in keys), None)
+    blocks = (("problem", _PROBLEM_CHECKS), ("solver", _SOLVER_CHECKS),
+              ("output", _OUTPUT_CHECKS))
+    block = next((b for b, checks in blocks if name in checks), None)
     if block is None:
         raise ConfigError(f"unknown sweep parameter {name!r}", code="UNKNOWN_KEY")
     tree.setdefault(block, {})[name] = value

@@ -251,16 +251,13 @@ _profiles = partial(_list, item=_profile_callable)
 _PROBLEM_CHECKS = {"phi": _profiles, "theta": _profiles,
                    "psi": partial(_list, item=_time_callable), "D": _num_list,
                    "lambda": _num, "R0": _num, "kinetics": _kinetics}
-_PROBLEM_KEYS = set(_PROBLEM_CHECKS)
 #: the solver keys that are ``SolverConfig`` fields, the run's ``t_end`` and
 #: the energy weights; the library owns their defaults and ranges
 _SOLVER_CHECKS = {"N": _int, "dt": _num, "picard_tol": _num, "picard_max_iter": _int,
                   "theta_scheme": _num, "positivity_mode": _str,
                   "continuation_threshold": _num, "t_end": _num,
                   "energy_weights": _block({"mu": _num_list, "nu": _num_list})}
-_SOLVER_KEYS = set(_SOLVER_CHECKS)
 _OUTPUT_CHECKS = {"directory": _str, "stride": _int}
-_OUTPUT_KEYS = set(_OUTPUT_CHECKS)
 #: checks of the verify constants; their ranges are checked here, since
 #: ``dissipation_envelope_check`` runs only after the simulation
 _positive, _nonnegative = partial(_num, positive=True), partial(_num, nonnegative=True)

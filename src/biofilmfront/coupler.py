@@ -254,8 +254,9 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     ``state`` when a caller passes none.  The step ends at ``run.t0 +
     run.count dt``: a run's step ``k`` ends at ``k dt``, and a direct call at
     ``state.t + dt``.  What is fixed for the step is computed once before the
-    sweeps: the step-start sources ``f`` and ``h``, the explicit half of the
-    theta-scheme and its mesh-Peclet guard.  Each sweep evaluates ``h``,
+    sweeps: the surface values ``psi`` at the step's end, the step-start
+    sources ``f`` and ``h``, the explicit half of the theta-scheme and its
+    mesh-Peclet guard.  Each sweep evaluates ``h``,
     ``g`` and ``f`` once at the iterate, rewrites the off-diagonals in
     ``run``'s bands, and writes its new ``(Y, C)`` into a fresh packed array,
     which becomes the state's ``X`` when the sweeps converge; no later step
@@ -275,7 +276,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     AssemblyError, LinearSolveError
         From the mesh-Peclet guard and the tridiagonal solves.
     ValidationError, GridError
-        Code ``NONFINITE`` for a non-finite thickness, biomass or velocity.
+        Code ``NONFINITE`` for a non-finite thickness, biomass or velocity;
+        ``NONFINITE_INPUT`` for a non-finite surface value ``psi``.
     """
     grid, dt, n = state.grid, cfg.dt, kin.n
     dz, nodes = grid.dz, grid.nodes
@@ -284,6 +286,10 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     theta = cfg.theta_scheme
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
     psi_end = data.psi_at(t_new)
+    for j, value in enumerate(psi_end.tolist()):
+        if not math.isfinite(value):
+            raise ValidationError(f"surface value psi[{j}] is not finite at t={t_new:g}",
+                                  code="NONFINITE_INPUT")
 
     # step-start source fields, fixed across sweeps
     R2_start = R_start**2
@@ -294,12 +300,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     Xk, Rk, v1k = (state.X, R_start, v1_start) if start is None else start
     # The explicit half of the substrate scheme sits at v1_start, and so does
     # its mesh-Peclet guard (theta < 1); the sweeps guard the implicit
-    # operator at each iterate's v1.
+    # operator at each iterate's v1.  A guard fails for some substrate
+    # exactly when it fails for the smallest D, so each runs once, on that.
     adv_old = parabolic.advection_weights(run.interior, v1_start, dz)
+    if theta < 1.0 and parabolic.peclet_unstable(adv_old, run.diff_min):
+        raise parabolic.peclet_error(v1k, v1_start, run.D_min, theta, grid)
     explicit = np.empty(C0.shape)
     for j, diff in enumerate(run.diffs):
-        if theta < 1.0 and parabolic.peclet_unstable(adv_old, diff):
-            raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
         explicit[j] = parabolic.explicit_part(C0[j], adv_old, diff, run.a_old)
     residuals: list[float] = []
     rising = 0
@@ -313,9 +320,9 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         H_end = R2 * np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
         rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
         adv = parabolic.advection_weights(run.interior, v1k, dz)
+        if parabolic.peclet_unstable(adv, run.diff_min):
+            raise parabolic.peclet_error(v1k, v1_start, run.D_min, theta, grid)
         for j, (diff, (dl, d, du)) in enumerate(zip(run.diffs, run.bands)):
-            if parabolic.peclet_unstable(adv, diff):
-                raise parabolic.peclet_error(v1k, v1_start, float(data.D[j]), theta, grid)
             parabolic.implicit_off_diagonals(adv, diff, run.a_new, dl, du)
             X[n + j] = parabolic.gtsv_solve(dl, d, du, rhs[j])
         C_new = X[n:]
@@ -403,8 +410,9 @@ def _start_weights(s: int, count: int) -> np.ndarray:
 
 class _Run:
     """One run from its start ``state`` at ``t0``: the weights ``dt theta`` and
-    ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` and the implicit bands that
-    its sweeps share; the newest accepted ``state`` and the ``count`` of them
+    ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` with its smallest value (the
+    binding one of the mesh-Peclet guard) and the implicit bands that its
+    sweeps share; the newest accepted ``state`` and the ``count`` of them
     (the start included), the last :data:`START_HISTORY` as ``(X, R, v1)`` rows
     of a rolling buffer; the running max ``|v1|`` of the a priori thickness
     bound; ``reports``; and the states kept."""
@@ -418,6 +426,8 @@ class _Run:
         self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
         self.interior = state.grid.nodes[1:state.grid.N]
         self.diffs = [float(D) / state.grid.dz**2 for D in data.D]
+        self.D_min = float(data.D.min())
+        self.diff_min = min(self.diffs)
         self.bands = [parabolic.implicit_bands(state.grid.N, d, self.a_new) for d in self.diffs]
         self._buf = np.zeros((START_HISTORY, state.X.size + 2))
         self._x = np.empty(state.X.size + 2)
@@ -506,8 +516,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     - ``washout``: the thickness fell to its floor;
     - ``picard_diverged``: a step's fixed-point iteration did not contract;
     - ``assembly_rejected``: the mesh Peclet number of a step exceeded 1;
-    - ``solve_failed``: a tridiagonal solve hit a zero pivot, or a step
-      computed a non-finite value;
+    - ``solve_failed``: a tridiagonal solve hit a zero pivot, a step
+      computed a non-finite value, or a surface value ``psi`` was not finite
+      at a step's end (``NONFINITE_INPUT``);
     - ``continuation_tripped``: a monitored norm blew up;
     - ``positivity_violated``: a nodal value went negative (only in
       ``positivity_mode="fail"``).
@@ -517,10 +528,12 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``.
     The problem is validated at entry; an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
-    report, and a valid one's report (with its warnings) is kept on
-    ``Trajectory.validation``.  When ``t_end`` is not a whole number of steps,
-    that report also carries a ``HORIZON_ROUNDED`` warning naming the
-    horizon the run takes instead.  A step that fails keeps the trajectory
+    report.  Initial data that are not finite at a node of the run's grid
+    are one more violation (``NONFINITE_INPUT``, from :func:`initial_state`),
+    added to that report with its warnings kept.  A valid problem's report
+    (with its warnings) is kept on ``Trajectory.validation``.  When
+    ``t_end`` is not a whole number of steps, that report also carries a
+    ``HORIZON_ROUNDED`` warning naming the horizon the run takes instead.  A step that fails keeps the trajectory
     recorded up to it, and ``Trajectory.failure`` holds the error's code and
     message, the step number and its end time ``t``, plus the residual
     history (``picard_diverged``) or the thickness (``washout``).
@@ -553,7 +566,14 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
                              f"t={n_steps * cfg.dt:.12g}"))
     mu, nu = cfg.weights(kin.n, kin.m)  # checked once, before the first step
 
-    run = _Run(initial_state(data, kin, cfg), data, cfg, n_steps, snapshot_stride)
+    try:
+        start = initial_state(data, kin, cfg)
+    except ValidationError as exc:
+        if exc.code != "NONFINITE_INPUT":
+            raise
+        rep.violations.append((exc.code, str(exc)))
+        raise InvalidProblem(rep) from None
+    run = _Run(start, data, cfg, n_steps, snapshot_stride)
     outcome, failure = "completed", None
     for k in range(1, n_steps + 1):
         try:

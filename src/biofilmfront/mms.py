@@ -30,6 +30,8 @@ ORDER_FLOORS = {
     "biomass_transport": 0.9,
     "thickness_ode": 3.5,
 }
+#: horizon of every case
+T_END = 0.25
 
 
 @dataclass
@@ -76,7 +78,7 @@ def _steps_for(t_end: float, dt_target: float) -> tuple[int, float]:
 _HALF_PI = 0.5 * math.pi
 
 
-def _diffusion_case(N_values, t_end, theta):
+def _diffusion_case(N_values, theta):
     """Exact: C*(z,t) = exp(-t) cos(pi z/2) + psi*(t), psi*(t) = exp(-t)/2, D = 1.
 
     Forcing H* = dC*/dt - d2C*/dz2 = exp(-t) [((pi/2)^2 - 1) cos(pi z/2) - 1/2];
@@ -93,7 +95,7 @@ def _diffusion_case(N_values, t_end, theta):
     errors = []
     for N in N_values:
         grid = build_grid(N)
-        steps, dt = _steps_for(t_end, 0.5 * grid.dz)
+        steps, dt = _steps_for(T_END, 0.5 * grid.dz)
         # no advection (v1 = 0): the implicit matrix is the same every step
         diff = D / grid.dz**2
         adv = parabolic.advection_weights(grid.nodes[1:N], 0.0, grid.dz)
@@ -107,14 +109,14 @@ def _diffusion_case(N_values, t_end, theta):
             explicit = parabolic.explicit_part(C, adv, diff, dt * (1.0 - theta))
             C = parabolic.gtsv_solve(dl, diag, du, parabolic.step_rhs(explicit, H, dt, psi_end))
             t += dt
-        errors.append(float(np.max(np.abs(C - exact(grid.nodes, t_end)))))
+        errors.append(float(np.max(np.abs(C - exact(grid.nodes, T_END)))))
     return np.array(errors)
 
 
 # -- case 2: biomass transport ---------------------------------------------------
 
 
-def _transport_case(N_values, t_end):
+def _transport_case(N_values):
     """Exact: Y*(z,t) = exp(-t)(1 + z^2) advected by constant v1 = -1/2.
 
     Forcing F* = dY*/dt - z v1 dY*/dz = -exp(-t) (the z-terms cancel).
@@ -127,7 +129,7 @@ def _transport_case(N_values, t_end):
     errors = []
     for N in N_values:
         grid = build_grid(N)
-        steps, dt = _steps_for(t_end, 0.5 * grid.dz)
+        steps, dt = _steps_for(T_END, 0.5 * grid.dz)
         # constant velocity: the same feet every step
         feet = np.minimum(transport.raw_feet(grid.nodes, dt, v1), 1.0)
         Y = exact(grid.nodes, 0.0)[None, :]
@@ -136,19 +138,19 @@ def _transport_case(N_values, t_end):
             Y = transport.advance(interp_rows(Y, feet, grid.nodes), -math.exp(-t),
                                   -math.exp(-(t + dt)), dt)
             t += dt
-        errors.append(float(np.max(np.abs(Y[0] - exact(grid.nodes, t_end)))))
+        errors.append(float(np.max(np.abs(Y[0] - exact(grid.nodes, T_END)))))
     return np.array(errors)
 
 
 # -- case 3: thickness ODE -------------------------------------------------------
 
 
-def _ode_case(N_values, t_end):
+def _ode_case(N_values):
     """Exact: R*(t) = 1 + exp(-t)/2 with lam = 1/2.
 
     The surface velocity that reproduces it is
     v1*(t) = (dR*/dt + lam R*^4) / R*^2, evaluated exactly at the RK4 stage
-    times.
+    times t, t + dt/2 and t + dt and passed to the solver's RK4 kernel.
     """
     lam = 0.5
 
@@ -161,21 +163,21 @@ def _ode_case(N_values, t_end):
 
     errors = []
     for N in N_values:
-        steps, dt = _steps_for(t_end, 2.0 / N)
+        steps, dt = _steps_for(T_END, 2.0 / N)
         R = exact(0.0)
         t = 0.0
         for _ in range(steps):
-            t_start = t
-            R = integrate_thickness(R, lambda s: v1_star(t_start + s), lam, dt)
+            R = integrate_thickness(R, (v1_star(t), v1_star(t + 0.5 * dt), v1_star(t + dt)),
+                                    lam, dt)
             t += dt
-        errors.append(abs(R - exact(t_end)))
+        errors.append(abs(R - exact(T_END)))
     return np.array(errors)
 
 
-def mms_study(N_values=(25, 50, 100, 200), t_end: float = 0.25,
-              theta_scheme: float = 0.5,
+def mms_study(N_values=(25, 50, 100, 200), theta_scheme: float = 0.5,
               raise_on_regression: bool = True) -> ConvergenceReport:
-    """Run all manufactured cases and fit observed convergence orders.
+    """Run all manufactured cases to ``t = T_END`` and fit observed
+    convergence orders.
 
     Raises
     ------
@@ -186,9 +188,9 @@ def mms_study(N_values=(25, 50, 100, 200), t_end: float = 0.25,
     N_values = tuple(int(N) for N in N_values)
     dz = np.array([1.0 / N for N in N_values])
     results = {
-        "substrate_diffusion": _diffusion_case(N_values, t_end, theta_scheme),
-        "biomass_transport": _transport_case(N_values, t_end),
-        "thickness_ode": _ode_case(N_values, t_end),
+        "substrate_diffusion": _diffusion_case(N_values, theta_scheme),
+        "biomass_transport": _transport_case(N_values),
+        "thickness_ode": _ode_case(N_values),
     }
     cases = {}
     for name, errors in results.items():

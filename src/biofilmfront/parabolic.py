@@ -94,7 +94,8 @@ def peclet_error(v1_new: float, v1_old: float, D: float, theta_scheme: float,
     ``v1_old`` to ``v1_new`` that fails :func:`peclet_unstable`.
 
     The explicit operator sits at ``v1_old`` and only matters for
-    ``theta_scheme < 1``.  The message names the fix: the smallest ``N``
+    ``theta_scheme < 1``.  With several substrates ``D`` is the smallest
+    diffusivity, which binds.  The message names the fix: the smallest ``N``
     above ``|v1| / (2 D)``, or a larger ``D``.
     """
     # the mesh Peclet number |v1| dz / (2D) does not depend on dt

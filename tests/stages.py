@@ -64,4 +64,5 @@ def thickness_step(R, v1, lam, dt):
     """One RK4 thickness step with ``v1 = (v1_start, v1_end)`` varying
     linearly over the step."""
     slope = (v1[1] - v1[0]) / dt
-    return integrate_thickness(R, lambda s: v1[0] + slope * s, lam, dt)
+    return integrate_thickness(R, (v1[0], v1[0] + slope * (0.5 * dt), v1[0] + slope * dt),
+                               lam, dt)

@@ -59,7 +59,7 @@ def test_rk4_fourth_order_on_decay():
         dt = T / n_steps
         R = R0
         for _ in range(n_steps):
-            R = integrate_thickness(R, lambda s: 0.0, lam, dt)
+            R = integrate_thickness(R, (0.0, 0.0, 0.0), lam, dt)
         return abs(R - exact)
 
     e1, e2 = err(40), err(80)
@@ -103,12 +103,12 @@ def test_r_max_bound_cases(R0, lam, v1_max, expect):
 
 
 def test_integrate_thickness_sees_stage_times():
-    """The quadrature must sample v1 at 0, dt/2 and dt, not only endpoints."""
-    seen = []
-
-    def v1(s):
-        seen.append(s)
-        return 0.0
-
-    integrate_thickness(1.0, v1, 0.5, 0.2)
-    assert sorted(set(seen)) == [0.0, 0.1, 0.2]
+    """Each RK4 stage takes the velocity at its own time: ``v1_start`` in k1,
+    ``v1_mid`` (at dt/2) in k2 and k3, ``v1_end`` in k4."""
+    R, lam, dt = 1.0, 0.5, 0.2
+    v1 = (0.3, 1.1, -0.7)
+    k1 = detachment_rhs(R, v1[0], lam)
+    k2 = detachment_rhs(R + 0.5 * dt * k1, v1[1], lam)
+    k3 = detachment_rhs(R + 0.5 * dt * k2, v1[1], lam)
+    k4 = detachment_rhs(R + dt * k3, v1[2], lam)
+    assert integrate_thickness(R, v1, lam, dt) == R + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -141,18 +141,26 @@ def test_missing_file_exit_2(tmp_path):
 def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     """phi = 1/(3z - 1) is finite on problem validation's sample grid but
     infinite at node 10 of N = 30.  Sampling the t = 0 state rejects it and
-    names the profile and the node: invalid input, which exits 2 like every
-    ValidationError, from simulate and verify alike."""
+    names the profile and the node: a problem violation, on which simulate
+    exits 2 like on every invalid problem, and verify prints its failed
+    check after the report's warnings and exits 1."""
     p = tmp_path / "run.yaml"
     p.write_text(GOOD.replace("phi: [0.0]", 'phi: ["1/(3*z-1)"]').replace("N: 20", "N: 30"))
     out = tmp_path / "o"
+    violation = "initial data phi[0] is not finite at node 10 (z=0.333333) of N=30"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
-    assert main(["verify", "--config", str(p)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ("error [NONFINITE_INPUT]: initial data phi[0] is not finite at "
-                            "node 10 (z=0.333333) of N=30\n") * 2
+    assert captured.err == (f"error [NONFINITE_INPUT]: invalid problem data: NONFINITE_INPUT: "
+                            f"{violation}\n")
     assert captured.out == ""
     assert not out.exists()
+    assert main(["verify", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ("warning [NEGATIVE_INITIAL_DATA]: model preserves nonnegativity but "
+                            "initial data start negative\n"
+                            f"problem validation: FAIL [NONFINITE_INPUT] {violation}\n"
+                            "verify: FAIL\n")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("old,new,message", [

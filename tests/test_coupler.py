@@ -481,6 +481,21 @@ def test_h_called_once_per_sweep():
         run.push(state)
 
 
+@pytest.mark.parametrize("theta_scheme", [0.5, 1.0])
+def test_peclet_guard_binds_on_smallest_d(theta_scheme):
+    """With several substrates the guard's advice comes from the smallest D,
+    from the explicit guard (theta < 1) and the sweep's implicit one alike:
+    D = [0.05, 0.005] at v1 = 2 and N = 8 asks for N >= 201, where the first
+    substrate alone would ask for N >= 21, a grid that fails again."""
+    data = ProblemData(phi=[np.ones_like], theta=[np.ones_like] * 2, psi=[lambda t: 1.0] * 2,
+                       D=[0.05, 0.005], lam=0.01, R0=1.0)
+    kin = linear_preset([[2.0]], [0.0], np.zeros((2, 2)), [0.0, 0.0])
+    traj = run_simulation(data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=theta_scheme),
+                          t_end=1e-2)
+    assert traj.outcome == "assembly_rejected"
+    assert traj.failure["message"] == _PECLET_25_AT_N8
+
+
 def test_warm_step_checks_explicit_peclet():
     """With theta < 1 the explicit operator sits at the step-start velocity,
     which a warm sweep 1 no longer assembles at."""
@@ -614,6 +629,9 @@ def test_steps_end_on_exact_time_levels():
     traj = run_simulation(bad, zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3), t_end=1.0)
     assert traj.outcome == "solve_failed" and traj.failure["step"] == 500
     assert traj.failure["t"] == 500 * 1e-3 == 0.5
+    # reported as bad input, before the sweeps feed it to the solve
+    assert traj.failure["code"] == "NONFINITE_INPUT"
+    assert traj.failure["message"] == "surface value psi[0] is not finite at t=0.5"
     assert traj.reports.t[-1] == 499 * 1e-3
 
 
@@ -810,6 +828,22 @@ def test_invalid_problem_names_every_violation():
     assert "; NONPOSITIVE_R0: " in str(exc.value)
     assert [code for code, _ in exc.value.report.violations] == [
         "NONPOSITIVE_LAMBDA", "NONPOSITIVE_R0"]
+
+
+def test_nonfinite_initial_data_on_run_grid_is_a_violation():
+    """theta is infinite only at z = 1/3, a node of N = 6 but not of problem
+    validation's sample grid.  The run rejects it as one more violation of
+    the validation report, whose warnings it keeps (psi = 1 + t does not
+    match the interior balance at t = 0)."""
+    data = ProblemData(phi=[lambda z: np.zeros_like(z)],
+                       theta=[lambda z: np.where(np.isclose(3.0 * z, 1.0), np.inf, 1.0)],
+                       psi=[lambda t: 1.0 + t], D=[1.0], lam=0.5, R0=1.0)
+    with pytest.raises(InvalidProblem) as exc:
+        run_simulation(data, zero_kinetics(1, 1), SolverConfig(N=6), t_end=0.1)
+    assert exc.value.code == "NONFINITE_INPUT"
+    assert exc.value.report.violations == [
+        ("NONFINITE_INPUT", "initial data theta[0] is not finite at node 2 (z=0.333333) of N=6")]
+    assert exc.value.report.warning_codes() == {"SECOND_ORDER_COMPAT"}
 
 
 def test_trajectory_keeps_validation_report():
