@@ -23,11 +23,9 @@ and range; ``validate_problem`` checks the counts of ``D`` and ``psi``.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -235,7 +233,8 @@ def _build_kinetics(preset: str, keys: dict, n: int, m: int) -> KineticsModel:
 
 @dataclass
 class RunSpec:
-    """Fully-built run description (model + numerics + output wishes)."""
+    """Fully-built run description (model + numerics + output wishes), with
+    the canonical JSON text of the tree it was built from."""
 
     data: ProblemData
     kin: KineticsModel
@@ -244,7 +243,12 @@ class RunSpec:
     out_dir: str | None
     stride: int
     verify: dict | None
-    config_hash: str
+    config_json: str
+
+    @cached_property
+    def config_hash(self) -> str:
+        """:func:`config_hash` of the tree, computed when first read."""
+        return _sha256(self.config_json)
 
 
 _profiles = partial(_list, item=_profile_callable)
@@ -283,13 +287,26 @@ def build_runspec(tree: dict) -> RunSpec:
     out = top.get("output") or {}
     return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out.get("directory"),
                    stride=out.get("stride", 1), verify=top.get("verify"),
-                   config_hash=config_hash(tree))
+                   config_json=_canonical(tree))
+
+
+def _canonical(tree: dict) -> str:
+    """A configuration tree as JSON text with sorted keys and no spaces."""
+    import json  # here, not at module level: only hashing a tree needs it
+
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"), default=str)
+
+
+def _sha256(text: str) -> str:
+    """SHA-256 hex digest of ``text`` in UTF-8."""
+    import hashlib  # here, not at module level: it loads OpenSSL
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def config_hash(tree: dict) -> str:
     """Content hash of a configuration tree (formatting-independent)."""
-    canon = json.dumps(tree, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _sha256(_canonical(tree))
 
 
 def load_tree(path: str) -> dict:

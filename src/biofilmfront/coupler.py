@@ -16,13 +16,14 @@ outcome, and exposes energy/invariant monitors plus the map back to physical
 A run is one object, :class:`_Run`, which also keeps the clock: step ``k``
 ends at ``t = k dt`` exactly, not at a sum of ``k`` steps.  Work is done as
 rarely as it can be.  Per run: the theta-scheme weights, ``D/dz^2`` and the
-implicit operator's bands.  Per step: the step-start sources and the
-explicit half of the substrate scheme.  Per sweep: the rates at the iterate,
-the off-diagonals at its ``v1``, the solves, the transport and the
-thickness.  Per accepted step, after the sweeps: the invariant flags, the
-energy and the surface flux.  An iterate keeps ``Y`` and ``C`` as the rows
-of one packed ``(n + m, N + 1)`` array, as a :class:`State` does, so
-residuals and monitors take one pass over it.
+implicit operator's bands.  Per step: the step-start ``h`` (``f`` is carried
+from the step before) and the explicit half of the substrate scheme.  Per
+sweep: the rates at the iterate, each evaluated once, the off-diagonals at
+its ``v1``, the solves, the transport and the thickness.  Per accepted
+step, after the sweeps: the invariant flags, the energy and the surface
+flux.  An iterate keeps ``Y`` and ``C`` as the rows of one packed
+``(n + m, N + 1)`` array, as a :class:`State` does, so residuals and
+monitors take one pass over it.
 """
 
 from __future__ import annotations
@@ -209,8 +210,11 @@ def energy(s: State, mu: np.ndarray, nu: np.ndarray) -> float:
     ``E = 1/2 sum_i mu_i int Y_i^2 + 1/2 sum_j nu_j int C_j^2``, with the
     weights of :meth:`SolverConfig.weights`.  Each integral is the trapezoid
     rule on one row of ``s.X**2``; each sum runs in row order."""
-    sq = s.X * s.X
-    rows = (s.grid.dz * (sq.sum(axis=1) - 0.5 * (sq[:, 0] + sq[:, -1]))).tolist()
+    dz, X = s.grid.dz, s.X
+    # the end terms as Python floats: the numpy expression's operations, in
+    # its order; ``X[:, ::N]`` is the columns z = 0 and z = 1
+    rows = [dz * (total - 0.5 * (a * a + b * b))
+            for total, (a, b) in zip((X * X).sum(axis=1).tolist(), X[:, ::s.grid.N].tolist())]
     n = len(s.Y)
     total_Y = total_C = 0.0
     for w, row in zip(mu.tolist(), rows[:n]):
@@ -256,11 +260,14 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     ``state.t + dt``.  What is fixed for the step is computed once before the
     sweeps: the surface values ``psi`` at the step's end, the step-start
     sources ``f`` and ``h``, the explicit half of the theta-scheme and its
-    mesh-Peclet guard.  Each sweep evaluates ``h``,
-    ``g`` and ``f`` once at the iterate, rewrites the off-diagonals in
-    ``run``'s bands, and writes its new ``(Y, C)`` into a fresh packed array,
-    which becomes the state's ``X`` when the sweeps converge; no later step
-    writes to it.
+    mesh-Peclet guard.  The step-start ``f`` is the one ``run`` carries when
+    the previous step on ``run`` ended at ``state``.  Each sweep evaluates
+    ``h`` once at the iterate and ``f`` and ``g`` once at its new substrates
+    (one ``f`` call for a preset, :meth:`KineticsModel.fg`), rewrites the
+    off-diagonals in ``run``'s bands, and writes its new ``(Y, C)`` into a
+    fresh packed array, which becomes the state's ``X`` when the sweeps
+    converge; no later step writes to it.  The converged state's ``f`` and
+    ``g`` give its velocity, and ``f`` is carried in ``run`` to the next step.
 
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
@@ -291,9 +298,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
             raise ValidationError(f"surface value psi[{j}] is not finite at t={t_new:g}",
                                   code="NONFINITE_INPUT")
 
-    # step-start source fields, fixed across sweeps
+    # step-start source fields, fixed across sweeps; f comes from the step
+    # that ended at ``state`` when ``run`` carries it
     R2_start = R_start**2
-    F_start = R2_start * np.asarray(kin.f(Y0, C0), dtype=float)
+    state_f, f_start = run.end_f
+    if state_f is not state:
+        f_start = np.asarray(kin.f(Y0, C0), dtype=float)
+    F_start = R2_start * f_start
     H_lag = (1.0 - theta) * (R2_start * np.asarray(kin.h(Y0, C0), dtype=float))
     # Y0 and F_start stacked, interpolated at each sweep's feet by one call
     YF_start = np.concatenate((Y0, F_start))
@@ -328,11 +339,11 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         C_new = X[n:]
 
         # (2) velocity from the freshest fields available
-        g_new = np.asarray(kin.g(Yk, C_new), dtype=float)
+        f_new, g_new = kin.fg(Yk, C_new)
         v1_new = float(boundary.velocity_nodes(g_new, R2, dz)[-1])
 
         # (3) biomass transport along characteristics
-        F_end = R2 * np.asarray(kin.f(Yk, C_new), dtype=float)
+        F_end = R2 * f_new
         unclamped = transport.raw_feet(nodes, dt, 0.5 * (v1_start + v1_new))
         YF_foot = interp_rows(YF_start, np.minimum(unclamped, 1.0), nodes)
         X[:n] = transport.advance(YF_foot[:n], YF_foot[n:], F_end, dt)
@@ -359,15 +370,18 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
             residual_history=residuals,
         )
 
-    # make the stored velocity exactly consistent with the converged fields
-    v_final = boundary.velocity_nodes(np.asarray(kin.g(Xk[:n], Xk[n:]), dtype=float), Rk**2, dz)
+    # make the stored velocity exactly consistent with the converged fields;
+    # their f starts the run's next step
+    f_end, g_end = kin.fg(Xk[:n], Xk[n:])
+    v_final = boundary.velocity_nodes(g_end, Rk**2, dz)
     # C (gtsv), R (thickness) and v (velocity_nodes, with v[0] = 0) are
     # checked where they are computed; Y is checked here.  The arrays are
     # this step's own, so the state wraps them without copies.
     if not np.isfinite(Xk[:n]).all():
         raise ValidationError("non-finite state", code="NONFINITE")
-    return (object.__new__(State)._freeze(t_new, grid, Xk, n, Rk, v_final), residuals,
-            int(np.count_nonzero(transport.clamped_mask(unclamped))))
+    new = object.__new__(State)._freeze(t_new, grid, Xk, n, Rk, v_final)
+    run.end_f = new, f_end
+    return new, residuals, int(np.count_nonzero(transport.clamped_mask(unclamped)))
 
 
 def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
@@ -391,9 +405,14 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
         flags |= NEGATIVE_C
     if s.R > r_bound + R_BOUND_SLACK:
         flags |= R_BOUND_EXCEEDED
-    # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz
-    dy = float(np.abs(s.Y[:, 1:] - s.Y[:, :-1]).max()) / s.grid.dz
-    if max(float(s.X.max()), -y_min, -c_min, abs(s.R), dy) > cfg.continuation_threshold:
+    # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz.
+    # Since |fl(a - b)| <= 2 max|Y| and rounding is monotone, dY/dz can pass
+    # the threshold only when 2 max|Y| / dz does, so only then is it taken.
+    threshold, x_max = cfg.continuation_threshold, float(s.X.max())
+    norm = max(x_max, -y_min, -c_min, abs(s.R))
+    if norm <= threshold and 2.0 * max(x_max, -y_min) / s.grid.dz > threshold:
+        norm = float(np.abs(s.Y[:, 1:] - s.Y[:, :-1]).max()) / s.grid.dz
+    if norm > threshold:
         flags |= CONTINUATION
     return flags
 
@@ -414,8 +433,10 @@ class _Run:
     binding one of the mesh-Peclet guard) and the implicit bands that its
     sweeps share; the newest accepted ``state`` and the ``count`` of them
     (the start included), the last :data:`START_HISTORY` as ``(X, R, v1)`` rows
-    of a rolling buffer; the running max ``|v1|`` of the a priori thickness
-    bound; ``reports``; and the states kept."""
+    of a rolling buffer; ``end_f``, the state the last :func:`picard_step`
+    ended at and the raw ``f`` there, which starts the next step; the running
+    max ``|v1|`` of the a priori thickness bound; ``reports``; and the states
+    kept."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
     _WEIGHTS = {(s, r): _start_weights(s, r)
@@ -434,6 +455,7 @@ class _Run:
         self._X = self._buf[:, :-2].reshape((START_HISTORY,) + state.X.shape)
         self._X_start = self._x[:-2].reshape(state.X.shape)
         self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
+        self.end_f = None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
         self.stride, self.states, self.state_steps = stride, [state], [0]
         self.push(state)

@@ -8,7 +8,10 @@ A :class:`KineticsModel` bundles three vectorized callables
 
 where ``Y`` has shape ``(n, K)`` and ``C`` shape ``(m, K)`` for any number of
 sample points ``K``.  Presets cover the linear case and Monod saturation
-kinetics; user callables are accepted as long as they honor the shapes.
+kinetics; user callables are accepted as long as they honor the shapes.  A
+preset's ``g`` is the species sum of its ``f``, which the solver takes from
+its own ``f`` call (:meth:`KineticsModel.fg`); a custom ``g`` is called as
+given.
 """
 
 from __future__ import annotations
@@ -52,6 +55,26 @@ class KineticsModel:
                 code="DIMENSION_MISMATCH",
             )
 
+    def fg(self, Y: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(f(Y, C), g(Y, C))`` as float arrays.  When ``g`` is the species
+        sum of this very ``f`` (a preset's, see :func:`_species_sum`), both
+        come from one ``f`` call; otherwise ``f`` and ``g`` are each called."""
+        F = np.asarray(self.f(Y, C), dtype=float)
+        if getattr(self.g, "sum_of", None) is self.f:
+            return F, F.sum(axis=0)
+        return F, np.asarray(self.g(Y, C), dtype=float)
+
+
+def _species_sum(f):
+    """``g = sum_i f_i``, tagged with the ``f`` it sums so that
+    :meth:`KineticsModel.fg` can take it from its own ``f`` call."""
+
+    def g(Y, C):
+        return f(Y, C).sum(axis=0)
+
+    g.sum_of = f
+    return g
+
 
 def _array(value, name: str) -> np.ndarray:
     """``value`` as a float array; a ragged or non-numeric one is a
@@ -87,10 +110,7 @@ def zero_kinetics(n: int = 1, m: int = 1) -> KineticsModel:
     def h(Y, C):
         return np.zeros_like(np.asarray(C, dtype=float))
 
-    def g(Y, C):
-        return np.zeros(np.asarray(Y).shape[-1])
-
-    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=True)
+    return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=True)
 
 
 def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) -> KineticsModel:
@@ -116,13 +136,10 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
     def h(Y, C):
         return B @ C + d[:, None]
 
-    def g(Y, C):
-        return (A @ Y + c[:, None]).sum(axis=0)
-
     # quasi-positive only in the degenerate all-zero case; affine rates can
     # always be driven negative otherwise.
     qp = not (A.any() or B.any() or c.any() or d.any())
-    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=qp)
+    return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=qp)
 
 
 @dataclass(frozen=True)
@@ -220,8 +237,5 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
             out[j] -= mu_i * Cj / (K_i + Cj) * Y[i] / yield_ij
         return out
 
-    def g(Y, C):
-        return f(Y, C).sum(axis=0)
-
     qp = bool(np.all(k_d == 0.0) and not consuming.any())
-    return KineticsModel(n=n, m=m, f=f, h=h, g=g, quasi_positive=qp)
+    return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=qp)

@@ -14,7 +14,6 @@ files together with the configuration hash and terminal outcome.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 
@@ -138,6 +137,8 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     if traj.failure is not None:
         manifest["failure"] = {k: v for k, v in traj.failure.items()
                                if k in ("code", "message", "step", "t", "thickness")}
+    import json  # here, not at module level: only the manifest needs it
+
     _write_text(os.path.join(out_dir, "manifest.json"),
                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

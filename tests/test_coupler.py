@@ -1,5 +1,6 @@
 """Coupled step, trajectory outcomes, energy audit and physical back-transform."""
 
+import functools
 import importlib.util
 import math
 import sys
@@ -36,6 +37,7 @@ from biofilmfront import coupler
 from biofilmfront.boundary import r_max_bound, velocity_nodes
 from biofilmfront.coupler import START_HISTORY, _Run
 from biofilmfront.grid import interp_rows
+from biofilmfront.kinetics import _species_sum
 from stages import substrate_step, thickness_step, transport_step
 
 
@@ -80,6 +82,29 @@ def test_energy_hand_value():
               v=np.zeros(11))
     E = energy(s, np.array([1.0]), np.array([1.0]))
     assert E == pytest.approx(0.5 * 1.0 + 0.5 * 4.0)
+
+
+@pytest.mark.parametrize("N", [4, 40, 1600])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_energy_is_the_per_row_trapezoid_rule_bitwise(n, m, N):
+    """Each row's integral is ``dz (sum x^2 - (x_0^2 + x_N^2) / 2)``, and the
+    weighted rows are summed in row order, Y's and C's apart."""
+    rng = np.random.default_rng(1000 * N + 10 * n + m)
+    g = build_grid(N)
+    s = State(t=0.0, grid=g, Y=rng.uniform(-2.0, 2.0, (n, N + 1)),
+              C=rng.uniform(-2.0, 2.0, (m, N + 1)), R=1.0, v=np.zeros(N + 1))
+    mu, nu = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
+
+    def weighted(rows, weights):
+        total = 0.0
+        for w, x in zip(weights, rows):
+            total += float(w) * (g.dz * (float((x * x).sum())
+                                         - 0.5 * (float(x[0]) ** 2 + float(x[-1]) ** 2)))
+        return total
+
+    want = 0.5 * (weighted(s.Y, mu) + weighted(s.C, nu))
+    assert energy(s, mu, nu).hex() == want.hex()
 
 
 def test_solver_config_validated_once():
@@ -154,6 +179,19 @@ def test_check_invariants_flags():
     assert "NEGATIVE_Y" in flags
     assert "R_BOUND_EXCEEDED" in flags
     assert "NEGATIVE_C" not in flags
+
+
+def test_continuation_sees_the_slope_alone():
+    """CONTINUATION trips on the discrete dY/dz alone: here every sup norm is
+    1 and the slope is 1 / dz = 4."""
+    g = build_grid(4)
+    s = State(t=0.0, grid=g, Y=np.array([[0.0, 1.0, 0.0, 1.0, 0.0]]), C=np.zeros((1, 5)),
+              R=1.0, v=np.zeros(5))
+    minima = (float(s.Y.min()), float(s.C.min()))
+    for threshold, flagged in ((3.0, True), (np.nextafter(4.0, 5.0), False)):
+        flags = check_invariants(s, SolverConfig(N=4, continuation_threshold=threshold), 10.0,
+                                 minima)
+        assert flag_names(flags) == (["CONTINUATION"] if flagged else [])
 
 
 # -- single coupled step -------------------------------------------------------
@@ -479,6 +517,56 @@ def test_h_called_once_per_sweep():
             assert len(calls) == len(residuals) + 1
         state = new_state
         run.push(state)
+
+
+def _counted(kin, tagged):
+    """``kin`` with counting ``f`` and ``g``, and the counts; ``g`` is the
+    species sum of the counting ``f``, tagged as a preset's or untagged."""
+    calls = {"f": 0, "g": 0}
+
+    def f(Y, C):
+        calls["f"] += 1
+        return kin.f(Y, C)
+
+    g_sum = _species_sum(f) if tagged else (lambda Y, C: f(Y, C).sum(axis=0))
+
+    @functools.wraps(g_sum)  # keeps the tag
+    def g(Y, C):
+        calls["g"] += 1
+        return g_sum(Y, C)
+
+    return KineticsModel(n=kin.n, m=kin.m, f=f, h=kin.h, g=g), calls
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_preset_rates_are_evaluated_once_per_iterate(m):
+    """With a preset's ``g``, a run evaluates ``f`` once per sweep and once
+    per step (at the converged state, for its velocity and the next step's
+    sources), plus four times at entry: ``f`` and ``g`` in the problem check,
+    ``g`` for the initial velocity and ``f`` at the first step's start.  No
+    step calls ``g``.  An untagged ``g`` that sums the same ``f`` is called
+    as given and gives the same bits."""
+    data, preset = _monod_problem(m)
+    cfg = SolverConfig(N=40, dt=1e-3)
+    runs = {}
+    for tagged in (True, False):
+        kin, calls = _counted(preset, tagged)
+        traj = run_simulation(data, kin, cfg, t_end=0.05)
+        steps, sweeps = len(traj.reports), int(traj.reports.picard_iterations.sum())
+        assert traj.outcome == "completed" and steps == 50
+        if tagged:
+            assert calls == {"f": sweeps + steps + 4, "g": 2}
+        else:  # g as often as f itself, and each g call calls f once more
+            assert calls == {"f": 2 * (sweeps + steps + 2), "g": sweeps + steps + 2}
+        # residual histories of the same steps taken on a run object
+        state, run, histories = traj.states[0], _Run(traj.states[0], data, cfg), []
+        for _ in range(8):
+            state, residuals, _ = picard_step(state, data, kin, cfg, run.start(), run)
+            histories.append(residuals)
+            run.push(state)
+        runs[tagged] = (traj.reports.tobytes(), traj.final_state.X.tobytes(),
+                        traj.final_state.v.tobytes(), histories)
+    assert runs[True] == runs[False]
 
 
 @pytest.mark.parametrize("theta_scheme", [0.5, 1.0])

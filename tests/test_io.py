@@ -317,6 +317,17 @@ def test_config_hash_sees_value_changes():
     assert config_hash(t1) != config_hash(t2)
 
 
+def test_spec_hash_is_of_the_tree_as_built():
+    """A spec's hash, computed when first read, is ``config_hash`` of the
+    tree it was built from, however the tree changes afterwards."""
+    tree = _tree()
+    want = config_hash(tree)
+    spec = build_runspec(tree)
+    tree["problem"]["lambda"] = 0.25
+    assert "config_hash" not in vars(spec)
+    assert spec.config_hash == want != config_hash(tree)
+
+
 @pytest.mark.parametrize("name", ["equilibrium", "linear_dissipative", "monod_growth",
                                   "zero_kinetics"])
 def test_load_tree_matches_pure_python_loader(name):
