@@ -105,10 +105,10 @@ def zero_kinetics(n: int = 1, m: int = 1) -> KineticsModel:
     """Inert model: ``f = h = g = 0`` (trivially quasi-positive)."""
 
     def f(Y, C):
-        return np.zeros_like(np.asarray(Y, dtype=float))
+        return np.zeros(np.shape(Y))
 
     def h(Y, C):
-        return np.zeros_like(np.asarray(C, dtype=float))
+        return np.zeros(np.shape(C))
 
     return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=True)
 

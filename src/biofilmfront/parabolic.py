@@ -25,17 +25,19 @@ Only that extension is loaded, not ``scipy.linalg``: the package's
 ``__init__`` also imports scipy's array-API layer, which pulls in
 ``numpy.f2py`` and about 280 further modules, and costs about two thirds
 of the package's import time, for a solver that calls one routine.
+Nor is scipy's own ``__init__`` run, except on Windows (see
+:func:`_load_dgtsv`).
 """
 
 from __future__ import annotations
 
 import importlib.machinery
+import importlib.util
 import math
 import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import AssemblyError, LinearSolveError
 from .grid import Grid
@@ -44,16 +46,25 @@ from .grid import Grid
 def _load_dgtsv():
     """LAPACK ``dgtsv`` from scipy's ``_flapack`` extension, the routine
     ``scipy.linalg.lapack.dgtsv`` is, loaded from its file without importing
-    ``scipy.linalg`` (``import scipy`` does the wheel's library set-up).
+    ``scipy`` or ``scipy.linalg``: ``find_spec`` locates scipy without
+    running its ``__init__``, and Linux and macOS wheels resolve the
+    extension's OpenBLAS by RPATH.  On Windows scipy is imported, since its
+    ``__init__`` adds the wheel's DLL directory.
 
     The interpreter enters an f2py module in ``sys.modules`` when it creates
     it.  That entry is removed unless it was there before: left behind, a
     later ``import scipy.linalg`` would take it as found and never bind it
     as the package's ``_flapack`` attribute.
     """
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    if os.name == "nt":
+        import scipy  # noqa: F401  (adds the wheel's DLL directory)
+    directory = os.path.join(spec.submodule_search_locations[0], "linalg")
     path = os.path.join(directory, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
     if not os.path.isfile(path):
+        import scipy
         raise ImportError(f"scipy {scipy.__version__} has no compiled LAPACK wrapper "
                           f"{os.path.basename(path)} in {directory}")
     name = "scipy.linalg._flapack"

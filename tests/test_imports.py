@@ -25,23 +25,27 @@ def _python(code: str, *args: str) -> str:
 
 
 def test_import_does_not_load_scipy_integrate():
-    """The package loads scipy's LAPACK wrapper alone, not ``scipy.linalg``
-    (whose ``__init__`` pulls in ``numpy.f2py``), and leaves no entry for
-    it in ``sys.modules``; PyYAML and the process pool load only when a
-    config is parsed or a sweep runs in parallel.  OpenSSL (``_hashlib``)
-    loads only when a run's config hash is read, and ``json`` only when a
-    config is built or a manifest written."""
+    """The package loads scipy's LAPACK wrapper alone, neither ``scipy``'s
+    own ``__init__`` nor ``scipy.linalg`` (whose ``__init__`` pulls in
+    ``numpy.f2py``), and leaves no entry for it in ``sys.modules``; a run
+    solves on that wrapper with scipy still unimported.  PyYAML and the
+    process pool load only when a config is parsed or a sweep runs in
+    parallel.  OpenSSL (``_hashlib``) loads only when a run's config hash
+    is read, and ``json`` only when a config is built or a manifest
+    written."""
     code = ("import sys, biofilmfront, biofilmfront.cli; "
             "print('scipy.integrate' in sys.modules); "
-            "print(sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'scipy.linalg._flapack', "
-            "'concurrent.futures.process', 'yaml', 'json', '_hashlib') if m in sys.modules)); "
+            "print(sorted(m for m in ('scipy', 'scipy.linalg', 'numpy.f2py', "
+            "'scipy.linalg._flapack', 'concurrent.futures.process', 'yaml', 'json', "
+            "'_hashlib') if m in sys.modules)); "
             "spec = biofilmfront.parse_config(sys.argv[1]); "
             "print('yaml' in sys.modules); "
             "biofilmfront.run_simulation(spec.data, spec.kin, spec.cfg, 0.01); "
+            "print('scipy' in sys.modules); "
             "print('_hashlib' in sys.modules); "
             "spec.config_hash; "
             "print('_hashlib' in sys.modules)")
-    assert _python(code, CONFIG).splitlines() == ["False", "[]", "True", "False", "True"]
+    assert _python(code, CONFIG).splitlines() == ["False", "[]", "True", "False", "False", "True"]
 
 
 _SAME_BITS = """

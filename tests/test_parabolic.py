@@ -1,10 +1,13 @@
 """Tridiagonal solver and one-step substrate scheme."""
 
+import importlib.machinery
+import importlib.util
 import math
 import re
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import event, given, settings, strategies as st
 from scipy.linalg import lapack
 
@@ -127,10 +130,20 @@ def test_loaded_dgtsv_matches_scipy_on_2x2(d, info):
 
 
 def test_missing_lapack_wrapper_names_directory_and_version(monkeypatch, tmp_path):
-    fake = type("scipy", (), {"__file__": str(tmp_path / "__init__.py"), "__version__": "0.0"})
-    monkeypatch.setattr(parabolic, "scipy", fake)
-    with pytest.raises(ImportError, match=r"scipy 0\.0 .* in " + re.escape(str(tmp_path / "linalg"))):
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    message = (r"scipy " + re.escape(scipy.__version__) + r" .* in "
+               + re.escape(str(tmp_path / "linalg")))
+    with pytest.raises(ImportError, match=message):
         parabolic._load_dgtsv()
+
+
+def test_missing_scipy_is_module_not_found(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError) as info:
+        parabolic._load_dgtsv()
+    assert info.value.name == "scipy"
 
 
 @settings(max_examples=200, deadline=None)
