@@ -136,6 +136,9 @@ def _sweep_worker(job: dict):
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+        return 2
     tree = load_tree(args.config)
     value_texts = [v.strip() for v in args.values.split(",") if v.strip()]
     if not value_texts:
@@ -144,10 +147,11 @@ def _cmd_sweep(args) -> int:
     jobs = [{"tree": copy.deepcopy(tree), "param": args.param, "value": _parse_value(text),
              "value_text": text, "out_dir": f"{args.out}/{args.param}={text}"}
             for text in value_texts]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(jobs))  # a pool forks all its workers at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps use a pool
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]

@@ -231,7 +231,7 @@ def _build_kinetics(preset: str, keys: dict, n: int, m: int) -> KineticsModel:
 # -- run spec ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class RunSpec:
     """Fully-built run description (model + numerics + output wishes), with
     the canonical JSON text of the tree it was built from."""

@@ -29,7 +29,7 @@ monitors take one pass over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ R_BOUND_SLACK = 1e-8
 START_HISTORY = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class State:
     """Full solver state at one time level (arrays are frozen copies);
     ``Y`` and ``C`` are the rows of one packed array ``X``."""
@@ -65,7 +65,6 @@ class State:
     C: np.ndarray
     R: float
     v: np.ndarray
-    X: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = self.grid.N + 1
@@ -126,19 +125,30 @@ class SolverConfig:
         if self.positivity_mode not in ("monitor", "fail"):
             raise ValidationError("positivity_mode must be 'monitor' or 'fail'",
                                   code="SCHEMA_VIOLATION")
+        for name in ("N", "picard_max_iter"):  # N < 4 is the grid's to reject
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}",
+                                      code="SCHEMA_VIOLATION")
         if self.picard_max_iter < 1:
             raise ValidationError("picard_max_iter must be >= 1", code="NONPOSITIVE_PARAM")
-        for name in ("mu", "nu"):
+        for name in ("mu", "nu"):  # stored as tuples of floats, so == and hash() work
             w = getattr(self, name)
-            if w is not None and not np.all(np.asarray(w, dtype=float) > 0.0):  # NaN fails too
-                raise ValidationError(f"energy weights {name} must be > 0, got {w}",
-                                      code="NONPOSITIVE_PARAM")
+            if w is not None:
+                w = np.atleast_1d(np.asarray(w, dtype=float))
+                if w.ndim > 1:
+                    raise ValidationError(f"energy weights {name} must be a flat list, got "
+                                          f"shape {w.shape}", code="DIMENSION_MISMATCH")
+                if not np.all(w > 0.0):  # NaN fails too
+                    raise ValidationError(f"energy weights {name} must be > 0, got {w}",
+                                          code="NONPOSITIVE_PARAM")
+                object.__setattr__(self, name, tuple(w.tolist()))
 
     def weights(self, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Energy weights ``(mu, nu)`` for ``n`` species and ``m`` substrates
-        (unit weights by default), as copies of the configured ones."""
-        mu = np.ones(n) if self.mu is None else np.atleast_1d(np.array(self.mu, dtype=float))
-        nu = np.ones(m) if self.nu is None else np.atleast_1d(np.array(self.nu, dtype=float))
+        (unit weights by default), as arrays."""
+        mu = np.ones(n) if self.mu is None else np.array(self.mu)
+        nu = np.ones(m) if self.nu is None else np.array(self.nu)
         if mu.shape != (n,) or nu.shape != (m,):
             raise ValidationError(f"energy weights need {n} mu and {m} nu entries, got "
                                   f"{mu.size} and {nu.size}", code="DIMENSION_MISMATCH")
@@ -164,7 +174,7 @@ def flag_names(mask: int) -> list[str]:
     return [name for i, name in enumerate(FLAGS) if mask >> i & 1]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Trajectory:
     """Recorded run: strided states, per-step scalars (``reports``, a record
     array with one row per accepted step and the columns :data:`STEP_COLUMNS`),
@@ -630,7 +640,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
 # -- energy dissipation envelope ----------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class EnvelopeReport:
     """Result of :func:`dissipation_envelope_check` (no violation found)."""
 
@@ -696,7 +706,7 @@ def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0
 # -- back-transform to the physical (moving) domain ---------------------------
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class PhysicalTrajectory:
     """Physical-domain view of a run: thickness and velocity vs physical time."""
 

@@ -9,14 +9,14 @@ and the row interpolation below work on such raw arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform mesh of ``N`` cells (``N + 1`` nodes) on [0, 1].
 
@@ -31,18 +31,13 @@ class Grid:
     """
 
     N: int
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    dz: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.N, (int, np.integer)) or self.N < 4:
-            raise GridError(
-                f"grid needs at least 4 cells, got N={self.N}", code="TOO_COARSE"
-            )
+            raise GridError(f"grid needs at least 4 cells, got N={self.N}", code="TOO_COARSE")
         nodes = np.linspace(0.0, 1.0, self.N + 1)
         nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dz", 1.0 / self.N)
+        vars(self).update(nodes=nodes, dz=1.0 / self.N)
 
 
 def build_grid(N: int) -> Grid:

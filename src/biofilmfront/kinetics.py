@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class KineticsModel:
     """Reaction model for ``n`` biomass species and ``m`` substrates.
 
@@ -50,10 +50,8 @@ class KineticsModel:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValidationError(
-                f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}",
-                code="DIMENSION_MISMATCH",
-            )
+            raise ValidationError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}",
+                                  code="DIMENSION_MISMATCH")
 
     def fg(self, Y: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(f(Y, C), g(Y, C))`` as float arrays.  When ``g`` is the species
@@ -142,7 +140,7 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
     return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=qp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonodParams:
     """Parameters for saturation (Monod) growth kinetics, as array-likes.
 

@@ -34,7 +34,7 @@ ORDER_FLOORS = {
 T_END = 0.25
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CaseResult:
     """Errors and fitted order for one manufactured case."""
 
@@ -49,7 +49,7 @@ class CaseResult:
         return self.observed_order >= self.floor
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ConvergenceReport:
     """Results of the full study keyed by case name."""
 
@@ -192,13 +192,9 @@ def mms_study(N_values=(25, 50, 100, 200), theta_scheme: float = 0.5,
         "biomass_transport": _transport_case(N_values),
         "thickness_ode": _ode_case(N_values),
     }
-    cases = {}
-    for name, errors in results.items():
-        cases[name] = CaseResult(
-            name=name, dz=dz, errors=errors,
-            observed_order=_fit_order(dz, errors),
-            floor=ORDER_FLOORS[name],
-        )
+    cases = {name: CaseResult(name=name, dz=dz, errors=errors,
+                              observed_order=_fit_order(dz, errors), floor=ORDER_FLOORS[name])
+             for name, errors in results.items()}
     report = ConvergenceReport(cases=cases)
     if raise_on_regression and not report.ok:
         bad = {n: c.observed_order for n, c in cases.items() if not c.ok}

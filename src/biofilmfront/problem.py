@@ -22,7 +22,7 @@ COMPAT_TOL = 1e-12
 N_SAMPLE = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ProblemData:
     """Data defining one free-boundary run.
 
@@ -51,14 +51,10 @@ class ProblemData:
     R0: float
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(self.phi))
-        object.__setattr__(self, "theta", tuple(self.theta))
-        object.__setattr__(self, "psi", tuple(self.psi))
         D = np.atleast_1d(np.asarray(self.D, dtype=float)).copy()
         D.setflags(write=False)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "R0", float(self.R0))
+        vars(self).update(phi=tuple(self.phi), theta=tuple(self.theta), psi=tuple(self.psi),
+                          D=D, lam=float(self.lam), R0=float(self.R0))
 
     @property
     def n(self) -> int:

@@ -1,5 +1,6 @@
 """Command-line entry points: simulate, sweep, verify, mms."""
 
+import concurrent.futures
 import json
 import pickle
 
@@ -266,7 +267,7 @@ def test_sweep_config_with_a_date_exit_2(jobs, tmp_path, capsys):
     p = tmp_path / "date.yaml"
     p.write_text(GOOD.replace("psi: [0.0]", "psi: [2001-01-01]"))
     out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(p), "--param", "lambda", "--values", "0.5",
+    assert main(["sweep", "--config", str(p), "--param", "lambda", "--values", "0.5,1.0",
                  "--jobs", jobs, "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("error [SCHEMA_VIOLATION]: problem.psi[0]: expected "
                                        "number or expression, got date\n")
@@ -367,6 +368,52 @@ def test_sweep_dotted_path(good_cfg, tmp_path):
     for value in ("0.25", "0.5"):
         assert ((dotted / f"problem.lambda={value}" / "scalars.csv").read_bytes()
                 == (bare / f"lambda={value}" / "scalars.csv").read_bytes())
+
+
+class _RecordingPool:
+    """Stand-in for ``ProcessPoolExecutor`` that records its ``max_workers``
+    and maps in this process, so no worker is ever started."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("values,jobs,pools", [
+    ("0.25,0.5", "64", [2]),       # never more workers than values
+    ("0.25,0.5,1.0", "2", [2]),
+    ("0.5", "4", []),              # one value runs serially
+    ("0.25,0.5", "1", []),
+])
+def test_sweep_pool_is_sized_by_the_work(values, jobs, pools, good_cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", "lambda", "--values", values,
+                 "--jobs", jobs, "--out", str(out)]) == 0
+    assert _RecordingPool.made == pools
+    assert len((out / "sweep_summary.csv").read_text().splitlines()) == 1 + len(values.split(","))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(jobs, good_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", "lambda", "--values", "0.5",
+                 "--jobs", jobs, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert _RecordingPool.made == [] and not out.exists()
 
 
 def test_sweep_parallel_matches_serial(good_cfg, tmp_path):

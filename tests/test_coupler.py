@@ -20,8 +20,10 @@ from biofilmfront import (
     SolverConfig,
     State,
     ValidationError,
+    ValidationReport,
     back_transform,
     build_grid,
+    build_runspec,
     check_invariants,
     dissipation_envelope_check,
     energy,
@@ -144,6 +146,77 @@ def test_solver_config_rejects_nonpositive_energy_weights(name, value):
 def test_solver_config_accepts_infinite_tolerances():
     cfg = SolverConfig(picard_tol=math.inf, continuation_threshold=math.inf)
     assert cfg.picard_tol == math.inf and cfg.continuation_threshold == math.inf
+
+
+@pytest.mark.parametrize("name", ["N", "picard_max_iter"])
+@pytest.mark.parametrize("value", [40.7, 40.0, "40", True, None])
+def test_solver_config_rejects_non_integer_counts(name, value):
+    """A float, a string or a bool is not a cell or sweep count: it is named
+    at construction, not truncated by the grid or raised by ``range()``."""
+    with pytest.raises(ValidationError) as exc:
+        SolverConfig(**{name: value})
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_solver_config_accepts_numpy_integer_counts():
+    cfg = SolverConfig(N=np.int64(8), picard_max_iter=np.int32(5))
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), cfg, t_end=2e-3)
+    assert traj.outcome == "completed" and traj.grid.N == 8
+
+
+def test_solver_config_stores_energy_weights_as_float_tuples():
+    mu_in = np.array([1.0, 2.0])
+    cfg = SolverConfig(mu=mu_in, nu=3)
+    assert cfg.mu == (1.0, 2.0) and cfg.nu == (3.0,)
+    assert all(type(w) is float for w in cfg.mu + cfg.nu)
+    mu, nu = cfg.weights(2, 1)
+    assert mu.tolist() == [1.0, 2.0] and nu.tolist() == [3.0]
+    mu[0] = 5.0  # the returned arrays are the caller's to change
+    assert cfg.mu == (1.0, 2.0) and mu_in.flags.writeable
+    with pytest.raises(ValidationError) as exc:
+        SolverConfig(mu=[[1.0, 2.0]])
+    assert exc.value.code == "DIMENSION_MISMATCH"
+    assert str(exc.value) == "energy weights mu must be a flat list, got shape (1, 2)"
+
+
+def _short_run():
+    return run_simulation(_substrate_only(), linear_preset([[-1.0]], [0.0], [[-1.0]], [0.0]),
+                          SolverConfig(N=8), t_end=2e-3)
+
+
+_TREE = {"problem": {"kinetics": {"preset": "zero"}, "phi": [0.0], "theta": ["cos(pi*z/2)"],
+                     "psi": [0.0], "D": [1.0], "lambda": 0.5, "R0": 1.0},
+         "solver": {"N": 8, "t_end": 1e-3}}
+
+#: a builder of one instance per package value type, and whether two
+#: instances built alike compare equal (by value) or not (by identity)
+_VALUE_TYPES = {
+    "ProblemData": (lambda: ProblemData(phi=[np.cos], theta=[np.cos, np.sin],
+                                        psi=[np.cos, np.sin], D=[1.0, 2.0], lam=0.5, R0=1.0),
+                    False),
+    "State": (lambda: initial_state(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=8)),
+              False),
+    "Trajectory": (_short_run, False),
+    "RunSpec": (lambda: build_runspec(_TREE), False),
+    "EnvelopeReport": (lambda: dissipation_envelope_check(_short_run(), alpha=1.0), False),
+    "SolverConfig": (lambda: SolverConfig(mu=[1, 2], nu=np.ones(2)), True),
+    "ValidationReport": (lambda: ValidationReport(warnings=[("CODE", "message")]), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_TYPES))
+def test_value_types_compare_and_hash(name):
+    """``==`` and ``hash()`` never raise: the settings and the validation
+    report compare by value, every other value type by identity."""
+    make, by_value = _VALUE_TYPES[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == a and (a == b) is by_value and (a != b) is not by_value
+    if name != "ValidationReport":  # mutable, and unhashable as its lists are
+        assert hash(a) == hash(a)
+        if by_value:
+            assert hash(a) == hash(b)
 
 
 def test_thickness_bound_uses_running_v1_max(monkeypatch):

@@ -2,7 +2,10 @@
 does not use or export."""
 
 import ast
+import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -116,3 +119,41 @@ def test_every_definition_is_referenced():
             if name not in elsewhere and name not in set(_references(tree, skip=node)):
                 unused.append(f"{module[:-3]}.{name}")
     assert unused == []
+
+
+#: the dunder methods each package dataclass defines itself.  ``__eq__`` and
+#: ``__repr__`` are generated only where a caller compares or prints the type
+#: (``__hash__`` comes with a frozen ``__eq__``, ``__setattr__`` and
+#: ``__delattr__`` with ``frozen``); every other type compares by identity.
+DATACLASS_METHODS = {
+    "config.RunSpec": ["__init__"],
+    "coupler.EnvelopeReport": ["__init__"],
+    "coupler.PhysicalTrajectory": ["__init__"],
+    "coupler.SolverConfig": ["__delattr__", "__eq__", "__hash__", "__init__", "__post_init__",
+                             "__repr__", "__setattr__"],
+    "coupler.State": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
+    "coupler.Trajectory": ["__init__"],
+    "grid.Grid": ["__delattr__", "__init__", "__post_init__", "__repr__", "__setattr__"],
+    "kinetics.KineticsModel": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
+    "kinetics.MonodParams": ["__delattr__", "__init__", "__repr__", "__setattr__"],
+    "mms.CaseResult": ["__init__"],
+    "mms.ConvergenceReport": ["__init__"],
+    "problem.ProblemData": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
+    "problem.ValidationReport": ["__eq__", "__init__", "__repr__"],
+}
+
+
+def test_dataclasses_define_only_the_methods_their_callers_use():
+    """A new dataclass, or a generated method switched back on, shows up here."""
+    found = {}
+    for info in pkgutil.iter_modules(biofilmfront.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"biofilmfront.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                found[f"{info.name}.{cls.__name__}"] = sorted(
+                    name for name, value in vars(cls).items()
+                    if name.startswith("__") and name.endswith("__") and callable(value))
+    assert found == DATACLASS_METHODS
