@@ -24,7 +24,7 @@ from .coupler import (NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED, dissipation_enve
                       energy, flag_names, run_simulation)
 from .errors import (ConfigError, EnvelopeViolation, GridError, InvalidProblem, SolverError,
                      ValidationError)
-from .mms import ORDER_FLOORS, mms_study
+from .mms import mms_study
 from .output import _table, _write_text, write_timeseries
 
 _EQUILIBRIUM_RHS_TOL = 1e-8

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .coupler import SolverConfig
+from .coupler import SNAPSHOT_STRIDE, SolverConfig
 from .errors import ConfigError
 from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
 from .problem import ProblemData
@@ -286,7 +286,7 @@ def build_runspec(tree: dict) -> RunSpec:
     cfg = SolverConfig(**solver, **weights)
     out = top.get("output") or {}
     return RunSpec(data=data, kin=kin, cfg=cfg, t_end=t_end, out_dir=out.get("directory"),
-                   stride=out.get("stride", 1), verify=top.get("verify"),
+                   stride=out.get("stride", SNAPSHOT_STRIDE), verify=top.get("verify"),
                    config_json=_canonical(tree))
 
 

@@ -21,9 +21,10 @@ from the step before) and the explicit half of the substrate scheme.  Per
 sweep: the rates at the iterate, each evaluated once, the off-diagonals at
 its ``v1``, the solves, the transport and the thickness.  Per accepted
 step, after the sweeps: the invariant flags, the energy and the surface
-flux.  An iterate keeps ``Y`` and ``C`` as the rows of one packed
-``(n + m, N + 1)`` array, as a :class:`State` does, so residuals and
-monitors take one pass over it.
+flux.  An iterate is one packed vector ``x = (Y, C, R, v1)``, as
+:attr:`State.x` is: each sweep writes a fresh one, the residual and the warm
+start's extrapolation act on it whole, and ``Y`` and ``C`` are the rows of
+its ``(n + m, N + 1)`` view, which the monitors take one pass over.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (AssemblyError, EnvelopeViolation, InvalidProblem, PicardDiv
                      SolverError, ThicknessCollapse, ValidationError)
 from .grid import Grid, build_grid, interp_rows
 from .kinetics import KineticsModel
-from .problem import ProblemData, ValidationReport, validate_problem
+from .problem import ProblemData, ValidationReport, nonfinite_at, validate_problem
 
 #: nodal values below this (negative) level trip the negativity flags
 POSITIVITY_TOL = 1e-12
@@ -52,12 +53,16 @@ R_BOUND_SLACK = 1e-8
 #: data jump every 4-10 steps.  A sextic loses on the shipped Monod run and
 #: at dt=2e-2.
 START_HISTORY = 6
+#: snapshot stride of a run that names none: a state every step
+SNAPSHOT_STRIDE = 1
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class State:
-    """Full solver state at one time level (arrays are frozen copies);
-    ``Y`` and ``C`` are the rows of one packed array ``X``."""
+    """Full solver state at one time level (arrays are frozen copies).  One
+    packed vector ``x = (Y, C, R, v1)`` holds the iterate that the coupled
+    step maps: ``Y`` and ``C`` are the rows of its view ``X`` of shape
+    ``(n + m, N + 1)``, ``x[-2] == R`` and ``x[-1] == v1 == v[-1]``."""
 
     t: float
     grid: Grid
@@ -73,23 +78,23 @@ class State:
         v = np.asarray(self.v, dtype=float).copy()
         if Y.shape[1] != K or C.shape[1] != K or v.shape != (K,):
             raise ValidationError("state arrays do not match the grid", code="DIMENSION_MISMATCH")
-        X = np.concatenate((Y, C))
-        if not (np.isfinite(X).all() and np.isfinite(v).all() and np.isfinite(self.R)):
+        x = np.concatenate((Y.ravel(), C.ravel(), (self.R, v[-1])))
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise ValidationError("non-finite state", code="NONFINITE")
         if v[0] != 0.0:
             raise ValidationError("velocity must vanish at z=0", code="NONZERO_BASE_VELOCITY")
-        self._freeze(self.t, self.grid, X, len(Y), float(self.R), v)
+        self._freeze(self.t, self.grid, x, len(Y), v)
 
-    def _freeze(self, t: float, grid: Grid, X: np.ndarray, n: int, R: float,
-                v: np.ndarray) -> "State":
+    def _freeze(self, t: float, grid: Grid, x: np.ndarray, n: int, v: np.ndarray) -> "State":
         """Freeze and take arrays that the caller owns and has checked: a
-        packed float ``X`` with ``n`` rows of ``Y`` and a velocity with
-        ``v[0] = 0`` on ``grid``, all finite.  The coupled step builds its
-        states as ``object.__new__(State)._freeze(...)``, without the
-        constructor's copies and checks."""
-        X.setflags(write=False)
+        packed float ``x`` with ``n`` rows of ``Y`` and ``x[-1] == v[-1]``,
+        and a velocity with ``v[0] = 0`` on ``grid``, all finite.  The
+        coupled step builds its states as ``object.__new__(State)._freeze(...)``,
+        without the constructor's copies and checks."""
+        x.setflags(write=False)
         v.setflags(write=False)
-        vars(self).update(t=t, grid=grid, X=X, Y=X[:n], C=X[n:], R=R, v=v)
+        X = x[:-2].reshape(-1, grid.N + 1)
+        vars(self).update(t=t, grid=grid, x=x, X=X, Y=X[:n], C=X[n:], R=float(x[-2]), v=v)
         return self
 
     @property
@@ -246,7 +251,7 @@ def _boundary_flux(s: State, D: np.ndarray, nu: np.ndarray) -> float:
 
 
 def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
-                start: tuple | None = None,
+                start: np.ndarray | None = None,
                 run: _Run | None = None) -> tuple[State, list[float], int]:
     """Advance one step of length ``cfg.dt`` by fixed-point iteration and
     return ``(new_state, residuals, clamped_feet)``: the converged state, the
@@ -256,12 +261,13 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     ``Trajectory.reports`` (energy, surface flux, invariant flags) from these.
 
     Every sweep restarts all substeps from the converged state at the step
-    start, with sources/coefficients taken from the latest iterate; the
-    residual is the largest sup-norm change of ``(Y, C, R, v1)`` between
-    sweeps.  The first iterate is ``start = (X, R, v1)`` when given (a
-    prediction of the step's end state, ``Y`` and ``C`` packed in ``X`` as in
-    :attr:`State.X`) and the step-start state otherwise.  The fixed point is
-    unique, so the start changes only how many sweeps reach it.
+    start, with sources/coefficients taken from the latest iterate, and
+    writes a fresh packed vector ``x = (Y, C, R, v1)`` laid out as
+    :attr:`State.x`; the residual is the sup norm of the change in ``x``
+    between sweeps.  The first iterate is ``start`` when given (the vector
+    :meth:`_Run.start` returns, a prediction of the step's end state) and
+    the step-start ``state.x`` otherwise.  The fixed point is unique, so the
+    start changes only how many sweeps reach it.
 
     What is fixed for the run comes in ``run`` (:class:`_Run`):
     :func:`run_simulation` builds it once, and the step builds its own from
@@ -274,14 +280,15 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     the previous step on ``run`` ended at ``state``.  Each sweep evaluates
     ``h`` once at the iterate and ``f`` and ``g`` once at its new substrates
     (one ``f`` call for a preset, :meth:`KineticsModel.fg`), rewrites the
-    off-diagonals in ``run``'s bands, and writes its new ``(Y, C)`` into a
-    fresh packed array, which becomes the state's ``X`` when the sweeps
-    converge; no later step writes to it.  The converged state's ``f`` and
-    ``g`` give its velocity, and ``f`` is carried in ``run`` to the next step.
+    off-diagonals in ``run``'s bands, and writes its new iterate into a
+    fresh ``x``, which becomes the state's ``x`` when the sweeps converge;
+    no later step writes to it.  The converged state's ``f`` and ``g`` give
+    its velocity, and ``f`` is carried in ``run`` to the next step.
 
     The inputs are trusted: :func:`run_simulation` validates them once, and
     the sweeps check only what they compute (the mesh Peclet number, the
-    tridiagonal solves, the velocity and the thickness).
+    tridiagonal solves, the velocity and the thickness).  A non-finite
+    biomass shows as a non-finite residual and ends the step in its sweep.
 
     Raises
     ------
@@ -318,7 +325,9 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     H_lag = (1.0 - theta) * (R2_start * np.asarray(kin.h(Y0, C0), dtype=float))
     # Y0 and F_start stacked, interpolated at each sweep's feet by one call
     YF_start = np.concatenate((Y0, F_start))
-    Xk, Rk, v1k = (state.X, R_start, v1_start) if start is None else start
+    xk = state.x if start is None else start
+    Xk = xk[:-2].reshape(state.X.shape)
+    Rk, v1k = xk[-2:].tolist()
     # The explicit half of the substrate scheme sits at v1_start, and so does
     # its mesh-Peclet guard (theta < 1); the sweeps guard the implicit
     # operator at each iterate's v1.  A guard fails for some substrate
@@ -331,12 +340,12 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         explicit[j] = parabolic.explicit_part(C0[j], adv_old, diff, run.a_old)
     residuals: list[float] = []
     rising = 0
-    converged = False
 
     for _ in range(cfg.picard_max_iter):
         R2 = Rk**2
         Yk = Xk[:n]
-        X = np.empty(Xk.shape)
+        x = np.empty(xk.shape)
+        X = x[:-2].reshape(Xk.shape)
         # (1) substrates: theta-blended sources, iterate-lagged at the end stage
         H_end = R2 * np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
         rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
@@ -361,35 +370,30 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         # (4) thickness
         R_new = boundary.thickness_update(R_start, v1_start, v1_new, data.lam, dt)
 
-        residual = max(float(np.abs(X - Xk).max()), abs(R_new - Rk), abs(v1_new - v1k))
+        x[-2], x[-1] = R_new, v1_new
+        residual = float(np.abs(x - xk).max())
+        if not math.isfinite(residual):  # Y; C, R and v1 are checked above
+            raise ValidationError("non-finite state", code="NONFINITE")
         residuals.append(residual)
         rising = rising + 1 if len(residuals) >= 2 and residual > residuals[-2] else 0
-        Xk, Rk, v1k = X, R_new, v1_new
+        xk, Xk, Rk, v1k = x, X, R_new, v1_new
         if residual <= cfg.picard_tol:
-            converged = True
             break
         if rising >= 3:
-            raise PicardDivergence(
-                f"fixed-point residual grew 3 sweeps in a row at t={t_new:g}",
-                residual_history=residuals,
-            )
-    if not converged:
-        raise PicardDivergence(
-            f"no contraction within {cfg.picard_max_iter} sweeps at t={t_new:g} "
-            f"(last residual {residuals[-1]:.3e})",
-            residual_history=residuals,
-        )
+            raise PicardDivergence(f"fixed-point residual grew 3 sweeps in a row at t={t_new:g}",
+                                   residual_history=residuals)
+    else:
+        raise PicardDivergence(f"no contraction within {cfg.picard_max_iter} sweeps at "
+                               f"t={t_new:g} (last residual {residuals[-1]:.3e})",
+                               residual_history=residuals)
 
-    # make the stored velocity exactly consistent with the converged fields;
-    # their f starts the run's next step
+    # make the stored velocity exactly consistent with the converged fields
+    # (x[-1] takes its v1); their f starts the run's next step.  The arrays
+    # are this step's own and finite, so the state wraps them without copies.
     f_end, g_end = kin.fg(Xk[:n], Xk[n:])
     v_final = boundary.velocity_nodes(g_end, Rk**2, dz)
-    # C (gtsv), R (thickness) and v (velocity_nodes, with v[0] = 0) are
-    # checked where they are computed; Y is checked here.  The arrays are
-    # this step's own, so the state wraps them without copies.
-    if not np.isfinite(Xk[:n]).all():
-        raise ValidationError("non-finite state", code="NONFINITE")
-    new = object.__new__(State)._freeze(t_new, grid, Xk, n, Rk, v_final)
+    xk[-1] = v_final[-1]
+    new = object.__new__(State)._freeze(t_new, grid, xk, n, v_final)
     run.end_f = new, f_end
     return new, residuals, int(np.count_nonzero(transport.clamped_mask(unclamped)))
 
@@ -442,28 +446,26 @@ class _Run:
     ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` with its smallest value (the
     binding one of the mesh-Peclet guard) and the implicit bands that its
     sweeps share; the newest accepted ``state`` and the ``count`` of them
-    (the start included), the last :data:`START_HISTORY` as ``(X, R, v1)`` rows
-    of a rolling buffer; ``end_f``, the state the last :func:`picard_step`
-    ended at and the raw ``f`` there, which starts the next step; the running
-    max ``|v1|`` of the a priori thickness bound; ``reports``; and the states
-    kept."""
+    (the start included), the last :data:`START_HISTORY` of their
+    :attr:`State.x` as the rows of a rolling buffer, which :meth:`start`
+    extrapolates; ``end_f``, the state the last :func:`picard_step` ended at
+    and the raw ``f`` there, which starts the next step; the running max
+    ``|v1|`` of the a priori thickness bound; ``reports``; and the states kept
+    (every ``stride``-th)."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
     _WEIGHTS = {(s, r): _start_weights(s, r)
                 for s in range(3, START_HISTORY + 1) for r in range(START_HISTORY)}
 
     def __init__(self, state: State, data: ProblemData, cfg: SolverConfig, n_steps: int = 0,
-                 stride: int = 1):
+                 stride: int = SNAPSHOT_STRIDE):
         self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
         self.interior = state.grid.nodes[1:state.grid.N]
         self.diffs = [float(D) / state.grid.dz**2 for D in data.D]
         self.D_min = float(data.D.min())
         self.diff_min = min(self.diffs)
         self.bands = [parabolic.implicit_bands(state.grid.N, d, self.a_new) for d in self.diffs]
-        self._buf = np.zeros((START_HISTORY, state.X.size + 2))
-        self._x = np.empty(state.X.size + 2)
-        self._X = self._buf[:, :-2].reshape((START_HISTORY,) + state.X.shape)
-        self._X_start = self._x[:-2].reshape(state.X.shape)
+        self._buf = np.zeros((START_HISTORY, state.x.size))
         self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
         self.end_f = None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
@@ -472,25 +474,20 @@ class _Run:
 
     def push(self, state: State) -> None:
         """Take ``state`` as the newest accepted one."""
-        row = self.count % START_HISTORY
-        self._X[row] = state.X
-        self._buf[row, -2] = state.R
-        self._buf[row, -1] = state.v1
+        self._buf[self.count % START_HISTORY] = state.x
         self.count += 1
         self.state = state
 
-    def start(self) -> tuple | None:
-        """Start iterate ``(X, R, v1)``: the polynomial through the newest
-        ``s = min(count, START_HISTORY)`` states, one ``dt`` apart, evaluated
-        one ``dt`` on, ``X* = sum_i (-1)^(s-1-i) binom(s, i) X_i`` (oldest
-        first).  ``None`` (a cold start) below three states.  ``X`` packs
-        ``Y`` and ``C`` as :attr:`State.X` does; the next call overwrites it."""
+    def start(self) -> np.ndarray | None:
+        """Start iterate of :func:`picard_step`, a fresh vector laid out as
+        :attr:`State.x`: the polynomial through the newest ``s = min(count,
+        START_HISTORY)`` states, one ``dt`` apart, evaluated one ``dt`` on,
+        ``x* = sum_i (-1)^(s-1-i) binom(s, i) x_i`` (oldest first), ``R``
+        and ``v1`` included.  ``None`` (a cold start) below three states."""
         count = self.count
         if count < 3:
             return None
-        self._WEIGHTS[min(count, START_HISTORY), count % START_HISTORY].dot(self._buf, out=self._x)
-        R, v1 = self._x[-2:].tolist()
-        return self._X_start, R, v1
+        return self._WEIGHTS[min(count, START_HISTORY), count % START_HISTORY].dot(self._buf)
 
     def accept(self, step: tuple, data: ProblemData, cfg: SolverConfig, mu: np.ndarray,
                nu: np.ndarray) -> int:
@@ -524,23 +521,24 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     """Sample the problem data onto the grid and build the t = 0 state.
 
     Raises :class:`ValidationError` ``NONFINITE_INPUT`` naming the profile,
-    the node and its ``z`` where the sampled initial data are not finite.
+    or the rate ``g`` at the sampled data, and the first node (with its
+    ``z``) where it is not finite.
     """
     grid = build_grid(cfg.N)
     Y0, C0 = data.sample_initial(grid.nodes)
-    for name, rows in (("phi", Y0), ("theta", C0)):
-        bad = np.argwhere(~np.isfinite(rows))
-        if bad.size:
-            i, k = bad[0].tolist()
-            raise ValidationError(f"initial data {name}[{i}] is not finite at node {k} "
-                                  f"(z={grid.nodes[k]:.6g}) of N={grid.N}",
-                                  code="NONFINITE_INPUT")
-    v0 = boundary.velocity_nodes(np.asarray(kin.g(Y0, C0), dtype=float), data.R0**2, grid.dz)
+    bad = (nonfinite_at("initial data phi[{}]", Y0, grid.nodes)
+           or nonfinite_at("initial data theta[{}]", C0, grid.nodes))
+    if bad is None:  # g only at finite data
+        g0 = np.asarray(kin.g(Y0, C0), dtype=float)
+        bad = nonfinite_at("kinetics g at the initial data", g0, grid.nodes)
+    if bad is not None:
+        raise ValidationError(bad, code="NONFINITE_INPUT")
+    v0 = boundary.velocity_nodes(g0, data.R0**2, grid.dz)
     return State(t=0.0, grid=grid, Y=Y0, C=C0, R=data.R0, v=v0)
 
 
 def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
-                   t_end: float, snapshot_stride: int = 1) -> Trajectory:
+                   t_end: float, snapshot_stride: int = SNAPSHOT_STRIDE) -> Trajectory:
     """Run from t = 0 to ``t_end`` (rounded to whole steps) and classify the
     outcome:
 
@@ -560,12 +558,13 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``.
     The problem is validated at entry; an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
-    report.  Initial data that are not finite at a node of the run's grid
-    are one more violation (``NONFINITE_INPUT``, from :func:`initial_state`),
-    added to that report with its warnings kept.  A valid problem's report
-    (with its warnings) is kept on ``Trajectory.validation``.  When
-    ``t_end`` is not a whole number of steps, that report also carries a
-    ``HORIZON_ROUNDED`` warning naming the horizon the run takes instead.  A step that fails keeps the trajectory
+    report.  Initial data, or ``g`` at them, that are not finite at a node
+    of the run's grid are one more violation (``NONFINITE_INPUT``, from
+    :func:`initial_state`), added to that report with its warnings kept.  A
+    valid problem's report (with its warnings) is kept on
+    ``Trajectory.validation``.  When ``t_end`` is not a whole number of
+    steps, that report also carries a ``HORIZON_ROUNDED`` warning naming the
+    horizon the run takes instead.  A step that fails keeps the trajectory
     recorded up to it, and ``Trajectory.failure`` holds the error's code and
     message, the step number and its end time ``t``, plus the residual
     history (``picard_diverged``) or the thickness (``washout``).

@@ -23,7 +23,8 @@ class Grid:
     Attributes
     ----------
     N : int
-        Cell count, at least 4.
+        Cell count, an integer of at least 4 (a numpy integer is taken as
+        ``int``).
     nodes : numpy.ndarray
         Node coordinates ``0 = z_0 < ... < z_N = 1`` (read-only).
     dz : float
@@ -33,11 +34,14 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 4:
+        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
+            raise GridError(f"N must be an integer, got {self.N!r}", code="SCHEMA_VIOLATION")
+        if self.N < 4:
             raise GridError(f"grid needs at least 4 cells, got N={self.N}", code="TOO_COARSE")
-        nodes = np.linspace(0.0, 1.0, self.N + 1)
+        N = int(self.N)
+        nodes = np.linspace(0.0, 1.0, N + 1)
         nodes.setflags(write=False)
-        vars(self).update(nodes=nodes, dz=1.0 / self.N)
+        vars(self).update(N=N, nodes=nodes, dz=1.0 / N)
 
 
 def build_grid(N: int) -> Grid:
@@ -46,9 +50,10 @@ def build_grid(N: int) -> Grid:
     Raises
     ------
     GridError
-        Code ``TOO_COARSE`` when ``N < 4``.
+        Code ``SCHEMA_VIOLATION`` when ``N`` is not an integer (a ``bool``
+        neither), ``TOO_COARSE`` when ``N < 4``.
     """
-    return Grid(int(N))
+    return Grid(N)
 
 
 def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:

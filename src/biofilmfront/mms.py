@@ -184,8 +184,11 @@ def mms_study(N_values=(25, 50, 100, 200), theta_scheme: float = 0.5,
     OrderRegression
         When any observed order falls below its floor (after computing all
         cases), unless ``raise_on_regression`` is false.
+    GridError
+        From the first case's grid: code ``SCHEMA_VIOLATION`` for an ``N``
+        that is not an integer, ``TOO_COARSE`` for one below 4.
     """
-    N_values = tuple(int(N) for N in N_values)
+    N_values = tuple(N_values)  # integers, each checked by its grid
     dz = np.array([1.0 / N for N in N_values])
     results = {
         "substrate_diffusion": _diffusion_case(N_values, theta_scheme),

@@ -107,8 +107,10 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     the kinetics; ``D`` or ``psi`` without one entry per substrate; ``f``,
     ``h`` or ``g`` at the initial data not of shape ``(n, K)``, ``(m, K)``
     or ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
-    ``NONFINITE_INPUT``, ``COMPAT_MISMATCH`` (``theta_j(1) != psi_j(0)``
-    beyond ``COMPAT_TOL``).
+    ``NONFINITE_INPUT`` (a non-finite coefficient, initial or boundary
+    value, or ``f``, ``h`` or ``g`` not finite at the initial data, naming
+    the rate and the first such node), ``COMPAT_MISMATCH``
+    (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
 
     Warnings: ``NEGATIVE_INITIAL_DATA`` when the model is quasi-positive but
     the data start negative; ``SECOND_ORDER_COMPAT`` when the substrate data
@@ -179,16 +181,30 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     # checked here, once
     K = len(grid.nodes)
     rates = {}
-    for name, shape in (("f", (kin.n, K)), ("h", (kin.m, K)), ("g", (K,))):
+    for name, label, shape in (("f", "f[{}]", (kin.n, K)), ("h", "h[{}]", (kin.m, K)),
+                               ("g", "g", (K,))):
         rates[name] = np.asarray(getattr(kin, name)(Y0, C0), dtype=float)
         if rates[name].shape != shape:
             rep.violations.append((
                 "DIMENSION_MISMATCH",
                 f"kinetics {name} returned shape {rates[name].shape}, expected {shape}",
             ))
+        elif bad := nonfinite_at(f"kinetics {label} at the initial data", rates[name],
+                                 grid.nodes):
+            rep.violations.append(("NONFINITE_INPUT", bad))
     if rep.ok:
         _second_order_compat(rep, data, grid.nodes, C0, rates["h"], rates["g"])
     return rep
+
+
+def nonfinite_at(what: str, rows: np.ndarray, nodes: np.ndarray) -> str | None:
+    """The message naming ``what`` (the row index fills its ``{}``) and the
+    first of ``nodes`` where ``rows`` is not finite; ``None`` if all are."""
+    bad = np.argwhere(~np.isfinite(np.atleast_2d(rows)))
+    if not bad.size:
+        return None
+    i, k = bad[0].tolist()
+    return f"{what.format(i)} is not finite at node {k} (z={nodes[k]:.6g}) of N={len(nodes) - 1}"
 
 
 def _second_order_compat(rep, data, nodes, C0, hvals, gvals):

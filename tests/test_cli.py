@@ -164,6 +164,38 @@ def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     assert captured.err == ""
 
 
+_GROWTH = GOOD.replace("kinetics: {preset: zero}",
+                      "kinetics: {preset: linear, A: [[10.0]], c: [0.0], B: [[-1.0]], d: [0.0]}")
+_RATE_AT = "at the initial data is not finite at node"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("phi,N,violations", [
+    ("1.0e308", 20, [f"kinetics f[0] {_RATE_AT} 0 (z=0) of N=200",
+                     f"kinetics g {_RATE_AT} 0 (z=0) of N=200"]),
+    ('"1e308*exp(-1e10*(z-1/3)^2)"', 30, [f"kinetics g {_RATE_AT} 10 (z=0.333333) of N=30"]),
+], ids=["on_the_sample", "on_the_run_grid"])
+def test_nonfinite_rate_at_initial_data(tmp_path, capsys, phi, N, violations):
+    """``f = 10 Y`` overflows where ``phi`` is 1e308: on validation's sample
+    grid everywhere, or only at node 10 of N = 30, where the spike of the
+    second ``phi`` sits between the sample's nodes.  Either is a problem
+    violation naming the rate and the node, on which simulate exits 2 and
+    verify prints its failed checks and exits 1."""
+    p = tmp_path / "run.yaml"
+    p.write_text(_GROWTH.replace("phi: [0.0]", f"phi: [{phi}]").replace("N: 20", f"N: {N}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error [NONFINITE_INPUT]: invalid problem data: "
+                            + "; ".join(f"NONFINITE_INPUT: {v}" for v in violations) + "\n")
+    assert captured.out == "" and not out.exists()
+    assert main(["verify", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"problem validation: FAIL [NONFINITE_INPUT] {v}\n"
+                                   for v in violations) + "verify: FAIL\n"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("old,new,message", [
     ("N: 20", "N: 3", "error [TOO_COARSE]: grid needs at least 4 cells, got N=3"),
     ("t_end: 0.02", "t_end: -1",

@@ -78,6 +78,38 @@ def test_state_requires_pinned_base_velocity():
     assert exc.value.code == "NONZERO_BASE_VELOCITY"
 
 
+def _assert_packed(s):
+    """``s.x`` is the read-only vector ``(Y, C, R, v1)``, and ``X``, ``Y``
+    and ``C`` are read-only views of it."""
+    assert s.x.shape == ((len(s.Y) + len(s.C)) * (s.grid.N + 1) + 2,) and s.x.dtype == float
+    assert not any(a.flags.writeable for a in (s.x, s.X, s.Y, s.C, s.v))
+    assert all(np.shares_memory(a, s.x) for a in (s.X, s.Y, s.C))
+    assert np.array_equal(s.x[:-2], np.concatenate((s.Y, s.C)).ravel())
+    assert s.x[-2] == s.R and s.x[-1] == s.v1
+
+
+def test_states_pack_one_read_only_vector():
+    """A constructed state, a stepped one and every state of a run pack
+    ``x = (Y, C, R, v1)`` once; the warm start is a fresh vector of that
+    length, not a view of any state's."""
+    g = build_grid(4)
+    s = State(t=0.0, grid=g, Y=np.arange(10.0).reshape(2, 5), C=np.ones((1, 5)), R=3,
+              v=np.linspace(0.0, 0.5, 5))
+    _assert_packed(s)
+    assert s.x.tolist()[-7:] == [1.0] * 5 + [3.0, 0.5]
+    data, kin = _monod_problem(2)
+    cfg = SolverConfig(N=30, dt=5e-3)
+    traj = run_simulation(data, kin, cfg, t_end=0.05, snapshot_stride=1)
+    for s in traj.states + [picard_step(traj.states[0], data, kin, cfg)[0]]:
+        _assert_packed(s)
+    run = _Run(traj.states[0], data, cfg)
+    for state in traj.states[1:3]:
+        run.push(state)
+    start = run.start()
+    assert start.shape == ((kin.n + kin.m) * 31 + 2,) and start.dtype == float
+    assert not any(np.shares_memory(start, s.x) for s in traj.states)
+
+
 def test_energy_hand_value():
     g = build_grid(10)
     s = State(t=0.0, grid=g, Y=np.ones((1, 11)), C=np.full((1, 11), 2.0), R=1.0,
@@ -307,8 +339,8 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     This is the sweep as it was written before it moved onto the stages'
     array kernels: every substrate is assembled and solved on its own, ``h``
     is evaluated on every sweep, and the biomass sources are interpolated
-    at the nodes as well as at the feet.  The sweeps start from
-    ``start = (X, R, v1)`` when given, with ``Y`` and ``C`` packed in ``X``.
+    at the nodes as well as at the feet.  The sweeps start from the packed
+    vector ``start = (Y, C, R, v1)`` when given, laid out as ``State.x``.
     ``picard_step`` must reproduce its ``(state, residuals, clamped_feet)``
     bit for bit.
     """
@@ -327,7 +359,7 @@ def reference_picard_step(state, data, kin, cfg, start=None):
     if start is None:
         Yk, Ck, Rk, v1k = Y0, C0, R_start, v1_start
     else:
-        X, Rk, v1k = start
+        X, (Rk, v1k) = start[:-2].reshape(state.X.shape), start[-2:].tolist()
         Yk, Ck = X[:kin.n], X[kin.n:]
     residuals = []
     rising = 0
@@ -526,10 +558,9 @@ def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
     for pushes in range(1, s + (4 if s == START_HISTORY else 0)):
         assert (run.start() is None) == (pushes < 3)
         run.push(state(float(pushes)))
-    X, R, v1 = run.start()
+    x = run.start()
     want = state(float(pushes + 1))
-    assert np.array_equal(X[:2], want.Y) and np.array_equal(X[2:], want.C)
-    assert R == want.R and v1 == want.v1
+    assert np.array_equal(x, want.x)
 
 
 def test_step_clamps_feet_before_interpolating(monkeypatch):
@@ -668,7 +699,7 @@ def test_warm_step_checks_explicit_peclet():
     # every iterate's velocity at 0
     s0 = State(t=0.0, grid=g, Y=np.zeros((1, 9)), C=np.ones((1, 9)), R=1.0,
                v=np.linspace(0.0, 2.0, 9))
-    start = (s0.X, s0.R, 0.0)
+    start = np.append(s0.x[:-1], 0.0)
     with pytest.raises(AssemblyError) as exc:
         picard_step(s0, data, kin, SolverConfig(N=8, dt=1e-2, theta_scheme=0.5), start)
     assert exc.value.code == "UNSTABLE_ASSEMBLY"
@@ -967,6 +998,30 @@ def test_solve_failed_outcome(rate, message):
     assert k > 1 and len(traj.reports) == k - 1
     assert traj.failure["t"] == pytest.approx(k * 1e-3)
     assert traj.final_state.t == pytest.approx((k - 1) * 1e-3)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_biomass_ends_its_sweep_at_default_tolerance(value):
+    """A biomass rate that turns non-finite mid-run, at the default
+    tolerance: the sweep that computes the non-finite biomass ends the step
+    as ``solve_failed`` with ``NONFINITE``, not 50 sweeps of non-finite
+    residuals later.  The 12th ``f`` call is the first sweep of step 4
+    (validation calls ``f`` once; step 1 at its start, in its 2 sweeps and
+    at its end; steps 2 and 3 in 2 sweeps and at their end), and it is the
+    last ``f`` call of the run."""
+    calls = []
+
+    def f(Y, C):
+        calls.append(None)
+        return np.zeros(Y.shape) if len(calls) < 12 else np.full(Y.shape, value)
+
+    kin = KineticsModel(n=1, m=1, f=f, h=lambda Y, C: np.zeros_like(C),
+                        g=lambda Y, C: np.zeros(Y.shape[1]))
+    traj = run_simulation(_substrate_only(), kin, SolverConfig(N=10, dt=1e-3), t_end=0.1)
+    assert traj.outcome == "solve_failed"
+    assert traj.failure["code"] == "NONFINITE" and traj.failure["message"] == "non-finite state"
+    assert traj.failure["step"] == 4 and traj.reports.picard_iterations.tolist() == [2, 2, 2]
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, 1e308])

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from biofilmfront import GridError, State, ValidationError, build_grid
 from biofilmfront.boundary import velocity_nodes
-from biofilmfront.grid import cumtrapz_dz, interp_rows
+from biofilmfront.grid import Grid, cumtrapz_dz, interp_rows
 
 
 def test_build_grid_basic():
@@ -30,6 +30,24 @@ def test_grid_too_coarse():
     with pytest.raises(GridError) as exc:
         build_grid(3)
     assert exc.value.code == "TOO_COARSE"
+
+
+@pytest.mark.parametrize("N", [40.7, 40.0, "40", True, None])
+def test_grid_size_must_be_an_integer(N):
+    """A grid size that is not an integer is rejected with a message naming
+    it, where ``build_grid`` used to truncate it (40.7 ran at N=40)."""
+    for make in (Grid, build_grid):
+        with pytest.raises(GridError) as exc:
+            make(N)
+        assert exc.value.code == "SCHEMA_VIOLATION"
+        assert str(exc.value) == f"N must be an integer, got {N!r}"
+
+
+def test_grid_takes_numpy_integers_as_int():
+    for make in (Grid, build_grid):
+        g = make(np.int64(40))
+        assert type(g.N) is int and g.N == 40 and repr(g) == "Grid(N=40)"
+        assert g.dz == 0.025 and type(g.dz) is float
 
 
 def test_profile_shape_checked():

@@ -121,6 +121,33 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def _imported_names(tree):
+    """Names bound by the module-level imports of ``tree``, with the import
+    they come from; ``from __future__`` binds none."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], ast.unparse(node)
+
+
+def test_every_import_is_used():
+    """Each name a package module imports at module level is read in that
+    module.  ``__init__.py`` imports to re-export, and is exempt."""
+    package = os.path.dirname(os.path.abspath(biofilmfront.__file__))
+    unused = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{name[:-3]}: {bound} ({statement})"
+                       for bound, statement in _imported_names(tree) if bound not in read]
+    assert unused == []
+
+
 #: the dunder methods each package dataclass defines itself.  ``__eq__`` and
 #: ``__repr__`` are generated only where a caller compares or prints the type
 #: (``__hash__`` comes with a frozen ``__eq__``, ``__setattr__`` and

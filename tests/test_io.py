@@ -30,7 +30,7 @@ from biofilmfront import (
 )
 from biofilmfront.cli import main
 from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_CHECKS, load_tree
-from biofilmfront.coupler import back_transform
+from biofilmfront.coupler import SNAPSHOT_STRIDE, back_transform
 from biofilmfront.output import _table
 
 
@@ -96,6 +96,15 @@ def test_expression_rejects_unsafe(bad):
 
 
 # -- schema ----------------------------------------------------------------------
+
+
+def test_stride_default_has_one_owner():
+    """A config without ``output.stride`` takes the library's default, as a
+    run that names no stride does."""
+    spec = build_runspec(_tree(output={}))
+    assert spec.stride == SNAPSHOT_STRIDE and type(spec.stride) is int
+    default = inspect.signature(run_simulation).parameters["snapshot_stride"].default
+    assert default is SNAPSHOT_STRIDE
 
 
 def test_build_runspec_roundtrip():

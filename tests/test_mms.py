@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biofilmfront import OrderRegression, mms_study
+from biofilmfront import GridError, OrderRegression, mms_study
 from biofilmfront.mms import ORDER_FLOORS, CaseResult
 
 
@@ -29,6 +29,14 @@ def test_study_accepts_fully_implicit_scheme():
                        raise_on_regression=False)
     assert report.cases["substrate_diffusion"].observed_order > 0.8
     assert report.cases["thickness_ode"].ok
+
+
+def test_study_rejects_non_integer_grid_sizes():
+    """``mms_study`` used to truncate its grid sizes (40.7 ran at N=40)."""
+    with pytest.raises(GridError) as exc:
+        mms_study(N_values=(25, 40.7))
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == "N must be an integer, got 40.7"
 
 
 def test_case_result_flags_regression():

@@ -147,6 +147,22 @@ def test_nonfinite_initial_data():
     assert "NONFINITE_INPUT" in report.codes()
 
 
+@pytest.mark.parametrize("bad,value,message", [
+    ("f", math.nan, "kinetics f[0] at the initial data is not finite at node 0 (z=0) of N=200"),
+    ("h", math.inf, "kinetics h[0] at the initial data is not finite at node 0 (z=0) of N=200"),
+    ("g", math.inf, "kinetics g at the initial data is not finite at node 0 (z=0) of N=200"),
+])
+def test_rates_checked_finite_at_initial_data(bad, value, message):
+    """A rate that is not finite at the initial data is a violation that
+    names the rate and the first node of the sample where it is not."""
+    rates = dict(f=lambda Y, C: np.zeros_like(Y), h=lambda Y, C: np.zeros_like(C),
+                 g=lambda Y, C: np.zeros(Y.shape[1]))
+    good = rates[bad]
+    rates[bad] = lambda Y, C: np.full_like(good(Y, C), value)
+    rep = validate_problem(_data(), KineticsModel(n=1, m=1, **rates))
+    assert rep.violations == [("NONFINITE_INPUT", message)]
+
+
 @pytest.mark.parametrize("bad", ["f", "h", "g"])
 def test_rate_shapes_checked(bad):
     """The solver works on the rate arrays as returned, so a rate of the
