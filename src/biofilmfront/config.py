@@ -298,10 +298,17 @@ def _canonical(tree: dict) -> str:
 
 
 def _sha256(text: str) -> str:
-    """SHA-256 hex digest of ``text`` in UTF-8."""
-    import hashlib  # here, not at module level: it loads OpenSSL
+    """SHA-256 hex digest of ``text`` in UTF-8, from the interpreter's own
+    module, the one ``hashlib`` falls back to; ``hashlib`` loads OpenSSL."""
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:  # neither is built
+            from hashlib import sha256
 
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def config_hash(tree: dict) -> str:

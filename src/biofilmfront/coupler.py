@@ -529,7 +529,8 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     bad = (nonfinite_at("initial data phi[{}]", Y0, grid.nodes)
            or nonfinite_at("initial data theta[{}]", C0, grid.nodes))
     if bad is None:  # g only at finite data
-        g0 = np.asarray(kin.g(Y0, C0), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
+            g0 = np.asarray(kin.g(Y0, C0), dtype=float)
         bad = nonfinite_at("kinetics g at the initial data", g0, grid.nodes)
     if bad is not None:
         raise ValidationError(bad, code="NONFINITE_INPUT")

@@ -2,9 +2,11 @@
 
 All files are plain CSV with LF line endings, ``.`` decimal separator and
 full double precision (17 significant digits), so identical runs produce
-bitwise-identical bytes.  Each file is formatted by one ``%`` over a
+bitwise-identical bytes.  A snapshot is formatted by one ``%`` over a
 whole-file template (one per call for all snapshots, with the shared ``z``
-column already in it) and written by one ``write``, one file at a time.
+column already in it) and written by one ``write``.  The per-step tables
+take one ``%`` and one ``write`` per block of :data:`_BLOCK_ROWS` rows, so
+the text held at once is bounded by the block, not by the run.
 An existing file is overwritten in place and then cut to length, never
 truncated first, since on ext4 (``auto_da_alloc``) that starts writeback at
 close; there is no fsync or atomic rename, so outputs are no more
@@ -31,6 +33,8 @@ _FLAG_TEXT = [";".join(flag_names(mask)) for mask in range(1 << len(FLAGS))]
 #: columns of ``scalars.csv`` before ``flags``, as named in ``Trajectory.reports``
 _SCALAR_COLUMNS = ("t", "R", "v1", "energy", "picard_iterations", "residual",
                    "first_residual", "clamped_feet", "boundary_energy_flux")
+#: rows per ``%`` and per ``write`` of ``scalars.csv`` and ``physical_scalars.csv``
+_BLOCK_ROWS = 1024
 
 
 def _table(header: str, row: str, values) -> str:
@@ -44,17 +48,31 @@ def _table(header: str, row: str, values) -> str:
     return f"{header}\n" + ((row + "\n") * nrows) % values
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 over what the file held, from
-    offset 0, then cut the file to the length written.  Truncating first
-    would start writeback at close on ext4 (``auto_da_alloc``), which made
-    rewriting a run's files the slowest part of a dense run.  Binary mode
-    keeps LF line endings on every platform.  No fsync or atomic rename, as
-    before: a crash can leave a file partly rewritten."""
+def _blocks(header: str, row: str, nrows: int, values):
+    """The text of :func:`_table` in pieces: ``header``, then ``row`` for each
+    block of up to :data:`_BLOCK_ROWS` rows ``lo:hi``, whose flat, row-major
+    values ``values(lo, hi)`` gives."""
+    yield f"{header}\n"
+    for lo in range(0, nrows, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, nrows)
+        yield ((row + "\n") * (hi - lo)) % tuple(values(lo, hi))
+
+
+def _write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings written in order,
+    to ``path`` as UTF-8 over what the file held, from offset 0, then cut
+    the file to the length written.  Truncating first would start
+    writeback at close on ext4 (``auto_da_alloc``), which made rewriting a
+    run's files the slowest part of a dense run.  Binary mode keeps LF line
+    endings on every platform.  No fsync or atomic rename, as before: a
+    crash can leave a file partly rewritten."""
+    if isinstance(text, str):
+        text = (text,)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+            for piece in text:
+                fh.write(piece.encode("utf-8"))
             fh.truncate()
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from None
@@ -85,12 +103,16 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     except OSError as exc:
         raise OutputError(f"cannot create {out_dir!r}: {exc}") from None
 
-    cols = [traj.reports[name].tolist() for name in _SCALAR_COLUMNS]
-    cols.append([_FLAG_TEXT[mask] for mask in traj.reports.invariant_flags.tolist()])
-    _write_text(os.path.join(out_dir, "scalars.csv"), _table(
+    def scalar_values(lo, hi):
+        rows = traj.reports[lo:hi]
+        cols = [rows[name].tolist() for name in _SCALAR_COLUMNS]
+        cols.append([_FLAG_TEXT[mask] for mask in rows.invariant_flags.tolist()])
+        return [v for row in zip(*cols) for v in row]
+
+    _write_text(os.path.join(out_dir, "scalars.csv"), _blocks(
         "t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,boundary_energy_flux,"
         "flags", "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%s",
-        [v for row in zip(*cols) for v in row]))
+        len(traj.reports), scalar_values))
     files = ["scalars.csv"]
 
     # every snapshot lies on traj.grid: its z column is formatted once, into
@@ -109,8 +131,9 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
 
     phys = back_transform(traj)
     _write_text(os.path.join(out_dir, "physical_scalars.csv"),
-                _table("t_phys,L,u1", "%.17g,%.17g,%.17g",
-                       _columns(phys.t_phys, phys.L, phys.u1)))
+                _blocks("t_phys,L,u1", "%.17g,%.17g,%.17g", len(phys.t_phys),
+                        lambda lo, hi: _columns(phys.t_phys[lo:hi], phys.L[lo:hi],
+                                                phys.u1[lo:hi])))
     files.append("physical_scalars.csv")
 
     written = set(files)

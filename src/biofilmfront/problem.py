@@ -183,7 +183,8 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     rates = {}
     for name, label, shape in (("f", "f[{}]", (kin.n, K)), ("h", "h[{}]", (kin.m, K)),
                                ("g", "g", (K,))):
-        rates[name] = np.asarray(getattr(kin, name)(Y0, C0), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
+            rates[name] = np.asarray(getattr(kin, name)(Y0, C0), dtype=float)
         if rates[name].shape != shape:
             rep.violations.append((
                 "DIMENSION_MISMATCH",

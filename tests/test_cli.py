@@ -2,10 +2,14 @@
 
 import concurrent.futures
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import biofilmfront
 from biofilmfront import (ConfigError, InvalidProblem, OutputError, PicardDivergence,
                           ThicknessCollapse, ValidationReport)
 from biofilmfront.cli import main
@@ -169,12 +173,15 @@ _GROWTH = GOOD.replace("kinetics: {preset: zero}",
 _RATE_AT = "at the initial data is not finite at node"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("phi,N,violations", [
+_OVERFLOWING_PHI = pytest.mark.parametrize("phi,N,violations", [
     ("1.0e308", 20, [f"kinetics f[0] {_RATE_AT} 0 (z=0) of N=200",
                      f"kinetics g {_RATE_AT} 0 (z=0) of N=200"]),
     ('"1e308*exp(-1e10*(z-1/3)^2)"', 30, [f"kinetics g {_RATE_AT} 10 (z=0.333333) of N=30"]),
 ], ids=["on_the_sample", "on_the_run_grid"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@_OVERFLOWING_PHI
 def test_nonfinite_rate_at_initial_data(tmp_path, capsys, phi, N, violations):
     """``f = 10 Y`` overflows where ``phi`` is 1e308: on validation's sample
     grid everywhere, or only at node 10 of N = 30, where the spike of the
@@ -194,6 +201,23 @@ def test_nonfinite_rate_at_initial_data(tmp_path, capsys, phi, N, violations):
     assert captured.out == "".join(f"problem validation: FAIL [NONFINITE_INPUT] {v}\n"
                                    for v in violations) + "verify: FAIL\n"
     assert captured.err == ""
+
+
+@_OVERFLOWING_PHI
+def test_nonfinite_rate_prints_no_numpy_warning(tmp_path, phi, N, violations):
+    """The overflow that makes the rate non-finite is the report's to name:
+    a fresh simulate or verify process prints no numpy ``RuntimeWarning``."""
+    p = tmp_path / "run.yaml"
+    p.write_text(_GROWTH.replace("phi: [0.0]", f"phi: [{phi}]").replace("N: 20", f"N: {N}"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(biofilmfront.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    for command, code in (["simulate", 2], ["verify", 1]):
+        proc = subprocess.run([sys.executable, "-m", "biofilmfront", command, "--config", str(p)],
+                              env=env, capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == code, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert violations[-1] in proc.stderr + proc.stdout
 
 
 @pytest.mark.parametrize("old,new,message", [

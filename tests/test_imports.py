@@ -33,9 +33,9 @@ def test_import_does_not_load_scipy_integrate():
     ``numpy.f2py``), and leaves no entry for it in ``sys.modules``; a run
     solves on that wrapper with scipy still unimported.  PyYAML and the
     process pool load only when a config is parsed or a sweep runs in
-    parallel.  OpenSSL (``_hashlib``) loads only when a run's config hash
-    is read, and ``json`` only when a config is built or a manifest
-    written."""
+    parallel.  OpenSSL (``_hashlib``) does not load, not even when a run's
+    config hash is read, and ``json`` loads only when a config is built or
+    a manifest written."""
     code = ("import sys, biofilmfront, biofilmfront.cli; "
             "print('scipy.integrate' in sys.modules); "
             "print(sorted(m for m in ('scipy', 'scipy.linalg', 'numpy.f2py', "
@@ -48,7 +48,18 @@ def test_import_does_not_load_scipy_integrate():
             "print('_hashlib' in sys.modules); "
             "spec.config_hash; "
             "print('_hashlib' in sys.modules)")
-    assert _python(code, CONFIG).splitlines() == ["False", "[]", "True", "False", "False", "True"]
+    assert _python(code, CONFIG).splitlines() == ["False", "[]", "True", "False", "False", "False"]
+
+
+def test_simulate_does_not_load_openssl(tmp_path):
+    """A ``simulate`` process, which hashes its config for the manifest,
+    ends with neither OpenSSL's ``_hashlib`` nor ``ssl`` loaded."""
+    code = ("import sys; from biofilmfront.cli import main; "
+            "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(code, sorted(m for m in ('_hashlib', 'ssl') if m in sys.modules))")
+    out = _python(code, CONFIG, str(tmp_path / "run"))
+    assert out.splitlines()[-1] == "0 []"
+    assert (tmp_path / "run" / "manifest.json").exists()
 
 
 _SAME_BITS = """

@@ -1,9 +1,12 @@
 """Configuration parsing, the expression mini-language, and run output files."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +33,11 @@ from biofilmfront import (
 )
 from biofilmfront.cli import main
 from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_CHECKS, load_tree
-from biofilmfront.coupler import SNAPSHOT_STRIDE, back_transform
-from biofilmfront.output import _table
+from biofilmfront.coupler import SNAPSHOT_STRIDE, STEP_COLUMNS, back_transform, flag_names
+from biofilmfront.output import _BLOCK_ROWS, _table
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ["equilibrium", "linear_dissipative", "monod_growth", "zero_kinetics"]
 
 
 def _tree(**overrides):
@@ -337,13 +343,27 @@ def test_spec_hash_is_of_the_tree_as_built():
     assert spec.config_hash == want != config_hash(tree)
 
 
-@pytest.mark.parametrize("name", ["equilibrium", "linear_dissipative", "monod_growth",
-                                  "zero_kinetics"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_config_hash_is_sha256_of_canonical_json(name, monkeypatch):
+    """A shipped config's hash is ``hashlib``'s SHA-256 of its sorted,
+    space-free JSON, and stays so where the interpreter's own SHA-256
+    module is missing and the hash falls back to ``hashlib``."""
+    path = str(CONFIGS / f"{name}.yaml")
+    tree = load_tree(path)
+    text = json.dumps(tree, sort_keys=True, separators=(",", ":"), default=str)
+    want = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert config_hash(tree) == parse_config(path).config_hash == want
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert config_hash(tree) == want
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_load_tree_matches_pure_python_loader(name):
     """``load_tree`` parses with libyaml's loader when PyYAML has it; the
     shipped configs give the trees of PyYAML's pure-Python safe loader."""
     yaml = pytest.importorskip("yaml")
-    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+    path = CONFIGS / f"{name}.yaml"
     assert load_tree(str(path)) == yaml.load(path.read_text(), Loader=yaml.SafeLoader)
 
 
@@ -615,6 +635,59 @@ def test_rerun_writes_the_bytes_of_a_fresh_directory(tmp_path, earlier, later):
     write_timeseries(traj, str(out))
     for name, data in _oracle_files(traj).items():
         assert (out / name).read_bytes() == data, name
+
+
+def _synthetic_run(rows):
+    """A one-state trajectory whose per-step table holds ``rows`` made-up
+    rows: every flag combination, and 17 significant digits in most values."""
+    spec = build_runspec(_tree())
+    traj = run_simulation(spec.data, spec.kin, spec.cfg, t_end=0.0)
+    rng = np.random.default_rng(rows)
+    reports = np.recarray(rows, STEP_COLUMNS)
+    for name in STEP_COLUMNS.names:
+        if STEP_COLUMNS[name].kind == "i":
+            reports[name] = rng.integers(0, 1 << len(FLAGS), rows)
+        else:
+            reports[name] = rng.uniform(0.5, 2.0, rows)
+    reports.t = np.arange(1, rows + 1) * 1e-3
+    return dataclasses.replace(traj, reports=reports)
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                  3 * _BLOCK_ROWS + 5])
+def test_block_writer_matches_one_table(tmp_path, rows):
+    """The per-step tables, written a block of rows at a time, hold the text
+    that one ``%`` over all rows gives."""
+    traj = _synthetic_run(rows)
+    write_timeseries(traj, str(tmp_path))
+    r = traj.reports
+    scalars = [v for k in range(rows) for v in (
+        r.t[k], r.R[k], r.v1[k], r.energy[k], int(r.picard_iterations[k]), r.residual[k],
+        r.first_residual[k], int(r.clamped_feet[k]), r.boundary_energy_flux[k],
+        ";".join(flag_names(int(r.invariant_flags[k]))))]
+    assert (tmp_path / "scalars.csv").read_text() == _table(
+        "t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,"
+        "boundary_energy_flux,flags", "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%s",
+        scalars)
+    phys = back_transform(traj)
+    assert (tmp_path / "physical_scalars.csv").read_text() == _table(
+        "t_phys,L,u1", "%.17g,%.17g,%.17g",
+        np.column_stack((phys.t_phys, phys.L, phys.u1)).ravel().tolist())
+
+
+def test_writer_memory_is_bounded_by_the_block(tmp_path):
+    """Writing a 40 000-step run holds a block of text at a time, not the
+    whole 6.5 MB ``scalars.csv`` with the objects formatted into it: the
+    traced peak stays under 4 MB."""
+    traj = _synthetic_run(40_000)
+    tracemalloc.start()
+    try:
+        write_timeseries(traj, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "scalars.csv").stat().st_size > 6e6
+    assert peak < 4e6
 
 
 # -- write failures ----------------------------------------------------------------
