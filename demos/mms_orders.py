@@ -8,7 +8,8 @@ interpolation at the characteristic feet), 4 for the RK4 thickness update.
 
 Running the substrate case fully implicit (theta_scheme = 1.0) knocks its
 order down to ~1 -- a deliberately broken configuration the regression
-guard refuses: mms_study raises OrderRegression unless told otherwise.
+guard refuses: the report's ok turns false and the case is marked below its
+floor.
 """
 
 import biofilmfront as bf
@@ -23,11 +24,8 @@ def main():
     print(f"\nall floors met: {report.ok}")
 
     print("\nsame study, fully implicit substrate step (theta_scheme = 1.0):")
-    try:
-        bf.mms_study(theta_scheme=1.0)
-    except bf.OrderRegression as exc:
-        print(f"  OrderRegression raised: {exc}")
-    degraded = bf.mms_study(theta_scheme=1.0, raise_on_regression=False)
+    degraded = bf.mms_study(theta_scheme=1.0)
+    print(f"  all floors met: {degraded.ok}")
     sub = degraded.cases["substrate_diffusion"]
     print(f"  substrate order degrades to {sub.observed_order:.3f} "
           f"(floor {sub.floor}) -- first-order time error dominates")

@@ -13,9 +13,9 @@ from .config import RunSpec, build_runspec, compile_expression, config_hash, par
 from .coupler import (FLAGS, EnvelopeReport, PhysicalTrajectory, SolverConfig, State,
                       Trajectory, back_transform, check_invariants, dissipation_envelope_check,
                       energy, flag_names, initial_state, picard_step, run_simulation)
-from .errors import (AssemblyError, ConfigError, EnvelopeViolation, GridError,
-                     InvalidProblem, LinearSolveError, OrderRegression, OutputError,
-                     PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
+from .errors import (AssemblyError, ConfigError, GridError, InvalidProblem, LinearSolveError,
+                     OutputError, PicardDivergence, SolverError, ThicknessCollapse,
+                     ValidationError)
 from .grid import Grid, build_grid
 from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
 from .mms import ConvergenceReport, mms_study
@@ -25,10 +25,9 @@ from .problem import ProblemData, ValidationReport, validate_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport",
-    "EnvelopeViolation", "FLAGS", "Grid", "GridError", "InvalidProblem", "KineticsModel",
-    "LinearSolveError", "MonodParams", "OrderRegression", "OutputError",
-    "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec",
+    "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport", "FLAGS", "Grid",
+    "GridError", "InvalidProblem", "KineticsModel", "LinearSolveError", "MonodParams",
+    "OutputError", "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec",
     "SolverConfig", "SolverError", "State", "ThicknessCollapse",
     "Trajectory", "ValidationError", "ValidationReport",
     "back_transform", "build_grid", "build_runspec", "check_invariants",

@@ -94,23 +94,6 @@ class PicardDivergence(SolverError):
         self.residual_history = list(residual_history)
 
 
-class EnvelopeViolation(SolverError):
-    """Recorded energy exceeded the dissipation envelope.
-
-    Attributes
-    ----------
-    time : float
-        First offending time.
-    excess : float
-        Relative overshoot ``E/envelope - 1`` at that time.
-    """
-
-    def __init__(self, message: str, *, time: float, excess: float):
-        super().__init__(message, code="ENVELOPE_VIOLATED")
-        self.time = time
-        self.excess = excess
-
-
 class ConfigError(SolverError):
     """Configuration parsing/validation failure (codes PARSE_ERROR,
     UNKNOWN_KEY, SCHEMA_VIOLATION)."""
@@ -122,16 +105,3 @@ class OutputError(SolverError):
     def __init__(self, message: str):
         super().__init__(message, code="IO_ERROR")
 
-
-class OrderRegression(SolverError):
-    """A convergence study produced an observed order below its floor.
-
-    Attributes
-    ----------
-    orders : dict[str, float]
-        Observed orders keyed by study case name.
-    """
-
-    def __init__(self, message: str, *, orders):
-        super().__init__(message, code="ORDER_REGRESSION")
-        self.orders = dict(orders)

@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ import biofilmfront
 from biofilmfront import (ConfigError, InvalidProblem, OutputError, PicardDivergence,
                           ThicknessCollapse, ValidationReport)
 from biofilmfront.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOOD = """
 problem:
@@ -308,6 +311,10 @@ def test_malformed_shape_is_one_error_line(text, old, new, verify_rc, message, t
     ("lamda", "0.5", "error [UNKNOWN_KEY]: unknown sweep parameter 'lamda'"),
     ("solver.nope.dt", "1e-3", "error [UNKNOWN_KEY]: unknown sweep parameter path "
                                "'solver.nope.dt'"),
+    # paths that end inside a list or a number
+    ("problem.D.0", "2.0", "error [UNKNOWN_KEY]: unknown sweep parameter path 'problem.D.0'"),
+    ("problem.lambda.x", "1.0", "error [UNKNOWN_KEY]: unknown sweep parameter path "
+                                "'problem.lambda.x'"),
 ])
 def test_sweep_bad_parameter_exit_2(param, values, message, good_cfg, tmp_path, capsys):
     out = tmp_path / "sweep"
@@ -383,6 +390,25 @@ def test_verify_with_envelope(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "envelope" in out
     assert "verify: PASS" in out
+
+
+def test_verify_envelope_fail(tmp_path, capsys):
+    """The shipped dissipative run audited with an overclaimed decay rate
+    crosses its envelope at the first step: one failed check, exit 1."""
+    text = (CONFIGS / "linear_dissipative.yaml").read_text()
+    assert "  alpha: 1.0\n" in text
+    p = tmp_path / "overclaim.yaml"
+    p.write_text(text.replace("  alpha: 1.0\n", "  alpha: 50.0\n"))
+    assert main(["verify", "--config", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "problem validation: ok",
+        "run outcome: completed (1000 steps)",
+        "positivity: ok (min Y=0.000e+00, min C=0.000e+00)",
+        "thickness bound: ok (max R=1)",
+        "energy envelope: FAIL at t=0.002 (excess 2.046e-01)",
+        "equilibrium residual: skipped (|dR/dt|=7.875e-02, not at equilibrium)",
+        "verify: FAIL (energy envelope)",
+    ]
 
 
 def test_sweep_summary(good_cfg, tmp_path, capsys):

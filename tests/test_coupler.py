@@ -11,7 +11,6 @@ import pytest
 
 from biofilmfront import (
     AssemblyError,
-    EnvelopeViolation,
     GridError,
     InvalidProblem,
     KineticsModel,
@@ -1081,6 +1080,7 @@ def test_envelope_passes_on_dissipative_run():
                           snapshot_stride=10**9)
     rep = dissipation_envelope_check(traj, alpha=1.0, beta=0.0, M0=0.0)
     assert rep.gamma == pytest.approx(2.0)
+    assert rep.ok and rep.first_crossing is None
     assert np.all(rep.margins >= 0.0)
     assert rep.energies[-1] < rep.energies[0]
 
@@ -1090,10 +1090,14 @@ def test_envelope_violation_on_overclaimed_rate():
     kin = linear_preset([[-1.0]], [0.0], [[-1.0]], [0.0])
     traj = run_simulation(data, kin, SolverConfig(N=60, dt=2e-3), t_end=1.0,
                           snapshot_stride=10**9)
-    with pytest.raises(EnvelopeViolation) as exc:
-        dissipation_envelope_check(traj, alpha=50.0, beta=0.0, M0=0.0)
-    assert exc.value.code == "ENVELOPE_VIOLATED"
-    assert exc.value.excess > 0.0
+    rep = dissipation_envelope_check(traj, alpha=50.0, beta=0.0, M0=0.0)
+    assert not rep.ok
+    assert rep.margins.shape == rep.times.shape == (len(traj.reports) + 1,)
+    k = rep.first_crossing
+    assert rep.margins[k] < 0.0 and np.all(rep.margins[:k] >= 0.0)
+    # the first step already crosses, by about 20%
+    assert rep.times[k] == pytest.approx(2e-3, rel=1e-12)
+    assert rep.energies[k] / rep.budget[k] - 1.0 == pytest.approx(0.2046, abs=1e-4)
 
 
 def test_envelope_with_production_budget():

@@ -1,6 +1,6 @@
 """Every script in ``demos/`` runs to completion against the package as it
-stands.  Each runs in its own process, in a fresh directory, since some of
-them write to ``demo_out/``."""
+stands, with every warning an error.  Each runs in its own process, in a
+fresh directory, since some of them write to ``demo_out/``."""
 
 import os
 import subprocess
@@ -25,6 +25,6 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

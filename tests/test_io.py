@@ -33,7 +33,8 @@ from biofilmfront import (
 )
 from biofilmfront.cli import main
 from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_CHECKS, load_tree
-from biofilmfront.coupler import SNAPSHOT_STRIDE, STEP_COLUMNS, back_transform, flag_names
+from biofilmfront.coupler import (SNAPSHOT_STRIDE, STEP_COLUMNS, _first_min, back_transform,
+                                  flag_names)
 from biofilmfront.output import _BLOCK_ROWS, _table
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -688,6 +689,35 @@ def test_writer_memory_is_bounded_by_the_block(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "scalars.csv").stat().st_size > 6e6
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("prop", ["min_Y_seen", "min_C_seen"])
+def test_run_minimum_builds_no_list(prop):
+    """A run's minimum over 40 000 steps is reduced in numpy, not from a
+    list of the column's 40 000 floats (1.6 MB traced)."""
+    traj = _synthetic_run(40_000)
+    tracemalloc.start()
+    try:
+        getattr(traj, prop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e3
+
+
+_ZEROS_AND_ONES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+@given(first=_ZEROS_AND_ONES, column=st.lists(_ZEROS_AND_ONES, max_size=40))
+@example(first=0.0, column=[-0.0])
+@example(first=1.0, column=[0.0, -0.0])
+@example(first=1.0, column=[-0.0, 0.0])
+def test_run_minimum_matches_the_list_minimum(first, column):
+    """The manifest's ``min_Y_seen`` and ``min_C_seen`` are the minimum of
+    the t = 0 value and the column, as Python's ``min`` takes it: equal
+    minima keep the first one, so ``-0.0`` and ``0.0`` print as before."""
+    got = _first_min(first, np.array(column, dtype=float))
+    assert repr(got) == repr(min([first, *column]))
 
 
 # -- write failures ----------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biofilmfront import GridError, OrderRegression, mms_study
+from biofilmfront import GridError, ValidationError, mms_study
 from biofilmfront.mms import ORDER_FLOORS, CaseResult
 
 
@@ -25,8 +25,7 @@ def test_errors_decrease_under_refinement():
 def test_study_accepts_fully_implicit_scheme():
     # theta = 1 degrades the substrate order to ~1 in time, but dt ~ dz keeps
     # the measured slope against dz near 1; the study must still run cleanly
-    report = mms_study(N_values=(25, 50, 100), theta_scheme=1.0,
-                       raise_on_regression=False)
+    report = mms_study(N_values=(25, 50, 100), theta_scheme=1.0)
     assert report.cases["substrate_diffusion"].observed_order > 0.8
     assert report.cases["thickness_ode"].ok
 
@@ -39,6 +38,19 @@ def test_study_rejects_non_integer_grid_sizes():
     assert str(exc.value) == "N must be an integer, got 40.7"
 
 
+@pytest.mark.parametrize("N_values,code,message", [
+    ((0, 25), "TOO_COARSE", "grid needs at least 4 cells, got N=0"),
+    (("a", 25), "SCHEMA_VIOLATION", "N must be an integer, got 'a'"),
+])
+def test_study_checks_every_grid_size_first(N_values, code, message):
+    """Each ``N`` is checked by its grid before any use, so a zero or a
+    string is a ``GridError``, not a raw ``ZeroDivisionError`` or
+    ``TypeError``."""
+    with pytest.raises(GridError) as exc:
+        mms_study(N_values=N_values)
+    assert exc.value.code == code and str(exc.value) == message
+
+
 def test_case_result_flags_regression():
     bad = CaseResult(name="substrate_diffusion", dz=np.array([0.04, 0.02]),
                      errors=np.array([1e-3, 9e-4]), observed_order=0.15,
@@ -46,10 +58,21 @@ def test_case_result_flags_regression():
     assert not bad.ok
 
 
-def test_order_regression_raised():
+def test_order_regression_reported():
     # fully implicit stepping caps the substrate case near first order, below
-    # its 1.8 floor, so the study itself must flag the regression
-    with pytest.raises(OrderRegression) as exc:
-        mms_study(N_values=(25, 50, 100), theta_scheme=1.0)
-    assert exc.value.code == "ORDER_REGRESSION"
-    assert exc.value.orders["substrate_diffusion"] < 1.8
+    # its 1.8 floor, so the study's report must flag the regression
+    report = mms_study(N_values=(25, 50, 100), theta_scheme=1.0)
+    assert not report.ok and not report.cases["substrate_diffusion"].ok
+    assert report.orders()["substrate_diffusion"] < 1.8
+
+
+@pytest.mark.parametrize("N_values", [(), (25,), (25, 25), (40, 40, 40)])
+def test_study_rejects_a_ladder_without_two_grid_sizes(N_values):
+    """One grid size fits no order: ``(25,)`` and ``(25, 25)`` used to report
+    orders from a degenerate least-squares fit, ``()`` to raise a raw
+    ``TypeError``."""
+    with pytest.raises(ValidationError) as exc:
+        mms_study(N_values=N_values)
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == ("an order fit needs at least two distinct grid sizes, "
+                              f"got N_values={N_values}")
