@@ -10,30 +10,27 @@ coordinates.
 
 from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
-from .coupler import (FLAGS, EnvelopeReport, PhysicalTrajectory, SolverConfig, State,
-                      Trajectory, back_transform, check_invariants, dissipation_envelope_check,
-                      energy, flag_names, initial_state, picard_step, run_simulation)
-from .errors import (AssemblyError, ConfigError, GridError, InvalidProblem, LinearSolveError,
-                     OutputError, PicardDivergence, SolverError, ThicknessCollapse,
-                     ValidationError)
-from .grid import Grid, build_grid
+from .coupler import (FLAGS, EnvelopeReport, SolverConfig, State, Trajectory, check_invariants,
+                      dissipation_envelope_check, energy, flag_names, initial_state, picard_step,
+                      run_simulation)
+from .errors import (AssemblyError, ConfigError, InvalidProblem, LinearSolveError, OutputError,
+                     PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
+from .grid import Grid
 from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
 from .mms import ConvergenceReport, mms_study
-from .output import write_timeseries
+from .output import PhysicalTrajectory, back_transform, write_timeseries
 from .problem import ProblemData, ValidationReport, validate_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport", "FLAGS", "Grid",
-    "GridError", "InvalidProblem", "KineticsModel", "LinearSolveError", "MonodParams",
-    "OutputError", "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec",
-    "SolverConfig", "SolverError", "State", "ThicknessCollapse",
-    "Trajectory", "ValidationError", "ValidationReport",
-    "back_transform", "build_grid", "build_runspec", "check_invariants",
-    "compile_expression", "config_hash", "detachment_rhs",
-    "dissipation_envelope_check", "energy", "flag_names", "initial_state",
-    "integrate_thickness", "linear_preset", "mms_study", "monod_preset", "parse_config",
-    "picard_step", "r_max_bound", "run_simulation", "validate_problem", "write_timeseries",
-    "zero_kinetics",
+    "InvalidProblem", "KineticsModel", "LinearSolveError", "MonodParams", "OutputError",
+    "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec", "SolverConfig",
+    "SolverError", "State", "ThicknessCollapse", "Trajectory", "ValidationError",
+    "ValidationReport", "back_transform", "build_runspec", "check_invariants",
+    "compile_expression", "config_hash", "detachment_rhs", "dissipation_envelope_check", "energy",
+    "flag_names", "initial_state", "integrate_thickness", "linear_preset", "mms_study",
+    "monod_preset", "parse_config", "picard_step", "r_max_bound", "run_simulation",
+    "validate_problem", "write_timeseries", "zero_kinetics",
 ]

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 classified run/check failure (washout, divergence,
 invariant or order violation) or any other package error, 2 usage errors and
-invalid input: a ``ConfigError``, ``ValidationError`` or ``GridError``, from
-every command alike.  ``verify`` alone reports an invalid problem as a failed
+invalid input: a ``ValidationError`` (``ConfigError`` included), from every
+command alike.  ``verify`` alone reports an invalid problem as a failed
 check, on stdout with exit 1.
 """
 
@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from .boundary import detachment_rhs
-from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, build_runspec,
-                     load_tree)
+from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, _require_mapping,
+                     build_runspec, load_tree)
 from .coupler import (NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED, dissipation_envelope_check,
                       energy, flag_names, run_simulation)
-from .errors import ConfigError, GridError, InvalidProblem, SolverError, ValidationError
+from .errors import ConfigError, InvalidProblem, SolverError, ValidationError
 from .mms import mms_study
 from .output import _table, _write_text, write_timeseries
 
@@ -74,7 +74,8 @@ def _set_param(tree: dict, name: str, value) -> None:
     block = next((b for b, checks in blocks if name in checks), None)
     if block is None:
         raise ConfigError(f"unknown sweep parameter {name!r}", code="UNKNOWN_KEY")
-    tree.setdefault(block, {})[name] = value
+    node = tree[block] = {} if tree.get(block) is None else tree[block]  # absent or null
+    _require_mapping(node, block)[name] = value
 
 
 def _parse_value(text: str):
@@ -249,16 +250,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_mms(args)
+        command = {"simulate": _cmd_simulate, "sweep": _cmd_sweep, "verify": _cmd_verify,
+                   "mms": _cmd_mms}[args.command]
+        return command(args)
     except SolverError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ConfigError, ValidationError, GridError)) else 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":

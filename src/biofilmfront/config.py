@@ -52,12 +52,7 @@ def compile_expression(text: str, variable: str):
     code = compile(tree, f"<expr {text!r}>", "eval")
     env = {"__builtins__": {}}
     names = dict(_FUNCS, **_CONSTS)
-
-    def fn(x):
-        out = eval(code, env, dict(names, **{variable: x}))
-        return out
-
-    return fn
+    return lambda x: eval(code, env, dict(names, **{variable: x}))
 
 
 def _check_node(node, variable, text):
@@ -123,6 +118,8 @@ def _num(value, path, positive=False, nonnegative=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}", code="SCHEMA_VIOLATION")
     v = float(value)
+    if (positive or nonnegative) and not math.isfinite(v):
+        raise ConfigError(f"{path}: must be finite, got {v}", code="SCHEMA_VIOLATION")
     if positive and v <= 0.0:
         raise ConfigError(f"{path}: must be > 0, got {v}", code="SCHEMA_VIOLATION")
     if nonnegative and v < 0.0:
@@ -323,7 +320,7 @@ def load_tree(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}", code="PARSE_ERROR") from None
     try:  # libyaml's safe loader where PyYAML was built with it: same trees, faster
         tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))

@@ -10,8 +10,7 @@ thickness ``R``, velocity ``v``) by iterating the stage map
 
 until successive iterates agree in sup norm.  The run loop assembles a
 :class:`Trajectory` with per-step diagnostics, classifies the terminal
-outcome, and exposes energy/invariant monitors plus the map back to physical
-(moving-domain) coordinates.
+outcome, and exposes energy/invariant monitors.
 
 A run is one object, :class:`_Run`, which also keeps the clock: step ``k``
 ends at ``t = k dt`` exactly, not at a sum of ``k`` steps.  Work is done as
@@ -38,7 +37,7 @@ from . import boundary, parabolic, transport
 from .boundary import r_max_bound
 from .errors import (AssemblyError, InvalidProblem, PicardDivergence, SolverError,
                      ThicknessCollapse, ValidationError)
-from .grid import Grid, build_grid, interp_rows
+from .grid import Grid, interp_rows
 from .kinetics import KineticsModel
 from .problem import ProblemData, ValidationReport, nonfinite_at, validate_problem
 
@@ -312,9 +311,10 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         Propagated from the thickness update (washout).
     AssemblyError, LinearSolveError
         From the mesh-Peclet guard and the tridiagonal solves.
-    ValidationError, GridError
-        Code ``NONFINITE`` for a non-finite thickness, biomass or velocity;
-        ``NONFINITE_INPUT`` for a non-finite surface value ``psi``.
+    ValidationError
+        Code ``NONFINITE`` for a non-finite thickness or square of it,
+        biomass or velocity; ``NONFINITE_INPUT`` for a non-finite surface
+        value ``psi``.
     """
     grid, dt, n = state.grid, cfg.dt, kin.n
     dz, nodes = grid.dz, grid.nodes
@@ -537,7 +537,7 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     or the rate ``g`` at the sampled data, and the first node (with its
     ``z``) where it is not finite.
     """
-    grid = build_grid(cfg.N)
+    grid = Grid(cfg.N)
     Y0, C0 = data.sample_initial(grid.nodes)
     bad = (nonfinite_at("initial data phi[{}]", Y0, grid.nodes)
            or nonfinite_at("initial data theta[{}]", C0, grid.nodes))
@@ -568,8 +568,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
       ``positivity_mode="fail"``).
 
     A negative ``t_end`` or a ``snapshot_stride`` below 1 raises
-    :class:`ValidationError` ``NONPOSITIVE_PARAM``, and a ``t_end`` whose
-    step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``.
+    :class:`ValidationError` ``NONPOSITIVE_PARAM``, a ``t_end`` whose
+    step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``, and one
+    whose ``reports`` no array could hold ``TOO_MANY_STEPS``.
     The problem is validated at entry; an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
     report.  Initial data, or ``g`` at them, that are not finite at a node
@@ -598,6 +599,9 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     if not math.isfinite(steps):
         raise ValidationError(f"t_end / dt must be finite, got t_end={t_end}, dt={cfg.dt}",
                               code="NONFINITE_INPUT")
+    if steps > np.iinfo(np.intp).max // STEP_COLUMNS.itemsize:  # numpy could not size reports
+        raise ValidationError(f"t_end / dt = {steps:.6g} steps are more than an array can "
+                              "hold", code="TOO_MANY_STEPS")
     if snapshot_stride < 1:
         raise ValidationError(f"snapshot_stride must be >= 1, got {snapshot_stride}",
                               code="NONPOSITIVE_PARAM")
@@ -686,9 +690,13 @@ def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0
     recorded run.  With ``include_boundary`` the accumulated magnitude of the
     recorded surface energy flux is added to the budget (the envelope itself
     assumes a leak-free surface).  A recorded time with
-    ``E > budget * (1 + tol)`` crosses the envelope, and the report is not
-    ``ok``.
+    ``E > budget * (1 + tol)``, or a NaN margin, crosses the envelope, and
+    the report is not ``ok``.  A constant that is not finite raises
+    :class:`ValidationError` ``NONFINITE_INPUT``.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("M0", M0), ("tol", tol)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}", code="NONFINITE_INPUT")
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be > 0, got {alpha}", code="NONPOSITIVE_PARAM")
     mu, nu = traj.cfg.weights(traj.kin.n, traj.kin.m)
@@ -707,45 +715,7 @@ def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0
         budget = budget + np.cumsum(flux * steps)
 
     margins = budget * (1.0 + tol) - energies
-    bad = np.flatnonzero(margins < 0.0)
+    bad = np.flatnonzero(~(margins >= 0.0))  # NaN crosses too
     return EnvelopeReport(gamma=gamma, M_R=M_R, C_star=C_star, times=times,
                           energies=energies, budget=budget, margins=margins,
                           first_crossing=int(bad[0]) if bad.size else None)
-
-
-# -- back-transform to the physical (moving) domain ---------------------------
-
-
-@dataclass(eq=False, repr=False)
-class PhysicalTrajectory:
-    """Physical-domain view of a run: thickness and velocity vs physical time."""
-
-    t_phys: np.ndarray
-    L: np.ndarray
-    u1: np.ndarray
-
-
-def back_transform(traj: Trajectory) -> PhysicalTrajectory:
-    """Map a recorded run to the physical moving domain.
-
-    The computational clock integrates ``dt = L**2 dt_c``, so physical time
-    is accumulated with the trapezoid rule on ``R**2``; the thickness ``L``
-    equals ``R`` and the physical surface speed is ``u1 = v1 / L``.  A stored
-    profile maps by ``x = z * L`` and ``u = v / L``, with ``Y`` and ``C``
-    keeping their nodal values.
-
-    Raises
-    ------
-    SolverError
-        Code ``NONPOSITIVE_THICKNESS`` when any recorded thickness is <= 0.
-    """
-    R = traj.thickness_series()
-    if np.any(R <= 0.0):
-        raise SolverError("trajectory contains nonpositive thickness",
-                          code="NONPOSITIVE_THICKNESS")
-    times = traj.times()
-    Rsq = R**2
-    t_phys = np.zeros_like(times)
-    if len(times) > 1:
-        t_phys[1:] = np.cumsum(0.5 * np.diff(times) * (Rsq[:-1] + Rsq[1:]))
-    return PhysicalTrajectory(t_phys=t_phys, L=R, u1=traj.v1_series() / R)

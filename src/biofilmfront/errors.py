@@ -2,7 +2,16 @@
 
 Every failure raised by this package carries a ``code`` attribute (a short
 upper-case token such as ``"ZERO_PIVOT"``) so that callers and command-line
-wrappers can branch on failure class without parsing message text.
+wrappers can branch on failure class without parsing message text.  There
+are three families:
+
+- :class:`ValidationError`: bad input, raised where it enters the package;
+  :class:`ConfigError` and :class:`InvalidProblem` are its subclasses;
+- the step errors, which :func:`biofilmfront.run_simulation` classifies as
+  the run's outcome: :class:`AssemblyError`, :class:`LinearSolveError`,
+  :class:`ThicknessCollapse`, :class:`PicardDivergence`, and a
+  ``ValidationError`` ``NONFINITE`` for a value that a step computed;
+- :class:`OutputError`: run outputs that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,10 +63,6 @@ class InvalidProblem(ValidationError):
         self.report = report
 
 
-class GridError(SolverError):
-    """Grid construction or interpolation domain failures."""
-
-
 class AssemblyError(SolverError):
     """Tridiagonal assembly rejected (loss of diagonal dominance / M-matrix sign)."""
 
@@ -94,9 +99,8 @@ class PicardDivergence(SolverError):
         self.residual_history = list(residual_history)
 
 
-class ConfigError(SolverError):
-    """Configuration parsing/validation failure (codes PARSE_ERROR,
-    UNKNOWN_KEY, SCHEMA_VIOLATION)."""
+class ConfigError(ValidationError):
+    """Bad configuration: codes PARSE_ERROR, UNKNOWN_KEY, SCHEMA_VIOLATION."""
 
 
 class OutputError(SolverError):

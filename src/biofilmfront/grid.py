@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,7 +24,7 @@ class Grid:
     ----------
     N : int
         Cell count, an integer of at least 4 (a numpy integer is taken as
-        ``int``).
+        ``int``); else ``ValidationError`` ``SCHEMA_VIOLATION`` or ``TOO_COARSE``.
     nodes : numpy.ndarray
         Node coordinates ``0 = z_0 < ... < z_N = 1`` (read-only).
     dz : float
@@ -35,25 +35,13 @@ class Grid:
 
     def __post_init__(self):
         if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
-            raise GridError(f"N must be an integer, got {self.N!r}", code="SCHEMA_VIOLATION")
+            raise ValidationError(f"N must be an integer, got {self.N!r}", code="SCHEMA_VIOLATION")
         if self.N < 4:
-            raise GridError(f"grid needs at least 4 cells, got N={self.N}", code="TOO_COARSE")
+            raise ValidationError(f"grid needs at least 4 cells, got N={self.N}", code="TOO_COARSE")
         N = int(self.N)
         nodes = np.linspace(0.0, 1.0, N + 1)
         nodes.setflags(write=False)
         vars(self).update(N=N, nodes=nodes, dz=1.0 / N)
-
-
-def build_grid(N: int) -> Grid:
-    """Construct a uniform grid with ``N`` cells.
-
-    Raises
-    ------
-    GridError
-        Code ``SCHEMA_VIOLATION`` when ``N`` is not an integer (a ``bool``
-        neither), ``TOO_COARSE`` when ``N < 4``.
-    """
-    return Grid(N)
 
 
 def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import parabolic, transport
 from .boundary import integrate_thickness
+from .coupler import SolverConfig
 from .errors import ValidationError
-from .grid import build_grid, interp_rows
+from .grid import Grid, interp_rows
 
 ORDER_FLOORS = {
     "substrate_diffusion": 1.8,
@@ -94,7 +95,7 @@ def _diffusion_case(N_values, theta):
 
     errors = []
     for N in N_values:
-        grid = build_grid(N)
+        grid = Grid(N)
         steps, dt = _steps_for(T_END, 0.5 * grid.dz)
         # no advection (v1 = 0): the implicit matrix is the same every step
         diff = D / grid.dz**2
@@ -128,7 +129,7 @@ def _transport_case(N_values):
 
     errors = []
     for N in N_values:
-        grid = build_grid(N)
+        grid = Grid(N)
         steps, dt = _steps_for(T_END, 0.5 * grid.dz)
         # constant velocity: the same feet every step
         feet = np.minimum(transport.raw_feet(grid.nodes, dt, v1), 1.0)
@@ -182,14 +183,15 @@ def mms_study(N_values=(25, 50, 100, 200), theta_scheme: float = 0.5) -> Converg
     Raises
     ------
     ValidationError
-        Code ``SCHEMA_VIOLATION`` for fewer than two distinct grid sizes,
-        from which no order can be fitted.
-    GridError
-        From the grid of the first bad ``N``: code ``SCHEMA_VIOLATION`` for
-        one that is not an integer, ``TOO_COARSE`` for one below 4.
+        From :class:`SolverConfig`, which owns the range of ``theta_scheme``:
+        code ``SCHEMA_VIOLATION`` outside [0.5, 1] or NaN.  From the grid of
+        the first bad ``N``: ``SCHEMA_VIOLATION`` for one that is not an
+        integer, ``TOO_COARSE`` for one below 4.  ``SCHEMA_VIOLATION`` for
+        fewer than two distinct grid sizes, from which no order can be fitted.
     """
+    SolverConfig(theta_scheme=theta_scheme)
     N_values = tuple(N_values)
-    dz = np.array([build_grid(N).dz for N in N_values])
+    dz = np.array([Grid(N).dz for N in N_values])
     if np.unique(dz).size < 2:
         raise ValidationError(f"an order fit needs at least two distinct grid sizes, "
                               f"got N_values={N_values}", code="SCHEMA_VIOLATION")

@@ -11,18 +11,21 @@ An existing file is overwritten in place and then cut to length, never
 truncated first, since on ext4 (``auto_da_alloc``) that starts writeback at
 close; there is no fsync or atomic rename, so outputs are no more
 crash-safe than before.  An accompanying ``manifest.json`` indexes the
-files together with the configuration hash and terminal outcome.
+files together with the configuration hash and terminal outcome.  The
+physical series come from :func:`back_transform`, the map of a run to the
+moving physical domain.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import FLAGS, Trajectory, back_transform, flag_names
-from .errors import OutputError
+from .coupler import FLAGS, Trajectory, flag_names
+from .errors import OutputError, ValidationError
 
 PACKAGE_NAME = "biofilmfront"
 
@@ -81,6 +84,40 @@ def _write_text(path: str, text) -> None:
 def _columns(*cols) -> list:
     """Values of stacked columns (1-D arrays or row blocks), flat and row-major."""
     return np.vstack(cols).T.ravel().tolist()
+
+
+@dataclass(eq=False, repr=False)
+class PhysicalTrajectory:
+    """Physical-domain view of a run: thickness and velocity vs physical time."""
+
+    t_phys: np.ndarray
+    L: np.ndarray
+    u1: np.ndarray
+
+
+def back_transform(traj: Trajectory) -> PhysicalTrajectory:
+    """Map a recorded run to the physical moving domain.
+
+    The computational clock integrates ``dt = L**2 dt_c``, so physical time
+    is accumulated with the trapezoid rule on ``R**2``; the thickness ``L``
+    equals ``R`` and the physical surface speed is ``u1 = v1 / L``.  A stored
+    profile maps by ``x = z * L`` and ``u = v / L``, with ``Y`` and ``C``
+    keeping their nodal values.
+
+    Raises
+    ------
+    ValidationError
+        Code ``NONPOSITIVE_THICKNESS`` when any recorded thickness is <= 0.
+    """
+    R = traj.thickness_series()
+    if np.any(R <= 0.0):
+        raise ValidationError("trajectory contains nonpositive thickness",
+                              code="NONPOSITIVE_THICKNESS")
+    times = traj.times()
+    Rsq = R**2
+    t_phys = np.zeros_like(times)
+    t_phys[1:] = np.cumsum(0.5 * np.diff(times) * (Rsq[:-1] + Rsq[1:]))
+    return PhysicalTrajectory(t_phys=t_phys, L=R, u1=traj.v1_series() / R)
 
 
 def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = None) -> dict:

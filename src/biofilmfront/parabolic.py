@@ -107,15 +107,15 @@ def peclet_error(v1_new: float, v1_old: float, D: float, theta_scheme: float,
     The explicit operator sits at ``v1_old`` and only matters for
     ``theta_scheme < 1``.  With several substrates ``D`` is the smallest
     diffusivity, which binds.  The message names the fix: the smallest ``N``
-    above ``|v1| / (2 D)``, or a larger ``D``.
+    above ``|v1| / (2 D)``, or a larger ``D``, alone where that ratio overflows.
     """
     # the mesh Peclet number |v1| dz / (2D) does not depend on dt
     v = max(abs(v1_new), abs(v1_old) if theta_scheme < 1.0 else 0.0)
-    n_min = math.floor(v / (2.0 * D)) + 1
+    ratio = v / (2.0 * D)
+    fix = f"refine the grid to N >= {math.floor(ratio) + 1} or " if ratio < math.inf else ""
     return AssemblyError(
         f"advection too strong for centered differencing at N={grid.N} "
-        f"(mesh Peclet {v * grid.dz / (2.0 * D):.3g} > 1); refine the grid to "
-        f"N >= {n_min} or increase D",
+        f"(mesh Peclet {v * grid.dz / (2.0 * D):.3g} > 1); {fix}increase D",
         code="UNSTABLE_ASSEMBLY",
     )
 

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import build_grid, cumtrapz_dz
+from .grid import Grid, cumtrapz_dz
 from .kinetics import KineticsModel
 
 #: tolerance for the Dirichlet/initial-data compatibility check theta(1) == psi(0)
@@ -108,8 +108,8 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     ``h`` or ``g`` at the initial data not of shape ``(n, K)``, ``(m, K)``
     or ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
     ``NONFINITE_INPUT`` (a non-finite coefficient, initial or boundary
-    value, or ``f``, ``h`` or ``g`` not finite at the initial data, naming
-    the rate and the first such node), ``COMPAT_MISMATCH``
+    value, an ``R0`` whose square is not finite, or ``f``, ``h`` or ``g``
+    not finite at the initial data, naming the rate and the first such node), ``COMPAT_MISMATCH``
     (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
 
     Warnings: ``NEGATIVE_INITIAL_DATA`` when the model is quasi-positive but
@@ -149,10 +149,12 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
         rep.violations.append(("NONPOSITIVE_LAMBDA", f"detachment rate must be > 0, got {data.lam}"))
     if not np.isfinite(data.R0):
         rep.violations.append(("NONFINITE_INPUT", "non-finite initial thickness"))
+    elif not np.isfinite(data.R0 * data.R0):  # the solver squares it
+        rep.violations.append(("NONFINITE_INPUT", f"R0={data.R0:g} has no finite square"))
     elif data.R0 <= 0.0:
         rep.violations.append(("NONPOSITIVE_R0", f"initial thickness must be > 0, got {data.R0}"))
 
-    grid = build_grid(N_SAMPLE)
+    grid = Grid(N_SAMPLE)
     Y0, C0 = data.sample_initial(grid.nodes)
     psi0 = data.psi_at(0.0)
     if not (np.all(np.isfinite(Y0)) and np.all(np.isfinite(C0)) and np.all(np.isfinite(psi0))):

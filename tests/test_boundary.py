@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from biofilmfront import (
+    Grid,
     ThicknessCollapse,
-    build_grid,
+    ValidationError,
     detachment_rhs,
     integrate_thickness,
     linear_preset,
@@ -22,14 +23,14 @@ def _velocity(Y, C, R, kin, g):
 
 
 def test_velocity_zero_growth():
-    g = build_grid(10)
+    g = Grid(10)
     v = _velocity(np.ones((1, 11)), np.ones((1, 11)), 1.0, zero_kinetics(1, 1), g)
     assert np.all(v == 0.0)
 
 
 def test_velocity_constant_growth_exact():
     # g = c constant: v(z) = R^2 c z, exact under the trapezoid rule
-    g = build_grid(10)
+    g = Grid(10)
     kin = linear_preset([[0.0]], [0.7], [[0.0]], [0.0])
     v = _velocity(np.ones((1, 11)), np.ones((1, 11)), 2.0, kin, g)
     assert np.allclose(v, 4.0 * 0.7 * g.nodes, atol=1e-14)
@@ -37,7 +38,7 @@ def test_velocity_constant_growth_exact():
 
 
 def test_velocity_r_squared_scaling():
-    g = build_grid(20)
+    g = Grid(20)
     kin = linear_preset([[0.5]], [0.1], [[0.0]], [0.0])
     Y = np.linspace(0.2, 1.0, 21).reshape(1, -1)
     C = np.ones((1, 21))
@@ -81,6 +82,19 @@ def test_boundary_step_linear_v1_interpolation():
     R_new = thickness_update(1.0, 0.0, 1.0, lam, 0.01)
     # dR/dt = R^2 t/dt with R ~ 1: R(dt) ~ 1 + dt/2 to leading order
     assert R_new == pytest.approx(1.0 + 0.5 * 0.01, rel=1e-3)
+
+
+@pytest.mark.parametrize("v1_new,lam,dt", [
+    (0.0, 1.0e+308, 1e-3),   # the second stage's x**4 overflows
+    (2.0e+25, 1e-300, 1.0),  # R_new = 2.1e173 is finite, its square is not
+], ids=["stage", "square"])
+def test_overflowing_update_is_nonfinite(v1_new, lam, dt):
+    """An update that overflows, in a stage or in the square that the next
+    sweep takes, is a ``ValidationError`` ``NONFINITE``, not an
+    ``OverflowError``."""
+    with pytest.raises(ValidationError) as exc:
+        thickness_update(1.0, 0.0, v1_new, lam, dt)
+    assert exc.value.code == "NONFINITE"
 
 
 def test_collapse_raises():

@@ -12,7 +12,7 @@ import pytest
 
 import biofilmfront
 from biofilmfront import (ConfigError, InvalidProblem, OutputError, PicardDivergence,
-                          ThicknessCollapse, ValidationReport)
+                          ThicknessCollapse, ValidationError, ValidationReport)
 from biofilmfront.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -75,11 +75,20 @@ def test_simulate_overrides(good_cfg, tmp_path):
     assert len(lines) == 1 + 26
 
 
-def test_simulate_bad_config_exit_2(tmp_path):
+def test_simulate_bad_config_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.yaml"
     p.write_text(GOOD.replace("lambda", "lamda"))
     rc = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
     assert rc == 2
+    # --dt sets a key of the solver block: a null block becomes a mapping, and
+    # a list is a schema violation, where both used to raise a TypeError
+    capsys.readouterr()
+    for block, message in (("", "missing required key solver.t_end"),
+                           (" [1, 2]", "solver: expected a mapping")):
+        p.write_text(GOOD.replace(" {N: 20, dt: 1.0e-3, t_end: 0.02}", block))
+        assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o"),
+                     "--dt", "0.01"]) == 2
+        assert capsys.readouterr().err == f"error [SCHEMA_VIOLATION]: {message}\n"
 
 
 @pytest.mark.parametrize("key,value,code", [
@@ -139,10 +148,17 @@ def test_whole_step_horizon_is_not_reported(good_cfg, tmp_path, capsys):
     assert manifest["n_steps"] == 20 and manifest["t_final"] == pytest.approx(0.02)
 
 
-def test_missing_file_exit_2(tmp_path):
+def test_missing_file_exit_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+    # a file that is not UTF-8 is unreadable too, not a UnicodeDecodeError
+    p = tmp_path / "binary.yaml"
+    p.write_bytes(b"problem:\n  R0: \xd0\x01\n")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error [PARSE_ERROR]: cannot read config {str(p)!r}: 'utf-8' codec can't decode ")
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
@@ -233,7 +249,9 @@ def test_nonfinite_rate_prints_no_numpy_warning(tmp_path, phi, N, violations):
      "error [NONFINITE_INPUT]: t_end / dt must be finite, got t_end=nan, dt=0.001"),
     ("t_end: 0.02", "t_end: .inf",
      "error [NONFINITE_INPUT]: t_end / dt must be finite, got t_end=inf, dt=0.001"),
-], ids=["N", "t_end", "stride", "t_end_nan", "t_end_inf"])
+    ("t_end: 0.02", "t_end: 1.0e+200",
+     "error [TOO_MANY_STEPS]: t_end / dt = 1e+203 steps are more than an array can hold"),
+], ids=["N", "t_end", "stride", "t_end_nan", "t_end_inf", "t_end_huge"])
 def test_library_range_error_exit_2(old, new, message, tmp_path, capsys):
     """The library checks these ranges before the first step; simulate and
     verify both exit 2 with its error and print nothing else."""
@@ -246,6 +264,20 @@ def test_library_range_error_exit_2(old, new, message, tmp_path, capsys):
     assert captured.err.splitlines() == [message] * 2
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("alpha", ".nan"), ("beta", ".inf"), ("M0", "-.inf"),
+                                       ("tol", ".nan")])
+def test_nonfinite_verify_constant_exit_2(key, value, tmp_path, capsys):
+    """A NaN alpha used to pass the audit with gamma=nan; every constant of
+    the envelope must be finite."""
+    p = tmp_path / "bad.yaml"
+    p.write_text(DISSIPATIVE.replace("verify: {alpha: 1.0}",
+                                     f"verify: {{alpha: 1.0, {key}: {value}}}"))
+    assert main(["verify", "--config", str(p)]) == 2
+    got = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
+    assert capsys.readouterr().err == (f"error [SCHEMA_VIOLATION]: verify.{key}: must be "
+                                       f"finite, got {got}\n")
 
 
 def test_include_boundary_string_exit_2(tmp_path, capsys):
@@ -362,6 +394,12 @@ def test_errors_survive_pickling(exc):
     assert set(vars(back)) == set(vars(exc)) and back.code == exc.code
     if isinstance(exc, InvalidProblem):
         assert back.report == exc.report
+
+
+def test_config_error_is_a_validation_error():
+    """One family of input errors, on which the CLI exits 2."""
+    assert issubclass(ConfigError, ValidationError)
+    assert issubclass(InvalidProblem, ValidationError)
 
 
 def test_usage_error_exit_2():
@@ -578,6 +616,67 @@ def test_simulate_failed_step_writes_partial_outputs(tmp_path, capsys):
     assert len((out / "scalars.csv").read_text().splitlines()) == 1 + 61
     for name in manifest["files"]:
         assert (out / name).exists()
+
+
+def _shipped(name, *edits, t_end="0.002"):
+    """A shipped config's text with ``(old, new)`` edits and a short horizon."""
+    text = (CONFIGS / f"{name}.yaml").read_text()
+    text = text.replace(text[text.index("  t_end: "):].splitlines()[0], f"  t_end: {t_end}")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize("name,edit,outcome,code", [
+    ("zero_kinetics", ("lambda: 0.5", "lambda: 1.0e+308"), "solve_failed", "NONFINITE"),
+    ("monod_growth", ("k_d: [0.02]", "k_d: [1.0e+308]"), "assembly_rejected",
+     "UNSTABLE_ASSEMBLY"),
+], ids=["lambda", "k_d"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_first_step_is_classified(name, edit, outcome, code, tmp_path, capsys):
+    """lambda = 1e308 overflows the thickness stage's x**4, and k_d = 1e308
+    the grid size the Peclet message would name; both used to escape as an
+    ``OverflowError``.  Now step 1 fails: a classified outcome, exit 1 and
+    the outputs of t = 0."""
+    p = tmp_path / "run.yaml"
+    p.write_text(_shipped(name, edit))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 1
+    assert f"outcome: {outcome}" in capsys.readouterr().out.splitlines()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == outcome and manifest["n_steps"] == 0
+    assert manifest["failure"]["code"] == code and manifest["failure"]["step"] == 1
+    for file in manifest["files"]:
+        assert (out / file).exists()
+
+
+def test_initial_thickness_without_a_finite_square(tmp_path, capsys):
+    """R0 = 1e200 used to raise an ``OverflowError`` from the solver's R0**2;
+    it is an invalid problem: simulate exits 2, verify fails its check."""
+    p = tmp_path / "run.yaml"
+    p.write_text(_shipped("monod_growth", ("R0: 1.0", "R0: 1.0e+200")))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error [NONFINITE_INPUT]: invalid problem data: "
+                                       "NONFINITE_INPUT: R0=1e+200 has no finite square\n")
+    assert not out.exists()
+    assert main(["verify", "--config", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "problem validation: FAIL [NONFINITE_INPUT] R0=1e+200 has no finite square",
+        "verify: FAIL"]
+
+
+def test_sweep_sets_a_key_of_a_null_block(tmp_path, capsys):
+    """An empty ``output:`` block runs under simulate; a sweep of its
+    ``stride`` fills it instead of raising a ``TypeError``."""
+    p = tmp_path / "run.yaml"
+    p.write_text(_shipped("zero_kinetics", ("output:\n  stride: 100\n", "output:\n")))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(p), "--param", "stride", "--values", "2",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "stride=2" / "manifest.json").read_text())
+    assert manifest["snapshot_steps"] == [0, 2]
 
 
 #: 1 - z^2 against psi = 0 fails the second-order matching condition:

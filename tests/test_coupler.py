@@ -11,7 +11,7 @@ import pytest
 
 from biofilmfront import (
     AssemblyError,
-    GridError,
+    Grid,
     InvalidProblem,
     KineticsModel,
     MonodParams,
@@ -21,7 +21,6 @@ from biofilmfront import (
     ValidationError,
     ValidationReport,
     back_transform,
-    build_grid,
     build_runspec,
     check_invariants,
     dissipation_envelope_check,
@@ -70,7 +69,7 @@ def _linear_reference():
 
 
 def test_state_requires_pinned_base_velocity():
-    g = build_grid(4)
+    g = Grid(4)
     with pytest.raises(ValidationError) as exc:
         State(t=0.0, grid=g, Y=np.zeros((1, 5)), C=np.zeros((1, 5)), R=1.0,
               v=np.linspace(0.1, 1.0, 5))
@@ -91,7 +90,7 @@ def test_states_pack_one_read_only_vector():
     """A constructed state, a stepped one and every state of a run pack
     ``x = (Y, C, R, v1)`` once; the warm start is a fresh vector of that
     length, not a view of any state's."""
-    g = build_grid(4)
+    g = Grid(4)
     s = State(t=0.0, grid=g, Y=np.arange(10.0).reshape(2, 5), C=np.ones((1, 5)), R=3,
               v=np.linspace(0.0, 0.5, 5))
     _assert_packed(s)
@@ -110,7 +109,7 @@ def test_states_pack_one_read_only_vector():
 
 
 def test_energy_hand_value():
-    g = build_grid(10)
+    g = Grid(10)
     s = State(t=0.0, grid=g, Y=np.ones((1, 11)), C=np.full((1, 11), 2.0), R=1.0,
               v=np.zeros(11))
     E = energy(s, np.array([1.0]), np.array([1.0]))
@@ -124,7 +123,7 @@ def test_energy_is_the_per_row_trapezoid_rule_bitwise(n, m, N):
     """Each row's integral is ``dz (sum x^2 - (x_0^2 + x_N^2) / 2)``, and the
     weighted rows are summed in row order, Y's and C's apart."""
     rng = np.random.default_rng(1000 * N + 10 * n + m)
-    g = build_grid(N)
+    g = Grid(N)
     s = State(t=0.0, grid=g, Y=rng.uniform(-2.0, 2.0, (n, N + 1)),
               C=rng.uniform(-2.0, 2.0, (m, N + 1)), R=1.0, v=np.zeros(N + 1))
     mu, nu = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, m)
@@ -275,7 +274,7 @@ def test_thickness_bound_uses_running_v1_max(monkeypatch):
 
 
 def test_check_invariants_flags():
-    g = build_grid(4)
+    g = Grid(4)
     s = State(t=0.0, grid=g, Y=np.full((1, 5), -1e-6), C=np.zeros((1, 5)), R=5.0,
               v=np.zeros(5))
     flags = flag_names(check_invariants(s, SolverConfig(N=4), 1.0,
@@ -288,7 +287,7 @@ def test_check_invariants_flags():
 def test_continuation_sees_the_slope_alone():
     """CONTINUATION trips on the discrete dY/dz alone: here every sup norm is
     1 and the slope is 1 / dz = 4."""
-    g = build_grid(4)
+    g = Grid(4)
     s = State(t=0.0, grid=g, Y=np.array([[0.0, 1.0, 0.0, 1.0, 0.0]]), C=np.zeros((1, 5)),
               R=1.0, v=np.zeros(5))
     minima = (float(s.Y.min()), float(s.C.min()))
@@ -532,7 +531,7 @@ def test_sweep_raises_on_nonfinite_velocity():
     data = _substrate_only()
     cfg = SolverConfig(N=10, dt=1e-3)
     s0 = initial_state(data, kin, cfg)   # the first g call
-    with pytest.raises(GridError) as exc:
+    with pytest.raises(ValidationError) as exc:
         picard_step(s0, data, kin, cfg)
     assert exc.value.code == "NONFINITE"
     assert len(calls) == 2  # the first sweep's velocity
@@ -543,7 +542,7 @@ def test_start_is_exact_for_polynomials_of_degree_s_minus_1(s):
     """The start after ``s`` states is exact for degree ``s - 1``; with
     ``s = START_HISTORY`` also after the rolling buffer has wrapped, when it
     extrapolates through the newest ``s`` of ``s + 4`` states."""
-    g = build_grid(4)
+    g = Grid(4)
 
     def p(t):  # integer coefficients and times: every value is exact
         return sum((k + 1) * (-t) ** k for k in range(s))
@@ -693,7 +692,7 @@ def test_warm_step_checks_explicit_peclet():
     data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: np.ones_like(z)],
                        psi=[lambda t: 1.0], D=[0.005], lam=0.5, R0=1.0)
     kin = zero_kinetics(1, 1)
-    g = build_grid(8)
+    g = Grid(8)
     # a stored surface velocity of 2 (mesh Peclet 25), while g = 0 keeps
     # every iterate's velocity at 0
     s0 = State(t=0.0, grid=g, Y=np.zeros((1, 9)), C=np.ones((1, 9)), R=1.0,
@@ -1135,6 +1134,37 @@ def test_envelope_budget_with_surface_flux():
     want = sealed.budget + np.concatenate([[0.0], np.cumsum(flux * dt)])
     assert leaky.budget == pytest.approx(want, rel=1e-12, abs=0.0)
     assert np.all(sealed.margins >= 0.0) and np.all(leaky.margins >= sealed.margins)
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "M0", "tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_envelope_rejects_nonfinite_constants(name, value):
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
+                          t_end=2e-3)
+    with pytest.raises(ValidationError) as exc:
+        dissipation_envelope_check(traj, **{"alpha": 1.0, name: value})
+    assert exc.value.code == "NONFINITE_INPUT"
+    assert str(exc.value) == f"{name} must be finite, got {value}"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_envelope_counts_a_nan_margin_as_a_crossing():
+    """alpha = 1e308 makes gamma infinite and the budget at t = 0 NaN
+    (exp(-inf * 0)): an envelope that cannot be evaluated is not ``ok``."""
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
+                          t_end=2e-3)
+    rep = dissipation_envelope_check(traj, alpha=1.0e+308)
+    assert math.isinf(rep.gamma) and math.isnan(rep.margins[0])
+    assert not rep.ok and rep.first_crossing == 0
+
+
+def test_step_count_beyond_any_array_is_rejected():
+    """t_end / dt = 1e203 steps: a ``ValidationError`` before ``reports``
+    is sized, not numpy's "Maximum allowed dimension exceeded"."""
+    with pytest.raises(ValidationError) as exc:
+        run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
+                       t_end=1.0e+200)
+    assert exc.value.code == "TOO_MANY_STEPS"
 
 
 # -- physical back-transform -----------------------------------------------------

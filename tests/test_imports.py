@@ -166,7 +166,6 @@ def test_every_import_is_used():
 DATACLASS_METHODS = {
     "config.RunSpec": ["__init__"],
     "coupler.EnvelopeReport": ["__init__"],
-    "coupler.PhysicalTrajectory": ["__init__"],
     "coupler.SolverConfig": ["__delattr__", "__eq__", "__hash__", "__init__", "__post_init__",
                              "__repr__", "__setattr__"],
     "coupler.State": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
@@ -176,6 +175,7 @@ DATACLASS_METHODS = {
     "kinetics.MonodParams": ["__delattr__", "__init__", "__repr__", "__setattr__"],
     "mms.CaseResult": ["__init__"],
     "mms.ConvergenceReport": ["__init__"],
+    "output.PhysicalTrajectory": ["__init__"],
     "problem.ProblemData": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
     "problem.ValidationReport": ["__eq__", "__init__", "__repr__"],
 }

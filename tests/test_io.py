@@ -33,9 +33,8 @@ from biofilmfront import (
 )
 from biofilmfront.cli import main
 from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_CHECKS, load_tree
-from biofilmfront.coupler import (SNAPSHOT_STRIDE, STEP_COLUMNS, _first_min, back_transform,
-                                  flag_names)
-from biofilmfront.output import _BLOCK_ROWS, _table
+from biofilmfront.coupler import SNAPSHOT_STRIDE, STEP_COLUMNS, _first_min, flag_names
+from biofilmfront.output import _BLOCK_ROWS, _table, back_transform
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ["equilibrium", "linear_dissipative", "monod_growth", "zero_kinetics"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from biofilmfront import GridError, ValidationError, mms_study
+from biofilmfront import ValidationError, mms_study
 from biofilmfront.mms import ORDER_FLOORS, CaseResult
 
 
@@ -32,7 +32,7 @@ def test_study_accepts_fully_implicit_scheme():
 
 def test_study_rejects_non_integer_grid_sizes():
     """``mms_study`` used to truncate its grid sizes (40.7 ran at N=40)."""
-    with pytest.raises(GridError) as exc:
+    with pytest.raises(ValidationError) as exc:
         mms_study(N_values=(25, 40.7))
     assert exc.value.code == "SCHEMA_VIOLATION"
     assert str(exc.value) == "N must be an integer, got 40.7"
@@ -44,11 +44,21 @@ def test_study_rejects_non_integer_grid_sizes():
 ])
 def test_study_checks_every_grid_size_first(N_values, code, message):
     """Each ``N`` is checked by its grid before any use, so a zero or a
-    string is a ``GridError``, not a raw ``ZeroDivisionError`` or
+    string is a ``ValidationError``, not a raw ``ZeroDivisionError`` or
     ``TypeError``."""
-    with pytest.raises(GridError) as exc:
+    with pytest.raises(ValidationError) as exc:
         mms_study(N_values=N_values)
     assert exc.value.code == code and str(exc.value) == message
+
+
+@pytest.mark.parametrize("theta", [-1.0, float("nan"), 1.5])
+def test_study_rejects_theta_outside_the_scheme_range(theta):
+    """``SolverConfig`` owns the range of ``theta_scheme``; -1 used to report
+    a substrate order of -37.2, and NaN to end in a ``LinearSolveError``."""
+    with pytest.raises(ValidationError) as exc:
+        mms_study(N_values=(25, 50), theta_scheme=theta)
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == "theta_scheme must lie in [0.5, 1]"
 
 
 def test_case_result_flags_regression():

@@ -12,10 +12,10 @@ from hypothesis import event, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from biofilmfront import (
+    Grid,
     LinearSolveError,
     ProblemData,
     SolverConfig,
-    build_grid,
     initial_state,
     picard_step,
     zero_kinetics,
@@ -164,7 +164,7 @@ def test_tridiagonal_bitwise_equals_thomas_on_assembled_systems(N, D, dt, theta,
     make gtsv pivot; it then agrees with Thomas to the forward error bound.
     """
     rng = np.random.default_rng(seed)
-    g = build_grid(N)
+    g = Grid(N)
     v1 = (2.0 * D * N * pe[0], 2.0 * D * N * pe[1])   # mesh Peclet |v1| dz / 2D < 1
     sub, diag, sup, rhs = assemble(rng.uniform(0.0, 2.0, N + 1), g, v1,
                                    rng.uniform(-1.0, 1.0, N + 1), D,
@@ -187,7 +187,7 @@ def test_tridiagonal_bitwise_equals_thomas_on_assembled_systems(N, D, dt, theta,
 
 def test_interior_stencil_fully_implicit():
     """v1 = 0, theta_scheme = 1: interior rows are the classic implicit stencil."""
-    g = build_grid(4)
+    g = Grid(4)
     dt, D = 0.01, 1.0
     sub, diag, sup, _ = assemble(np.zeros(5), g, (0.0, 0.0), np.zeros(5), D, 0.0, dt, 1.0)
     r = dt * D / g.dz**2
@@ -202,7 +202,7 @@ def test_interior_stencil_fully_implicit():
 
 
 def test_assembly_pe_guard():
-    g = build_grid(10)  # dz = 0.1, so |z v1| dz / (2D) > 1 needs v1 > 20 at z=1
+    g = Grid(10)  # dz = 0.1, so |z v1| dz / (2D) > 1 needs v1 > 20 at z=1
     D = 1.0
     diff = D / g.dz**2
     interior = g.nodes[1:g.N]
@@ -219,6 +219,14 @@ def test_assembly_pe_guard():
     assert "time step" not in msg and "dt" not in msg
 
 
+def test_peclet_error_names_only_d_when_the_grid_size_overflows():
+    """|v1| / (2D) beyond the largest float names no grid size."""
+    exc = peclet_error(1.0e+308, 0.0, 0.05, 1.0, Grid(40))
+    assert exc.code == "UNSTABLE_ASSEMBLY"
+    assert str(exc) == ("advection too strong for centered differencing at N=40 (mesh "
+                        "Peclet 2.5e+307 > 1); increase D")
+
+
 # -- one-step scheme -----------------------------------------------------------
 
 
@@ -228,14 +236,14 @@ def _step_plain(C, g, dt, psi=0.0, v1=(0.0, 0.0), H=None, theta=0.5, D=1.0):
 
 
 def test_constant_steady_state_exact():
-    g = build_grid(16)
+    g = Grid(16)
     C = np.full(17, 3.0)
     C_new = _step_plain(C, g, dt=0.05, psi=3.0, v1=(0.2, 0.2))
     assert np.allclose(C_new, 3.0, rtol=1e-15)  # constants sit in the stencil kernel
 
 
 def test_dirichlet_trace_bitwise():
-    g = build_grid(8)
+    g = Grid(8)
     C = np.linspace(0.0, 1.0, 9)
     psi = 0.4321
     C_new = _step_plain(C, g, dt=0.01, psi=psi)
@@ -244,7 +252,7 @@ def test_dirichlet_trace_bitwise():
 
 def test_eigenmode_decay_rate():
     """cos(pi z / 2) decays like e^{-D (pi/2)^2 t} under the homogeneous problem."""
-    g = build_grid(100)
+    g = Grid(100)
     C = np.cos(0.5 * math.pi * g.nodes)
     dt, n_steps = 1e-3, 100
     for _ in range(n_steps):
@@ -257,7 +265,7 @@ def test_eigenmode_decay_rate():
 
 def test_polynomial_steady_state():
     """With H = H0 and psi = psi_bar the fixed point is psi_bar + H0 (1 - z^2) / 2D."""
-    g = build_grid(40)
+    g = Grid(40)
     H0, psi_bar, D = 1.5, 0.25, 2.0
     C = np.full(g.N + 1, psi_bar)
     H = np.full(g.N + 1, H0)
@@ -269,7 +277,7 @@ def test_polynomial_steady_state():
 
 def test_implicit_maximum_principle():
     rng = np.random.default_rng(3)
-    g = build_grid(25)
+    g = Grid(25)
     psi = 0.6
     for _ in range(20):
         C = rng.uniform(0.0, 2.0, g.N + 1)
@@ -281,7 +289,7 @@ def test_implicit_maximum_principle():
 
 def test_implicit_positivity_with_source():
     rng = np.random.default_rng(11)
-    g = build_grid(25)
+    g = Grid(25)
     for _ in range(20):
         C = rng.uniform(0.0, 1.0, g.N + 1)
         H = rng.uniform(0.0, 2.0, g.N + 1)

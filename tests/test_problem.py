@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from biofilmfront import (
+    Grid,
     KineticsModel,
     ProblemData,
     ValidationError,
-    build_grid,
     linear_preset,
     validate_problem,
     zero_kinetics,
@@ -32,7 +32,7 @@ def _data(**kw):
 def test_counts_and_sampling():
     data = _data()
     assert data.n == 1 and data.m == 1
-    g = build_grid(10)
+    g = Grid(10)
     Y0, C0 = data.sample_initial(g.nodes)
     assert Y0.shape == (1, 11)
     assert C0.shape == (1, 11)
@@ -43,7 +43,7 @@ def test_counts_and_sampling():
 def test_constant_callables_broadcast():
     # scalar-returning initial data is broadcast across the nodes
     data = _data(phi=[lambda z: 0.25])
-    Y0, _ = data.sample_initial(build_grid(6).nodes)
+    Y0, _ = data.sample_initial(Grid(6).nodes)
     assert Y0.shape == (1, 7)
     assert np.all(Y0 == 0.25)
 
@@ -59,6 +59,7 @@ def test_psi_at():
         (dict(D=[-1.0]), "NONPOSITIVE_D"),
         (dict(lam=0.0), "NONPOSITIVE_LAMBDA"),
         (dict(R0=-2.0), "NONPOSITIVE_R0"),
+        (dict(R0=1.0e+200), "NONFINITE_INPUT"),  # the solver squares R0
     ],
 )
 def test_scalar_parameter_violations(kw, code):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from biofilmfront import build_grid
+from biofilmfront import Grid
 from biofilmfront.transport import clamped_mask, raw_feet
 from stages import transport_step
 
@@ -36,7 +36,7 @@ def test_scaled_foot_fixed_at_origin():
 
 
 def test_constant_field_invariant():
-    g = build_grid(20)
+    g = Grid(20)
     Y = np.full((1, 21), 0.7)
     zero = np.zeros((1, 21))
     Y_new, clamped = transport_step(Y, g, zero, zero, (0.4, -0.2), 0.05)
@@ -45,7 +45,7 @@ def test_constant_field_invariant():
 
 
 def test_zero_velocity_constant_source():
-    g = build_grid(10)
+    g = Grid(10)
     Y = np.zeros((1, 11))
     ones = np.ones((1, 11))
     Y_new, _ = transport_step(Y, g, ones, ones, (0.0, 0.0), 0.25)
@@ -54,7 +54,7 @@ def test_zero_velocity_constant_source():
 
 
 def test_duhamel_uses_both_stages():
-    g = build_grid(10)
+    g = Grid(10)
     Y = np.zeros((1, 11))
     Y_new, _ = transport_step(Y, g, np.ones((1, 11)), np.zeros((1, 11)), (0.0, 0.0), 0.1)
     assert np.allclose(Y_new, 0.5 * 0.1 * 1.0, atol=1e-15)
@@ -62,7 +62,7 @@ def test_duhamel_uses_both_stages():
 
 def test_pure_advection_maximum_principle():
     rng = np.random.default_rng(7)
-    g = build_grid(30)
+    g = Grid(30)
     Y = rng.uniform(-1.0, 2.0, size=(2, 31))
     zero = np.zeros((2, 31))
     Y_new, _ = transport_step(Y, g, zero, zero, (0.8, 0.3), 0.2)
@@ -77,7 +77,7 @@ def test_pure_advection_maximum_principle():
 )
 def test_positivity_preserved(yvals, v1):
     """Nonnegative data plus a nonnegative sampler cannot produce negatives."""
-    g = build_grid(20)
+    g = Grid(20)
     Y = np.array(yvals).reshape(1, -1)
     F = np.maximum(Y, 0.0)
     Y_new, _ = transport_step(Y, g, F, F, (v1, v1), 0.05)
@@ -86,7 +86,7 @@ def test_positivity_preserved(yvals, v1):
 
 def test_discrete_gronwall_bound():
     """Repeated linear-source stepping stays below e^{Lt}(|phi| + t c0) x 1.1."""
-    g = build_grid(40)
+    g = Grid(40)
     L, c0 = 2.0, 0.5
     Y = (0.5 + 0.5 * np.cos(math.pi * g.nodes)).reshape(1, -1)
     phi_norm = np.max(np.abs(Y))
