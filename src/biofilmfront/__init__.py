@@ -8,16 +8,15 @@ per-step fixed-point coupling, then maps results back to physical
 coordinates.
 """
 
+from .audit import ConvergenceReport, EnvelopeReport, audit, dissipation_envelope_check, mms_study
 from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
-from .coupler import (FLAGS, EnvelopeReport, SolverConfig, State, Trajectory, check_invariants,
-                      dissipation_envelope_check, energy, flag_names, initial_state, picard_step,
-                      run_simulation)
+from .coupler import (FLAGS, SolverConfig, State, Trajectory, check_invariants, energy, flag_names,
+                      initial_state, picard_step, run_simulation)
 from .errors import (AssemblyError, ConfigError, InvalidProblem, LinearSolveError, OutputError,
                      PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
 from .grid import Grid
 from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
-from .mms import ConvergenceReport, mms_study
 from .output import PhysicalTrajectory, back_transform, write_timeseries
 from .problem import ProblemData, ValidationReport, validate_problem
 
@@ -28,7 +27,7 @@ __all__ = [
     "InvalidProblem", "KineticsModel", "LinearSolveError", "MonodParams", "OutputError",
     "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec", "SolverConfig",
     "SolverError", "State", "ThicknessCollapse", "Trajectory", "ValidationError",
-    "ValidationReport", "back_transform", "build_runspec", "check_invariants",
+    "ValidationReport", "audit", "back_transform", "build_runspec", "check_invariants",
     "compile_expression", "config_hash", "detachment_rhs", "dissipation_envelope_check", "energy",
     "flag_names", "initial_state", "integrate_thickness", "linear_preset", "mms_study",
     "monod_preset", "parse_config", "picard_step", "r_max_bound", "run_simulation",

@@ -1,6 +1,7 @@
-"""Manufactured-solution convergence study for the three solver cores.
+"""Audits: the checks ``verify`` runs on a recorded run, and the
+manufactured-solution convergence study of the three solver cores.
 
-Each case drives one numerical core with forcing terms derived by hand from a
+Each study case drives one core with forcing terms derived by hand from a
 chosen exact solution (derivations in ``docs/manufactured_solutions.md``) and
 reports the least-squares slope of ``log(error)`` against ``log(dz)`` over a
 ladder of resolutions with ``dt`` proportional to ``dz``:
@@ -20,11 +21,127 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# coupler first: with no bytecode cached, coupler.py, the largest module, then
+# compiles while the fewest other modules are resident (a lower peak RSS)
+from .coupler import (NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED, SolverConfig, Trajectory, energy,
+                      flag_names)
 from . import parabolic, transport
-from .boundary import integrate_thickness
-from .coupler import SolverConfig
+from .boundary import detachment_rhs, integrate_thickness
 from .errors import ValidationError
 from .grid import Grid, interp_rows
+from .problem import ProblemData
+
+#: ``|v1 - lambda R^2|`` below which a run ends at equilibrium; a bound on
+#: ``dR/dt = R^2 (v1 - lambda R^2)`` itself would pass any thin film
+_EQUILIBRIUM_TOL = 1e-8
+
+
+def audit(traj: Trajectory, data: ProblemData, verify: dict | None = None) -> list:
+    """``verify``'s checks of a recorded run, in the order it prints them:
+    run outcome, positivity, thickness bound, energy envelope (against the
+    constants ``verify``, skipped without them) and equilibrium.  Each is a
+    ``(name, ok, line)`` triple: ``line`` is what ``verify`` prints, ``name``
+    labels a failure and ``ok`` is ``None`` for a skipped check."""
+    done = traj.outcome in ("completed", "washout")
+    hit = int(np.bitwise_or.reduce(traj.reports.invariant_flags))
+    negative = flag_names(hit & (NEGATIVE_Y | NEGATIVE_C))
+    minima = f"min Y={traj.min_Y_seen:.3e}, min C={traj.min_C_seen:.3e}"
+    bounded = not hit & R_BOUND_EXCEEDED
+    records = [
+        ("outcome", done, f"run outcome: {traj.outcome} ({len(traj.reports)} steps)" if done
+         else f"run outcome: FAIL ({traj.outcome})"),
+        ("positivity", not negative, f"positivity: FAIL (flags {negative}, {minima})"
+         if negative else f"positivity: ok ({minima})"),
+        ("thickness bound", bounded,
+         f"thickness bound: ok (max R={max(traj.thickness_series()):.6g})" if bounded
+         else "thickness bound: FAIL (R exceeded its a priori bound)"),
+    ]
+    if verify is None:
+        records.append(("energy envelope", None, "energy envelope: skipped (no verify block)"))
+    else:
+        env = dissipation_envelope_check(traj, **verify)
+        k = env.first_crossing
+        records.append(("energy envelope", env.ok, f"energy envelope: ok (gamma={env.gamma:.6g}, "
+                        f"min margin={env.margins.min():.3e})" if env.ok else
+                        f"energy envelope: FAIL at t={env.times[k]:.6g} "
+                        f"(excess {env.energies[k] / env.budget[k] - 1.0:.3e})"))
+    final = traj.final_state
+    gap = abs(final.v1 - data.lam * final.R**2)
+    if gap < _EQUILIBRIUM_TOL:
+        records.append(("equilibrium", True,
+                        f"equilibrium residual: ok (|v1 - lambda R^2|={gap:.3e})"))
+    else:
+        rhs = abs(detachment_rhs(final.R, final.v1, data.lam))
+        records.append(("equilibrium", None, f"equilibrium residual: skipped "
+                        f"(|dR/dt|={rhs:.3e}, not at equilibrium)"))
+    return records
+
+
+@dataclass(eq=False, repr=False)
+class EnvelopeReport:
+    """Result of :func:`dissipation_envelope_check`: the envelope and its
+    margin at every recorded time, and the index of the first time with a
+    negative margin (``None`` when there is none)."""
+
+    gamma: float
+    M_R: float
+    C_star: float
+    times: np.ndarray
+    energies: np.ndarray
+    budget: np.ndarray
+    margins: np.ndarray
+    first_crossing: int | None
+
+    @property
+    def ok(self) -> bool:
+        return self.first_crossing is None
+
+
+def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0,
+                               M0: float = 0.0, tol: float = 1e-3,
+                               include_boundary: bool = False) -> EnvelopeReport:
+    """Check recorded energies against the dissipation envelope
+    ``E(t) <= exp(-gamma t) E(0) + M_R (beta + M0) / gamma`` with
+    ``M_R = max R**2`` over the trajectory, ``C* = min`` energy weight and
+    ``gamma = 2 alpha M_R / C*``.
+
+    The caller asserts that the kinetics satisfy the dissipation inequality
+    with constants ``(alpha, beta, M0)``; this routine only audits the
+    recorded run.  With ``include_boundary`` the accumulated magnitude of the
+    recorded surface energy flux is added to the budget (the envelope itself
+    assumes a leak-free surface).  A recorded time with
+    ``E > budget * (1 + tol)``, or a NaN margin, crosses the envelope, and
+    the report is not ``ok``.  A constant that is not finite raises
+    :class:`ValidationError` ``NONFINITE_INPUT``; ``alpha`` or ``tol`` not
+    above 0, or ``beta`` or ``M0`` below it, ``NONPOSITIVE_PARAM``.
+    """
+    for name, value, low in (("alpha", alpha, ">"), ("beta", beta, ">="), ("M0", M0, ">="),
+                             ("tol", tol, ">")):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}", code="NONFINITE_INPUT")
+        if value < 0.0 or (value == 0.0 and low == ">"):
+            raise ValidationError(f"{name} must be {low} 0, got {value}", code="NONPOSITIVE_PARAM")
+    mu, nu = traj.cfg.weights(traj.kin.n, traj.kin.m)
+    C_star = float(min(mu.min(), nu.min()))
+    R_series = traj.thickness_series()
+    M_R = float(np.max(R_series**2))
+    gamma = 2.0 * alpha * M_R / C_star
+
+    times = traj.times()
+    E0 = energy(traj.states[0], mu, nu)
+    energies = np.concatenate(([E0], traj.reports.energy))
+    budget = np.exp(-gamma * times) * E0 + M_R * (beta + M0) / gamma
+    if include_boundary:
+        flux = np.concatenate(([0.0], traj.reports.boundary_energy_flux))
+        steps = np.diff(times, prepend=times[0])
+        budget = budget + np.cumsum(flux * steps)
+
+    margins = budget * (1.0 + tol) - energies
+    bad = np.flatnonzero(~(margins >= 0.0))  # NaN crosses too
+    return EnvelopeReport(gamma=gamma, M_R=M_R, C_star=C_star, times=times,
+                          energies=energies, budget=budget, margins=margins,
+                          first_crossing=int(bad[0]) if bad.size else None)
+
 
 ORDER_FLOORS = {
     "substrate_diffusion": 1.8,

@@ -9,28 +9,22 @@ check, on stdout with exit 1.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import os
 import re
 import sys
 
-import numpy as np
-
-from .boundary import detachment_rhs
+from .audit import audit, mms_study
 from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, _require_mapping,
                      build_runspec, load_tree)
-from .coupler import (NEGATIVE_C, NEGATIVE_Y, R_BOUND_EXCEEDED, dissipation_envelope_check,
-                      energy, flag_names, run_simulation)
+from .coupler import energy, run_simulation
 from .errors import ConfigError, InvalidProblem, SolverError, ValidationError
-from .mms import mms_study
 from .output import _table, _write_text, write_timeseries
 
-_EQUILIBRIUM_RHS_TOL = 1e-8
-_EQUILIBRIUM_REL_TOL = 1e-6
 
+def _build_parser():
+    import argparse  # here, not at module level: importing the package parses no command line
 
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biofilmfront",
         description="Front-fixed solver for 1D biofilm growth with substrate "
@@ -170,7 +164,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failures = []
     try:
         spec, traj = _run_tree(load_tree(args.config))
     except InvalidProblem as exc:
@@ -181,53 +174,11 @@ def _cmd_verify(args) -> int:
         return 1
     _print_warnings(traj.validation)
     print("problem validation: ok")
-
-    if traj.outcome in ("completed", "washout"):
-        print(f"run outcome: {traj.outcome} ({len(traj.reports)} steps)")
-    else:
-        print(f"run outcome: FAIL ({traj.outcome})")
-        failures.append("outcome")
-
-    hit = int(np.bitwise_or.reduce(traj.reports.invariant_flags))
-    negative = flag_names(hit & (NEGATIVE_Y | NEGATIVE_C))
-    minima = f"min Y={traj.min_Y_seen:.3e}, min C={traj.min_C_seen:.3e}"
-    if negative:
-        print(f"positivity: FAIL (flags {negative}, {minima})")
-        failures.append("positivity")
-    else:
-        print(f"positivity: ok ({minima})")
-
-    if hit & R_BOUND_EXCEEDED:
-        print("thickness bound: FAIL (R exceeded its a priori bound)")
-        failures.append("thickness bound")
-    else:
-        print(f"thickness bound: ok (max R={max(traj.thickness_series()):.6g})")
-
-    if spec.verify is not None:
-        env = dissipation_envelope_check(traj, **spec.verify)
-        if env.ok:
-            print(f"energy envelope: ok (gamma={env.gamma:.6g}, "
-                  f"min margin={env.margins.min():.3e})")
-        else:
-            k = env.first_crossing
-            print(f"energy envelope: FAIL at t={env.times[k]:.6g} "
-                  f"(excess {env.energies[k] / env.budget[k] - 1.0:.3e})")
-            failures.append("energy envelope")
-    else:
-        print("energy envelope: skipped (no verify block)")
-
-    final = traj.final_state
-    rhs = detachment_rhs(final.R, final.v1, spec.data.lam)
-    if abs(rhs) < _EQUILIBRIUM_RHS_TOL:
-        gap = abs(final.v1 - spec.data.lam * final.R**2)
-        if gap < _EQUILIBRIUM_REL_TOL * max(1.0, final.v1):
-            print(f"equilibrium residual: ok (|v1 - lambda R^2|={gap:.3e})")
-        else:
-            print(f"equilibrium residual: FAIL (|v1 - lambda R^2|={gap:.3e})")
-            failures.append("equilibrium")
-    else:
-        print(f"equilibrium residual: skipped (|dR/dt|={abs(rhs):.3e}, not at equilibrium)")
-
+    failures = []
+    for name, ok, line in audit(traj, spec.data, spec.verify):
+        print(line)
+        if ok is False:
+            failures.append(name)
     print("verify: " + ("PASS" if not failures else "FAIL (" + ", ".join(failures) + ")"))
     return 0 if not failures else 1
 

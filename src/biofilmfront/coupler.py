@@ -652,70 +652,3 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     return Trajectory(grid=run.state.grid, cfg=cfg, kin=kin, validation=rep, states=run.states,
                       state_steps=run.state_steps, reports=run.reports, outcome=outcome,
                       failure=failure)
-
-
-# -- energy dissipation envelope ----------------------------------------------
-
-
-@dataclass(eq=False, repr=False)
-class EnvelopeReport:
-    """Result of :func:`dissipation_envelope_check`: the envelope and its
-    margin at every recorded time, and the index of the first time with a
-    negative margin (``None`` when there is none)."""
-
-    gamma: float
-    M_R: float
-    C_star: float
-    times: np.ndarray
-    energies: np.ndarray
-    budget: np.ndarray
-    margins: np.ndarray
-    first_crossing: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.first_crossing is None
-
-
-def dissipation_envelope_check(traj: Trajectory, alpha: float, beta: float = 0.0,
-                               M0: float = 0.0, tol: float = 1e-3,
-                               include_boundary: bool = False) -> EnvelopeReport:
-    """Check recorded energies against the dissipation envelope
-    ``E(t) <= exp(-gamma t) E(0) + M_R (beta + M0) / gamma`` with
-    ``M_R = max R**2`` over the trajectory, ``C* = min`` energy weight and
-    ``gamma = 2 alpha M_R / C*``.
-
-    The caller asserts that the kinetics satisfy the dissipation inequality
-    with constants ``(alpha, beta, M0)``; this routine only audits the
-    recorded run.  With ``include_boundary`` the accumulated magnitude of the
-    recorded surface energy flux is added to the budget (the envelope itself
-    assumes a leak-free surface).  A recorded time with
-    ``E > budget * (1 + tol)``, or a NaN margin, crosses the envelope, and
-    the report is not ``ok``.  A constant that is not finite raises
-    :class:`ValidationError` ``NONFINITE_INPUT``.
-    """
-    for name, value in (("alpha", alpha), ("beta", beta), ("M0", M0), ("tol", tol)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}", code="NONFINITE_INPUT")
-    if alpha <= 0.0:
-        raise ValidationError(f"alpha must be > 0, got {alpha}", code="NONPOSITIVE_PARAM")
-    mu, nu = traj.cfg.weights(traj.kin.n, traj.kin.m)
-    C_star = float(min(mu.min(), nu.min()))
-    R_series = traj.thickness_series()
-    M_R = float(np.max(R_series**2))
-    gamma = 2.0 * alpha * M_R / C_star
-
-    times = traj.times()
-    E0 = energy(traj.states[0], mu, nu)
-    energies = np.concatenate(([E0], traj.reports.energy))
-    budget = np.exp(-gamma * times) * E0 + M_R * (beta + M0) / gamma
-    if include_boundary:
-        flux = np.concatenate(([0.0], traj.reports.boundary_energy_flux))
-        steps = np.diff(times, prepend=times[0])
-        budget = budget + np.cumsum(flux * steps)
-
-    margins = budget * (1.0 + tol) - energies
-    bad = np.flatnonzero(~(margins >= 0.0))  # NaN crosses too
-    return EnvelopeReport(gamma=gamma, M_R=M_R, C_star=C_star, times=times,
-                          energies=energies, budget=budget, margins=margins,
-                          first_crossing=int(bad[0]) if bad.size else None)

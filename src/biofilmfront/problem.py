@@ -108,7 +108,7 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     ``h`` or ``g`` at the initial data not of shape ``(n, K)``, ``(m, K)``
     or ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
     ``NONFINITE_INPUT`` (a non-finite coefficient, initial or boundary
-    value, an ``R0`` whose square is not finite, or ``f``, ``h`` or ``g``
+    value, an ``R0`` whose square is not finite, ``f``, ``h``, ``g`` or ``v1(0)``
     not finite at the initial data, naming the rate and the first such node), ``COMPAT_MISMATCH``
     (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
 
@@ -211,10 +211,16 @@ def nonfinite_at(what: str, rows: np.ndarray, nodes: np.ndarray) -> str | None:
 
 
 def _second_order_compat(rep, data, nodes, C0, hvals, gvals):
-    """Finite-difference check of the higher-order boundary matching condition."""
+    """Finite-difference check of the higher-order boundary matching condition,
+    made only at a finite v1(0); one that is not finite is a violation."""
     dz = nodes[1] - nodes[0]
     R0sq = data.R0 ** 2
-    v1_0 = cumtrapz_dz(R0sq * gvals, dz)[-1]  # the solver's v1(0)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        v1_0 = cumtrapz_dz(R0sq * gvals, dz)[-1]  # the solver's v1(0)
+    if not np.isfinite(v1_0):
+        rep.violations.append(("NONFINITE_INPUT", f"surface velocity v1(0) = R0^2 int_0^1 g is "
+                               f"not finite at R0={data.R0:g}; reduce R0 or g at the initial data"))
+        return
     dt_fd = 1e-6
     for j in range(data.m):
         c = C0[j]

@@ -206,6 +206,43 @@ def test_c10_steady_state_balance(shipped_runs):
             f"|dR/dt|={rhs:.2e}, |v1-lam R^2|={resid:.2e}")
 
 
+#: ``audit``'s records of each shipped run, as ``verify`` prints them
+SHIPPED_AUDITS = {
+    "equilibrium.yaml": [
+        ("outcome", True, "run outcome: completed (1000 steps)"),
+        ("positivity", True, "positivity: ok (min Y=1.000e+00, min C=1.000e+00)"),
+        ("thickness bound", True, "thickness bound: ok (max R=1)"),
+        ("energy envelope", None, "energy envelope: skipped (no verify block)"),
+        ("equilibrium", True, "equilibrium residual: ok (|v1 - lambda R^2|=2.220e-16)")],
+    "linear_dissipative.yaml": [
+        ("outcome", True, "run outcome: completed (1000 steps)"),
+        ("positivity", True, "positivity: ok (min Y=0.000e+00, min C=0.000e+00)"),
+        ("thickness bound", True, "thickness bound: ok (max R=1)"),
+        ("energy envelope", True, "energy envelope: ok (gamma=2, min margin=2.500e-04)"),
+        ("equilibrium", None,
+         "equilibrium residual: skipped (|dR/dt|=7.875e-02, not at equilibrium)")],
+    "monod_growth.yaml": [
+        ("outcome", True, "run outcome: completed (10000 steps)"),
+        ("positivity", True, "positivity: ok (min Y=2.000e-01, min C=2.614e-08)"),
+        ("thickness bound", True, "thickness bound: ok (max R=1)"),
+        ("energy envelope", None, "energy envelope: skipped (no verify block)"),
+        ("equilibrium", None,
+         "equilibrium residual: skipped (|dR/dt|=1.160e-02, not at equilibrium)")],
+    "zero_kinetics.yaml": [
+        ("outcome", True, "run outcome: completed (1000 steps)"),
+        ("positivity", True, "positivity: ok (min Y=0.000e+00, min C=0.000e+00)"),
+        ("thickness bound", True, "thickness bound: ok (max R=1)"),
+        ("energy envelope", None, "energy envelope: skipped (no verify block)"),
+        ("equilibrium", None,
+         "equilibrium residual: skipped (|dR/dt|=1.474e-01, not at equilibrium)")],
+}
+
+
+def test_audit_records_of_the_shipped_runs(shipped_runs):
+    assert {name: bf.audit(traj, spec.data, spec.verify)
+            for name, (spec, traj) in shipped_runs.items()} == SHIPPED_AUDITS
+
+
 def test_c11_bitwise_determinism(tmp_path):
     """Two `simulate` runs of one config produce identical scalars.csv bytes."""
     cfg_path = os.path.join(CONFIG_DIR, "zero_kinetics.yaml")

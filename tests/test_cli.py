@@ -667,6 +667,31 @@ def test_initial_thickness_without_a_finite_square(tmp_path, capsys):
         "verify: FAIL"]
 
 
+@pytest.mark.parametrize("name,edit", [
+    ("linear_dissipative", ("c: [0.0]", "c: [1.0e+308]")),
+    ("linear_dissipative", ("phi: [0.0]", "phi: [1.0e+308]")),
+    ("equilibrium", ("A: [[0.0]]", "A: [[1.0e+308]]")),
+    ("equilibrium", ("c: [0.5]", "c: [1.0e+308]")),
+], ids=["c", "phi", "A", "c_balanced"])
+def test_overflowing_initial_velocity_is_a_violation(name, edit, tmp_path, capsys):
+    """Rates finite at the initial data whose integral v1(0) overflows used
+    to escape as a bare ``NONFINITE`` error naming no input, after numpy's
+    overflow warnings.  It is an invalid problem naming R0 and g, without a
+    ``RuntimeWarning``: simulate exits 2, verify fails its check."""
+    violation = ("surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0=1; "
+                 "reduce R0 or g at the initial data")
+    p = tmp_path / "run.yaml"
+    p.write_text(_shipped(name, edit))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error [NONFINITE_INPUT]: invalid problem data: "
+                                       f"NONFINITE_INPUT: {violation}\n")
+    assert not out.exists()
+    assert main(["verify", "--config", str(p)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"problem validation: FAIL [NONFINITE_INPUT] {violation}", "verify: FAIL"]
+
+
 def test_sweep_sets_a_key_of_a_null_block(tmp_path, capsys):
     """An empty ``output:`` block runs under simulate; a sweep of its
     ``stride`` fills it instead of raising a ``TypeError``."""

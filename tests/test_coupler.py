@@ -1147,6 +1147,22 @@ def test_envelope_rejects_nonfinite_constants(name, value):
     assert str(exc.value) == f"{name} must be finite, got {value}"
 
 
+@pytest.mark.parametrize("name,value,low", [
+    ("alpha", 0.0, ">"), ("alpha", -1.0, ">"), ("beta", -0.5, ">="), ("M0", -1e-300, ">="),
+    ("tol", 0.0, ">"), ("tol", -1e-3, ">"),
+])
+def test_envelope_rejects_constants_out_of_range(name, value, low):
+    """The ranges the config loader checks hold for a direct call too: a
+    negative ``beta`` or ``M0``, or a ``tol`` at or below 0, would shrink
+    the budget and pass a run that crosses the claimed envelope."""
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
+                          t_end=2e-3)
+    with pytest.raises(ValidationError) as exc:
+        dissipation_envelope_check(traj, **{"alpha": 1.0, name: value})
+    assert exc.value.code == "NONPOSITIVE_PARAM"
+    assert str(exc.value) == f"{name} must be {low} 0, got {value}"
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_envelope_counts_a_nan_margin_as_a_crossing():
     """alpha = 1e308 makes gamma infinite and the budget at t = 0 NaN

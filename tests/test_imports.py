@@ -51,6 +51,15 @@ def test_import_does_not_load_scipy_integrate():
     assert _python(code, CONFIG).splitlines() == ["False", "[]", "True", "False", "False", "False"]
 
 
+def test_importing_the_cli_loads_no_argparse():
+    """``argparse`` loads when a command line is parsed, not when the CLI
+    module is imported, as a library caller or the benchmark does."""
+    code = ("import sys, biofilmfront.cli; print('argparse' in sys.modules); "
+            "biofilmfront.cli.main(['mms', '--help']); print('argparse' in sys.modules)")
+    out = _python(code).splitlines()  # the help text sits between the two
+    assert (out[0], out[-1]) == ("False", "True")
+
+
 def test_simulate_does_not_load_openssl(tmp_path):
     """A ``simulate`` process, which hashes its config for the manifest,
     ends with neither OpenSSL's ``_hashlib`` nor ``ssl`` loaded."""
@@ -164,8 +173,10 @@ def test_every_import_is_used():
 #: (``__hash__`` comes with a frozen ``__eq__``, ``__setattr__`` and
 #: ``__delattr__`` with ``frozen``); every other type compares by identity.
 DATACLASS_METHODS = {
+    "audit.CaseResult": ["__init__"],
+    "audit.ConvergenceReport": ["__init__"],
+    "audit.EnvelopeReport": ["__init__"],
     "config.RunSpec": ["__init__"],
-    "coupler.EnvelopeReport": ["__init__"],
     "coupler.SolverConfig": ["__delattr__", "__eq__", "__hash__", "__init__", "__post_init__",
                              "__repr__", "__setattr__"],
     "coupler.State": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
@@ -173,8 +184,6 @@ DATACLASS_METHODS = {
     "grid.Grid": ["__delattr__", "__init__", "__post_init__", "__repr__", "__setattr__"],
     "kinetics.KineticsModel": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
     "kinetics.MonodParams": ["__delattr__", "__init__", "__repr__", "__setattr__"],
-    "mms.CaseResult": ["__init__"],
-    "mms.ConvergenceReport": ["__init__"],
     "output.PhysicalTrajectory": ["__init__"],
     "problem.ProblemData": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
     "problem.ValidationReport": ["__eq__", "__init__", "__repr__"],

@@ -275,6 +275,19 @@ def test_nodal_list_profile():
     assert spec.data.theta[0](0.25) == pytest.approx(0.5)
 
 
+def test_psi_time_expression():
+    """A surface value given as an expression in ``t`` is evaluated at each
+    time asked, and a run holds the film surface at it."""
+    tree = _tree()
+    tree["problem"].update(theta=[1.0], psi=["cos(t)"])
+    spec = build_runspec(tree)
+    for t in (0.0, 0.3, 2.0):
+        assert spec.data.psi_at(t) == pytest.approx([math.cos(t)], rel=1e-15)
+    traj = run_simulation(spec.data, spec.kin, spec.cfg, spec.t_end, snapshot_stride=spec.stride)
+    assert traj.outcome == "completed" and traj.final_state.t == pytest.approx(0.05)
+    assert traj.final_state.C[0, -1] == pytest.approx(math.cos(0.05), rel=1e-15)
+
+
 def test_verify_block_parsed():
     """The block hands on only the constants it sets, checked; the audit
     owns the defaults of the others."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biofilmfront import ValidationError, mms_study
-from biofilmfront.mms import ORDER_FLOORS, CaseResult
+from biofilmfront.audit import ORDER_FLOORS, CaseResult
 
 
 def test_full_study_meets_floors():
