@@ -53,7 +53,8 @@ def _build_parser():
     return parser
 
 
-def _set_param(tree: dict, name: str, value) -> None:
+def _set_param(tree: dict, name: str, value) -> dict:
+    """Set the parameter ``name`` of ``tree`` to ``value``; return ``tree``."""
     if "." in name:
         *path, last = name.split(".")
         node = tree
@@ -62,7 +63,7 @@ def _set_param(tree: dict, name: str, value) -> None:
         if not isinstance(node, dict):  # a path that ends in a list, a number or nothing
             raise ConfigError(f"unknown sweep parameter path {name!r}", code="UNKNOWN_KEY")
         node[last] = value
-        return
+        return tree
     blocks = (("problem", _PROBLEM_CHECKS), ("solver", _SOLVER_CHECKS),
               ("output", _OUTPUT_CHECKS))
     block = next((b for b, checks in blocks if name in checks), None)
@@ -70,6 +71,7 @@ def _set_param(tree: dict, name: str, value) -> None:
         raise ConfigError(f"unknown sweep parameter {name!r}", code="UNKNOWN_KEY")
     node = tree[block] = {} if tree.get(block) is None else tree[block]  # absent or null
     _require_mapping(node, block)[name] = value
+    return tree
 
 
 def _parse_value(text: str):
@@ -114,9 +116,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_worker(job: dict):
-    tree = job["tree"]
-    _set_param(tree, job["param"], job["value"])
-    spec, traj = _run_tree(tree)
+    spec, traj = _run_tree(job["tree"])
     write_timeseries(traj, job["out_dir"], config_hash=spec.config_hash)
     final = traj.final_state
     mu, nu = spec.cfg.weights(spec.kin.n, spec.kin.m)
@@ -131,14 +131,13 @@ def _sweep_worker(job: dict):
 
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}", code="SCHEMA_VIOLATION")
     tree = load_tree(args.config)
     value_texts = [v.strip() for v in args.values.split(",") if v.strip()]
     if not value_texts:
-        print("error: --values is empty", file=sys.stderr)
-        return 2
-    jobs = [{"tree": copy.deepcopy(tree), "param": args.param, "value": _parse_value(text),
+        raise ConfigError("--values is empty", code="SCHEMA_VIOLATION")
+    # every tree is built here, so a bad parameter stops the sweep before a worker starts
+    jobs = [{"tree": _set_param(copy.deepcopy(tree), args.param, _parse_value(text)),
              "value_text": text, "out_dir": f"{args.out}/{args.param}={text}"}
             for text in value_texts]
     workers = min(args.jobs, len(jobs))  # a pool forks all its workers at once

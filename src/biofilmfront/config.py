@@ -17,7 +17,8 @@ Every block is read by one helper, :func:`_read`: it rejects unknown keys,
 requires the listed ones and checks the YAML type of each key present.  The
 keys a block sets go on to the library's constructors (``ProblemData``, the
 kinetics presets, ``SolverConfig``), which own every default, shape, length
-and range; ``validate_problem`` checks the counts of ``D`` and ``psi``.
+and range; ``validate_problem`` checks the counts of ``D`` and ``psi``, and
+the energy audit the ranges of the verify constants.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .audit import _check_constants
 from .coupler import SNAPSHOT_STRIDE, SolverConfig
 from .errors import ConfigError
 from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
@@ -114,17 +116,11 @@ def _block(checks: dict, required=()):
     return lambda value, path: None if value is None else _read(value, path, checks, required)
 
 
-def _num(value, path, positive=False, nonnegative=False):
+def _num(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}", code="SCHEMA_VIOLATION")
-    v = float(value)
-    if (positive or nonnegative) and not math.isfinite(v):
-        raise ConfigError(f"{path}: must be finite, got {v}", code="SCHEMA_VIOLATION")
-    if positive and v <= 0.0:
-        raise ConfigError(f"{path}: must be > 0, got {v}", code="SCHEMA_VIOLATION")
-    if nonnegative and v < 0.0:
-        raise ConfigError(f"{path}: must be >= 0, got {v}", code="SCHEMA_VIOLATION")
-    return v
+    return float(value)
+
 
 def _int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
@@ -259,11 +255,9 @@ _SOLVER_CHECKS = {"N": _int, "dt": _num, "picard_tol": _num, "picard_max_iter": 
                   "continuation_threshold": _num, "t_end": _num,
                   "energy_weights": _block({"mu": _num_list, "nu": _num_list})}
 _OUTPUT_CHECKS = {"directory": _str, "stride": _int}
-#: checks of the verify constants; their ranges are checked here, since
-#: ``dissipation_envelope_check`` runs only after the simulation
-_positive, _nonnegative = partial(_num, positive=True), partial(_num, nonnegative=True)
-_VERIFY_CHECKS = {"alpha": _positive, "beta": _nonnegative, "M0": _nonnegative,
-                  "tol": _positive, "include_boundary": _bool}
+#: the keys of ``dissipation_envelope_check``, which owns their defaults and ranges
+_VERIFY_CHECKS = {"alpha": _num, "beta": _num, "M0": _num, "tol": _num,
+                  "include_boundary": _bool}
 _CONFIG_CHECKS = {"problem": _block(_PROBLEM_CHECKS, tuple(_PROBLEM_CHECKS)),
                   "solver": _block(_SOLVER_CHECKS, ("t_end",)),
                   "output": _block(_OUTPUT_CHECKS),
@@ -274,6 +268,8 @@ def build_runspec(tree: dict) -> RunSpec:
     """Type-check a parsed configuration tree and build all model objects,
     whose constructors check every shape, length and range."""
     top = _read(tree, "config", _CONFIG_CHECKS, ("problem", "solver"))
+    if top.get("verify") is not None:  # at load: the audit runs only after the simulation
+        _check_constants(top["verify"])
     prob, solver = top["problem"], top["solver"]
     n, m = len(prob["phi"]), len(prob["theta"])
     kin = _build_kinetics(*prob["kinetics"], n, m)

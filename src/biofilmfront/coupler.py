@@ -170,25 +170,12 @@ STEP_COLUMNS = np.dtype([
     ("t", float), ("R", float), ("v1", float), ("energy", float),
     ("picard_iterations", np.int64), ("residual", float), ("first_residual", float),
     ("clamped_feet", np.int64), ("boundary_energy_flux", float),
-    ("invariant_flags", np.int64), ("min_Y", float), ("min_C", float)])
+    ("invariant_flags", np.int64)])
 
 
 def flag_names(mask: int) -> list[str]:
     """Names of the flags set in ``mask``, in :data:`FLAGS` order."""
     return [name for i, name in enumerate(FLAGS) if mask >> i & 1]
-
-
-def _first_min(first: float, column: np.ndarray) -> float:
-    """``min([first, *column])`` without building the list.  Of equal minima
-    Python's ``min`` keeps the earliest, which shows only for a zero
-    (``-0.0 == 0.0``), so only then is the column's first zero looked up.
-    The rows are finite, as every accepted state is."""
-    low = column.min(initial=first)
-    if low == first:
-        return first
-    if low == 0.0:
-        low = column[np.argmax(column == 0.0)]
-    return float(low)
 
 
 @dataclass(eq=False, repr=False)
@@ -204,22 +191,14 @@ class Trajectory:
     states: list
     state_steps: list
     reports: np.recarray
+    min_Y_seen: float                       # least nodal Y at t = 0 and every accepted step
+    min_C_seen: float                       # least nodal C, likewise
     outcome: str
     failure: dict | None
 
     @property
     def final_state(self) -> State:
         return self.states[-1]
-
-    @property
-    def min_Y_seen(self) -> float:
-        """Smallest nodal biomass at t = 0 and every accepted step."""
-        return _first_min(float(self.states[0].Y.min()), self.reports.min_Y)
-
-    @property
-    def min_C_seen(self) -> float:
-        """Smallest nodal substrate at t = 0 and every accepted step."""
-        return _first_min(float(self.states[0].C.min()), self.reports.min_C)
 
     def times(self) -> np.ndarray:
         """Times of all recorded steps including t = 0."""
@@ -463,8 +442,9 @@ class _Run:
     :attr:`State.x` as the rows of a rolling buffer, which :meth:`start`
     extrapolates; ``end_f``, the state the last :func:`picard_step` ended at
     and the raw ``f`` there, which starts the next step; the running max
-    ``|v1|`` of the a priori thickness bound; ``reports``; and the states kept
-    (every ``stride``-th)."""
+    ``|v1|`` of the a priori thickness bound; the running minima of ``Y``
+    and ``C``, where the earlier of equal values stays, as in ``min``;
+    ``reports``; and the states kept (every ``stride``-th)."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
     _WEIGHTS = {(s, r): _start_weights(s, r)
@@ -480,6 +460,7 @@ class _Run:
         self.bands = [parabolic.implicit_bands(state.grid.N, d, self.a_new) for d in self.diffs]
         self._buf = np.zeros((START_HISTORY, state.x.size))
         self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
+        self.min_Y_seen, self.min_C_seen = float(state.Y.min()), float(state.C.min())
         self.end_f = None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
         self.stride, self.states, self.state_steps = stride, [state], [0]
@@ -511,11 +492,12 @@ class _Run:
         self.v1_max = max(self.v1_max, abs(state.v1))
         row_min, n = state.X.min(axis=1).tolist(), len(state.Y)
         y_min, c_min = min(row_min[:n]), min(row_min[n:])
+        self.min_Y_seen, self.min_C_seen = min(self.min_Y_seen, y_min), min(self.min_C_seen, c_min)
         flags = check_invariants(state, cfg, r_max_bound(data.R0, data.lam, self.v1_max),
                                  (y_min, c_min))
         self.reports[k - 1] = (state.t, state.R, state.v1, energy(state, mu, nu),
                                len(residuals), residuals[-1], residuals[0], clamped,
-                               _boundary_flux(state, data.D, nu), flags, y_min, c_min)
+                               _boundary_flux(state, data.D, nu), flags)
         self.push(state)
         if k % self.stride == 0:
             self.states.append(state)
@@ -551,6 +533,8 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     return State(t=0.0, grid=grid, Y=Y0, C=C0, R=data.R0, v=v0)
 
 
+# numpy's floating-point warnings are off for the whole run: its outcome names an overflow
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
                    t_end: float, snapshot_stride: int = SNAPSHOT_STRIDE) -> Trajectory:
     """Run from t = 0 to ``t_end`` (rounded to whole steps) and classify the
@@ -650,5 +634,6 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
 
     run.finish()
     return Trajectory(grid=run.state.grid, cfg=cfg, kin=kin, validation=rep, states=run.states,
-                      state_steps=run.state_steps, reports=run.reports, outcome=outcome,
+                      state_steps=run.state_steps, reports=run.reports,
+                      min_Y_seen=run.min_Y_seen, min_C_seen=run.min_C_seen, outcome=outcome,
                       failure=failure)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import FLAGS, Trajectory, flag_names
+from .coupler import FLAGS, STEP_COLUMNS, Trajectory, flag_names
 from .errors import OutputError, ValidationError
 
 PACKAGE_NAME = "biofilmfront"
@@ -33,9 +33,9 @@ PACKAGE_NAME = "biofilmfront"
 _SNAPSHOT_NAME = re.compile(r"snapshot_[0-9]+\.csv")
 #: ``flags`` text of ``scalars.csv`` by bitmask: the names, ``;``-joined
 _FLAG_TEXT = [";".join(flag_names(mask)) for mask in range(1 << len(FLAGS))]
-#: columns of ``scalars.csv`` before ``flags``, as named in ``Trajectory.reports``
-_SCALAR_COLUMNS = ("t", "R", "v1", "energy", "picard_iterations", "residual",
-                   "first_residual", "clamped_feet", "boundary_energy_flux")
+#: columns of ``scalars.csv`` before ``flags``: every column of ``Trajectory.reports``
+#: but ``invariant_flags``, which is printed last, as text
+_SCALAR_COLUMNS = tuple(name for name in STEP_COLUMNS.names if name != "invariant_flags")
 #: rows per ``%`` and per ``write`` of ``scalars.csv`` and ``physical_scalars.csv``
 _BLOCK_ROWS = 1024
 

@@ -161,7 +161,6 @@ def test_missing_file_exit_2(tmp_path, capsys):
         f"error [PARSE_ERROR]: cannot read config {str(p)!r}: 'utf-8' codec can't decode ")
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     """phi = 1/(3z - 1) is finite on problem validation's sample grid but
     infinite at node 10 of N = 30.  Sampling the t = 0 state rejects it and
@@ -270,14 +269,39 @@ def test_library_range_error_exit_2(old, new, message, tmp_path, capsys):
                                        ("tol", ".nan")])
 def test_nonfinite_verify_constant_exit_2(key, value, tmp_path, capsys):
     """A NaN alpha used to pass the audit with gamma=nan; every constant of
-    the envelope must be finite."""
+    the envelope must be finite.  The loader applies the audit's check, so
+    simulate and verify both exit 2 with its error before any step."""
     p = tmp_path / "bad.yaml"
     p.write_text(DISSIPATIVE.replace("verify: {alpha: 1.0}",
                                      f"verify: {{alpha: 1.0, {key}: {value}}}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
     assert main(["verify", "--config", str(p)]) == 2
     got = {".nan": "nan", ".inf": "inf", "-.inf": "-inf"}[value]
-    assert capsys.readouterr().err == (f"error [SCHEMA_VIOLATION]: verify.{key}: must be "
-                                       f"finite, got {got}\n")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [NONFINITE_INPUT]: {key} must be finite, got {got}"] * 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("alpha", "-1.0", "alpha must be > 0, got -1.0"),
+    ("alpha", "0", "alpha must be > 0, got 0.0"),
+    ("beta", "-0.5", "beta must be >= 0, got -0.5"),
+    ("M0", "-1.0e-300", "M0 must be >= 0, got -1e-300"),
+    ("tol", "0.0", "tol must be > 0, got 0.0"),
+])
+def test_verify_constant_out_of_range_exit_2(key, value, message, tmp_path, capsys):
+    """The audit owns the constants' ranges, and the loader applies its
+    check: simulate and verify exit 2 with the audit's code and message."""
+    constants = ", ".join(f"{k}: {v}" for k, v in {"alpha": "1.0", key: value}.items())
+    p = tmp_path / "bad.yaml"
+    p.write_text(DISSIPATIVE.replace("verify: {alpha: 1.0}", f"verify: {{{constants}}}"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert main(["verify", "--config", str(p)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error [NONPOSITIVE_PARAM]: {message}"] * 2
+    assert not out.exists()
 
 
 def test_include_boundary_string_exit_2(tmp_path, capsys):
@@ -532,7 +556,27 @@ def test_sweep_rejects_jobs_below_one(jobs, good_cfg, tmp_path, monkeypatch, cap
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(good_cfg), "--param", "lambda", "--values", "0.5",
                  "--jobs", jobs, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert capsys.readouterr().err == (f"error [SCHEMA_VIOLATION]: --jobs must be >= 1, "
+                                       f"got {jobs}\n")
+    assert _RecordingPool.made == [] and not out.exists()
+
+
+@pytest.mark.parametrize("param,values,message", [
+    ("problem.nope.x", "0.25,0.5",
+     "error [UNKNOWN_KEY]: unknown sweep parameter path 'problem.nope.x'"),
+    ("lamda", "0.25,0.5", "error [UNKNOWN_KEY]: unknown sweep parameter 'lamda'"),
+    ("lambda", " , ", "error [SCHEMA_VIOLATION]: --values is empty"),
+])
+def test_sweep_bad_parameter_starts_no_worker(param, values, message, good_cfg, tmp_path,
+                                              monkeypatch, capsys):
+    """Every run's tree is built before the pool: a bad parameter or no
+    value exits 2 with one error line, and no pool is made."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", param, "--values", values,
+                 "--jobs", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
     assert _RecordingPool.made == [] and not out.exists()
 
 
@@ -633,7 +677,6 @@ def _shipped(name, *edits, t_end="0.002"):
     ("monod_growth", ("k_d: [0.02]", "k_d: [1.0e+308]"), "assembly_rejected",
      "UNSTABLE_ASSEMBLY"),
 ], ids=["lambda", "k_d"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_first_step_is_classified(name, edit, outcome, code, tmp_path, capsys):
     """lambda = 1e308 overflows the thickness stage's x**4, and k_d = 1e308
     the grid size the Peclet message would name; both used to escape as an
@@ -649,6 +692,32 @@ def test_overflowing_first_step_is_classified(name, edit, outcome, code, tmp_pat
     assert manifest["failure"]["code"] == code and manifest["failure"]["step"] == 1
     for file in manifest["files"]:
         assert (out / file).exists()
+
+
+@pytest.mark.parametrize("name,edit,command,line", [
+    ("monod_growth", ("D: [0.05]", "D: [1.0e+308]"), "simulate", "outcome: solve_failed"),
+    ("linear_dissipative", ("d: [0.0]", "d: [1.0e+308]"), "simulate",
+     "outcome: continuation_tripped"),
+    ("linear_dissipative", ("B: [[-1.0]]", "B: [[1.0e+308]]"), "simulate",
+     "outcome: solve_failed"),
+    ("monod_growth", ("k_d: [0.02]", "k_d: [1.0e+308]"), "simulate",
+     "outcome: assembly_rejected"),
+    ("linear_dissipative", ("alpha: 1.0", "alpha: 1.0e+200"), "verify",
+     "energy envelope: FAIL at t=0.002 (excess inf)"),
+    ("zero_kinetics", ("R0: 1.0", "R0: 1.0e+100"), "verify",
+     "equilibrium residual: skipped (|dR/dt|=inf, not at equilibrium)"),
+], ids=["D", "d", "B", "k_d", "alpha", "R0"])
+def test_overflowing_run_prints_no_numpy_warning(name, edit, command, line, tmp_path, capsys):
+    """Each value overflows the solver's arrays mid-run, or the audit's.  A
+    run and an audit silence numpy's floating-point warnings, which this
+    suite turns into errors, and print the classified outcome on stdout
+    (R0 = 1e100 used to escape the equilibrium check as an ``OverflowError``)."""
+    p = tmp_path / "run.yaml"
+    p.write_text(_shipped(name, edit, t_end="0.01"))
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", str(p), *out]) == 1
+    captured = capsys.readouterr()
+    assert line in captured.out.splitlines() and captured.err == ""
 
 
 def test_initial_thickness_without_a_finite_square(tmp_path, capsys):

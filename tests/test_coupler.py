@@ -1163,7 +1163,6 @@ def test_envelope_rejects_constants_out_of_range(name, value, low):
     assert str(exc.value) == f"{name} must be {low} 0, got {value}"
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_envelope_counts_a_nan_margin_as_a_crossing():
     """alpha = 1e308 makes gamma infinite and the budget at t = 0 NaN
     (exp(-inf * 0)): an envelope that cannot be evaluated is not ``ok``."""

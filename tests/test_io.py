@@ -17,10 +17,12 @@ from hypothesis.extra import numpy as hnp
 from biofilmfront import (
     FLAGS,
     ConfigError,
+    Grid,
     MonodParams,
     OutputError,
     SolverConfig,
     SolverError,
+    State,
     build_runspec,
     compile_expression,
     config_hash,
@@ -33,7 +35,7 @@ from biofilmfront import (
 )
 from biofilmfront.cli import main
 from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_CHECKS, load_tree
-from biofilmfront.coupler import SNAPSHOT_STRIDE, STEP_COLUMNS, _first_min, flag_names
+from biofilmfront.coupler import SNAPSHOT_STRIDE, STEP_COLUMNS, _Run, flag_names
 from biofilmfront.output import _BLOCK_ROWS, _table, back_transform
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -725,11 +727,35 @@ _ZEROS_AND_ONES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])
 @example(first=1.0, column=[0.0, -0.0])
 @example(first=1.0, column=[-0.0, 0.0])
 def test_run_minimum_matches_the_list_minimum(first, column):
-    """The manifest's ``min_Y_seen`` and ``min_C_seen`` are the minimum of
-    the t = 0 value and the column, as Python's ``min`` takes it: equal
-    minima keep the first one, so ``-0.0`` and ``0.0`` print as before."""
-    got = _first_min(first, np.array(column, dtype=float))
-    assert repr(got) == repr(min([first, *column]))
+    """The manifest's ``min_Y_seen`` and ``min_C_seen``, which a run keeps
+    as it accepts its steps, are the minimum of the t = 0 value and every
+    step's, as Python's ``min`` takes it: equal minima keep the first one,
+    so ``-0.0`` and ``0.0`` print as before."""
+    spec = build_runspec(_tree())
+    grid = Grid(spec.cfg.N)
+
+    def state(k, low):  # Y and C with the least value ``low``
+        row = np.full(grid.N + 1, 5.0)
+        row[3] = low
+        return State(t=k * spec.cfg.dt, grid=grid, Y=row, C=row, R=1.0, v=np.zeros(grid.N + 1))
+
+    run = _Run(state(0, first), spec.data, spec.cfg, len(column))
+    mu, nu = spec.cfg.weights(1, 1)
+    for k, low in enumerate(column, 1):
+        run.accept((state(k, low), [0.0], 0), spec.data, spec.cfg, mu, nu)
+    want = repr(min([first, *column]))
+    assert repr(run.min_Y_seen) == want and repr(run.min_C_seen) == want
+
+
+def test_reports_holds_the_columns_scalars_csv_prints(tmp_path):
+    """A run keeps no per-step column that ``scalars.csv`` does not print:
+    the columns of ``reports`` are the header's, in order, under their
+    printed names."""
+    traj = _run_small()
+    write_timeseries(traj, str(tmp_path))
+    header = (tmp_path / "scalars.csv").read_text().splitlines()[0].split(",")
+    printed = {"picard_iterations": "picard_iters", "invariant_flags": "flags"}
+    assert [printed.get(name, name) for name in traj.reports.dtype.names] == header
 
 
 # -- write failures ----------------------------------------------------------------
