@@ -19,8 +19,7 @@ OUT = os.path.join("demo_out", "monod")
 
 
 def main():
-    params = bf.MonodParams(mu=[0.5], K=[0.05], k_d=[0.02], limiting=[0],
-                            yields=[[0.08]])
+    kin = bf.monod_preset(mu=[0.5], K=[0.05], k_d=[0.02], limiting=[0], yields=[[0.08]], m=1)
     data = bf.ProblemData(
         phi=[lambda z: 0.3 + 0.1 * np.cos(math.pi * z)],
         theta=[lambda z: 1.0 - 0.9 * np.cos(0.5 * math.pi * z)],
@@ -30,8 +29,7 @@ def main():
         R0=1.0,
     )
     cfg = bf.SolverConfig(N=40, dt=1e-3)
-    traj = bf.run_simulation(data, bf.monod_preset(params, m=1), cfg, t_end=10.0,
-                             snapshot_stride=2000)
+    traj = bf.run_simulation(data, kin, cfg, t_end=10.0, snapshot_stride=2000)
 
     print(f"outcome: {traj.outcome} after {len(traj.reports)} steps")
     print(f"minimum biomass over the run:   {traj.min_Y_seen: .3e}")

@@ -16,7 +16,7 @@ from .coupler import (FLAGS, SolverConfig, State, Trajectory, check_invariants, 
 from .errors import (AssemblyError, ConfigError, InvalidProblem, LinearSolveError, OutputError,
                      PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
 from .grid import Grid
-from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
+from .kinetics import KineticsModel, linear_preset, monod_preset, zero_kinetics
 from .output import PhysicalTrajectory, back_transform, write_timeseries
 from .problem import ProblemData, ValidationReport, validate_problem
 
@@ -24,12 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport", "FLAGS", "Grid",
-    "InvalidProblem", "KineticsModel", "LinearSolveError", "MonodParams", "OutputError",
-    "PhysicalTrajectory", "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec", "SolverConfig",
-    "SolverError", "State", "ThicknessCollapse", "Trajectory", "ValidationError",
-    "ValidationReport", "audit", "back_transform", "build_runspec", "check_invariants",
-    "compile_expression", "config_hash", "detachment_rhs", "dissipation_envelope_check", "energy",
-    "flag_names", "initial_state", "integrate_thickness", "linear_preset", "mms_study",
-    "monod_preset", "parse_config", "picard_step", "r_max_bound", "run_simulation",
-    "validate_problem", "write_timeseries", "zero_kinetics",
+    "InvalidProblem", "KineticsModel", "LinearSolveError", "OutputError", "PhysicalTrajectory",
+    "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec", "SolverConfig", "SolverError",
+    "State", "ThicknessCollapse", "Trajectory", "ValidationError", "ValidationReport", "audit",
+    "back_transform", "build_runspec", "check_invariants", "compile_expression", "config_hash",
+    "detachment_rhs", "dissipation_envelope_check", "energy", "flag_names", "initial_state",
+    "integrate_thickness", "linear_preset", "mms_study", "monod_preset", "parse_config",
+    "picard_step", "r_max_bound", "run_simulation", "validate_problem", "write_timeseries",
+    "zero_kinetics",
 ]

@@ -126,6 +126,7 @@ def _sweep_worker(job: dict):
         "final_R": final.R,
         "final_energy": energy(final, mu, nu),
         "steps": len(traj.reports),
+        "warnings": traj.validation.warnings,
     }
 
 
@@ -156,6 +157,8 @@ def _cmd_sweep(args) -> int:
     _write_text(summary, _table(f"{args.param},outcome,final_R,final_energy,steps",
                                 "%s,%s,%.17g,%.17g,%d", values))
     for row in rows:
+        for code, msg in row["warnings"]:
+            print(f"{args.param}={row['value_text']}: warning [{code}]: {msg}")
         print(f"{args.param}={row['value_text']}: {row['outcome']} "
               f"(final_R={row['final_R']:.6g}, steps={row['steps']})")
     print(f"summary: {summary}")

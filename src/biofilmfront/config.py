@@ -33,43 +33,47 @@ import numpy as np
 from .audit import _check_constants
 from .coupler import SNAPSHOT_STRIDE, SolverConfig
 from .errors import ConfigError
-from .kinetics import KineticsModel, MonodParams, linear_preset, monod_preset, zero_kinetics
+from .kinetics import KineticsModel, linear_preset, monod_preset, zero_kinetics
 from .problem import ProblemData
 
 _FUNCS = {"exp": np.exp, "cos": np.cos, "sin": np.sin}
-_CONSTS = {"pi": math.pi, "e": math.e}
+_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _UNARY = (ast.USub, ast.UAdd)
 
 
 def compile_expression(text: str, variable: str):
-    """Compile an expression string into a vectorized callable of ``variable``."""
+    """Compile an expression string into a vectorized callable of ``variable``,
+    which computes in float64 throughout, its literals and constants too:
+    ``1/0`` is ``inf`` and ``(-8)^(1/3)`` is ``nan``, as at an array."""
     src = text.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}",
                           code="PARSE_ERROR") from None
-    _check_node(tree.body, variable, text)
+    names = dict(_FUNCS, **_CONSTS)
+    tree.body = _check_node(tree.body, variable, text, names)
     code = compile(tree, f"<expr {text!r}>", "eval")
     env = {"__builtins__": {}}
-    names = dict(_FUNCS, **_CONSTS)
     return lambda x: eval(code, env, dict(names, **{variable: x}))
 
 
-def _check_node(node, variable, text):
+def _check_node(node, variable, text, names):
+    """``node`` checked against the grammar, each numeric literal replaced by
+    a name that ``names`` binds to its float64 value."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        _check_node(node.left, variable, text)
-        _check_node(node.right, variable, text)
+        node.left = _check_node(node.left, variable, text, names)
+        node.right = _check_node(node.right, variable, text, names)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
-        _check_node(node.operand, variable, text)
+        node.operand = _check_node(node.operand, variable, text, names)
     elif isinstance(node, ast.Call):
         if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
                 and len(node.args) == 1 and not node.keywords):
             raise ConfigError(
                 f"expression {text!r}: only unary calls to {sorted(_FUNCS)} are allowed",
                 code="SCHEMA_VIOLATION")
-        _check_node(node.args[0], variable, text)
+        node.args[0] = _check_node(node.args[0], variable, text, names)
     elif isinstance(node, ast.Name):
         if node.id != variable and node.id not in _CONSTS:
             raise ConfigError(
@@ -79,9 +83,13 @@ def _check_node(node, variable, text):
         if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
             raise ConfigError(f"expression {text!r}: only numeric literals allowed",
                               code="SCHEMA_VIOLATION")
+        name = f"_{len(names)}"  # no variable, function or constant starts with "_"
+        names[name] = np.float64(str(node.value))  # from text: a huge int reads as inf
+        return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
     else:
         raise ConfigError(f"expression {text!r}: unsupported syntax "
                           f"({type(node).__name__})", code="SCHEMA_VIOLATION")
+    return node
 
 
 # -- schema helpers ------------------------------------------------------------
@@ -193,32 +201,29 @@ def _time_callable(entry, path):
 # -- kinetics block ------------------------------------------------------------
 
 #: the keys of each preset past ``preset``: the parameters of ``linear_preset``
-#: and the fields of ``MonodParams``, which own their shapes and defaults
+#: and ``monod_preset``, which own their shapes and defaults
 _LINEAR_CHECKS = {"A": _matrix, "c": _num_list, "B": _matrix, "d": _num_list}
 _MONOD_CHECKS = {"mu": _num_list, "K": _num_list, "k_d": _num_list,
                  "limiting": partial(_num_list, item=_int), "yields": _matrix}
-_PRESETS = {"zero": ({}, ()), "linear": (_LINEAR_CHECKS, tuple(_LINEAR_CHECKS)),
-            "monod": (_MONOD_CHECKS, ("mu", "K"))}
+#: each preset's key checks, its required keys and its builder, which
+#: :func:`build_runspec` calls with the keys and ``(n, m)``
+_PRESETS = {
+    "zero": ({}, (), lambda keys, n, m: zero_kinetics(n, m)),
+    "linear": (_LINEAR_CHECKS, tuple(_LINEAR_CHECKS), lambda keys, n, m: linear_preset(**keys)),
+    "monod": (_MONOD_CHECKS, ("mu", "K"), lambda keys, n, m: monod_preset(**keys, m=m)),
+}
 
 
 def _kinetics(block, path):
-    """The preset's name and the keys the block sets past it."""
+    """The preset's builder and the keys the block sets past ``preset``."""
     preset = _require_mapping(block, path).get("preset")
     if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigError(f"{path}.preset: expected one of {sorted(_PRESETS)}, got {preset!r}",
                           code="SCHEMA_VIOLATION")
-    checks, required = _PRESETS[preset]
+    checks, required, build = _PRESETS[preset]
     keys = _read(block, path, {"preset": _str, **checks}, required)
     del keys["preset"]
-    return preset, keys
-
-
-def _build_kinetics(preset: str, keys: dict, n: int, m: int) -> KineticsModel:
-    if preset == "zero":
-        return zero_kinetics(n=n, m=m)
-    if preset == "linear":
-        return linear_preset(**keys)
-    return monod_preset(MonodParams(**keys), m=m)
+    return build, keys
 
 
 # -- run spec ------------------------------------------------------------------
@@ -272,7 +277,8 @@ def build_runspec(tree: dict) -> RunSpec:
         _check_constants(top["verify"])
     prob, solver = top["problem"], top["solver"]
     n, m = len(prob["phi"]), len(prob["theta"])
-    kin = _build_kinetics(*prob["kinetics"], n, m)
+    build, keys = prob["kinetics"]
+    kin = build(keys, n, m)
     data = ProblemData(phi=prob["phi"], theta=prob["theta"], psi=prob["psi"], D=prob["D"],
                        lam=prob["lambda"], R0=prob["R0"])
     t_end, weights = solver.pop("t_end"), solver.pop("energy_weights", None) or {}

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import boundary, parabolic, transport
 from .boundary import r_max_bound
-from .errors import (AssemblyError, InvalidProblem, PicardDivergence, SolverError,
-                     ThicknessCollapse, ValidationError)
+from .errors import InvalidProblem, PicardDivergence, SolverError, ValidationError
 from .grid import Grid, interp_rows
 from .kinetics import KineticsModel
 from .problem import ProblemData, ValidationReport, nonfinite_at, validate_problem
@@ -554,7 +553,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     A negative ``t_end`` or a ``snapshot_stride`` below 1 raises
     :class:`ValidationError` ``NONPOSITIVE_PARAM``, a ``t_end`` whose
     step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``, and one
-    whose ``reports`` no array could hold ``TOO_MANY_STEPS``.
+    whose ``reports`` no array or no memory could hold ``TOO_MANY_STEPS``.
     The problem is validated at entry; an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
     report.  Initial data, or ``g`` at them, that are not finite at a node
@@ -564,9 +563,10 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     ``Trajectory.validation``.  When ``t_end`` is not a whole number of
     steps, that report also carries a ``HORIZON_ROUNDED`` warning naming the
     horizon the run takes instead.  A step that fails keeps the trajectory
-    recorded up to it, and ``Trajectory.failure`` holds the error's code and
-    message, the step number and its end time ``t``, plus the residual
-    history (``picard_diverged``) or the thickness (``washout``).
+    recorded up to it, its error names the outcome (``SolverError.outcome``),
+    and ``Trajectory.failure`` holds the error's code and message, the step
+    number and its end time ``t``, plus the error's own attributes: the
+    residual history (``picard_diverged``) or the thickness (``washout``).
 
     Step ``k`` ends at ``t = k dt`` exactly, not at a sum of steps.  Snapshots
     are stored every ``snapshot_stride`` steps (plus t = 0 and the final
@@ -606,23 +606,20 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             raise
         rep.violations.append((exc.code, str(exc)))
         raise InvalidProblem(rep) from None
-    run = _Run(start, data, cfg, n_steps, snapshot_stride)
+    try:
+        run = _Run(start, data, cfg, n_steps, snapshot_stride)
+    except MemoryError:  # reports has a row for every step, sized up front
+        raise ValidationError(f"t_end={t_end:.12g} at dt={cfg.dt:.12g} is {n_steps} steps, whose "
+                              f"reports ({n_steps * STEP_COLUMNS.itemsize:.3g} bytes) do not fit "
+                              "in memory", code="TOO_MANY_STEPS") from None
     outcome, failure = "completed", None
     for k in range(1, n_steps + 1):
         try:
             step = picard_step(run.state, data, kin, cfg, run.start(), run)
-        except SolverError as exc:
-            failure = {"code": exc.code, "message": str(exc), "step": k, "t": k * cfg.dt}
-            if isinstance(exc, PicardDivergence):
-                outcome = "picard_diverged"
-                failure["residual_history"] = exc.residual_history
-            elif isinstance(exc, ThicknessCollapse):
-                outcome = "washout"
-                failure["thickness"] = exc.thickness
-            elif isinstance(exc, AssemblyError):
-                outcome = "assembly_rejected"
-            else:  # LinearSolveError, or a non-finite value the step computed
-                outcome = "solve_failed"
+        except SolverError as exc:  # its own attributes (thickness, ...) after the four keys
+            outcome = exc.outcome
+            failure = {"code": exc.code, "message": str(exc), "step": k, "t": k * cfg.dt,
+                       **vars(exc)}
             break
         flags = run.accept(step, data, cfg, mu, nu)
         if flags & CONTINUATION:

@@ -7,9 +7,10 @@ are three families:
 
 - :class:`ValidationError`: bad input, raised where it enters the package;
   :class:`ConfigError` and :class:`InvalidProblem` are its subclasses;
-- the step errors, which :func:`biofilmfront.run_simulation` classifies as
-  the run's outcome: :class:`AssemblyError`, :class:`LinearSolveError`,
-  :class:`ThicknessCollapse`, :class:`PicardDivergence`, and a
+- the step errors, whose class attribute ``outcome`` names the outcome of a
+  :func:`biofilmfront.run_simulation` run they end: :class:`AssemblyError`,
+  :class:`ThicknessCollapse`, :class:`PicardDivergence`, and, with the base
+  class's ``solve_failed``, :class:`LinearSolveError` and a
   ``ValidationError`` ``NONFINITE`` for a value that a step computed;
 - :class:`OutputError`: run outputs that cannot be written.
 """
@@ -29,6 +30,9 @@ class SolverError(Exception):
     code : str
         Stable machine-readable token identifying the failure class.
     """
+
+    #: the run outcome when this error ends a step
+    outcome = "solve_failed"
 
     def __init__(self, message: str, *, code: str = "ERROR"):
         super().__init__(message)
@@ -66,6 +70,8 @@ class InvalidProblem(ValidationError):
 class AssemblyError(SolverError):
     """Tridiagonal assembly rejected (loss of diagonal dominance / M-matrix sign)."""
 
+    outcome = "assembly_rejected"
+
 
 class LinearSolveError(SolverError):
     """Tridiagonal elimination hit a zero pivot or produced non-finite values."""
@@ -80,6 +86,8 @@ class ThicknessCollapse(SolverError):
         The offending thickness value.
     """
 
+    outcome = "washout"
+
     def __init__(self, message: str, *, thickness: float):
         super().__init__(message, code="THICKNESS_COLLAPSE")
         self.thickness = thickness
@@ -93,6 +101,8 @@ class PicardDivergence(SolverError):
     residual_history : list[float]
         Sup-norm residuals of every sweep performed before giving up.
     """
+
+    outcome = "picard_diverged"
 
     def __init__(self, message: str, *, residual_history):
         super().__init__(message, code="PICARD_DIVERGED")

@@ -140,36 +140,7 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
     return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=qp)
 
 
-@dataclass(frozen=True, eq=False)
-class MonodParams:
-    """Parameters for saturation (Monod) growth kinetics, as array-likes.
-
-    Attributes
-    ----------
-    mu : shape (n,)
-        Maximum specific growth rates, strictly positive.
-    K : shape (n,)
-        Half-saturation constants, strictly positive.
-    k_d : shape (n,), default 0
-        Decay/maintenance rates, nonnegative.
-    limiting : shape (n,) of int, default 0
-        Index of the substrate limiting each species' growth.
-    yields : shape (n, m), default 0
-        Yield coefficients; entry ``(i, j) > 0`` means species ``i`` consumes
-        substrate ``j`` with that yield, ``0`` means no consumption.
-
-    A scalar stands for that value in every entry, so the defaults mean no
-    decay, growth limited by substrate 0 and no consumption.
-    """
-
-    mu: np.ndarray
-    K: np.ndarray
-    k_d: np.ndarray | float = 0.0
-    limiting: np.ndarray | int = 0
-    yields: np.ndarray | float = 0.0
-
-
-def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
+def monod_preset(mu, K, k_d=0.0, limiting=0, yields=0.0, m: int | None = None) -> KineticsModel:
     """Saturation kinetics with optional decay and substrate consumption.
 
     Growth: ``f_i = (mu_i * C_l / (K_i + C_l) - k_d_i) * Y_i`` with ``l`` the
@@ -177,8 +148,15 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
     ``-(1 / yields[i, j]) * mu_i * C_j / (K_i + C_j) * Y_i`` over consuming
     species.  Expansion ``g = sum_i f_i``.
 
-    ``n`` is the length of ``mu``; ``m`` defaults to the column count of
-    ``yields`` (1 for a scalar).
+    The parameters are array-likes: ``mu (n,)`` maximum specific growth
+    rates, > 0, whose length is ``n``; ``K (n,)`` half-saturation constants,
+    > 0; ``k_d (n,)`` decay/maintenance rates, >= 0; ``limiting (n,)`` the
+    integer index of the substrate limiting each species' growth; ``yields
+    (n, m)`` yield coefficients, where entry ``(i, j) > 0`` means species
+    ``i`` consumes substrate ``j`` with that yield and ``0`` no consumption.
+    A scalar stands for that value in every entry, so the defaults mean no
+    decay, growth limited by substrate 0 and no consumption.  ``m`` defaults
+    to the column count of ``yields`` (1 for a scalar).
 
     Raises
     ------
@@ -189,12 +167,12 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
         wrong shape, a ragged one, or a limiting index that is not an integer
         in ``[0, m)``.
     """
-    n = len(np.atleast_1d(_array(params.mu, "mu")))
-    mu, K, k_d, limiting = (_shaped(getattr(params, name), name, (n,), "one per species, as mu")
-                            for name in ("mu", "K", "k_d", "limiting"))
+    n = len(np.atleast_1d(_array(mu, "mu")))
+    mu, K, k_d, index = (_shaped(value, name, (n,), "one per species, as mu") for value, name
+                         in zip((mu, K, k_d, limiting), ("mu", "K", "k_d", "limiting")))
     if m is None:
-        m = np.atleast_2d(_array(params.yields, "yields")).shape[1]
-    yields = _shaped(params.yields, "yields", (n, m),
+        m = np.atleast_2d(_array(yields, "yields")).shape[1]
+    yields = _shaped(yields, "yields", (n, m),
                      "one row per species, one column per substrate")
     if not all(np.all(np.isfinite(x)) for x in (mu, K, k_d, yields)):
         raise ValidationError("non-finite Monod parameters", code="NONFINITE_INPUT")
@@ -207,11 +185,11 @@ def monod_preset(params: MonodParams, m: int | None = None) -> KineticsModel:
             "yields must be > 0 for consuming pairs (0 = no consumption)",
             code="NONPOSITIVE_PARAM",
         )
-    if not np.all(np.isin(limiting, np.arange(m))):
+    if not np.all(np.isin(index, np.arange(m))):
         raise ValidationError(f"limiting substrate indices must be integers in [0, {m}), "
-                              f"got {np.asarray(params.limiting).tolist()}",
+                              f"got {np.asarray(limiting).tolist()}",
                               code="DIMENSION_MISMATCH")
-    limiting = limiting.astype(int)
+    limiting = index.astype(int)
 
     consuming = yields > 0.0  # (n, m) mask
     # (species, substrate, mu, K, yield) of every consuming pair, in i-major order

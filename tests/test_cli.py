@@ -250,7 +250,11 @@ def test_nonfinite_rate_prints_no_numpy_warning(tmp_path, phi, N, violations):
      "error [NONFINITE_INPUT]: t_end / dt must be finite, got t_end=inf, dt=0.001"),
     ("t_end: 0.02", "t_end: 1.0e+200",
      "error [TOO_MANY_STEPS]: t_end / dt = 1e+203 steps are more than an array can hold"),
-], ids=["N", "t_end", "stride", "t_end_nan", "t_end_inf", "t_end_huge"])
+    # 71 PiB of reports, past a 64-bit process's address space: it fails at once
+    ("t_end: 0.02", "t_end: 1.0e+12",
+     "error [TOO_MANY_STEPS]: t_end=1e+12 at dt=0.001 is 1000000000000000 steps, whose "
+     "reports (8e+16 bytes) do not fit in memory"),
+], ids=["N", "t_end", "stride", "t_end_nan", "t_end_inf", "t_end_huge", "t_end_memory"])
 def test_library_range_error_exit_2(old, new, message, tmp_path, capsys):
     """The library checks these ranges before the first step; simulate and
     verify both exit 2 with its error and print nothing else."""
@@ -547,6 +551,24 @@ def test_sweep_pool_is_sized_by_the_work(values, jobs, pools, good_cfg, tmp_path
                  "--jobs", jobs, "--out", str(out)]) == 0
     assert _RecordingPool.made == pools
     assert len((out / "sweep_summary.csv").read_text().splitlines()) == 1 + len(values.split(","))
+
+
+@pytest.mark.parametrize("jobs,pools", [("1", []), ("2", [2])], ids=["serial", "pool"])
+def test_sweep_prints_each_runs_warnings(jobs, pools, good_cfg, tmp_path, monkeypatch, capsys):
+    """A run's validation warnings print before its summary line, named by
+    the swept value, whether the runs go serially or through a pool."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(good_cfg), "--param", "dt", "--values", "3e-3,1e-3",
+                 "--jobs", jobs, "--out", str(out)]) == 0
+    assert _RecordingPool.made == pools
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("dt=3e-3: warning [HORIZON_ROUNDED]: t_end=0.02 is not a whole number "
+                        "of steps of dt=0.003: running 7 steps, to t=0.021")
+    assert lines[1].startswith("dt=3e-3: completed (") and lines[1].endswith("steps=7)")
+    assert lines[2].startswith("dt=1e-3: completed (") and lines[2].endswith("steps=20)")
+    assert len(lines) == 4 and lines[3].startswith("summary: ")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -14,10 +14,12 @@ from biofilmfront import (
     Grid,
     InvalidProblem,
     KineticsModel,
-    MonodParams,
+    LinearSolveError,
+    PicardDivergence,
     ProblemData,
     SolverConfig,
     State,
+    ThicknessCollapse,
     ValidationError,
     ValidationReport,
     back_transform,
@@ -396,16 +398,16 @@ def _monod_problem(m):
     """The shipped Monod config's problem; with ``m = 2`` a second species
     grows on a second, slower-diffusing substrate and also eats the first."""
     if m == 1:
-        params = MonodParams(mu=[0.5], K=[0.05], k_d=[0.02], limiting=[0], yields=[[0.08]])
+        params = dict(mu=[0.5], K=[0.05], k_d=[0.02], limiting=[0], yields=[[0.08]])
         phi = [lambda z: 0.3 + 0.1 * np.cos(math.pi * z)]
     else:
-        params = MonodParams(mu=[0.5, 0.3], K=[0.05, 0.1], k_d=[0.02, 0.01], limiting=[0, 1],
-                             yields=[[0.08, 0.0], [0.1, 0.2]])
+        params = dict(mu=[0.5, 0.3], K=[0.05, 0.1], k_d=[0.02, 0.01], limiting=[0, 1],
+                      yields=[[0.08, 0.0], [0.1, 0.2]])
         phi = [lambda z: 0.3 + 0.1 * np.cos(math.pi * z), lambda z: 0.2 + 0.0 * z]
     theta = [lambda z: 1.0 - 0.9 * np.cos(0.5 * math.pi * z), lambda z: 0.5 + 0.0 * z][:m]
     data = ProblemData(phi=phi, theta=theta, psi=[lambda t: 1.0, lambda t: 0.5][:m],
                        D=[0.05, 0.02][:m], lam=0.5, R0=1.0)
-    return data, monod_preset(params, m=m)
+    return data, monod_preset(**params, m=m)
 
 
 def _linear_problem(m):
@@ -1180,6 +1182,13 @@ def test_step_count_beyond_any_array_is_rejected():
         run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10),
                        t_end=1.0e+200)
     assert exc.value.code == "TOO_MANY_STEPS"
+
+
+def test_step_errors_name_their_outcome():
+    """Each step error carries the outcome of the run it ends."""
+    assert (AssemblyError.outcome, ThicknessCollapse.outcome, PicardDivergence.outcome) == (
+        "assembly_rejected", "washout", "picard_diverged")
+    assert LinearSolveError.outcome == ValidationError.outcome == "solve_failed"
 
 
 # -- physical back-transform -----------------------------------------------------

@@ -12,9 +12,11 @@ from biofilmfront import SolverError, audit, build_runspec, run_simulation
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 #: each value replaces one key at a time; none makes a run allocate large
-#: arrays (grid sizes and strides take integers only)
+#: arrays (grid sizes and strides take integers only).  The strings are
+#: expressions of literals alone, which overflow, divide by zero or leave the
+#: reals where an expression is read and are bad input everywhere else.
 VALUES = (None, [], [1, 2], "x", {}, math.nan, math.inf, -math.inf, -1, 0, True, 1.0e+308,
-          -1.0e+308, 1.0e+200, 1.0e+100)
+          -1.0e+308, 1.0e+200, 1.0e+100, "1/0", "0^-1", "10^400", "(-8)^(1/3)")
 
 
 def _paths(node, path=()):

@@ -183,7 +183,6 @@ DATACLASS_METHODS = {
     "coupler.Trajectory": ["__init__"],
     "grid.Grid": ["__delattr__", "__init__", "__post_init__", "__repr__", "__setattr__"],
     "kinetics.KineticsModel": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
-    "kinetics.MonodParams": ["__delattr__", "__init__", "__repr__", "__setattr__"],
     "output.PhysicalTrajectory": ["__init__"],
     "problem.ProblemData": ["__delattr__", "__init__", "__post_init__", "__setattr__"],
     "problem.ValidationReport": ["__eq__", "__init__", "__repr__"],

@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 
 from biofilmfront import (
     KineticsModel,
-    MonodParams,
     ValidationError,
     linear_preset,
     monod_preset,
@@ -63,9 +62,7 @@ def test_linear_preset_quasi_positive_only_when_trivial():
 
 
 def _monod1():
-    return monod_preset(
-        MonodParams(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.5]]), m=1
-    )
+    return monod_preset(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.5]], m=1)
 
 
 def test_monod_growth_law_value():
@@ -79,17 +76,13 @@ def test_monod_growth_law_value():
 
 
 def test_monod_decay_shifts_growth():
-    kin = monod_preset(
-        MonodParams(mu=[0.4], K=[0.3], k_d=[0.1], limiting=[0], yields=[[0.5]]), m=1
-    )
+    kin = monod_preset(mu=[0.4], K=[0.3], k_d=[0.1], limiting=[0], yields=[[0.5]], m=1)
     f, _, _ = _rates(kin, np.array([[1.0]]), np.array([[0.3]]))
     assert f[0, 0] == pytest.approx((0.4 * 0.5 - 0.1) * 1.0)
 
 
 def test_monod_zero_yield_means_no_consumption():
-    kin = monod_preset(
-        MonodParams(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.0]]), m=1
-    )
+    kin = monod_preset(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.0]], m=1)
     _, h, _ = _rates(kin, np.array([[5.0]]), np.array([[1.0]]))
     assert h[0, 0] == 0.0
     assert kin.quasi_positive  # no decay, no consumption
@@ -97,9 +90,7 @@ def test_monod_zero_yield_means_no_consumption():
 
 def test_monod_quasi_positive_flag():
     assert _monod1().quasi_positive is False  # consumes substrate
-    no_uptake = monod_preset(
-        MonodParams(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.0]]), m=1
-    )
+    no_uptake = monod_preset(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[0], yields=[[0.0]], m=1)
     assert no_uptake.quasi_positive is True
 
 
@@ -114,15 +105,13 @@ def test_monod_quasi_positive_flag():
 )
 def test_monod_rejects_nonpositive_params(bad):
     with pytest.raises(ValidationError) as exc:
-        monod_preset(MonodParams(**bad), m=1)
+        monod_preset(**bad, m=1)
     assert exc.value.code == "NONPOSITIVE_PARAM"
 
 
 def test_monod_limiting_index_bounds():
     with pytest.raises(ValidationError):
-        monod_preset(
-            MonodParams(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[2], yields=[[0.5]]), m=1
-        )
+        monod_preset(mu=[0.4], K=[0.3], k_d=[0.0], limiting=[2], yields=[[0.5]], m=1)
 
 
 @given(
@@ -156,7 +145,7 @@ def test_monod_rates_match_written_out_formulas_bitwise(limiting, yields):
     ``f`` takes the limiting substrates as a view or by index."""
     n, m = len(limiting), len(yields[0])
     mu, K, k_d = [0.5, 0.3, 0.7][:n], [0.05, 0.1, 0.2][:n], [0.02, 0.01, 0.0][:n]
-    kin = monod_preset(MonodParams(mu=mu, K=K, k_d=k_d, limiting=limiting, yields=yields), m=m)
+    kin = monod_preset(mu=mu, K=K, k_d=k_d, limiting=limiting, yields=yields, m=m)
     rng = np.random.default_rng(7)
     Y, C = rng.uniform(0.0, 1.0, (n, 33)), rng.uniform(0.0, 2.0, (m, 33))
     f_want = np.array([(mu[i] * C[l] / (K[i] + C[l]) - k_d[i]) * Y[i]
@@ -174,9 +163,9 @@ def test_monod_rates_match_written_out_formulas_bitwise(limiting, yields):
 def test_monod_defaults_mean_no_decay_substrate_0_and_no_consumption():
     """``k_d``, ``limiting`` and ``yields`` default to 0 for every species,
     sized by ``mu`` and ``m``, with the rates of the written-out zeros."""
-    kin = monod_preset(MonodParams(mu=[0.5, 0.3], K=[0.05, 0.1]), m=2)
-    zeros = monod_preset(MonodParams(mu=[0.5, 0.3], K=[0.05, 0.1], k_d=[0.0, 0.0],
-                                     limiting=[0, 0], yields=[[0.0, 0.0], [0.0, 0.0]]), m=2)
+    kin = monod_preset(mu=[0.5, 0.3], K=[0.05, 0.1], m=2)
+    zeros = monod_preset(mu=[0.5, 0.3], K=[0.05, 0.1], k_d=[0.0, 0.0], limiting=[0, 0],
+                         yields=[[0.0, 0.0], [0.0, 0.0]], m=2)
     assert (kin.n, kin.m) == (2, 2) and kin.quasi_positive
     Y, C = np.random.default_rng(3).uniform(0.0, 1.0, (2, 9)), np.full((2, 9), 0.5)
     for got, want in zip(_rates(kin, Y, C), _rates(zeros, Y, C)):
@@ -195,7 +184,7 @@ def test_monod_defaults_mean_no_decay_substrate_0_and_no_consumption():
 ], ids=["K", "k_d", "limiting", "yields", "yields_ragged", "limiting_fraction"])
 def test_monod_shape_errors_name_the_parameter(bad, message):
     with pytest.raises(ValidationError) as exc:
-        monod_preset(MonodParams(**{"mu": [0.4], "K": [0.3], **bad}), m=1)
+        monod_preset(**{"mu": [0.4], "K": [0.3], **bad}, m=1)
     assert exc.value.code == "DIMENSION_MISMATCH"
     assert str(exc.value) == message
 
@@ -204,7 +193,7 @@ def test_monod_shape_errors_name_the_parameter(bad, message):
                                  dict(yields=[[np.inf]])], ids=["mu", "K", "k_d", "yields"])
 def test_monod_rejects_nonfinite_params(bad):
     with pytest.raises(ValidationError) as exc:
-        monod_preset(MonodParams(**{"mu": [0.4], "K": [0.3], **bad}), m=1)
+        monod_preset(**{"mu": [0.4], "K": [0.3], **bad}, m=1)
     assert exc.value.code == "NONFINITE_INPUT"
 
 
