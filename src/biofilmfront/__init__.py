@@ -13,8 +13,8 @@ from .boundary import R_FLOOR, detachment_rhs, integrate_thickness, r_max_bound
 from .config import RunSpec, build_runspec, compile_expression, config_hash, parse_config
 from .coupler import (FLAGS, SolverConfig, State, Trajectory, check_invariants, energy, flag_names,
                       initial_state, picard_step, run_simulation)
-from .errors import (AssemblyError, ConfigError, InvalidProblem, LinearSolveError, OutputError,
-                     PicardDivergence, SolverError, ThicknessCollapse, ValidationError)
+from .errors import (AssemblyError, InvalidProblem, OutputError, PicardDivergence, SolverError,
+                     ThicknessCollapse, ValidationError)
 from .grid import Grid
 from .kinetics import KineticsModel, linear_preset, monod_preset, zero_kinetics
 from .output import PhysicalTrajectory, back_transform, write_timeseries
@@ -23,8 +23,8 @@ from .problem import ProblemData, ValidationReport, validate_problem
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyError", "ConfigError", "ConvergenceReport", "EnvelopeReport", "FLAGS", "Grid",
-    "InvalidProblem", "KineticsModel", "LinearSolveError", "OutputError", "PhysicalTrajectory",
+    "AssemblyError", "ConvergenceReport", "EnvelopeReport", "FLAGS", "Grid", "InvalidProblem",
+    "KineticsModel", "OutputError", "PhysicalTrajectory",
     "PicardDivergence", "ProblemData", "R_FLOOR", "RunSpec", "SolverConfig", "SolverError",
     "State", "ThicknessCollapse", "Trajectory", "ValidationError", "ValidationReport", "audit",
     "back_transform", "build_runspec", "check_invariants", "compile_expression", "config_hash",

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ThicknessCollapse, ValidationError
+from .errors import SolverError, ThicknessCollapse, ValidationError
 from .grid import cumtrapz_dz
 
 #: thickness at/below which a run is classified as washed out
@@ -28,12 +28,12 @@ def velocity_nodes(gvals: np.ndarray, R2: float, dz: float) -> np.ndarray:
     """Nodal velocity ``R2 * int_0^z g`` from raw nodal rates ``gvals``;
     ``v(0) = 0`` exactly.
 
-    Raises ``ValidationError`` ``NONFINITE`` when it is not finite.  Checking the
+    Raises ``SolverError`` ``NONFINITE`` when it is not finite.  Checking the
     last node suffices: a running sum carries any NaN or inf to its end.
     """
     v = cumtrapz_dz(R2 * gvals, dz)
     if not math.isfinite(v[-1]):
-        raise ValidationError("profile contains non-finite values", code="NONFINITE")
+        raise SolverError("profile contains non-finite values", code="NONFINITE")
     return v
 
 
@@ -66,7 +66,7 @@ def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: flo
     ------
     ThicknessCollapse
         When the updated thickness falls to ``R_FLOOR`` or below (washout).
-    ValidationError
+    SolverError
         Code ``NONFINITE`` when the updated thickness, or its square, is not
         finite, also when a stage's ``x**4`` overflows.
     """
@@ -77,7 +77,7 @@ def thickness_update(R: float, v1_old: float, v1_new: float, lam: float, dt: flo
     except OverflowError:
         R_new = math.inf
     if not math.isfinite(R_new * R_new):
-        raise ValidationError("thickness update produced non-finite value", code="NONFINITE")
+        raise SolverError("thickness update produced non-finite value", code="NONFINITE")
     if R_new <= R_FLOOR:
         raise ThicknessCollapse(
             f"thickness {R_new:.3e} fell to the washout floor {R_FLOOR:g}",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 classified run/check failure (washout, divergence,
 invariant or order violation) or any other package error, 2 usage errors and
-invalid input: a ``ValidationError`` (``ConfigError`` included), from every
-command alike.  ``verify`` alone reports an invalid problem as a failed
+invalid input: a ``ValidationError``, a bad configuration file included, from
+every command alike.  ``verify`` alone reports an invalid problem as a failed
 check, on stdout with exit 1.
 """
 
@@ -18,7 +18,7 @@ from .audit import audit, mms_study
 from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, _require_mapping,
                      build_runspec, load_tree)
 from .coupler import energy, run_simulation
-from .errors import ConfigError, InvalidProblem, SolverError, ValidationError
+from .errors import InvalidProblem, SolverError, ValidationError
 from .output import _table, _write_text, write_timeseries
 
 
@@ -61,14 +61,14 @@ def _set_param(tree: dict, name: str, value) -> dict:
         for key in path:
             node = node.get(key) if isinstance(node, dict) else None
         if not isinstance(node, dict):  # a path that ends in a list, a number or nothing
-            raise ConfigError(f"unknown sweep parameter path {name!r}", code="UNKNOWN_KEY")
+            raise ValidationError(f"unknown sweep parameter path {name!r}", code="UNKNOWN_KEY")
         node[last] = value
         return tree
     blocks = (("problem", _PROBLEM_CHECKS), ("solver", _SOLVER_CHECKS),
               ("output", _OUTPUT_CHECKS))
     block = next((b for b, checks in blocks if name in checks), None)
     if block is None:
-        raise ConfigError(f"unknown sweep parameter {name!r}", code="UNKNOWN_KEY")
+        raise ValidationError(f"unknown sweep parameter {name!r}", code="UNKNOWN_KEY")
     node = tree[block] = {} if tree.get(block) is None else tree[block]  # absent or null
     _require_mapping(node, block)[name] = value
     return tree
@@ -80,8 +80,8 @@ def _parse_value(text: str):
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse sweep value {text!r} as a number",
-                          code="SCHEMA_VIOLATION") from None
+        raise ValidationError(f"cannot parse sweep value {text!r} as a number",
+                              code="SCHEMA_VIOLATION") from None
 
 
 def _run_tree(tree: dict):
@@ -132,11 +132,11 @@ def _sweep_worker(job: dict):
 
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"--jobs must be >= 1, got {args.jobs}", code="SCHEMA_VIOLATION")
     tree = load_tree(args.config)
     value_texts = [v.strip() for v in args.values.split(",") if v.strip()]
     if not value_texts:
-        raise ConfigError("--values is empty", code="SCHEMA_VIOLATION")
+        raise ValidationError("--values is empty", code="SCHEMA_VIOLATION")
     # every tree is built here, so a bad parameter stops the sweep before a worker starts
     jobs = [{"tree": _set_param(copy.deepcopy(tree), args.param, _parse_value(text)),
              "value_text": text, "out_dir": f"{args.out}/{args.param}={text}"}

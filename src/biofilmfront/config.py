@@ -32,7 +32,7 @@ import numpy as np
 
 from .audit import _check_constants
 from .coupler import SNAPSHOT_STRIDE, SolverConfig
-from .errors import ConfigError
+from .errors import ValidationError
 from .kinetics import KineticsModel, linear_preset, monod_preset, zero_kinetics
 from .problem import ProblemData
 
@@ -50,8 +50,8 @@ def compile_expression(text: str, variable: str):
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
-        raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}",
-                          code="PARSE_ERROR") from None
+        raise ValidationError(f"cannot parse expression {text!r}: {exc.msg}",
+                              code="PARSE_ERROR") from None
     names = dict(_FUNCS, **_CONSTS)
     tree.body = _check_node(tree.body, variable, text, names)
     code = compile(tree, f"<expr {text!r}>", "eval")
@@ -70,25 +70,25 @@ def _check_node(node, variable, text, names):
     elif isinstance(node, ast.Call):
         if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
                 and len(node.args) == 1 and not node.keywords):
-            raise ConfigError(
+            raise ValidationError(
                 f"expression {text!r}: only unary calls to {sorted(_FUNCS)} are allowed",
                 code="SCHEMA_VIOLATION")
         node.args[0] = _check_node(node.args[0], variable, text, names)
     elif isinstance(node, ast.Name):
         if node.id != variable and node.id not in _CONSTS:
-            raise ConfigError(
+            raise ValidationError(
                 f"expression {text!r}: unknown name {node.id!r} (variable is {variable!r})",
                 code="SCHEMA_VIOLATION")
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
-            raise ConfigError(f"expression {text!r}: only numeric literals allowed",
-                              code="SCHEMA_VIOLATION")
+            raise ValidationError(f"expression {text!r}: only numeric literals allowed",
+                                  code="SCHEMA_VIOLATION")
         name = f"_{len(names)}"  # no variable, function or constant starts with "_"
         names[name] = np.float64(str(node.value))  # from text: a huge int reads as inf
         return ast.copy_location(ast.Name(id=name, ctx=ast.Load()), node)
     else:
-        raise ConfigError(f"expression {text!r}: unsupported syntax "
-                          f"({type(node).__name__})", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"expression {text!r}: unsupported syntax "
+                              f"({type(node).__name__})", code="SCHEMA_VIOLATION")
     return node
 
 
@@ -97,7 +97,7 @@ def _check_node(node, variable, text, names):
 
 def _require_mapping(value, path):
     if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected a mapping", code="SCHEMA_VIOLATION")
     return value
 
 
@@ -110,10 +110,10 @@ def _read(block, path: str, checks: dict, required=()) -> dict:
     unknown = set(block) - set(checks)
     if unknown:
         key = sorted(str(k) for k in unknown)[0]
-        raise ConfigError(f"unknown key {path}.{key}", code="UNKNOWN_KEY")
+        raise ValidationError(f"unknown key {path}.{key}", code="UNKNOWN_KEY")
     for key in required:
         if block.get(key) is None:
-            raise ConfigError(f"missing required key {path}.{key}", code="SCHEMA_VIOLATION")
+            raise ValidationError(f"missing required key {path}.{key}", code="SCHEMA_VIOLATION")
     prefix = "" if path == "config" else f"{path}."  # top-level keys are named bare
     return {key: check(block[key], prefix + key) for key, check in checks.items() if key in block}
 
@@ -125,33 +125,45 @@ def _block(checks: dict, required=()):
 
 
 def _num(value, path):
+    """A YAML number as a float.  PyYAML reads YAML 1.1, where ``1e-3`` and
+    ``inf`` are text, so a string that parses as a float is named as such."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}", code="SCHEMA_VIOLATION")
+        hint = ""
+        if isinstance(value, str):
+            try:
+                float(value)
+                hint = ("; YAML reads it as text: write a dot and a signed exponent "
+                        "(1.0e-3), or .inf / .nan")
+            except ValueError:
+                pass
+        raise ValidationError(f"{path}: expected a number, got {value!r}{hint}",
+                              code="SCHEMA_VIOLATION")
     return float(value)
 
 
 def _int(value, path):
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected an integer, got {value!r}",
+                              code="SCHEMA_VIOLATION")
     return int(value)
 
 
 def _str(value, path):
     if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected a string, got {value!r}", code="SCHEMA_VIOLATION")
     return value
 
 
 def _bool(value, path):
     if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a boolean, got {value!r}", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected a boolean, got {value!r}", code="SCHEMA_VIOLATION")
     return value
 
 
 def _list(value, path, item, of=""):
     """A non-empty list, each entry through ``item``."""
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list{of}", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected a non-empty list{of}", code="SCHEMA_VIOLATION")
     return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -167,7 +179,7 @@ def _matrix(value, path):
 def _profile_callable(entry, path):
     """Number, expression string in z or nodal list -> vectorized callable."""
     if isinstance(entry, bool):
-        raise ConfigError(f"{path}: expected number/expression/list", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected number/expression/list", code="SCHEMA_VIOLATION")
     if isinstance(entry, (int, float)):
         value = float(entry)
         return lambda x, _v=value: np.full_like(np.asarray(x, dtype=float), _v)
@@ -176,26 +188,26 @@ def _profile_callable(entry, path):
     if isinstance(entry, list):
         vals = _num_list(entry, path)
         if len(vals) < 2:
-            raise ConfigError(f"{path}: nodal lists need at least 2 values",
-                              code="SCHEMA_VIOLATION")
+            raise ValidationError(f"{path}: nodal lists need at least 2 values",
+                                  code="SCHEMA_VIOLATION")
         src = np.linspace(0.0, 1.0, len(vals))
         return lambda x, _s=src, _v=vals: np.interp(np.asarray(x, dtype=float), _s, _v)
-    raise ConfigError(f"{path}: expected number/expression/list, got {type(entry).__name__}",
-                      code="SCHEMA_VIOLATION")
+    raise ValidationError(f"{path}: expected number/expression/list, got {type(entry).__name__}",
+                          code="SCHEMA_VIOLATION")
 
 
 def _time_callable(entry, path):
     """Number or expression string in t -> scalar callable of time."""
     if isinstance(entry, bool):
-        raise ConfigError(f"{path}: expected number or expression", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}: expected number or expression", code="SCHEMA_VIOLATION")
     if isinstance(entry, (int, float)):
         value = float(entry)
         return lambda t, _v=value: _v
     if isinstance(entry, str):
         fn = compile_expression(entry, "t")
         return lambda t, _f=fn: float(_f(t))
-    raise ConfigError(f"{path}: expected number or expression, got {type(entry).__name__}",
-                      code="SCHEMA_VIOLATION")
+    raise ValidationError(f"{path}: expected number or expression, got {type(entry).__name__}",
+                          code="SCHEMA_VIOLATION")
 
 
 # -- kinetics block ------------------------------------------------------------
@@ -218,8 +230,8 @@ def _kinetics(block, path):
     """The preset's builder and the keys the block sets past ``preset``."""
     preset = _require_mapping(block, path).get("preset")
     if not isinstance(preset, str) or preset not in _PRESETS:
-        raise ConfigError(f"{path}.preset: expected one of {sorted(_PRESETS)}, got {preset!r}",
-                          code="SCHEMA_VIOLATION")
+        raise ValidationError(f"{path}.preset: expected one of {sorted(_PRESETS)}, got {preset!r}",
+                              code="SCHEMA_VIOLATION")
     checks, required, build = _PRESETS[preset]
     keys = _read(block, path, {"preset": _str, **checks}, required)
     del keys["preset"]
@@ -323,16 +335,16 @@ def load_tree(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}", code="PARSE_ERROR") from None
+        raise ValidationError(f"cannot read config {path!r}: {exc}", code="PARSE_ERROR") from None
     try:  # libyaml's safe loader where PyYAML was built with it: same trees, faster
         tree = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
-        raise ConfigError(f"cannot parse config {path!r}{where}: {exc}",
-                          code="PARSE_ERROR") from None
+        raise ValidationError(f"cannot parse config {path!r}{where}: {exc}",
+                              code="PARSE_ERROR") from None
     if tree is None:
-        raise ConfigError(f"config {path!r} is empty", code="SCHEMA_VIOLATION")
+        raise ValidationError(f"config {path!r} is empty", code="SCHEMA_VIOLATION")
     return _require_mapping(tree, "config")
 
 

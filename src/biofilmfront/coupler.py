@@ -36,9 +36,9 @@ import numpy as np
 from . import boundary, parabolic, transport
 from .boundary import r_max_bound
 from .errors import InvalidProblem, PicardDivergence, SolverError, ValidationError
-from .grid import Grid, interp_rows
+from .grid import Grid, cumtrapz_dz, interp_rows, require_int
 from .kinetics import KineticsModel
-from .problem import ProblemData, ValidationReport, nonfinite_at, validate_problem
+from .problem import ProblemData, ValidationReport, nonfinite_at, nonfinite_v1, validate_problem
 
 #: nodal values below this (negative) level trip the negativity flags
 POSITIVITY_TOL = 1e-12
@@ -78,7 +78,7 @@ class State:
             raise ValidationError("state arrays do not match the grid", code="DIMENSION_MISMATCH")
         x = np.concatenate((Y.ravel(), C.ravel(), (self.R, v[-1])))
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
-            raise ValidationError("non-finite state", code="NONFINITE")
+            raise ValidationError("non-finite state", code="NONFINITE_INPUT")
         if v[0] != 0.0:
             raise ValidationError("velocity must vanish at z=0", code="NONZERO_BASE_VELOCITY")
         self._freeze(self.t, self.grid, x, len(Y), v)
@@ -128,12 +128,8 @@ class SolverConfig:
         if self.positivity_mode not in ("monitor", "fail"):
             raise ValidationError("positivity_mode must be 'monitor' or 'fail'",
                                   code="SCHEMA_VIOLATION")
-        for name in ("N", "picard_max_iter"):  # N < 4 is the grid's to reject
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}",
-                                      code="SCHEMA_VIOLATION")
-        if self.picard_max_iter < 1:
+        require_int("N", self.N)  # its range is the grid's to check
+        if require_int("picard_max_iter", self.picard_max_iter) < 1:
             raise ValidationError("picard_max_iter must be >= 1", code="NONPOSITIVE_PARAM")
         for name in ("mu", "nu"):  # stored as tuples of floats, so == and hash() work
             w = getattr(self, name)
@@ -287,12 +283,12 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         in a row.  The exception carries the residual history.
     ThicknessCollapse
         Propagated from the thickness update (washout).
-    AssemblyError, LinearSolveError
-        From the mesh-Peclet guard and the tridiagonal solves.
-    ValidationError
-        Code ``NONFINITE`` for a non-finite thickness or square of it,
-        biomass or velocity; ``NONFINITE_INPUT`` for a non-finite surface
-        value ``psi``.
+    AssemblyError
+        From the mesh-Peclet guard.
+    SolverError
+        ``ZERO_PIVOT`` from a tridiagonal solve; ``NONFINITE`` for a value a
+        sweep computed; the ``ValidationError`` ``NONFINITE_INPUT`` for a
+        non-finite surface value ``psi``.
     """
     grid, dt, n = state.grid, cfg.dt, kin.n
     dz, nodes = grid.dz, grid.nodes
@@ -364,7 +360,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         x[-2], x[-1] = R_new, v1_new
         residual = float(np.abs(x - xk).max())
         if not math.isfinite(residual):  # Y; C, R and v1 are checked above
-            raise ValidationError("non-finite state", code="NONFINITE")
+            raise SolverError("non-finite state", code="NONFINITE")
         residuals.append(residual)
         rising = rising + 1 if len(residuals) >= 2 and residual > residuals[-2] else 0
         xk, Xk, Rk, v1k = x, X, R_new, v1_new
@@ -516,7 +512,8 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
 
     Raises :class:`ValidationError` ``NONFINITE_INPUT`` naming the profile,
     or the rate ``g`` at the sampled data, and the first node (with its
-    ``z``) where it is not finite.
+    ``z``) where it is not finite, or ``R0`` and the grid when ``v1(0)`` is
+    not finite.
     """
     grid = Grid(cfg.N)
     Y0, C0 = data.sample_initial(grid.nodes)
@@ -525,10 +522,11 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     if bad is None:  # g only at finite data
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
             g0 = np.asarray(kin.g(Y0, C0), dtype=float)
-        bad = nonfinite_at("kinetics g at the initial data", g0, grid.nodes)
+            v0 = cumtrapz_dz(data.R0**2 * g0, grid.dz)
+        bad = (nonfinite_at("kinetics g at the initial data", g0, grid.nodes)
+               or nonfinite_v1(data.R0, v0[-1], f" on the run's grid of N={grid.N}"))
     if bad is not None:
         raise ValidationError(bad, code="NONFINITE_INPUT")
-    v0 = boundary.velocity_nodes(g0, data.R0**2, grid.dz)
     return State(t=0.0, grid=grid, Y=Y0, C=C0, R=data.R0, v=v0)
 
 
@@ -551,7 +549,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
       ``positivity_mode="fail"``).
 
     A negative ``t_end`` or a ``snapshot_stride`` below 1 raises
-    :class:`ValidationError` ``NONPOSITIVE_PARAM``, a ``t_end`` whose
+    :class:`ValidationError` ``NONPOSITIVE_PARAM``, a ``snapshot_stride``
+    that is not an integer ``SCHEMA_VIOLATION``, a ``t_end`` whose
     step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``, and one
     whose ``reports`` no array or no memory could hold ``TOO_MANY_STEPS``.
     The problem is validated at entry; an invalid one raises
@@ -586,7 +585,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     if steps > np.iinfo(np.intp).max // STEP_COLUMNS.itemsize:  # numpy could not size reports
         raise ValidationError(f"t_end / dt = {steps:.6g} steps are more than an array can "
                               "hold", code="TOO_MANY_STEPS")
-    if snapshot_stride < 1:
+    if require_int("snapshot_stride", snapshot_stride) < 1:
         raise ValidationError(f"snapshot_stride must be >= 1, got {snapshot_stride}",
                               code="NONPOSITIVE_PARAM")
     rep = validate_problem(data, kin)

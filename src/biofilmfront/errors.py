@@ -2,16 +2,19 @@
 
 Every failure raised by this package carries a ``code`` attribute (a short
 upper-case token such as ``"ZERO_PIVOT"``) so that callers and command-line
-wrappers can branch on failure class without parsing message text.  There
-are three families:
+wrappers can branch on failure class without parsing message text.  Each
+exception class stands for one thing that a caller branches on:
 
-- :class:`ValidationError`: bad input, raised where it enters the package;
-  :class:`ConfigError` and :class:`InvalidProblem` are its subclasses;
+- :class:`ValidationError`: bad input, raised where it enters the package
+  (a configuration file, a constructor, a run's parameters), with
+  ``NONFINITE_INPUT`` for input that is not finite; its subclass
+  :class:`InvalidProblem` carries the report of
+  :func:`biofilmfront.validate_problem`;
 - the step errors, whose class attribute ``outcome`` names the outcome of a
-  :func:`biofilmfront.run_simulation` run they end: :class:`AssemblyError`,
-  :class:`ThicknessCollapse`, :class:`PicardDivergence`, and, with the base
-  class's ``solve_failed``, :class:`LinearSolveError` and a
-  ``ValidationError`` ``NONFINITE`` for a value that a step computed;
+  :func:`biofilmfront.run_simulation` run they end: :class:`SolverError`
+  itself (``solve_failed``: a zero pivot, or ``NONFINITE`` for a value that
+  a step computed), :class:`AssemblyError`, :class:`ThicknessCollapse` and
+  :class:`PicardDivergence`;
 - :class:`OutputError`: run outputs that cannot be written.
 """
 
@@ -21,7 +24,8 @@ import copyreg
 
 
 class SolverError(Exception):
-    """Base class for all package errors.
+    """Base class for all package errors, and itself the step error of a
+    failed solve (``outcome`` ``solve_failed``).
 
     Parameters
     ----------
@@ -45,7 +49,8 @@ class SolverError(Exception):
 
 
 class ValidationError(SolverError):
-    """Invalid model data or parameters (nonpositive rates, shape mismatch...)."""
+    """Bad input: a configuration file, model data or parameters (nonpositive
+    rates, shape mismatch...)."""
 
 
 class InvalidProblem(ValidationError):
@@ -71,10 +76,6 @@ class AssemblyError(SolverError):
     """Tridiagonal assembly rejected (loss of diagonal dominance / M-matrix sign)."""
 
     outcome = "assembly_rejected"
-
-
-class LinearSolveError(SolverError):
-    """Tridiagonal elimination hit a zero pivot or produced non-finite values."""
 
 
 class ThicknessCollapse(SolverError):
@@ -107,10 +108,6 @@ class PicardDivergence(SolverError):
     def __init__(self, message: str, *, residual_history):
         super().__init__(message, code="PICARD_DIVERGED")
         self.residual_history = list(residual_history)
-
-
-class ConfigError(ValidationError):
-    """Bad configuration: codes PARSE_ERROR, UNKNOWN_KEY, SCHEMA_VIOLATION."""
 
 
 class OutputError(SolverError):

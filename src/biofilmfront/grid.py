@@ -24,7 +24,8 @@ class Grid:
     ----------
     N : int
         Cell count, an integer of at least 4 (a numpy integer is taken as
-        ``int``); else ``ValidationError`` ``SCHEMA_VIOLATION`` or ``TOO_COARSE``.
+        ``int``) whose nodes fit in memory; else ``ValidationError``
+        ``SCHEMA_VIOLATION``, ``TOO_COARSE`` or ``TOO_FINE``.
     nodes : numpy.ndarray
         Node coordinates ``0 = z_0 < ... < z_N = 1`` (read-only).
     dz : float
@@ -34,14 +35,27 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if isinstance(self.N, bool) or not isinstance(self.N, (int, np.integer)):
-            raise ValidationError(f"N must be an integer, got {self.N!r}", code="SCHEMA_VIOLATION")
-        if self.N < 4:
-            raise ValidationError(f"grid needs at least 4 cells, got N={self.N}", code="TOO_COARSE")
-        N = int(self.N)
-        nodes = np.linspace(0.0, 1.0, N + 1)
+        N = require_int("N", self.N)
+        if N < 4:
+            raise ValidationError(f"grid needs at least 4 cells, got N={N}", code="TOO_COARSE")
+        try:
+            if N >= np.iinfo(np.intp).max // 8:  # numpy could not size the nodes in bytes
+                raise MemoryError
+            nodes = np.linspace(0.0, 1.0, N + 1)
+        except MemoryError:
+            raise ValidationError(f"grid of N={N} cells needs {8.0 * (N + 1):.3g} bytes for its "
+                                  "nodes, more than an array or memory holds; reduce N",
+                                  code="TOO_FINE") from None
         nodes.setflags(write=False)
         vars(self).update(N=N, nodes=nodes, dz=1.0 / N)
+
+
+def require_int(name: str, value) -> int:
+    """``value`` as an ``int``, a numpy integer included; anything else, a
+    ``bool`` too, raises ``ValidationError`` ``SCHEMA_VIOLATION``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}", code="SCHEMA_VIOLATION")
+    return int(value)
 
 
 def cumtrapz_dz(values: np.ndarray, dz: float) -> np.ndarray:

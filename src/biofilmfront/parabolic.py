@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from .errors import AssemblyError, LinearSolveError
+from .errors import AssemblyError, SolverError
 from .grid import Grid
 
 
@@ -172,13 +172,13 @@ def gtsv_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> 
     subdiagonal entry; where it swaps none its arithmetic is that of Thomas
     elimination, bit for bit.  On the theta-scheme's matrices that holds
     unless a stiff step (large ``dt D / dz^2``) meets a receding surface
-    (``v1 < 0``).  Raises ``LinearSolveError`` ``ZERO_PIVOT`` when the
+    (``v1 < 0``).  Raises ``SolverError`` ``ZERO_PIVOT`` when the
     matrix is singular (an exactly zero pivot) and ``NONFINITE`` when the
     solution is not finite.
     """
     *_, x, info = dgtsv(dl, d, du, b)
     if info > 0:
-        raise LinearSolveError(f"zero pivot in row {info - 1}", code="ZERO_PIVOT")
+        raise SolverError(f"zero pivot in row {info - 1}", code="ZERO_PIVOT")
     if not np.isfinite(x).all():
-        raise LinearSolveError("non-finite solution from elimination", code="NONFINITE")
+        raise SolverError("non-finite solution from elimination", code="NONFINITE")
     return x

@@ -210,6 +210,15 @@ def nonfinite_at(what: str, rows: np.ndarray, nodes: np.ndarray) -> str | None:
     return f"{what.format(i)} is not finite at node {k} (z={nodes[k]:.6g}) of N={len(nodes) - 1}"
 
 
+def nonfinite_v1(R0: float, v1: float, where: str = "") -> str | None:
+    """The message naming ``R0`` (and ``where``, the grid) when the surface
+    velocity ``v1(0)`` is not finite; ``None`` if it is."""
+    if np.isfinite(v1):
+        return None
+    return (f"surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0={R0:g}{where}; "
+            "reduce R0 or g at the initial data")
+
+
 def _second_order_compat(rep, data, nodes, C0, hvals, gvals):
     """Finite-difference check of the higher-order boundary matching condition,
     made only at a finite v1(0); one that is not finite is a violation."""
@@ -217,9 +226,8 @@ def _second_order_compat(rep, data, nodes, C0, hvals, gvals):
     R0sq = data.R0 ** 2
     with np.errstate(over="ignore", invalid="ignore"):  # named below
         v1_0 = cumtrapz_dz(R0sq * gvals, dz)[-1]  # the solver's v1(0)
-    if not np.isfinite(v1_0):
-        rep.violations.append(("NONFINITE_INPUT", f"surface velocity v1(0) = R0^2 int_0^1 g is "
-                               f"not finite at R0={data.R0:g}; reduce R0 or g at the initial data"))
+    if bad := nonfinite_v1(data.R0, v1_0):
+        rep.violations.append(("NONFINITE_INPUT", bad))
         return
     dt_fd = 1e-6
     for j in range(data.m):

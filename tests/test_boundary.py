@@ -7,6 +7,7 @@ import pytest
 
 from biofilmfront import (
     Grid,
+    SolverError,
     ThicknessCollapse,
     ValidationError,
     detachment_rhs,
@@ -90,11 +91,12 @@ def test_boundary_step_linear_v1_interpolation():
 ], ids=["stage", "square"])
 def test_overflowing_update_is_nonfinite(v1_new, lam, dt):
     """An update that overflows, in a stage or in the square that the next
-    sweep takes, is a ``ValidationError`` ``NONFINITE``, not an
-    ``OverflowError``."""
-    with pytest.raises(ValidationError) as exc:
+    sweep takes, is a step error ``SolverError`` ``NONFINITE``, not an
+    ``OverflowError`` and not a ``ValidationError``: the step computed it."""
+    with pytest.raises(SolverError) as exc:
         thickness_update(1.0, 0.0, v1_new, lam, dt)
     assert exc.value.code == "NONFINITE"
+    assert not isinstance(exc.value, ValidationError)
 
 
 def test_collapse_raises():

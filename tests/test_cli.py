@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import biofilmfront
-from biofilmfront import (ConfigError, InvalidProblem, OutputError, PicardDivergence,
-                          ThicknessCollapse, ValidationError, ValidationReport)
+from biofilmfront import (InvalidProblem, OutputError, PicardDivergence, ThicknessCollapse,
+                          ValidationError, ValidationReport)
 from biofilmfront.cli import main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -186,6 +186,39 @@ def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonfinite_velocity_on_the_run_grid(tmp_path, capsys):
+    """``g = Y`` is finite everywhere, but its integral ``v1(0)`` overflows at
+    N = 1000, where two adjacent nodes hold 1.3e308 each; validation's
+    200-cell sample sees at most 3.3e305 and passes.  The t = 0 velocity is
+    input, so it is a problem violation naming ``R0`` and ``N``, not a step
+    error: simulate exits 2 and verify prints its failed check and exits 1."""
+    p = tmp_path / "run.yaml"
+    p.write_text("""
+problem:
+  kinetics: {preset: linear, A: [[1.0]], c: [0.0], B: [[0.0]], d: [0.0]}
+  phi: ["1.7e308*exp(-1e6*(z-0.3325)^2)"]
+  theta: [1.0]
+  psi: [1.0]
+  D: [1.0]
+  lambda: 0.5
+  R0: 1.0
+solver: {N: 1000, dt: 1.0e-3, t_end: 0.01}
+""")
+    out = tmp_path / "o"
+    violation = ("surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0=1 on the run's "
+                 "grid of N=1000; reduce R0 or g at the initial data")
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error [NONFINITE_INPUT]: invalid problem data: NONFINITE_INPUT: "
+                            f"{violation}\n")
+    assert captured.out == "" and not out.exists()
+    assert main(["verify", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"problem validation: FAIL [NONFINITE_INPUT] {violation}\nverify: FAIL\n"
+    assert captured.err == ""
+
+
 _GROWTH = GOOD.replace("kinetics: {preset: zero}",
                       "kinetics: {preset: linear, A: [[10.0]], c: [0.0], B: [[-1.0]], d: [0.0]}")
 _RATE_AT = "at the initial data is not finite at node"
@@ -267,6 +300,30 @@ def test_library_range_error_exit_2(old, new, message, tmp_path, capsys):
     assert captured.err.splitlines() == [message] * 2
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_grid_too_fine_exit_2(tmp_path, capsys):
+    """``--grid-n 10**16`` asks for 80 PB of nodes: ``TOO_FINE``, exit 2, where
+    numpy's ``MemoryError`` traceback used to end the process with 1."""
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(CONFIGS / "zero_kinetics.yaml"), "--out", str(out),
+                 "--grid-n", str(10**16)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error [TOO_FINE]: grid of N=10000000000000000 cells needs 8e+16 "
+                            "bytes for its nodes, more than an array or memory holds; reduce N\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("text", ["1e-3", "1.0e3", "1e+3", "inf", "NaN"])
+def test_yaml_text_number_names_the_fix(text, tmp_path, capsys):
+    """PyYAML reads YAML 1.1, where these are strings; the error says so and
+    names the spelling YAML reads as a number."""
+    p = tmp_path / "run.yaml"
+    p.write_text(GOOD.replace("dt: 1.0e-3", f"dt: {text}"))
+    assert main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error [SCHEMA_VIOLATION]: solver.dt: expected a number, got {text!r}; YAML reads it "
+        "as text: write a dot and a signed exponent (1.0e-3), or .inf / .nan\n")
 
 
 @pytest.mark.parametrize("key,value", [("alpha", ".nan"), ("beta", ".inf"), ("M0", "-.inf"),
@@ -409,7 +466,7 @@ def test_sweep_invalid_problem_in_workers_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("exc", [
-    ConfigError("bad key", code="UNKNOWN_KEY"),
+    ValidationError("bad key", code="UNKNOWN_KEY"),
     InvalidProblem(ValidationReport(violations=[("NONPOSITIVE_D", "D < 0")],
                                     warnings=[("NEGATIVE_INITIAL_DATA", "phi < 0")])),
     ThicknessCollapse("washout", thickness=1e-9),
@@ -424,9 +481,14 @@ def test_errors_survive_pickling(exc):
         assert back.report == exc.report
 
 
-def test_config_error_is_a_validation_error():
-    """One family of input errors, on which the CLI exits 2."""
-    assert issubclass(ConfigError, ValidationError)
+def test_config_error_is_a_validation_error(tmp_path):
+    """One family of input errors, on which the CLI exits 2: a bad
+    configuration file raises ``ValidationError`` itself, no subclass."""
+    p = tmp_path / "typo.yaml"
+    p.write_text(GOOD.replace("lambda:", "lamda:"))
+    with pytest.raises(ValidationError) as exc:
+        biofilmfront.parse_config(str(p))
+    assert type(exc.value) is ValidationError and exc.value.code == "UNKNOWN_KEY"
     assert issubclass(InvalidProblem, ValidationError)
 
 

@@ -14,10 +14,10 @@ from biofilmfront import (
     Grid,
     InvalidProblem,
     KineticsModel,
-    LinearSolveError,
     PicardDivergence,
     ProblemData,
     SolverConfig,
+    SolverError,
     State,
     ThicknessCollapse,
     ValidationError,
@@ -33,6 +33,7 @@ from biofilmfront import (
     monod_preset,
     picard_step,
     run_simulation,
+    validate_problem,
     zero_kinetics,
 )
 from biofilmfront import coupler
@@ -76,6 +77,20 @@ def test_state_requires_pinned_base_velocity():
         State(t=0.0, grid=g, Y=np.zeros((1, 5)), C=np.zeros((1, 5)), R=1.0,
               v=np.linspace(0.1, 1.0, 5))
     assert exc.value.code == "NONZERO_BASE_VELOCITY"
+
+
+@pytest.mark.parametrize("field", ["Y", "C", "R", "v"])
+def test_state_rejects_nonfinite_input(field):
+    """The constructor guards its input: ``NONFINITE_INPUT``, the code of
+    bad input, not the step error's ``NONFINITE``."""
+    values = {"Y": np.zeros((1, 5)), "C": np.zeros((1, 5)), "R": 1.0, "v": np.zeros(5)}
+    if field == "R":
+        values["R"] = math.nan
+    else:
+        values[field][..., 2] = np.inf
+    with pytest.raises(ValidationError) as exc:
+        State(t=0.0, grid=Grid(4), **values)
+    assert (exc.value.code, str(exc.value)) == ("NONFINITE_INPUT", "non-finite state")
 
 
 def _assert_packed(s):
@@ -533,9 +548,10 @@ def test_sweep_raises_on_nonfinite_velocity():
     data = _substrate_only()
     cfg = SolverConfig(N=10, dt=1e-3)
     s0 = initial_state(data, kin, cfg)   # the first g call
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(SolverError) as exc:
         picard_step(s0, data, kin, cfg)
     assert exc.value.code == "NONFINITE"
+    assert not isinstance(exc.value, ValidationError)
     assert len(calls) == 2  # the first sweep's velocity
 
 
@@ -590,9 +606,10 @@ def test_step_rejects_nonfinite_biomass():
                         h=lambda Y, C: np.zeros_like(C), g=lambda Y, C: np.zeros(Y.shape[1]))
     data = _substrate_only()
     cfg = SolverConfig(N=10, dt=1e-3, picard_tol=math.inf)
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(SolverError) as exc:
         picard_step(initial_state(data, kin, cfg), data, kin, cfg)
     assert exc.value.code == "NONFINITE"
+    assert not isinstance(exc.value, ValidationError)
 
 
 def test_h_called_once_per_sweep():
@@ -804,6 +821,24 @@ def test_snapshot_stride(n_steps, kept):
     assert traj.final_state.t == traj.reports.t[-1]
     times = traj.times()
     assert len(times) == n_steps + 1 and times[0] == 0.0
+
+
+@pytest.mark.parametrize("stride", [math.nan, 2.5, 5.0, True, "5"])
+def test_snapshot_stride_must_be_an_integer(stride):
+    """A stride that is not an integer is named, as ``SolverConfig`` names
+    such an ``N``: NaN used to keep only the first and last states and 2.5
+    the states of steps 0, 5 and 10."""
+    with pytest.raises(ValidationError) as exc:
+        run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3),
+                       t_end=1e-2, snapshot_stride=stride)
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == f"snapshot_stride must be an integer, got {stride!r}"
+
+
+def test_snapshot_stride_takes_numpy_integers():
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=10, dt=1e-3),
+                          t_end=1e-2, snapshot_stride=np.int64(5))
+    assert traj.state_steps == [0, 5, 10]
 
 
 def test_steps_end_on_exact_time_levels():
@@ -1062,6 +1097,26 @@ def test_nonfinite_initial_data_on_run_grid_is_a_violation():
     assert exc.value.report.warning_codes() == {"SECOND_ORDER_COMPAT"}
 
 
+def test_nonfinite_velocity_on_run_grid_is_a_violation():
+    """``g = Y`` is finite at every node of N = 1000, but ``v1(0)``, its
+    integral, overflows there and not on problem validation's sample grid.
+    The t = 0 velocity is input: a violation naming ``R0`` and the grid,
+    not the step error ``NONFINITE`` of the velocity kernel."""
+    data = ProblemData(phi=[lambda z: 1.7e308 * np.exp(-1e6 * (z - 0.3325) ** 2)],
+                       theta=[lambda z: np.ones_like(z)], psi=[lambda t: 1.0], D=[1.0],
+                       lam=0.5, R0=1.0)
+    kin = linear_preset([[1.0]], [0.0], [[0.0]], [0.0])
+    assert validate_problem(data, kin).ok
+    violation = ("surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0=1 on the run's "
+                 "grid of N=1000; reduce R0 or g at the initial data")
+    with pytest.raises(ValidationError) as exc:
+        initial_state(data, kin, SolverConfig(N=1000))
+    assert (exc.value.code, str(exc.value)) == ("NONFINITE_INPUT", violation)
+    with pytest.raises(InvalidProblem) as exc:
+        run_simulation(data, kin, SolverConfig(N=1000), t_end=0.01)
+    assert exc.value.report.violations == [("NONFINITE_INPUT", violation)]
+
+
 def test_trajectory_keeps_validation_report():
     # 1 - z^2 against psi = 0 fails the second-order matching condition:
     # D theta''(1) = -2, not psi'(0) = 0
@@ -1185,10 +1240,12 @@ def test_step_count_beyond_any_array_is_rejected():
 
 
 def test_step_errors_name_their_outcome():
-    """Each step error carries the outcome of the run it ends."""
-    assert (AssemblyError.outcome, ThicknessCollapse.outcome, PicardDivergence.outcome) == (
-        "assembly_rejected", "washout", "picard_diverged")
-    assert LinearSolveError.outcome == ValidationError.outcome == "solve_failed"
+    """Each step error carries the outcome of the run it ends, one outcome
+    per class."""
+    outcomes = [c.outcome for c in (SolverError, AssemblyError, ThicknessCollapse,
+                                    PicardDivergence)]
+    assert outcomes == ["solve_failed", "assembly_rejected", "washout", "picard_diverged"]
+    assert len(set(outcomes)) == 4
 
 
 # -- physical back-transform -----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import cumulative_trapezoid
 
-from biofilmfront import Grid, State, ValidationError
+from biofilmfront import Grid, SolverError, State, ValidationError
 from biofilmfront.boundary import velocity_nodes
 from biofilmfront.grid import cumtrapz_dz, interp_rows
 
@@ -30,6 +30,20 @@ def test_grid_too_coarse():
     with pytest.raises(ValidationError) as exc:
         Grid(3)
     assert exc.value.code == "TOO_COARSE"
+
+
+# 10**16 nodes need 80 PB, past x86-64's 128 TiB of address space, so the
+# allocation fails at once; 2**62 and 2**63 nodes no intp can size in bytes
+@pytest.mark.parametrize("N", [10**16, 2**62, 2**63, np.int64(2**62)],
+                         ids=["memory", "2**62", "2**63", "int64"])
+def test_grid_too_fine(N):
+    """A grid whose nodes no array or no memory can hold is bad input, where
+    numpy used to raise ``MemoryError``, ``ValueError`` or ``IndexError``."""
+    with pytest.raises(ValidationError) as exc:
+        Grid(N)
+    assert exc.value.code == "TOO_FINE"
+    assert str(exc.value) == (f"grid of N={N} cells needs {8.0 * (int(N) + 1):.3g} bytes for "
+                              "its nodes, more than an array or memory holds; reduce N")
 
 
 @pytest.mark.parametrize("N", [40.7, 40.0, "40", True, None])
@@ -57,13 +71,15 @@ def test_profile_shape_checked():
 
 
 def test_profile_rejects_nonfinite():
-    # a non-finite rate profile gives a non-finite velocity profile
+    # a non-finite rate profile gives a non-finite velocity profile: a value
+    # the step computed, so a step error, not bad input
     g = Grid(10)
     vals = np.zeros(11)
     vals[4] = np.nan
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(SolverError) as exc:
         velocity_nodes(vals, 1.0, g.dz)
     assert exc.value.code == "NONFINITE"
+    assert not isinstance(exc.value, ValidationError)
 
 
 def test_cumtrapz_linear_integrand_exact():

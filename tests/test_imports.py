@@ -168,6 +168,35 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_error_codes_match_error_classes():
+    """An exception class is one thing a caller branches on.  A value that a
+    step computed and that is not finite is the step error ``SolverError``
+    ``NONFINITE``; input that is not finite is a ``ValidationError``
+    ``NONFINITE_INPUT``.  Checked on every raise in the package that names
+    one of these codes."""
+    from biofilmfront import errors
+
+    assert sorted(name for name, obj in vars(errors).items()
+                  if isinstance(obj, type) and issubclass(obj, Exception)) == [
+        "AssemblyError", "InvalidProblem", "OutputError", "PicardDivergence", "SolverError",
+        "ThicknessCollapse", "ValidationError"]
+    expected = {"NONFINITE": "SolverError", "NONFINITE_INPUT": "ValidationError"}
+    package = os.path.dirname(os.path.abspath(biofilmfront.__file__))
+    raised = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            raised += [(kw.value.value, ast.unparse(node.exc.func), f"{name}:{node.lineno}")
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                       for kw in node.exc.keywords
+                       if kw.arg == "code" and isinstance(kw.value, ast.Constant)
+                       and kw.value.value in expected]
+    assert {code for code, _, _ in raised} == set(expected)
+    assert [r for r in raised if r[1] != expected[r[0]]] == []
+
+
 #: the dunder methods each package dataclass defines itself.  ``__eq__`` and
 #: ``__repr__`` are generated only where a caller compares or prints the type
 #: (``__hash__`` comes with a frozen ``__eq__``, ``__setattr__`` and

@@ -16,12 +16,12 @@ from hypothesis.extra import numpy as hnp
 
 from biofilmfront import (
     FLAGS,
-    ConfigError,
     Grid,
     OutputError,
     SolverConfig,
     SolverError,
     State,
+    ValidationError,
     build_runspec,
     compile_expression,
     config_hash,
@@ -114,8 +114,9 @@ def test_expression_literals_compute_in_float64(text, value):
     ],
 )
 def test_expression_rejects_unsafe(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError) as exc:
         compile_expression(bad, "z")
+    assert exc.value.code == "SCHEMA_VIOLATION"
 
 
 # -- schema ----------------------------------------------------------------------
@@ -143,7 +144,7 @@ def test_build_runspec_roundtrip():
 def test_unknown_key_rejected():
     tree = _tree()
     tree["problem"]["lamda"] = 0.5  # typo'd key must fail loudly
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(tree)
     assert exc.value.code == "UNKNOWN_KEY"
 
@@ -151,7 +152,7 @@ def test_unknown_key_rejected():
 def test_missing_required_key():
     tree = _tree()
     del tree["problem"]["R0"]
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(tree)
     assert exc.value.code == "SCHEMA_VIOLATION"
 
@@ -181,7 +182,7 @@ def test_transport_coefficient_key_rejected():
     # the characteristic foot is always z e^{dt v1}; there is no option left
     tree = _tree()
     tree["solver"]["transport_coefficient"] = "scaled"
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(tree)
     assert exc.value.code == "UNKNOWN_KEY"
 
@@ -208,7 +209,7 @@ def test_linear_keys_match_linear_preset():
 def test_formats_key_rejected():
     # output files are always CSV, so there is no ``formats`` option left
     tree = _tree(output={"formats": ["csv"]})
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(tree)
     assert exc.value.code == "UNKNOWN_KEY"
 
@@ -253,7 +254,7 @@ def test_monod_kinetics_block():
 def test_preset_must_be_a_known_name(kinetics, got):
     tree = _tree()
     tree["problem"]["kinetics"] = kinetics
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(tree)
     assert exc.value.code == "SCHEMA_VIOLATION"
     assert str(exc.value) == ("problem.kinetics.preset: expected one of ['linear', 'monod', "
@@ -279,7 +280,7 @@ def test_monod_limiting_must_be_a_list_of_integers(limiting, message):
     tree = _tree()
     tree["problem"]["kinetics"] = {"preset": "monod", "mu": [0.4], "K": [0.3],
                                    "limiting": limiting}
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(tree)
     assert exc.value.code == "SCHEMA_VIOLATION"
     assert str(exc.value) == message
@@ -325,10 +326,21 @@ def test_verify_block_with_only_alpha_audits_with_the_defaults():
     assert np.array_equal(got.margins, want.margins)
 
 
+@pytest.mark.parametrize("value", ["fast", "1/2", [1.0], None, b"1.0"])
+def test_number_key_names_other_values_plainly(value):
+    """Only a string that parses as a float gets the YAML-spelling hint."""
+    tree = _tree()
+    tree["solver"]["dt"] = value
+    with pytest.raises(ValidationError) as exc:
+        build_runspec(tree)
+    assert exc.value.code == "SCHEMA_VIOLATION"
+    assert str(exc.value) == f"solver.dt: expected a number, got {value!r}"
+
+
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_include_boundary_must_be_a_boolean(value):
     # bool("false") is True, so only a YAML boolean is read
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         build_runspec(_tree(verify={"alpha": 1.0, "include_boundary": value}))
     assert exc.value.code == "SCHEMA_VIOLATION"
     assert str(exc.value) == f"verify.include_boundary: expected a boolean, got {value!r}"
@@ -399,21 +411,22 @@ def test_load_tree_matches_pure_python_loader(name):
 
 
 def test_load_tree_errors(tmp_path):
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         load_tree(str(tmp_path / "missing.yaml"))
     assert exc.value.code == "PARSE_ERROR"
 
     bad = tmp_path / "bad.yaml"
     bad.write_text("problem: [unclosed\n")
-    with pytest.raises(ConfigError) as exc:
+    with pytest.raises(ValidationError) as exc:
         load_tree(str(bad))
     assert exc.value.code == "PARSE_ERROR"
     assert "(line 2)" in str(exc.value)
 
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError) as exc:
         load_tree(str(empty))
+    assert exc.value.code == "SCHEMA_VIOLATION"
 
 
 # -- writers ---------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_study_checks_every_grid_size_first(N_values, code, message):
 @pytest.mark.parametrize("theta", [-1.0, float("nan"), 1.5])
 def test_study_rejects_theta_outside_the_scheme_range(theta):
     """``SolverConfig`` owns the range of ``theta_scheme``; -1 used to report
-    a substrate order of -37.2, and NaN to end in a ``LinearSolveError``."""
+    a substrate order of -37.2, and NaN to end in a failed tridiagonal solve."""
     with pytest.raises(ValidationError) as exc:
         mms_study(N_values=(25, 50), theta_scheme=theta)
     assert exc.value.code == "SCHEMA_VIOLATION"

@@ -13,9 +13,9 @@ from scipy.linalg import lapack
 
 from biofilmfront import (
     Grid,
-    LinearSolveError,
     ProblemData,
     SolverConfig,
+    SolverError,
     initial_state,
     picard_step,
     zero_kinetics,
@@ -67,9 +67,10 @@ def test_tridiagonal_hand_solved_3x3():
 
 def test_tridiagonal_zero_pivot():
     # [1 1; 1 1] is singular: elimination leaves an exactly zero last pivot
-    with pytest.raises(LinearSolveError) as exc:
+    with pytest.raises(SolverError) as exc:
         gtsv_solve(np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0]), np.array([1.0, 1.0]))
     assert exc.value.code == "ZERO_PIVOT"
+    assert type(exc.value) is SolverError  # a step error: neither bad input nor a subclass
 
 
 def test_tridiagonal_pivots_past_zero_diagonal():
@@ -81,9 +82,10 @@ def test_tridiagonal_pivots_past_zero_diagonal():
 
 
 def test_tridiagonal_nonfinite():
-    with pytest.raises(LinearSolveError) as exc:
+    with pytest.raises(SolverError) as exc:
         gtsv_solve(np.zeros(2), np.ones(3), np.zeros(2), np.array([np.inf, 0.0, 0.0]))
     assert exc.value.code == "NONFINITE"
+    assert type(exc.value) is SolverError  # a step error: neither bad input nor a subclass
 
 
 @settings(max_examples=60)
