@@ -13,17 +13,15 @@ until successive iterates agree in sup norm.  The run loop assembles a
 outcome, and exposes energy/invariant monitors.
 
 A run is one object, :class:`_Run`, which also keeps the clock: step ``k``
-ends at ``t = k dt`` exactly, not at a sum of ``k`` steps.  Work is done as
-rarely as it can be.  Per run: the theta-scheme weights, ``D/dz^2`` and the
-implicit operator's bands.  Per step: the step-start ``h`` (``f`` is carried
-from the step before) and the explicit half of the substrate scheme.  Per
-sweep: the rates at the iterate, each evaluated once, the off-diagonals at
-its ``v1``, the solves, the transport and the thickness.  Per accepted
-step, after the sweeps: the invariant flags, the energy and the surface
-flux.  An iterate is one packed vector ``x = (Y, C, R, v1)``, as
-:attr:`State.x` is: each sweep writes a fresh one, the residual and the warm
-start's extrapolation act on it whole, and ``Y`` and ``C`` are the rows of
-its ``(n + m, N + 1)`` view, which the monitors take one pass over.
+ends at ``t = k dt`` exactly.  Work is done as rarely as it can be.  Per run:
+the theta-scheme weights, ``D/dz^2``, the implicit bands and the nodes a
+step's record keeps.  Per step: the step-start ``h`` (``f`` is carried from
+the step before), the explicit half of the substrate scheme and, after the
+sweeps, the invariant flags and the step's record.  Per sweep: the rates at
+the iterate, each evaluated once, the off-diagonals at its ``v1``, the
+solves, the transport and the thickness.  Per block of :data:`RECORD_BLOCK`
+steps, and at the run's end: the energy and surface flux of its records.
+An iterate is one packed vector ``x = (Y, C, R, v1)``, as :attr:`State.x`.
 """
 
 from __future__ import annotations
@@ -53,6 +51,9 @@ R_BOUND_SLACK = 1e-8
 START_HISTORY = 6
 #: snapshot stride of a run that names none: a state every step
 SNAPSHOT_STRIDE = 1
+#: steps whose energy and surface flux a run computes in one pass: a block
+#: of 64 holds 5 KB at n = m = 1 and costs 0.6 us a step to flush
+RECORD_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -84,15 +85,13 @@ class State:
         self._freeze(self.t, self.grid, x, len(Y), v)
 
     def _freeze(self, t: float, grid: Grid, x: np.ndarray, n: int, v: np.ndarray) -> "State":
-        """Freeze and take arrays that the caller owns and has checked: a
-        packed float ``x`` with ``n`` rows of ``Y`` and ``x[-1] == v[-1]``,
-        and a velocity with ``v[0] = 0`` on ``grid``, all finite.  The
-        coupled step builds its states as ``object.__new__(State)._freeze(...)``,
-        without the constructor's copies and checks."""
+        """Freeze and take arrays the caller owns and has checked: a finite ``x``
+        packed with ``n`` rows of ``Y``, a finite ``v`` with ``v[0] = 0`` and ``v[-1] == x[-1]``.
+        The coupled step builds its states so, without the constructor's copies."""
         x.setflags(write=False)
         v.setflags(write=False)
         X = x[:-2].reshape(-1, grid.N + 1)
-        vars(self).update(t=t, grid=grid, x=x, X=X, Y=X[:n], C=X[n:], R=float(x[-2]), v=v)
+        self.__dict__.update(t=t, grid=grid, x=x, X=X, Y=X[:n], C=X[n:], R=x[-2].item(), v=v)
         return self
 
     @property
@@ -206,34 +205,26 @@ class Trajectory:
         return np.concatenate(([self.states[0].v1], self.reports.v1))
 
 
-def energy(s: State, mu: np.ndarray, nu: np.ndarray) -> float:
+def energy(s: State | tuple, mu: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
     """Weighted squared-profile energy
-    ``E = 1/2 sum_i mu_i int Y_i^2 + 1/2 sum_j nu_j int C_j^2``, with the
-    weights of :meth:`SolverConfig.weights`.  Each integral is the trapezoid
-    rule on one row of ``s.X**2``; each sum runs in row order."""
-    dz, X = s.grid.dz, s.X
-    # the end terms as Python floats: the numpy expression's operations, in
-    # its order; ``X[:, ::N]`` is the columns z = 0 and z = 1
-    rows = [dz * (total - 0.5 * (a * a + b * b))
-            for total, (a, b) in zip((X * X).sum(axis=1).tolist(), X[:, ::s.grid.N].tolist())]
-    n = len(s.Y)
-    total_Y = total_C = 0.0
-    for w, row in zip(mu.tolist(), rows[:n]):
-        total_Y += w * row
-    for w, row in zip(nu.tolist(), rows[n:]):
-        total_C += w * row
-    return 0.5 * (total_Y + total_C)
-
-
-def _boundary_flux(s: State, D: np.ndarray, nu: np.ndarray) -> float:
-    """Magnitude of the surface energy-flux terms
-    ``sum_j nu_j (v1 * C_j(1)^2 / 2 + D_j C_j(1) dC_j/dz(1))``."""
-    dz, v1 = s.grid.dz, s.v1
-    total = 0.0
-    for nu_j, D_j, (c3, c2, c1) in zip(nu.tolist(), D.tolist(), s.C[:, -3:].tolist()):
-        slope = (3.0 * c1 - 4.0 * c2 + c3) / (2.0 * dz)
-        total += nu_j * (0.5 * v1 * c1 ** 2 + D_j * c1 * slope)
-    return abs(total)
+    ``E = 1/2 sum_i mu_i int Y_i^2 + 1/2 sum_j nu_j int C_j^2`` of a
+    :class:`State` ``s``, with the weights of :meth:`SolverConfig.weights`;
+    for ``s = (dz, records)``, the array of the energies of the step records
+    :meth:`_Run.accept` keeps.  Each integral is the trapezoid rule on one
+    row of ``X**2``; each sum runs in row order, elementwise over records."""
+    if isinstance(s, State):  # a record of one step: row sums of squares, then ends
+        dz, X = s.grid.dz, s.X
+        rec = np.concatenate((np.add.reduce(X * X, axis=1), X[:, [0, -1]].ravel()))[None]
+    else:
+        dz, rec = s
+    n, r = len(mu), len(mu) + len(nu)
+    a, b = rec[:, r:3 * r:2], rec[:, r + 1:3 * r:2]  # each row's values at z = 0 and z = 1
+    rows = dz * (rec[:, :r] - 0.5 * (a * a + b * b))
+    total = np.zeros((2, len(rec)))
+    for i, w in enumerate(np.concatenate((mu, nu)).tolist()):
+        total[int(i >= n)] += w * rows[:, i]
+    E = 0.5 * (total[0] + total[1])
+    return E.item() if isinstance(s, State) else E
 
 
 def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
@@ -242,62 +233,42 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     """Advance one step of length ``cfg.dt`` by fixed-point iteration and
     return ``(new_state, residuals, clamped_feet)``: the converged state, the
     residual of every sweep, and how many characteristic feet of the last
-    sweep fell past ``z = 1`` and were clamped onto it.  The step computes
-    nothing about the run; :func:`run_simulation` writes the step's row of
-    ``Trajectory.reports`` (energy, surface flux, invariant flags) from these.
+    sweep fell past ``z = 1`` and were clamped onto it.
 
-    Every sweep restarts all substeps from the converged state at the step
-    start, with sources/coefficients taken from the latest iterate, and
-    writes a fresh packed vector ``x = (Y, C, R, v1)`` laid out as
-    :attr:`State.x`; the residual is the sup norm of the change in ``x``
-    between sweeps.  The first iterate is ``start`` when given (the vector
-    :meth:`_Run.start` returns, a prediction of the step's end state) and
-    the step-start ``state.x`` otherwise.  The fixed point is unique, so the
-    start changes only how many sweeps reach it.
+    Every sweep restarts all substeps from the step-start state, with
+    sources and coefficients taken from the latest iterate (``f`` and ``g``
+    from one ``f`` call for a preset, :meth:`KineticsModel.fg`), and writes
+    a fresh packed vector ``x`` laid out as :attr:`State.x`, which becomes
+    the new state's when the sweeps converge; the residual is the sup norm
+    of the change in ``x`` between sweeps.  The first iterate is ``start``
+    when given (:meth:`_Run.start`, a prediction of the step's end state)
+    and ``state.x`` otherwise; the fixed point is unique, so the start
+    changes only how many sweeps reach it.
 
-    What is fixed for the run comes in ``run`` (:class:`_Run`):
-    :func:`run_simulation` builds it once, and the step builds its own from
-    ``state`` when a caller passes none.  The step ends at ``run.t0 +
-    run.count dt``: a run's step ``k`` ends at ``k dt``, and a direct call at
-    ``state.t + dt``.  What is fixed for the step is computed once before the
-    sweeps: the surface values ``psi`` at the step's end, the step-start
-    sources ``f`` and ``h``, the explicit half of the theta-scheme and its
-    mesh-Peclet guard.  The step-start ``f`` is the one ``run`` carries when
-    the previous step on ``run`` ended at ``state``.  Each sweep evaluates
-    ``h`` once at the iterate and ``f`` and ``g`` once at its new substrates
-    (one ``f`` call for a preset, :meth:`KineticsModel.fg`), rewrites the
-    off-diagonals in ``run``'s bands, and writes its new iterate into a
-    fresh ``x``, which becomes the state's ``x`` when the sweeps converge;
-    no later step writes to it.  The converged state's ``f`` and ``g`` give
-    its velocity, and ``f`` is carried in ``run`` to the next step.
+    What is fixed for the run comes in ``run``, built from ``state`` when a
+    caller passes none; the step ends at ``run.t0 + run.count dt`` (a run's
+    step ``k`` at ``k dt``, a direct call at ``state.t + dt``).  The
+    step-start ``f`` is the one ``run`` carries when its last step ended at
+    ``state``, and the converged state's ``f`` is carried on.  The inputs
+    are trusted: :func:`run_simulation` validates them once, and the sweeps
+    check only what they compute (the mesh Peclet number, the solves, the
+    velocity and the thickness; a non-finite biomass shows in the residual).
 
-    The inputs are trusted: :func:`run_simulation` validates them once, and
-    the sweeps check only what they compute (the mesh Peclet number, the
-    tridiagonal solves, the velocity and the thickness).  A non-finite
-    biomass shows as a non-finite residual and ends the step in its sweep.
-
-    Raises
-    ------
-    PicardDivergence
-        When the sweep limit is exhausted or the residual grows three sweeps
-        in a row.  The exception carries the residual history.
-    ThicknessCollapse
-        Propagated from the thickness update (washout).
-    AssemblyError
-        From the mesh-Peclet guard.
-    SolverError
-        ``ZERO_PIVOT`` from a tridiagonal solve; ``NONFINITE`` for a value a
-        sweep computed; the ``ValidationError`` ``NONFINITE_INPUT`` for a
-        non-finite surface value ``psi``.
+    Raises ``PicardDivergence``, with the residual history, when the sweep
+    limit is exhausted or the residual grows three sweeps in a row;
+    ``ThicknessCollapse`` from the thickness update (washout);
+    ``AssemblyError`` from the mesh-Peclet guard; ``SolverError``
+    ``ZERO_PIVOT`` from a solve and ``NONFINITE`` for a value a sweep
+    computed; ``ValidationError`` ``NONFINITE_INPUT`` for a surface value
+    ``psi`` that is not finite.
     """
-    grid, dt, n = state.grid, cfg.dt, kin.n
+    grid, dt, n, theta = state.grid, cfg.dt, kin.n, cfg.theta_scheme
     dz, nodes = grid.dz, grid.nodes
     run = _Run(state, data, cfg) if run is None else run
     t_new = run.t0 + run.count * dt
-    theta = cfg.theta_scheme
     Y0, C0, R_start, v1_start = state.Y, state.C, state.R, state.v1
-    psi_end = data.psi_at(t_new)
-    for j, value in enumerate(psi_end.tolist()):
+    psi_end = [float(p(t_new)) for p in data.psi]
+    for j, value in enumerate(psi_end):
         if not math.isfinite(value):
             raise ValidationError(f"surface value psi[{j}] is not finite at t={t_new:g}",
                                   code="NONFINITE_INPUT")
@@ -308,10 +279,9 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     state_f, f_start = run.end_f
     if state_f is not state:
         f_start = np.asarray(kin.f(Y0, C0), dtype=float)
-    F_start = R2_start * f_start
     H_lag = (1.0 - theta) * (R2_start * np.asarray(kin.h(Y0, C0), dtype=float))
-    # Y0 and F_start stacked, interpolated at each sweep's feet by one call
-    YF_start = np.concatenate((Y0, F_start))
+    # Y0 and F_start = R^2 f stacked, interpolated at each sweep's feet by one call
+    YF_start = np.concatenate((Y0, R2_start * f_start))
     xk = state.x if start is None else start
     Xk = xk[:-2].reshape(state.X.shape)
     Rk, v1k = xk[-2:].tolist()
@@ -358,7 +328,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         R_new = boundary.thickness_update(R_start, v1_start, v1_new, data.lam, dt)
 
         x[-2], x[-1] = R_new, v1_new
-        residual = float(np.abs(x - xk).max())
+        residual = float(np.maximum.reduce(np.abs(x - xk)))
         if not math.isfinite(residual):  # Y; C, R and v1 are checked above
             raise SolverError("non-finite state", code="NONFINITE")
         residuals.append(residual)
@@ -393,10 +363,7 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
     ``R_BOUND_EXCEEDED``: thickness above ``r_bound``, the running a priori
     bound.
     ``CONTINUATION``: any monitored norm above ``cfg.continuation_threshold``.
-
-    It runs once per accepted step, not per sweep.  ``minima`` is
-    ``(s.Y.min(), s.C.min())``, which the run loop takes from one pass over
-    the packed ``s.X``; the maximum takes one more.
+    ``minima`` is ``(min Y, min C)``, which the run loop takes in one pass.
     """
     y_min, c_min = minima
     flags = 0
@@ -409,7 +376,7 @@ def check_invariants(s: State, cfg: SolverConfig, r_bound: float,
     # sup norms of Y and C (as max(max, -min)), R and the discrete dY/dz.
     # Since |fl(a - b)| <= 2 max|Y| and rounding is monotone, dY/dz can pass
     # the threshold only when 2 max|Y| / dz does, so only then is it taken.
-    threshold, x_max = cfg.continuation_threshold, float(s.X.max())
+    threshold, x_max = cfg.continuation_threshold, float(np.maximum.reduce(s.x[:-2]))
     norm = max(x_max, -y_min, -c_min, abs(s.R))
     if norm <= threshold and 2.0 * max(x_max, -y_min) / s.grid.dz > threshold:
         norm = float(np.abs(s.Y[:, 1:] - s.Y[:, :-1]).max()) / s.grid.dz
@@ -429,17 +396,20 @@ def _start_weights(s: int, count: int) -> np.ndarray:
 
 
 class _Run:
-    """One run from its start ``state`` at ``t0``: the weights ``dt theta`` and
-    ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` with its smallest value (the
-    binding one of the mesh-Peclet guard) and the implicit bands that its
-    sweeps share; the newest accepted ``state`` and the ``count`` of them
-    (the start included), the last :data:`START_HISTORY` of their
-    :attr:`State.x` as the rows of a rolling buffer, which :meth:`start`
-    extrapolates; ``end_f``, the state the last :func:`picard_step` ended at
-    and the raw ``f`` there, which starts the next step; the running max
-    ``|v1|`` of the a priori thickness bound; the running minima of ``Y``
-    and ``C``, where the earlier of equal values stays, as in ``min``;
-    ``reports``; and the states kept (every ``stride``-th)."""
+    """One run from its start ``state`` at ``t0``.  What its sweeps share:
+    ``dt theta``, ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` with its
+    smallest value (which binds the mesh-Peclet guard) and the implicit
+    bands.  Its steps: the newest accepted ``state``, the ``count`` of them
+    (the start included) and the last :data:`START_HISTORY` of their ``x``
+    in a rolling buffer, which :meth:`start` extrapolates; ``end_f``, the
+    state the last :func:`picard_step` ended at and its raw ``f``; the
+    running max ``|v1|`` of the thickness bound and minima of ``Y`` and
+    ``C`` (the earlier of equal values stays, as in ``min``); ``reports``
+    and the states kept (every ``stride``-th).  A step's flags are taken as
+    it is accepted, since one can stop the run.  Its energy and surface flux
+    come from its record (each row's sum of squares, then ``x[idx]``: the
+    rows' ends, the substrates' three surface nodes and ``v1``), a block of
+    :data:`RECORD_BLOCK` at a time and in :meth:`finish`, bit for bit."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
     _WEIGHTS = {(s, r): _start_weights(s, r)
@@ -459,6 +429,11 @@ class _Run:
         self.end_f = None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
         self.stride, self.states, self.state_steps = stride, [state], [0]
+        K, N, n, r = state.grid.N + 1, state.grid.N, len(state.Y), len(state.X)
+        self._idx = np.array([i * K + e for i in range(r) for e in (0, N)]
+                             + [j * K + e for j in range(n, r) for e in (N - 2, N - 1, N)]
+                             + [state.x.size - 1])
+        self._rec, self._flushed = np.empty((min(n_steps, RECORD_BLOCK), r + self._idx.size)), 0
         self.push(state)
 
     def push(self, state: State) -> None:
@@ -483,24 +458,45 @@ class _Run:
         """Record :func:`picard_step`'s ``(state, residuals, clamped_feet)``
         as the next step's row and state; return the row's invariant flags."""
         state, residuals, clamped = step
-        k = self.count
-        self.v1_max = max(self.v1_max, abs(state.v1))
-        row_min, n = state.X.min(axis=1).tolist(), len(state.Y)
+        k, X, v1 = self.count, state.X, state.x[-1].item()
+        self.v1_max = max(self.v1_max, abs(v1))
+        row_min, n = np.minimum.reduce(X, axis=1).tolist(), len(state.Y)
         y_min, c_min = min(row_min[:n]), min(row_min[n:])
         self.min_Y_seen, self.min_C_seen = min(self.min_Y_seen, y_min), min(self.min_C_seen, c_min)
         flags = check_invariants(state, cfg, r_max_bound(data.R0, data.lam, self.v1_max),
                                  (y_min, c_min))
-        self.reports[k - 1] = (state.t, state.R, state.v1, energy(state, mu, nu),
-                               len(residuals), residuals[-1], residuals[0], clamped,
-                               _boundary_flux(state, data.D, nu), flags)
+        rec = self._rec[(k - 1) % RECORD_BLOCK]
+        np.add.reduce(X * X, axis=1, out=rec[:len(X)])
+        state.x.take(self._idx, out=rec[len(X):])
+        self.reports[k - 1] = (state.t, state.R, v1, 0.0, len(residuals), residuals[-1],
+                               residuals[0], clamped, 0.0, flags)  # energy and flux: _flush
         self.push(state)
         if k % self.stride == 0:
             self.states.append(state)
             self.state_steps.append(k)
+        if k % RECORD_BLOCK == 0:
+            self._flush(data, mu, nu)
         return flags
 
-    def finish(self) -> None:
-        """Keep the last accepted state off the stride; cut ``reports``."""
+    def _flush(self, data: ProblemData, mu: np.ndarray, nu: np.ndarray) -> None:
+        """Write the energy and the surface flux, ``|sum_j nu_j (v1 C_j(1)^2 / 2
+        + D_j C_j(1) dC_j/dz(1))|``, of the steps recorded since the last flush."""
+        lo, hi, dz = self._flushed, self.count - 1, self.state.grid.dz
+        rec = self._rec[:hi - lo]
+        self.reports.energy[lo:hi] = energy((dz, rec), mu, nu)
+        surface, total = rec[:, 3 * (len(mu) + len(nu)):-1], np.zeros(hi - lo)
+        for j, (nu_j, D_j) in enumerate(zip(nu.tolist(), data.D.tolist())):
+            c3, c2, c1 = surface[:, 3 * j:3 * j + 3].T
+            slope = (3.0 * c1 - 4.0 * c2 + c3) / (2.0 * dz)
+            # libm's pow, as a float's ``**`` takes it (c1 * c1 differs in about 1e-3 of cases)
+            c1_sq = np.array([c ** 2 for c in c1.tolist()])
+            total += nu_j * (0.5 * rec[:, -1] * c1_sq + D_j * c1 * slope)
+        self.reports.boundary_energy_flux[lo:hi] = np.abs(total)
+        self._flushed = hi
+
+    def finish(self, data: ProblemData, mu: np.ndarray, nu: np.ndarray) -> None:
+        """Flush the last records, keep the last state off the stride; cut ``reports``."""
+        self._flush(data, mu, nu)
         if self.states[-1] is not self.state:
             self.states.append(self.state)
             self.state_steps.append(self.count - 1)
@@ -570,11 +566,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     Step ``k`` ends at ``t = k dt`` exactly, not at a sum of steps.  Snapshots
     are stored every ``snapshot_stride`` steps (plus t = 0 and the final
     accepted state); ``Trajectory.reports`` has a row per accepted step.
-    From the third step on, each step's Picard iteration starts from the
-    polynomial extrapolation of the last ``s = min(k, START_HISTORY)``
-    accepted states (``k`` of them exist before step ``k``): a quadratic at
-    step 3, a cubic at step 4, a quartic at step 5 and a quintic from step 6
-    on.
+    From the third step on, a step's Picard iteration starts from
+    :meth:`_Run.start`, a quintic extrapolation from step 6 on.
     """
     if t_end < 0.0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
@@ -628,7 +621,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
             outcome = "positivity_violated"
             break
 
-    run.finish()
+    run.finish(data, mu, nu)
     return Trajectory(grid=run.state.grid, cfg=cfg, kin=kin, validation=rep, states=run.states,
                       state_steps=run.state_steps, reports=run.reports,
                       min_Y_seen=run.min_Y_seen, min_C_seen=run.min_C_seen, outcome=outcome,

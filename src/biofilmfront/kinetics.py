@@ -59,7 +59,7 @@ class KineticsModel:
         come from one ``f`` call; otherwise ``f`` and ``g`` are each called."""
         F = np.asarray(self.f(Y, C), dtype=float)
         if getattr(self.g, "sum_of", None) is self.f:
-            return F, F.sum(axis=0)
+            return F, np.add.reduce(F, axis=0)
         return F, np.asarray(self.g(Y, C), dtype=float)
 
 

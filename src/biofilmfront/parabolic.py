@@ -142,16 +142,17 @@ def implicit_off_diagonals(adv: np.ndarray, diff: float, a_new: float, dl: np.nd
 
 def explicit_part(C: np.ndarray, adv_old: np.ndarray, diff: float, a_old: float) -> np.ndarray:
     """Explicit half of the theta-scheme, ``(I + dt (1-theta) L_old) C``, in
-    rows 0..N-1 (the Dirichlet row's entry is left 0)."""
+    rows 0..N-1 (the Dirichlet row's entry is 0)."""
     N = len(C) - 1
-    out = np.zeros(N + 1)
+    out = np.empty(N + 1)
     out[1:N] = (
         C[1:N]
         + a_old * ((diff - adv_old) * C[0:N - 1]
                    - 2.0 * diff * C[1:N]
                    + (diff + adv_old) * C[2:N + 1])
     )
-    out[0] = C[0] + a_old * 2.0 * diff * (C[1] - C[0])
+    c0, c1 = C[:2].tolist()
+    out[0], out[N] = c0 + a_old * 2.0 * diff * (c1 - c0), 0.0
     return out
 
 
@@ -179,6 +180,6 @@ def gtsv_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> 
     *_, x, info = dgtsv(dl, d, du, b)
     if info > 0:
         raise SolverError(f"zero pivot in row {info - 1}", code="ZERO_PIVOT")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise SolverError("non-finite solution from elimination", code="NONFINITE")
     return x

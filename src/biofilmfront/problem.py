@@ -107,9 +107,9 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     the kinetics; ``D`` or ``psi`` without one entry per substrate; ``f``,
     ``h`` or ``g`` at the initial data not of shape ``(n, K)``, ``(m, K)``
     or ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
-    ``NONFINITE_INPUT`` (a non-finite coefficient, initial or boundary
-    value, an ``R0`` whose square is not finite, ``f``, ``h``, ``g`` or ``v1(0)``
-    not finite at the initial data, naming the rate and the first such node), ``COMPAT_MISMATCH``
+    ``NONFINITE_INPUT`` (a coefficient, ``psi_j(0)``, ``v1(0)`` or the square
+    of ``R0`` that is not finite, or a profile or rate at the initial data,
+    naming it and its first such node), ``COMPAT_MISMATCH``
     (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
 
     Warnings: ``NEGATIVE_INITIAL_DATA`` when the model is quasi-positive but
@@ -157,8 +157,12 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     grid = Grid(N_SAMPLE)
     Y0, C0 = data.sample_initial(grid.nodes)
     psi0 = data.psi_at(0.0)
-    if not (np.all(np.isfinite(Y0)) and np.all(np.isfinite(C0)) and np.all(np.isfinite(psi0))):
-        rep.violations.append(("NONFINITE_INPUT", "non-finite initial or boundary data"))
+    bad = (nonfinite_at("initial data phi[{}]", Y0, grid.nodes)
+           or nonfinite_at("initial data theta[{}]", C0, grid.nodes)
+           or next((f"surface value psi[{j}] is not finite at t=0"
+                    for j, value in enumerate(psi0.tolist()) if not np.isfinite(value)), None))
+    if bad:
+        rep.violations.append(("NONFINITE_INPUT", bad))
         return rep
 
     # Dirichlet data must match the initial substrate trace at z = 1.

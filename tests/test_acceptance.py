@@ -5,8 +5,11 @@ criterion.  Each test also prints a one-line summary with the measured values.
 """
 
 import glob
+import hashlib
+import importlib.metadata
 import math
 import os
+import platform
 import time
 
 import numpy as np
@@ -35,6 +38,38 @@ def shipped_runs():
                                  snapshot_stride=spec.stride)
         runs[os.path.basename(path)] = (spec, traj)
     return runs
+
+
+#: SHA-256 of each shipped run: its ``reports`` bytes, then ``x`` and ``v`` of
+#: every stored state in order; pinned with the versions of GOLDEN_VERSIONS
+GOLDEN_DIGESTS = {
+    "equilibrium.yaml": "8ecf8d27882a93fb3fb3e471faa6b53c381b63764be18ee0009ef7c484629910",
+    "linear_dissipative.yaml": "6a442fb210f6026da29cafc228fb4c2a6ceb30e63e3c705c9961ee8281749b6c",
+    "monod_growth.yaml": "0635c6d34e4e381d2494a2024f7dfbd1d00e1a5934f2ff7050af775a94102b52",
+    "zero_kinetics.yaml": "860087d5844ac872aaae8c0080db8fde4ed0a2f13c26072f57f588e27b4eaeff",
+}
+GOLDEN_VERSIONS = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
+
+
+def _versions():
+    return (f"Python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {importlib.metadata.version('scipy')}")
+
+
+def test_shipped_runs_match_their_golden_digests(shipped_runs):
+    """Every shipped run is bit for bit the pinned one: a change that moves
+    a result, or a library version that does, names the configs it moved."""
+    digests = {}
+    for name, (_, traj) in shipped_runs.items():
+        h = hashlib.sha256(traj.reports.tobytes())
+        for s in traj.states:
+            h.update(s.x.tobytes())
+            h.update(s.v.tobytes())
+        digests[name] = h.hexdigest()
+    moved = sorted(name for name in digests.keys() | GOLDEN_DIGESTS.keys()
+                   if digests.get(name) != GOLDEN_DIGESTS.get(name))
+    assert not moved, (f"digests of {', '.join(moved)} differ from those pinned with "
+                       f"{GOLDEN_VERSIONS}; running {_versions()}")
 
 
 def _decay_problem():

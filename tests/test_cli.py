@@ -186,6 +186,25 @@ def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("old,new,violation", [
+    ('theta: ["cos(pi*z/2)"]', 'theta: ["1/(z-0.5)"]',
+     "initial data theta[0] is not finite at node 100 (z=0.5) of N=200"),
+    ("psi: [0.0]", 'psi: ["1/t"]', "surface value psi[0] is not finite at t=0"),
+])
+def test_nonfinite_data_on_the_validation_sample_are_named(old, new, violation, tmp_path,
+                                                           capsys):
+    """Problem validation samples the initial data on its own grid of
+    N = 200 and ``psi`` at t = 0.  Data that are not finite there are named,
+    the profile with its node as on the run's grid, or the surface value."""
+    p = tmp_path / "run.yaml"
+    p.write_text((CONFIGS / "zero_kinetics.yaml").read_text().replace(old, new))
+    assert main(["verify", "--config", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (f"problem validation: FAIL [NONFINITE_INPUT] {violation}\n"
+                            "verify: FAIL\n")
+    assert captured.err == ""
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_velocity_on_the_run_grid(tmp_path, capsys):
     """``g = Y`` is finite everywhere, but its integral ``v1(0)`` overflows at

@@ -38,7 +38,7 @@ from biofilmfront import (
 )
 from biofilmfront import coupler
 from biofilmfront.boundary import r_max_bound, velocity_nodes
-from biofilmfront.coupler import START_HISTORY, _Run
+from biofilmfront.coupler import RECORD_BLOCK, START_HISTORY, _Run
 from biofilmfront.grid import interp_rows
 from biofilmfront.kinetics import _species_sum
 from stages import substrate_step, thickness_step, transport_step
@@ -134,8 +134,8 @@ def test_energy_hand_value():
 
 
 @pytest.mark.parametrize("N", [4, 40, 1600])
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_energy_is_the_per_row_trapezoid_rule_bitwise(n, m, N):
     """Each row's integral is ``dz (sum x^2 - (x_0^2 + x_N^2) / 2)``, and the
     weighted rows are summed in row order, Y's and C's apart."""
@@ -154,6 +154,94 @@ def test_energy_is_the_per_row_trapezoid_rule_bitwise(n, m, N):
 
     want = 0.5 * (weighted(s.Y, mu) + weighted(s.C, nu))
     assert energy(s, mu, nu).hex() == want.hex()
+
+
+def _surface_flux(s, D, nu):
+    """The surface energy flux of one state, as a per-state formula:
+    ``|sum_j nu_j (v1 C_j(1)^2 / 2 + D_j C_j(1) dC_j/dz(1))|`` on Python
+    floats, with a one-sided slope."""
+    total = 0.0
+    for nu_j, D_j, (c3, c2, c1) in zip(nu.tolist(), D.tolist(), s.C[:, -3:].tolist()):
+        slope = (3.0 * c1 - 4.0 * c2 + c3) / (2.0 * s.grid.dz)
+        total += nu_j * (0.5 * s.v1 * c1 ** 2 + D_j * c1 * slope)
+    return abs(total)
+
+
+def _growth_problem(m):
+    """Exponential growth of ``m`` species on ``m`` inert substrates, so a
+    low continuation threshold stops the run."""
+    kin = KineticsModel(n=m, m=m, f=lambda Y, C: 8.0 * Y, h=lambda Y, C: np.zeros_like(C),
+                        g=lambda Y, C: np.zeros(Y.shape[1]), quasi_positive=True)
+    data = ProblemData(phi=[lambda z: 1.0 + 0.1 * z, lambda z: 0.8 + 0.0 * z][:m],
+                       theta=[lambda z: 1.0 - 0.5 * z**2, lambda z: 0.2 + 0.3 * z][:m],
+                       psi=[lambda t: 0.5, lambda t: 0.5][:m], D=[1.0, 0.3][:m],
+                       lam=1e-3, R0=1.0)
+    return data, kin
+
+
+@pytest.mark.parametrize("case", ["blocks", "continuation", "failure"])
+def test_record_blocks_give_each_step_its_own_energy_and_flux(case):
+    """A run computes its energy and surface-flux columns a block of steps
+    at a time and at its end, whatever the outcome.  Every row equals, bit
+    for bit, ``energy`` and the flux formula of that row's own state: over
+    two whole blocks and a part (``blocks``), and in runs that stop past the
+    first block, not at a block's end, on a flag (``continuation``) or on a
+    failed step (``failure``).  Three rows of each kind with distinct weights order the
+    weighted sums; two split them between ``Y`` and ``C``."""
+    if case == "blocks":
+        data = ProblemData(phi=[lambda z: 0.3 + 0.1 * z, lambda z: 1.0 - z**2,
+                                lambda z: np.cos(z)],
+                           theta=[lambda z: 1.0 - 0.5 * z**2, lambda z: 0.2 + 0.3 * z,
+                                  lambda z: 0.7 + 0.0 * z],
+                           psi=[lambda t: 0.5, lambda t: 0.5, lambda t: 0.7], D=[1.0, 0.3, 0.1],
+                           lam=0.5, R0=1.0)
+        kin = zero_kinetics(3, 3)
+        cfg = SolverConfig(N=12, dt=1e-3, mu=(1.5, 0.5, 0.3), nu=(0.7, 2.0, 1.1))
+        t_end, outcome = (2 * RECORD_BLOCK + 88) * 1e-3, "completed"
+    elif case == "continuation":
+        (data, kin), cfg = _growth_problem(2), SolverConfig(N=10, dt=1e-3, mu=(0.5, 3.0),
+                                                            nu=(2.0, 0.25),
+                                                            continuation_threshold=10.0)
+        t_end, outcome = 2.0, "continuation_tripped"
+    else:  # the second surface value turns infinite at t = 0.3, in step 300
+        linear, kin = _linear_problem(2)
+        data = ProblemData(phi=linear.phi, theta=linear.theta, D=linear.D, lam=linear.lam,
+                           R0=linear.R0,
+                           psi=[lambda t: 0.5, lambda t: 0.5 if t < 0.2995 else math.inf])
+        cfg, t_end, outcome = SolverConfig(N=10, dt=1e-3, nu=(3.0, 0.5)), 1.0, "solve_failed"
+    traj = run_simulation(data, kin, cfg, t_end=t_end, snapshot_stride=1)
+    steps = len(traj.reports)
+    assert traj.outcome == outcome and steps > RECORD_BLOCK and steps % RECORD_BLOCK != 0
+    assert traj.state_steps == list(range(steps + 1))
+    mu, nu = cfg.weights(kin.n, kin.m)
+    for s, row in zip(traj.states[1:], traj.reports):
+        assert row.energy.hex() == energy(s, mu, nu).hex()
+        assert row.boundary_energy_flux.hex() == _surface_flux(s, data.D, nu).hex()
+
+
+def test_record_flux_squares_the_surface_value_as_a_float_power():
+    """The flux's ``C_j(1)^2`` is ``C_j(1) ** 2`` on a Python float, libm's
+    ``pow``, as the per-state formula takes it; where libm rounds it other
+    than ``c * c`` (about one value in a thousand on glibc), so does the
+    flux.  The surface values here include such values when libm has any."""
+    data, cfg = _substrate_only(), SolverConfig(N=8)
+    mu, nu = cfg.weights(1, 1)
+    values = np.random.default_rng(5).uniform(0.5, 2.0, 4000).tolist()
+    surface = [c for c in values if c ** 2 != c * c][:8] + values[:8]
+
+    def state(k, c):
+        C = np.linspace(0.0, 1.0, 9) ** 2
+        C[-1] = c
+        return State(t=k * cfg.dt, grid=Grid(8), Y=np.ones(9), C=C, R=1.0,
+                     v=np.linspace(0.0, 0.3, 9))
+
+    states = [state(k, c) for k, c in enumerate([1.0] + surface)]
+    run = _Run(states[0], data, cfg, len(surface))
+    for s in states[1:]:
+        run.accept((s, [0.0], 0), data, cfg, mu, nu)
+    run.finish(data, mu, nu)
+    assert ([f.hex() for f in run.reports.boundary_energy_flux.tolist()]
+            == [_surface_flux(s, data.D, nu).hex() for s in states[1:]])
 
 
 def test_solver_config_validated_once():
@@ -1294,8 +1382,10 @@ def test_traced_run_matches_untraced(monkeypatch):
     assert traced.final_state.R.hex() == plain.final_state.R.hex()
     assert ([r.picard_iterations for r in traced.reports]
             == [r.picard_iterations for r in plain.reports])
-    # the per-step sites stay module functions called once per step, so
-    # their per-layer keys cannot silently read 0
-    for key in ("coupler.picard_step", "coupler.energy", "coupler.check_invariants"):
+    # the per-step sites stay module functions called once per step, and the
+    # energy one is called once per record block (here the run's one block,
+    # at its end), so no per-layer key can silently read 0
+    for key in ("coupler.picard_step", "coupler.check_invariants"):
         assert tracer.stats[key].calls == 50, key
+    assert tracer.stats["coupler.energy"].calls == 1
     assert all(tracer.stats[f"kinetics.{name}"].calls > 0 for name in spans.KINETICS)

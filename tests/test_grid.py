@@ -143,6 +143,22 @@ def test_interp_linear_hits_nodes():
     assert np.array_equal(interp_rows(rows, z, g.nodes), rows[:, [0, 3, 10]])
 
 
+@pytest.mark.parametrize("N", [4, 40, 1600])
+def test_interp_rows_is_np_interp_bitwise(N):
+    """``interp_rows`` calls the routine behind ``np.interp`` directly, and
+    gives its results bit for bit: at random points, at exact nodes and at
+    feet clamped onto z = 1."""
+    rng = np.random.default_rng(N)
+    g = Grid(N)
+    rows = rng.uniform(-2.0, 2.0, (3, N + 1))
+    z = np.concatenate((rng.uniform(0.0, 1.0, N + 1), g.nodes,
+                        np.minimum(g.nodes * np.exp(0.05), 1.0)))
+    got = interp_rows(rows, z, g.nodes)
+    assert got.shape == (3, len(z))
+    for got_row, row in zip(got, rows):
+        assert got_row.tobytes() == np.interp(z, g.nodes, row).tobytes()
+
+
 def test_interp_linear_midpoint():
     g = Grid(4)
     row = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
