@@ -19,7 +19,7 @@ from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, _require_m
                      build_runspec, load_tree)
 from .coupler import energy, run_simulation
 from .errors import InvalidProblem, SolverError, ValidationError
-from .output import _table, _write_text, write_timeseries
+from .output import _blocks, _write_text, write_timeseries
 
 
 def _build_parser():
@@ -152,10 +152,10 @@ def _cmd_sweep(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     summary = os.path.join(args.out, "sweep_summary.csv")
-    values = [row[key] for row in rows
-              for key in ("value_text", "outcome", "final_R", "final_energy", "steps")]
-    _write_text(summary, _table(f"{args.param},outcome,final_R,final_energy,steps",
-                                "%s,%s,%.17g,%.17g,%d", values))
+    keys = ("value_text", "outcome", "final_R", "final_energy", "steps")
+    _write_text(summary, _blocks(f"{args.param},outcome,final_R,final_energy,steps",
+                                 "%s,%s,%.17g,%.17g,%d", len(rows),
+                                 lambda lo, hi: [row[k] for row in rows[lo:hi] for k in keys]))
     for row in rows:
         for code, msg in row["warnings"]:
             print(f"{args.param}={row['value_text']}: warning [{code}]: {msg}")

@@ -34,9 +34,9 @@ import numpy as np
 from . import boundary, parabolic, transport
 from .boundary import r_max_bound
 from .errors import InvalidProblem, PicardDivergence, SolverError, ValidationError
-from .grid import Grid, cumtrapz_dz, interp_rows, require_int
+from .grid import DEFAULT_N, Grid, interp_rows, require_int
 from .kinetics import KineticsModel
-from .problem import ProblemData, ValidationReport, nonfinite_at, nonfinite_v1, validate_problem
+from .problem import ProblemData, ValidationReport, validate_problem
 
 #: nodal values below this (negative) level trip the negativity flags
 POSITIVITY_TOL = 1e-12
@@ -103,7 +103,7 @@ class State:
 class SolverConfig:
     """Numerical settings shared by all runs, validated at construction."""
 
-    N: int = 100
+    N: int = DEFAULT_N
     dt: float = 1e-3
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
@@ -249,7 +249,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     caller passes none; the step ends at ``run.t0 + run.count dt`` (a run's
     step ``k`` at ``k dt``, a direct call at ``state.t + dt``).  The
     step-start ``f`` is the one ``run`` carries when its last step ended at
-    ``state``, and the converged state's ``f`` is carried on.  The inputs
+    ``state`` (``h`` too at a run's first step, from the validation report),
+    and the converged state's ``f`` is carried on.  The inputs
     are trusted: :func:`run_simulation` validates them once, and the sweeps
     check only what they compute (the mesh Peclet number, the solves, the
     velocity and the thickness; a non-finite biomass shows in the residual).
@@ -274,12 +275,14 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
                                   code="NONFINITE_INPUT")
 
     # step-start source fields, fixed across sweeps; f comes from the step
-    # that ended at ``state`` when ``run`` carries it
+    # that ended at ``state`` when ``run`` carries it, h only at its start
     R2_start = R_start**2
-    state_f, f_start = run.end_f
-    if state_f is not state:
-        f_start = np.asarray(kin.f(Y0, C0), dtype=float)
-    H_lag = (1.0 - theta) * (R2_start * np.asarray(kin.h(Y0, C0), dtype=float))
+    at, f_start, h_start = run.end_rates
+    if at is not state:
+        f_start, h_start = np.asarray(kin.f(Y0, C0), dtype=float), None
+    if h_start is None:
+        h_start = np.asarray(kin.h(Y0, C0), dtype=float)
+    H_lag = (1.0 - theta) * (R2_start * h_start)
     # Y0 and F_start = R^2 f stacked, interpolated at each sweep's feet by one call
     YF_start = np.concatenate((Y0, R2_start * f_start))
     xk = state.x if start is None else start
@@ -351,7 +354,7 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     v_final = boundary.velocity_nodes(g_end, Rk**2, dz)
     xk[-1] = v_final[-1]
     new = object.__new__(State)._freeze(t_new, grid, xk, n, v_final)
-    run.end_f = new, f_end
+    run.end_rates = new, f_end, None
     return new, residuals, int(np.count_nonzero(transport.clamped_mask(unclamped)))
 
 
@@ -401,8 +404,9 @@ class _Run:
     smallest value (which binds the mesh-Peclet guard) and the implicit
     bands.  Its steps: the newest accepted ``state``, the ``count`` of them
     (the start included) and the last :data:`START_HISTORY` of their ``x``
-    in a rolling buffer, which :meth:`start` extrapolates; ``end_f``, the
-    state the last :func:`picard_step` ended at and its raw ``f``; the
+    in a rolling buffer, which :meth:`start` extrapolates; ``end_rates``, the
+    state the last :func:`picard_step` ended at, or the run's start, and
+    its raw ``f`` and ``h`` (``None`` but at the start); the
     running max ``|v1|`` of the thickness bound and minima of ``Y`` and
     ``C`` (the earlier of equal values stays, as in ``min``); ``reports``
     and the states kept (every ``stride``-th).  A step's flags are taken as
@@ -426,7 +430,7 @@ class _Run:
         self._buf = np.zeros((START_HISTORY, state.x.size))
         self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
         self.min_Y_seen, self.min_C_seen = float(state.Y.min()), float(state.C.min())
-        self.end_f = None, None
+        self.end_rates = None, None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
         self.stride, self.states, self.state_steps = stride, [state], [0]
         K, N, n, r = state.grid.N + 1, state.grid.N, len(state.Y), len(state.X)
@@ -504,26 +508,15 @@ class _Run:
 
 
 def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> State:
-    """Sample the problem data onto the grid and build the t = 0 state.
-
-    Raises :class:`ValidationError` ``NONFINITE_INPUT`` naming the profile,
-    or the rate ``g`` at the sampled data, and the first node (with its
-    ``z``) where it is not finite, or ``R0`` and the grid when ``v1(0)`` is
-    not finite.
-    """
+    """The t = 0 state on the run's grid, of ``cfg.N`` cells, built from the
+    initial data and velocity that :func:`validate_problem` samples and
+    checks there.  An invalid problem raises :class:`InvalidProblem`, whose
+    code is its first violation's."""
     grid = Grid(cfg.N)
-    Y0, C0 = data.sample_initial(grid.nodes)
-    bad = (nonfinite_at("initial data phi[{}]", Y0, grid.nodes)
-           or nonfinite_at("initial data theta[{}]", C0, grid.nodes))
-    if bad is None:  # g only at finite data
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
-            g0 = np.asarray(kin.g(Y0, C0), dtype=float)
-            v0 = cumtrapz_dz(data.R0**2 * g0, grid.dz)
-        bad = (nonfinite_at("kinetics g at the initial data", g0, grid.nodes)
-               or nonfinite_v1(data.R0, v0[-1], f" on the run's grid of N={grid.N}"))
-    if bad is not None:
-        raise ValidationError(bad, code="NONFINITE_INPUT")
-    return State(t=0.0, grid=grid, Y=Y0, C=C0, R=data.R0, v=v0)
+    rep = validate_problem(data, kin, grid)
+    if not rep.ok:
+        raise InvalidProblem(rep)
+    return State(t=0.0, grid=grid, Y=rep.Y0, C=rep.C0, R=data.R0, v=rep.v0)
 
 
 # numpy's floating-point warnings are off for the whole run: its outcome names an overflow
@@ -549,19 +542,19 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     that is not an integer ``SCHEMA_VIOLATION``, a ``t_end`` whose
     step count ``t_end / dt`` is not finite ``NONFINITE_INPUT``, and one
     whose ``reports`` no array or no memory could hold ``TOO_MANY_STEPS``.
-    The problem is validated at entry; an invalid one raises
+    The problem is validated at entry, once, on the run's grid
+    (:func:`validate_problem`); an invalid one raises
     :class:`InvalidProblem`, which names every violation and carries the
-    report.  Initial data, or ``g`` at them, that are not finite at a node
-    of the run's grid are one more violation (``NONFINITE_INPUT``, from
-    :func:`initial_state`), added to that report with its warnings kept.  A
-    valid problem's report (with its warnings) is kept on
-    ``Trajectory.validation``.  When ``t_end`` is not a whole number of
-    steps, that report also carries a ``HORIZON_ROUNDED`` warning naming the
-    horizon the run takes instead.  A step that fails keeps the trajectory
-    recorded up to it, its error names the outcome (``SolverError.outcome``),
-    and ``Trajectory.failure`` holds the error's code and message, the step
-    number and its end time ``t``, plus the error's own attributes: the
-    residual history (``picard_diverged``) or the thickness (``washout``).
+    report with its warnings.  The run starts from the initial data,
+    velocity and rates that report holds, and a valid problem's report
+    (with its warnings) is kept on ``Trajectory.validation``.  When
+    ``t_end`` is not a whole number of steps, that report also carries a
+    ``HORIZON_ROUNDED`` warning naming the horizon the run takes instead.
+    A step that fails keeps the trajectory recorded up to it, its error
+    names the outcome (``SolverError.outcome``), and ``Trajectory.failure``
+    holds the error's code and message, the step number and its end time
+    ``t``, plus the error's own attributes: the residual history
+    (``picard_diverged``) or the thickness (``washout``).
 
     Step ``k`` ends at ``t = k dt`` exactly, not at a sum of steps.  Snapshots
     are stored every ``snapshot_stride`` steps (plus t = 0 and the final
@@ -581,7 +574,8 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     if require_int("snapshot_stride", snapshot_stride) < 1:
         raise ValidationError(f"snapshot_stride must be >= 1, got {snapshot_stride}",
                               code="NONPOSITIVE_PARAM")
-    rep = validate_problem(data, kin)
+    grid = Grid(cfg.N)
+    rep = validate_problem(data, kin, grid)
     if not rep.ok:
         raise InvalidProblem(rep)
     n_steps = int(round(steps))
@@ -591,19 +585,14 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
                              f"t={n_steps * cfg.dt:.12g}"))
     mu, nu = cfg.weights(kin.n, kin.m)  # checked once, before the first step
 
-    try:
-        start = initial_state(data, kin, cfg)
-    except ValidationError as exc:
-        if exc.code != "NONFINITE_INPUT":
-            raise
-        rep.violations.append((exc.code, str(exc)))
-        raise InvalidProblem(rep) from None
+    start = State(t=0.0, grid=grid, Y=rep.Y0, C=rep.C0, R=data.R0, v=rep.v0)
     try:
         run = _Run(start, data, cfg, n_steps, snapshot_stride)
     except MemoryError:  # reports has a row for every step, sized up front
         raise ValidationError(f"t_end={t_end:.12g} at dt={cfg.dt:.12g} is {n_steps} steps, whose "
                               f"reports ({n_steps * STEP_COLUMNS.itemsize:.3g} bytes) do not fit "
                               "in memory", code="TOO_MANY_STEPS") from None
+    run.end_rates = start, rep.f0, rep.h0  # the first step's start: no rate is evaluated twice
     outcome, failure = "completed", None
     for k in range(1, n_steps + 1):
         try:

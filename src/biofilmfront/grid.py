@@ -20,6 +20,10 @@ try:  # the compiled routine behind np.interp, without its Python wrapper
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import interp as _interp
 
+#: cells of a run that names none (``SolverConfig.N``), and of the grid
+#: ``validate_problem`` checks on when it is given none
+DEFAULT_N = 100
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:

@@ -134,9 +134,9 @@ def linear_preset(A: np.ndarray, c: np.ndarray, B: np.ndarray, d: np.ndarray) ->
     def h(Y, C):
         return B @ C + d[:, None]
 
-    # quasi-positive only in the degenerate all-zero case; affine rates can
-    # always be driven negative otherwise.
-    qp = not (A.any() or B.any() or c.any() or d.any())
+    # f = A Y + c >= 0 at every Y >= 0 exactly when c >= 0 (take Y = 0) and
+    # A >= 0 (take Y = t e_k, t large); h likewise with B and d
+    qp = all(bool(np.all(x >= 0.0)) for x in (A, B, c, d))
     return KineticsModel(n=n, m=m, f=f, h=h, g=_species_sum(f), quasi_positive=qp)
 
 

@@ -40,21 +40,12 @@ _SCALAR_COLUMNS = tuple(name for name in STEP_COLUMNS.names if name != "invarian
 _BLOCK_ROWS = 1024
 
 
-def _table(header: str, row: str, values) -> str:
-    """CSV text: ``header``, then ``row`` once per row of flat, row-major ``values``.
-
-    ``row`` is a ``%`` template with one conversion per column (``%.17g``
-    gives the same text as ``format(float(x), ".17g")`` for every double).
-    """
-    values = tuple(values)
-    nrows = len(values) // row.count("%")
-    return f"{header}\n" + ((row + "\n") * nrows) % values
-
-
 def _blocks(header: str, row: str, nrows: int, values):
-    """The text of :func:`_table` in pieces: ``header``, then ``row`` for each
+    """CSV text of ``nrows`` rows in pieces: ``header``, then ``row`` for each
     block of up to :data:`_BLOCK_ROWS` rows ``lo:hi``, whose flat, row-major
-    values ``values(lo, hi)`` gives."""
+    values ``values(lo, hi)`` gives.  ``row`` is a ``%`` template with one
+    conversion per column (``%.17g`` gives the same text as
+    ``format(float(x), ".17g")`` for every double)."""
     yield f"{header}\n"
     for lo in range(0, nrows, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, nrows)

@@ -13,13 +13,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, cumtrapz_dz
+from .grid import DEFAULT_N, Grid, cumtrapz_dz
 from .kinetics import KineticsModel
 
 #: tolerance for the Dirichlet/initial-data compatibility check theta(1) == psi(0)
 COMPAT_TOL = 1e-12
-#: cells of the grid the initial data and rates are checked on
-N_SAMPLE = 200
+#: step of the one-sided differences for theta'(1) and theta''(1) in the
+#: SECOND_ORDER_COMPAT check, fixed whatever the grid, as its ``dt_fd`` is for
+#: psi'(0): on a coarse grid's nodes their own error would trip the check
+COMPAT_DZ = 1.0 / 200
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -64,14 +66,6 @@ class ProblemData:
     def m(self) -> int:
         return len(self.theta)
 
-    def sample_initial(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sample (phi, theta) onto the given nodes as (n, K) and (m, K) arrays."""
-        Y0 = np.array([np.broadcast_to(np.asarray(p(nodes), dtype=float), nodes.shape)
-                       for p in self.phi])
-        C0 = np.array([np.broadcast_to(np.asarray(t(nodes), dtype=float), nodes.shape)
-                       for t in self.theta])
-        return Y0, C0
-
     def psi_at(self, t: float) -> np.ndarray:
         """Dirichlet values of all substrates at time ``t`` as an (m,) array."""
         return np.array([float(p(t)) for p in self.psi])
@@ -82,11 +76,21 @@ class ValidationReport:
     """Outcome of :func:`validate_problem`.
 
     ``violations`` are fatal ``(code, message)`` pairs; ``warnings`` flag
-    conditions a run survives but a user should know about.
+    conditions a run survives but a user should know about.  Two reports
+    compare by these two lists.  An ok report also holds what the checks
+    computed on the grid of ``K`` nodes they ran on, from which a run starts:
+    the initial data ``Y0`` ``(n, K)`` and ``C0`` ``(m, K)``, the t = 0
+    velocity ``v0`` ``(K,)`` and the rates ``f0`` ``(n, K)`` and ``h0``
+    ``(m, K)`` at the initial data; ``None`` while it is not ok.
     """
 
     violations: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    Y0: np.ndarray | None = field(default=None, compare=False, repr=False)
+    C0: np.ndarray | None = field(default=None, compare=False, repr=False)
+    v0: np.ndarray | None = field(default=None, compare=False, repr=False)
+    f0: np.ndarray | None = field(default=None, compare=False, repr=False)
+    h0: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -99,24 +103,31 @@ class ValidationReport:
         return {code for code, _ in self.warnings}
 
 
-def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
+def validate_problem(data: ProblemData, kin: KineticsModel,
+                     grid: Grid | None = None) -> ValidationReport:
     """Check problem data against the model for shape, sign, finiteness and
-    boundary/initial-data compatibility.
+    boundary/initial-data compatibility on ``grid``, the run's grid (by
+    default a default run's, of :data:`~biofilmfront.grid.DEFAULT_N` cells).
+    The initial data are sampled there once, and the rates evaluated there
+    once (``f`` and ``g`` in one :meth:`KineticsModel.fg` call); an ok
+    report holds them and the t = 0 velocity, from which a run starts.
 
     Violations (fatal): ``DIMENSION_MISMATCH`` (counts that disagree with
     the kinetics; ``D`` or ``psi`` without one entry per substrate; ``f``,
     ``h`` or ``g`` at the initial data not of shape ``(n, K)``, ``(m, K)``
     or ``(K,)``), ``NONPOSITIVE_D``, ``NONPOSITIVE_LAMBDA``, ``NONPOSITIVE_R0``,
-    ``NONFINITE_INPUT`` (a coefficient, ``psi_j(0)``, ``v1(0)`` or the square
-    of ``R0`` that is not finite, or a profile or rate at the initial data,
-    naming it and its first such node), ``COMPAT_MISMATCH``
-    (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
+    ``NONFINITE_INPUT`` (a coefficient, ``psi_j(0)`` or the square of ``R0``
+    that is not finite; a profile or rate at the initial data, naming it
+    and its first such node of the grid; the velocity
+    ``v1(0) = R0^2 int_0^1 g`` on the grid, naming ``R0`` and ``N``),
+    ``COMPAT_MISMATCH`` (``theta_j(1) != psi_j(0)`` beyond ``COMPAT_TOL``).
 
     Warnings: ``NEGATIVE_INITIAL_DATA`` when the model is quasi-positive but
     the data start negative; ``SECOND_ORDER_COMPAT`` when the substrate data
     fail the higher-order matching condition
-    ``D_j theta_j'' (1) + v1(0) theta_j'(1) + H_j(1) = psi_j'(0)``
-    (checked by finite differences, so only gross mismatches are flagged).
+    ``D_j theta_j'' (1) + v1(0) theta_j'(1) + R0^2 h_j(1) = psi_j'(0)``
+    (checked by finite differences of step :data:`COMPAT_DZ`, so only gross
+    mismatches are flagged).
     """
     rep = ValidationReport()
     if data.n != kin.n or data.m != kin.m:
@@ -154,11 +165,15 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
     elif data.R0 <= 0.0:
         rep.violations.append(("NONPOSITIVE_R0", f"initial thickness must be > 0, got {data.R0}"))
 
-    grid = Grid(N_SAMPLE)
-    Y0, C0 = data.sample_initial(grid.nodes)
+    grid = Grid(DEFAULT_N) if grid is None else grid
+    nodes, K = grid.nodes, grid.N + 1
+    Y0 = _sample(data.phi, nodes)
+    # theta also at z = 1 - 3 COMPAT_DZ, ..., 1 for SECOND_ORDER_COMPAT, in the same call
+    C = _sample(data.theta, np.concatenate((nodes, 1.0 - COMPAT_DZ * np.arange(3.0, -1.0, -1.0))))
+    C0, C_fd = C[:, :K].copy(), C[:, K:]
     psi0 = data.psi_at(0.0)
-    bad = (nonfinite_at("initial data phi[{}]", Y0, grid.nodes)
-           or nonfinite_at("initial data theta[{}]", C0, grid.nodes)
+    bad = (nonfinite_at("initial data phi[{}]", Y0, nodes)
+           or nonfinite_at("initial data theta[{}]", C0, nodes)
            or next((f"surface value psi[{j}] is not finite at t=0"
                     for j, value in enumerate(psi0.tolist()) if not np.isfinite(value)), None))
     if bad:
@@ -185,23 +200,52 @@ def validate_problem(data: ProblemData, kin: KineticsModel) -> ValidationReport:
         return rep
     # the solver works on the rate arrays as returned, so their shapes are
     # checked here, once
-    K = len(grid.nodes)
-    rates = {}
-    for name, label, shape in (("f", "f[{}]", (kin.n, K)), ("h", "h[{}]", (kin.m, K)),
-                               ("g", "g", (K,))):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
-            rates[name] = np.asarray(getattr(kin, name)(Y0, C0), dtype=float)
-        if rates[name].shape != shape:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # named below
+        f0, g0 = kin.fg(Y0, C0)
+        h0 = np.asarray(kin.h(Y0, C0), dtype=float)
+    for name, label, rate, shape in (("f", "f[{}]", f0, (kin.n, K)), ("h", "h[{}]", h0, (kin.m, K)),
+                                     ("g", "g", g0, (K,))):
+        if rate.shape != shape:
             rep.violations.append((
                 "DIMENSION_MISMATCH",
-                f"kinetics {name} returned shape {rates[name].shape}, expected {shape}",
+                f"kinetics {name} returned shape {rate.shape}, expected {shape}",
             ))
-        elif bad := nonfinite_at(f"kinetics {label} at the initial data", rates[name],
-                                 grid.nodes):
+        elif bad := nonfinite_at(f"kinetics {label} at the initial data", rate, nodes):
             rep.violations.append(("NONFINITE_INPUT", bad))
-    if rep.ok:
-        _second_order_compat(rep, data, grid.nodes, C0, rates["h"], rates["g"])
+    if not rep.ok:
+        return rep
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        v0 = cumtrapz_dz(data.R0 ** 2 * g0, grid.dz)  # as a step computes the velocity
+    if not np.isfinite(v0[-1]):
+        rep.violations.append((
+            "NONFINITE_INPUT",
+            f"surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0={data.R0:g} on the "
+            f"run's grid of N={grid.N}; reduce R0 or g at the initial data",
+        ))
+        return rep
+    # the second-order matching condition: theta_j's one-sided, second-order
+    # curvature and slope at z = 1 of step COMPAT_DZ, and psi_j'(0) centred
+    dz, dt_fd = COMPAT_DZ, 1e-6
+    for j, c in enumerate(C_fd):
+        d2 = (2.0 * c[-1] - 5.0 * c[-2] + 4.0 * c[-3] - c[-4]) / dz ** 2
+        d1 = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * dz)
+        lhs = data.D[j] * d2 + v0[-1] * d1 + data.R0 ** 2 * h0[j, -1]
+        psi_rate = (float(data.psi[j](dt_fd)) - float(data.psi[j](-dt_fd))) / (2.0 * dt_fd)
+        if abs(lhs - psi_rate) > 1e-3 * max(1.0, abs(lhs), abs(psi_rate)):
+            rep.warnings.append((
+                "SECOND_ORDER_COMPAT",
+                f"substrate {j}: boundary data rate psi'(0)={psi_rate:.6g} does not "
+                f"match the interior balance {lhs:.6g} at t=0; expect a transient "
+                "boundary layer",
+            ))
+    rep.Y0, rep.C0, rep.v0, rep.f0, rep.h0 = Y0, C0, v0, f0, h0
     return rep
+
+
+def _sample(profiles, z: np.ndarray) -> np.ndarray:
+    """Each callable of ``profiles`` at the points ``z``, one row each; a
+    constant it returns fills its row."""
+    return np.array([np.broadcast_to(np.asarray(p(z), dtype=float), z.shape) for p in profiles])
 
 
 def nonfinite_at(what: str, rows: np.ndarray, nodes: np.ndarray) -> str | None:
@@ -212,40 +256,3 @@ def nonfinite_at(what: str, rows: np.ndarray, nodes: np.ndarray) -> str | None:
         return None
     i, k = bad[0].tolist()
     return f"{what.format(i)} is not finite at node {k} (z={nodes[k]:.6g}) of N={len(nodes) - 1}"
-
-
-def nonfinite_v1(R0: float, v1: float, where: str = "") -> str | None:
-    """The message naming ``R0`` (and ``where``, the grid) when the surface
-    velocity ``v1(0)`` is not finite; ``None`` if it is."""
-    if np.isfinite(v1):
-        return None
-    return (f"surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0={R0:g}{where}; "
-            "reduce R0 or g at the initial data")
-
-
-def _second_order_compat(rep, data, nodes, C0, hvals, gvals):
-    """Finite-difference check of the higher-order boundary matching condition,
-    made only at a finite v1(0); one that is not finite is a violation."""
-    dz = nodes[1] - nodes[0]
-    R0sq = data.R0 ** 2
-    with np.errstate(over="ignore", invalid="ignore"):  # named below
-        v1_0 = cumtrapz_dz(R0sq * gvals, dz)[-1]  # the solver's v1(0)
-    if bad := nonfinite_v1(data.R0, v1_0):
-        rep.violations.append(("NONFINITE_INPUT", bad))
-        return
-    dt_fd = 1e-6
-    for j in range(data.m):
-        c = C0[j]
-        # one-sided, second-order curvature and slope at z=1
-        d2 = (2.0 * c[-1] - 5.0 * c[-2] + 4.0 * c[-3] - c[-4]) / dz ** 2
-        d1 = (3.0 * c[-1] - 4.0 * c[-2] + c[-3]) / (2.0 * dz)
-        lhs = data.D[j] * d2 + v1_0 * d1 + R0sq * hvals[j, -1]
-        psi_rate = (float(data.psi[j](dt_fd)) - float(data.psi[j](-dt_fd))) / (2.0 * dt_fd)
-        scale = max(1.0, abs(lhs), abs(psi_rate))
-        if abs(lhs - psi_rate) > 1e-3 * scale:
-            rep.warnings.append((
-                "SECOND_ORDER_COMPAT",
-                f"substrate {j}: boundary data rate psi'(0)={psi_rate:.6g} does not "
-                f"match the interior balance {lhs:.6g} at t=0; expect a transient "
-                "boundary layer",
-            ))

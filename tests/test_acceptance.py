@@ -278,6 +278,24 @@ def test_audit_records_of_the_shipped_runs(shipped_runs):
             for name, (spec, traj) in shipped_runs.items()} == SHIPPED_AUDITS
 
 
+#: each shipped run's validation report, ``(violations, warnings)``, as
+#: ``verify`` prints it
+SHIPPED_VALIDATION = {
+    "equilibrium.yaml": ([], []),
+    "linear_dissipative.yaml": ([], []),
+    "monod_growth.yaml": ([], [
+        ("SECOND_ORDER_COMPAT", "substrate 0: boundary data rate psi'(0)=0 does not match the "
+                                "interior balance -1.02382 at t=0; expect a transient boundary "
+                                "layer")]),
+    "zero_kinetics.yaml": ([], []),
+}
+
+
+def test_validation_reports_of_the_shipped_runs(shipped_runs):
+    assert {name: (traj.validation.violations, traj.validation.warnings)
+            for name, (_, traj) in shipped_runs.items()} == SHIPPED_VALIDATION
+
+
 def test_c11_bitwise_determinism(tmp_path):
     """Two `simulate` runs of one config produce identical scalars.csv bytes."""
     cfg_path = os.path.join(CONFIG_DIR, "zero_kinetics.yaml")

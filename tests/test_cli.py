@@ -162,11 +162,12 @@ def test_missing_file_exit_2(tmp_path, capsys):
 
 
 def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
-    """phi = 1/(3z - 1) is finite on problem validation's sample grid but
-    infinite at node 10 of N = 30.  Sampling the t = 0 state rejects it and
+    """phi = 1/(3z - 1) is infinite at node 10 of the run's grid of N = 30.
+    Problem validation, which samples the data on that grid, rejects it and
     names the profile and the node: a problem violation, on which simulate
     exits 2 like on every invalid problem, and verify prints its failed
-    check after the report's warnings and exits 1."""
+    check and exits 1.  Data that are not finite are checked before their
+    sign, so the report holds no ``NEGATIVE_INITIAL_DATA`` warning."""
     p = tmp_path / "run.yaml"
     p.write_text(GOOD.replace("phi: [0.0]", 'phi: ["1/(3*z-1)"]').replace("N: 20", "N: 30"))
     out = tmp_path / "o"
@@ -179,23 +180,21 @@ def test_nonfinite_initial_data_exit_2(tmp_path, capsys):
     assert not out.exists()
     assert main(["verify", "--config", str(p)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ("warning [NEGATIVE_INITIAL_DATA]: model preserves nonnegativity but "
-                            "initial data start negative\n"
-                            f"problem validation: FAIL [NONFINITE_INPUT] {violation}\n"
+    assert captured.out == (f"problem validation: FAIL [NONFINITE_INPUT] {violation}\n"
                             "verify: FAIL\n")
     assert captured.err == ""
 
 
 @pytest.mark.parametrize("old,new,violation", [
     ('theta: ["cos(pi*z/2)"]', 'theta: ["1/(z-0.5)"]',
-     "initial data theta[0] is not finite at node 100 (z=0.5) of N=200"),
+     "initial data theta[0] is not finite at node 50 (z=0.5) of N=100"),
     ("psi: [0.0]", 'psi: ["1/t"]', "surface value psi[0] is not finite at t=0"),
 ])
 def test_nonfinite_data_on_the_validation_sample_are_named(old, new, violation, tmp_path,
                                                            capsys):
-    """Problem validation samples the initial data on its own grid of
-    N = 200 and ``psi`` at t = 0.  Data that are not finite there are named,
-    the profile with its node as on the run's grid, or the surface value."""
+    """Problem validation samples the initial data on the run's grid, here
+    of N = 100, and ``psi`` at t = 0.  Data that are not finite there are
+    named: the profile with its node and the grid's N, or the surface value."""
     p = tmp_path / "run.yaml"
     p.write_text((CONFIGS / "zero_kinetics.yaml").read_text().replace(old, new))
     assert main(["verify", "--config", str(p)]) == 1
@@ -207,9 +206,9 @@ def test_nonfinite_data_on_the_validation_sample_are_named(old, new, violation, 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nonfinite_velocity_on_the_run_grid(tmp_path, capsys):
-    """``g = Y`` is finite everywhere, but its integral ``v1(0)`` overflows at
-    N = 1000, where two adjacent nodes hold 1.3e308 each; validation's
-    200-cell sample sees at most 3.3e305 and passes.  The t = 0 velocity is
+    """``g = Y`` is finite everywhere, but its integral ``v1(0)`` overflows on
+    the run's grid of N = 1000, where two adjacent nodes hold 1.3e308 each
+    (a grid of 200 cells sees at most 3.3e305).  The t = 0 velocity is
     input, so it is a problem violation naming ``R0`` and ``N``, not a step
     error: simulate exits 2 and verify prints its failed check and exits 1."""
     p = tmp_path / "run.yaml"
@@ -244,20 +243,22 @@ _RATE_AT = "at the initial data is not finite at node"
 
 
 _OVERFLOWING_PHI = pytest.mark.parametrize("phi,N,violations", [
-    ("1.0e308", 20, [f"kinetics f[0] {_RATE_AT} 0 (z=0) of N=200",
-                     f"kinetics g {_RATE_AT} 0 (z=0) of N=200"]),
-    ('"1e308*exp(-1e10*(z-1/3)^2)"', 30, [f"kinetics g {_RATE_AT} 10 (z=0.333333) of N=30"]),
+    ("1.0e308", 20, [f"kinetics f[0] {_RATE_AT} 0 (z=0) of N=20",
+                     f"kinetics g {_RATE_AT} 0 (z=0) of N=20"]),
+    ('"1e308*exp(-1e10*(z-1/3)^2)"', 30, [f"kinetics f[0] {_RATE_AT} 10 (z=0.333333) of N=30",
+                                          f"kinetics g {_RATE_AT} 10 (z=0.333333) of N=30"]),
 ], ids=["on_the_sample", "on_the_run_grid"])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @_OVERFLOWING_PHI
 def test_nonfinite_rate_at_initial_data(tmp_path, capsys, phi, N, violations):
-    """``f = 10 Y`` overflows where ``phi`` is 1e308: on validation's sample
-    grid everywhere, or only at node 10 of N = 30, where the spike of the
-    second ``phi`` sits between the sample's nodes.  Either is a problem
-    violation naming the rate and the node, on which simulate exits 2 and
-    verify prints its failed checks and exits 1."""
+    """``f = 10 Y`` overflows where ``phi`` is 1e308: at every node of the
+    sample that problem validation takes on the run's grid, or only at node
+    10 of N = 30, where the narrow spike of the second ``phi`` sits (a grid
+    of 200 cells has no node close enough to see it).  Either is a problem
+    violation naming the rate and the node, ``f`` and with it ``g``, on
+    which simulate exits 2 and verify prints its failed checks and exits 1."""
     p = tmp_path / "run.yaml"
     p.write_text(_GROWTH.replace("phi: [0.0]", f"phi: [{phi}]").replace("N: 20", f"N: {N}"))
     out = tmp_path / "o"
@@ -839,19 +840,19 @@ def test_initial_thickness_without_a_finite_square(tmp_path, capsys):
         "verify: FAIL"]
 
 
-@pytest.mark.parametrize("name,edit", [
-    ("linear_dissipative", ("c: [0.0]", "c: [1.0e+308]")),
-    ("linear_dissipative", ("phi: [0.0]", "phi: [1.0e+308]")),
-    ("equilibrium", ("A: [[0.0]]", "A: [[1.0e+308]]")),
-    ("equilibrium", ("c: [0.5]", "c: [1.0e+308]")),
+@pytest.mark.parametrize("name,N,edit", [
+    ("linear_dissipative", 80, ("c: [0.0]", "c: [1.0e+308]")),
+    ("linear_dissipative", 80, ("phi: [0.0]", "phi: [1.0e+308]")),
+    ("equilibrium", 40, ("A: [[0.0]]", "A: [[1.0e+308]]")),
+    ("equilibrium", 40, ("c: [0.5]", "c: [1.0e+308]")),
 ], ids=["c", "phi", "A", "c_balanced"])
-def test_overflowing_initial_velocity_is_a_violation(name, edit, tmp_path, capsys):
+def test_overflowing_initial_velocity_is_a_violation(name, N, edit, tmp_path, capsys):
     """Rates finite at the initial data whose integral v1(0) overflows used
     to escape as a bare ``NONFINITE`` error naming no input, after numpy's
-    overflow warnings.  It is an invalid problem naming R0 and g, without a
-    ``RuntimeWarning``: simulate exits 2, verify fails its check."""
-    violation = ("surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0=1; "
-                 "reduce R0 or g at the initial data")
+    overflow warnings.  It is an invalid problem naming R0, g and the run's
+    N, without a ``RuntimeWarning``: simulate exits 2, verify fails its check."""
+    violation = (f"surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0=1 on the run's "
+                 f"grid of N={N}; reduce R0 or g at the initial data")
     p = tmp_path / "run.yaml"
     p.write_text(_shipped(name, edit))
     out = tmp_path / "out"

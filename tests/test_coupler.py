@@ -1,5 +1,7 @@
 """Coupled step, trajectory outcomes, energy audit and physical back-transform."""
 
+import collections
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -689,13 +691,18 @@ def test_step_clamps_feet_before_interpolating(monkeypatch):
 
 
 def test_step_rejects_nonfinite_biomass():
-    # f = inf makes Y infinite; an infinite tolerance lets that sweep converge
+    # f = inf makes Y infinite; an infinite tolerance lets that sweep converge.
+    # Validation rejects such an f at the initial data, so the state is built
+    # directly.
     kin = KineticsModel(n=1, m=1, f=lambda Y, C: np.full_like(Y, np.inf),
                         h=lambda Y, C: np.zeros_like(C), g=lambda Y, C: np.zeros(Y.shape[1]))
     data = _substrate_only()
     cfg = SolverConfig(N=10, dt=1e-3, picard_tol=math.inf)
+    grid = Grid(10)
+    s0 = State(t=0.0, grid=grid, Y=np.zeros((1, 11)), C=[np.cos(0.5 * math.pi * grid.nodes)],
+               R=1.0, v=np.zeros(11))
     with pytest.raises(SolverError) as exc:
-        picard_step(initial_state(data, kin, cfg), data, kin, cfg)
+        picard_step(s0, data, kin, cfg)
     assert exc.value.code == "NONFINITE"
     assert not isinstance(exc.value, ValidationError)
 
@@ -751,10 +758,10 @@ def _counted(kin, tagged):
 def test_preset_rates_are_evaluated_once_per_iterate(m):
     """With a preset's ``g``, a run evaluates ``f`` once per sweep and once
     per step (at the converged state, for its velocity and the next step's
-    sources), plus four times at entry: ``f`` and ``g`` in the problem check,
-    ``g`` for the initial velocity and ``f`` at the first step's start.  No
-    step calls ``g``.  An untagged ``g`` that sums the same ``f`` is called
-    as given and gives the same bits."""
+    sources), plus once at entry: the problem check's ``fg`` call, whose
+    ``f`` also starts the first step and whose ``g`` gives the initial
+    velocity.  No call evaluates ``g`` on its own.  An untagged ``g`` that
+    sums the same ``f`` is called as given and gives the same bits."""
     data, preset = _monod_problem(m)
     cfg = SolverConfig(N=40, dt=1e-3)
     runs = {}
@@ -764,9 +771,9 @@ def test_preset_rates_are_evaluated_once_per_iterate(m):
         steps, sweeps = len(traj.reports), int(traj.reports.picard_iterations.sum())
         assert traj.outcome == "completed" and steps == 50
         if tagged:
-            assert calls == {"f": sweeps + steps + 4, "g": 2}
+            assert calls == {"f": sweeps + steps + 1, "g": 0}
         else:  # g as often as f itself, and each g call calls f once more
-            assert calls == {"f": 2 * (sweeps + steps + 2), "g": sweeps + steps + 2}
+            assert calls == {"f": 2 * (sweeps + steps + 1), "g": sweeps + steps + 1}
         # residual histories of the same steps taken on a run object
         state, run, histories = traj.states[0], _Run(traj.states[0], data, cfg), []
         for _ in range(8):
@@ -1090,6 +1097,40 @@ def test_assembly_rejected_outcome():
     assert traj.final_state.t == pytest.approx(0.61)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_run_samples_and_evaluates_the_initial_data_once(m):
+    """A run samples each initial profile in one call, on its own grid
+    (``theta`` also at the points of the second-order check, in that call),
+    and evaluates ``h`` there once: validation's ``h`` starts the first step,
+    as its ``f`` does.  So ``h`` is called once at entry, once per sweep and
+    at the start of every later step."""
+    data, kin = _monod_problem(m)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    data = dataclasses.replace(data, phi=[counted("phi", p) for p in data.phi],
+                               theta=[counted("theta", t) for t in data.theta])
+    kin = dataclasses.replace(kin, h=counted("h", kin.h))
+    traj = run_simulation(data, kin, SolverConfig(N=40, dt=1e-3), t_end=0.01)
+    steps, sweeps = len(traj.reports), int(traj.reports.picard_iterations.sum())
+    assert traj.outcome == "completed" and steps == 10
+    assert calls == {"phi": m, "theta": m, "h": 1 + sweeps + (steps - 1)}
+
+
+@pytest.mark.parametrize("N", [10, 20])
+def test_compatible_data_give_no_warning_on_coarse_grids(N):
+    """cos(pi z/2) with psi = 0 and no reactions meets the second-order
+    matching condition.  The check differences theta at z = 1 on its own
+    fixed step, so a coarse run grid adds no error to it and nothing warns."""
+    traj = run_simulation(_substrate_only(), zero_kinetics(1, 1), SolverConfig(N=N), t_end=1e-3)
+    assert traj.validation.ok and traj.validation.warnings == []
+
+
 @pytest.mark.parametrize("rate,message", [
     ("f", "non-finite state"),
     ("h", "non-finite solution from elimination"),
@@ -1128,15 +1169,15 @@ def test_nonfinite_biomass_ends_its_sweep_at_default_tolerance(value):
     """A biomass rate that turns non-finite mid-run, at the default
     tolerance: the sweep that computes the non-finite biomass ends the step
     as ``solve_failed`` with ``NONFINITE``, not 50 sweeps of non-finite
-    residuals later.  The 12th ``f`` call is the first sweep of step 4
-    (validation calls ``f`` once; step 1 at its start, in its 2 sweeps and
-    at its end; steps 2 and 3 in 2 sweeps and at their end), and it is the
-    last ``f`` call of the run."""
+    residuals later.  The 11th ``f`` call is the first sweep of step 4
+    (validation calls ``f`` once, and that ``f`` starts step 1; steps 1 to 3
+    call it in 2 sweeps and at their end), and it is the last ``f`` call of
+    the run."""
     calls = []
 
     def f(Y, C):
         calls.append(None)
-        return np.zeros(Y.shape) if len(calls) < 12 else np.full(Y.shape, value)
+        return np.zeros(Y.shape) if len(calls) < 11 else np.full(Y.shape, value)
 
     kin = KineticsModel(n=1, m=1, f=f, h=lambda Y, C: np.zeros_like(C),
                         g=lambda Y, C: np.zeros(Y.shape[1]))
@@ -1144,7 +1185,7 @@ def test_nonfinite_biomass_ends_its_sweep_at_default_tolerance(value):
     assert traj.outcome == "solve_failed"
     assert traj.failure["code"] == "NONFINITE" and traj.failure["message"] == "non-finite state"
     assert traj.failure["step"] == 4 and traj.reports.picard_iterations.tolist() == [2, 2, 2]
-    assert len(calls) == 12
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("t_end", [math.nan, math.inf, 1e308])
@@ -1170,26 +1211,29 @@ def test_invalid_problem_names_every_violation():
 
 
 def test_nonfinite_initial_data_on_run_grid_is_a_violation():
-    """theta is infinite only at z = 1/3, a node of N = 6 but not of problem
-    validation's sample grid.  The run rejects it as one more violation of
-    the validation report, whose warnings it keeps (psi = 1 + t does not
-    match the interior balance at t = 0)."""
+    """theta is infinite only at z = 1/3, a node of N = 6 but not of the
+    default grid of N = 100.  The run validates the problem on its own grid,
+    so it rejects the data with one violation naming the node.  That ends
+    the checks: the report warns of nothing (psi = 1 + t, which would not
+    match the interior balance at t = 0, is not checked)."""
     data = ProblemData(phi=[lambda z: np.zeros_like(z)],
                        theta=[lambda z: np.where(np.isclose(3.0 * z, 1.0), np.inf, 1.0)],
                        psi=[lambda t: 1.0 + t], D=[1.0], lam=0.5, R0=1.0)
+    assert validate_problem(data, zero_kinetics(1, 1)).warning_codes() == {"SECOND_ORDER_COMPAT"}
     with pytest.raises(InvalidProblem) as exc:
         run_simulation(data, zero_kinetics(1, 1), SolverConfig(N=6), t_end=0.1)
     assert exc.value.code == "NONFINITE_INPUT"
     assert exc.value.report.violations == [
         ("NONFINITE_INPUT", "initial data theta[0] is not finite at node 2 (z=0.333333) of N=6")]
-    assert exc.value.report.warning_codes() == {"SECOND_ORDER_COMPAT"}
+    assert exc.value.report.warnings == []
 
 
 def test_nonfinite_velocity_on_run_grid_is_a_violation():
     """``g = Y`` is finite at every node of N = 1000, but ``v1(0)``, its
-    integral, overflows there and not on problem validation's sample grid.
-    The t = 0 velocity is input: a violation naming ``R0`` and the grid,
-    not the step error ``NONFINITE`` of the velocity kernel."""
+    integral, overflows there and not on the default grid of N = 100.  The
+    t = 0 velocity is input: a violation naming ``R0`` and the run's grid,
+    not the step error ``NONFINITE`` of the velocity kernel, from
+    ``initial_state`` as from the run."""
     data = ProblemData(phi=[lambda z: 1.7e308 * np.exp(-1e6 * (z - 0.3325) ** 2)],
                        theta=[lambda z: np.ones_like(z)], psi=[lambda t: 1.0], D=[1.0],
                        lam=0.5, R0=1.0)
@@ -1197,9 +1241,10 @@ def test_nonfinite_velocity_on_run_grid_is_a_violation():
     assert validate_problem(data, kin).ok
     violation = ("surface velocity v1(0) = R0^2 int_0^1 g is not finite at R0=1 on the run's "
                  "grid of N=1000; reduce R0 or g at the initial data")
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(InvalidProblem) as exc:
         initial_state(data, kin, SolverConfig(N=1000))
-    assert (exc.value.code, str(exc.value)) == ("NONFINITE_INPUT", violation)
+    assert exc.value.code == "NONFINITE_INPUT"
+    assert exc.value.report.violations == [("NONFINITE_INPUT", violation)]
     with pytest.raises(InvalidProblem) as exc:
         run_simulation(data, kin, SolverConfig(N=1000), t_end=0.01)
     assert exc.value.report.violations == [("NONFINITE_INPUT", violation)]

@@ -36,7 +36,7 @@ from biofilmfront import (
 from biofilmfront.cli import main
 from biofilmfront.config import _LINEAR_CHECKS, _MONOD_CHECKS, _SOLVER_CHECKS, load_tree
 from biofilmfront.coupler import SNAPSHOT_STRIDE, STEP_COLUMNS, _Run, flag_names
-from biofilmfront.output import _BLOCK_ROWS, _table, back_transform
+from biofilmfront.output import _BLOCK_ROWS, _blocks, back_transform
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = ["equilibrium", "linear_dissipative", "monod_growth", "zero_kinetics"]
@@ -655,8 +655,14 @@ def test_empty_run_outputs(tmp_path):
 @example(np.array([[-0.0], [5e-324], [1e16], [1e-5]]))
 def test_table_matches_per_value_format(block):
     ncols = block.shape[1]
-    text = _table("h", ",".join(["%.17g"] * ncols), block.ravel().tolist())
+    text = "".join(_blocks("h", ",".join(["%.17g"] * ncols), len(block),
+                           lambda lo, hi: block[lo:hi].ravel().tolist()))
     assert text == "h\n" + "".join(",".join(_fmt(x) for x in row) + "\n" for row in block)
+
+
+def _one_table(header, row, values):
+    """CSV text of flat, row-major ``values`` by one ``%`` over all rows."""
+    return f"{header}\n" + ((row + "\n") * (len(values) // row.count("%"))) % tuple(values)
 
 
 def _run_long():
@@ -709,12 +715,12 @@ def test_block_writer_matches_one_table(tmp_path, rows):
         r.t[k], r.R[k], r.v1[k], r.energy[k], int(r.picard_iterations[k]), r.residual[k],
         r.first_residual[k], int(r.clamped_feet[k]), r.boundary_energy_flux[k],
         ";".join(flag_names(int(r.invariant_flags[k]))))]
-    assert (tmp_path / "scalars.csv").read_text() == _table(
+    assert (tmp_path / "scalars.csv").read_text() == _one_table(
         "t,R,v1,energy,picard_iters,residual,first_residual,clamped_feet,"
         "boundary_energy_flux,flags", "%.17g,%.17g,%.17g,%.17g,%d,%.17g,%.17g,%d,%.17g,%s",
         scalars)
     phys = back_transform(traj)
-    assert (tmp_path / "physical_scalars.csv").read_text() == _table(
+    assert (tmp_path / "physical_scalars.csv").read_text() == _one_table(
         "t_phys,L,u1", "%.17g,%.17g,%.17g",
         np.column_stack((phys.t_phys, phys.L, phys.u1)).ravel().tolist())
 

@@ -56,9 +56,28 @@ def test_linear_preset_substrate_action():
     assert np.allclose(h, np.array(B) @ C + np.array(d)[:, None])
 
 
-def test_linear_preset_quasi_positive_only_when_trivial():
+def test_linear_preset_quasi_positive_iff_coefficients_nonnegative():
     assert not linear_preset([[-1.0]], [0.0], [[0.0]], [0.0]).quasi_positive
     assert linear_preset([[0.0]], [0.0], [[0.0]], [0.0]).quasi_positive
+
+
+@pytest.mark.parametrize("A,c,B,d,qp", [
+    ([[0.0]], [0.5], [[0.0]], [0.0], True),          # equilibrium.yaml's rates
+    ([[1.0, 0.5], [0.0, 2.0]], [0.0, 0.1], [[3.0]], [1.0], True),
+    ([[1.0, -0.5], [0.0, 2.0]], [0.0, 0.1], [[3.0]], [1.0], False),  # f_0 < 0 at Y = (0, 1)
+    ([[0.0]], [-0.5], [[0.0]], [0.0], False),         # f < 0 at Y = 0
+    ([[0.0]], [0.0], [[1.0]], [-1e-300], False),      # h < 0 at C = 0
+])
+def test_linear_preset_nonnegative_affine_rates_are_quasi_positive(A, c, B, d, qp):
+    """``f = A Y + c`` and ``h = B C + d`` stay >= 0 at all data >= 0
+    exactly when every coefficient is >= 0, and the flag says so."""
+    kin = linear_preset(A, c, B, d)
+    assert kin.quasi_positive is qp
+    # the rates at zero data and at each unit vector, columns of one call each
+    n, m = len(c), len(d)
+    Y, C = np.hstack((np.zeros((n, 1)), np.eye(n))), np.hstack((np.zeros((m, 1)), np.eye(m)))
+    f, h = kin.f(Y, np.zeros((m, n + 1))), kin.h(np.zeros((n, m + 1)), C)
+    assert bool(np.all(f >= 0.0) and np.all(h >= 0.0)) is qp
 
 
 def _monod1():

@@ -9,11 +9,13 @@ from biofilmfront import (
     Grid,
     KineticsModel,
     ProblemData,
+    SolverConfig,
     ValidationError,
     linear_preset,
     validate_problem,
     zero_kinetics,
 )
+from biofilmfront.grid import DEFAULT_N
 
 
 def _data(**kw):
@@ -30,22 +32,37 @@ def _data(**kw):
 
 
 def test_counts_and_sampling():
+    """Validation samples the initial data on the grid it is given, and an
+    ok report holds them with the t = 0 velocity and the rates there."""
     data = _data()
     assert data.n == 1 and data.m == 1
-    g = Grid(10)
-    Y0, C0 = data.sample_initial(g.nodes)
-    assert Y0.shape == (1, 11)
-    assert C0.shape == (1, 11)
-    assert np.all(Y0 == 0.5)
-    assert C0[0, -1] == pytest.approx(0.0, abs=1e-15)
+    rep = validate_problem(data, zero_kinetics(1, 1), Grid(10))
+    assert rep.ok
+    assert rep.Y0.shape == rep.C0.shape == rep.f0.shape == rep.h0.shape == (1, 11)
+    assert rep.v0.shape == (11,)
+    assert np.all(rep.Y0 == 0.5)
+    assert rep.C0[0, -1] == pytest.approx(0.0, abs=1e-15)
+    assert np.all(rep.v0 == 0.0) and np.all(rep.f0 == 0.0) and np.all(rep.h0 == 0.0)
 
 
 def test_constant_callables_broadcast():
     # scalar-returning initial data is broadcast across the nodes
     data = _data(phi=[lambda z: 0.25])
-    Y0, _ = data.sample_initial(Grid(6).nodes)
-    assert Y0.shape == (1, 7)
-    assert np.all(Y0 == 0.25)
+    rep = validate_problem(data, zero_kinetics(1, 1), Grid(6))
+    assert rep.Y0.shape == (1, 7)
+    assert np.all(rep.Y0 == 0.25)
+
+
+def test_default_grid_is_a_default_run_grid():
+    """Without a grid, validation samples on that of a default run."""
+    rep = validate_problem(_data(), zero_kinetics(1, 1))
+    assert rep.Y0.shape == (1, SolverConfig().N + 1) == (1, DEFAULT_N + 1)
+
+
+def test_invalid_report_holds_no_arrays():
+    rep = validate_problem(_data(lam=0.0), zero_kinetics(1, 1), Grid(10))
+    assert not rep.ok
+    assert (rep.Y0, rep.C0, rep.v0, rep.f0, rep.h0) == (None,) * 5
 
 
 def test_psi_at():
@@ -114,6 +131,15 @@ def test_negative_initial_data_warns_for_quasi_positive():
     assert "NEGATIVE_INITIAL_DATA" in report.warning_codes()
 
 
+def test_negative_initial_data_warns_for_nonnegative_affine_rates():
+    """equilibrium.yaml's rates, ``f = 0.5`` and ``h = 0``, keep data >= 0
+    nonnegative, so data that start negative are flagged."""
+    kin = linear_preset([[0.0]], [0.5], [[0.0]], [0.0])
+    report = validate_problem(_data(phi=[lambda z: -0.1 * np.ones_like(z)]), kin)
+    assert report.ok
+    assert "NEGATIVE_INITIAL_DATA" in report.warning_codes()
+
+
 def test_negative_initial_data_silent_without_positivity():
     kin = linear_preset([[-1.0]], [0.0], [[-1.0]], [0.0])
     data = _data(phi=[lambda z: -0.1 * np.ones_like(z)])
@@ -149,13 +175,14 @@ def test_nonfinite_initial_data():
 
 
 @pytest.mark.parametrize("bad,value,message", [
-    ("f", math.nan, "kinetics f[0] at the initial data is not finite at node 0 (z=0) of N=200"),
-    ("h", math.inf, "kinetics h[0] at the initial data is not finite at node 0 (z=0) of N=200"),
-    ("g", math.inf, "kinetics g at the initial data is not finite at node 0 (z=0) of N=200"),
+    ("f", math.nan, "kinetics f[0] at the initial data is not finite at node 0 (z=0) of N=100"),
+    ("h", math.inf, "kinetics h[0] at the initial data is not finite at node 0 (z=0) of N=100"),
+    ("g", math.inf, "kinetics g at the initial data is not finite at node 0 (z=0) of N=100"),
 ])
 def test_rates_checked_finite_at_initial_data(bad, value, message):
     """A rate that is not finite at the initial data is a violation that
-    names the rate and the first node of the sample where it is not."""
+    names the rate and the first node of the grid where it is not, here
+    that of a default run."""
     rates = dict(f=lambda Y, C: np.zeros_like(Y), h=lambda Y, C: np.zeros_like(C),
                  g=lambda Y, C: np.zeros(Y.shape[1]))
     good = rates[bad]
