@@ -17,7 +17,7 @@ import sys
 from .audit import audit, mms_study
 from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, _require_mapping,
                      build_runspec, load_tree)
-from .coupler import energy, run_simulation
+from .coupler import energy, initial_state, run_simulation
 from .errors import InvalidProblem, SolverError, ValidationError
 from .output import _blocks, _write_text, write_timeseries
 
@@ -137,10 +137,17 @@ def _cmd_sweep(args) -> int:
     value_texts = [v.strip() for v in args.values.split(",") if v.strip()]
     if not value_texts:
         raise ValidationError("--values is empty", code="SCHEMA_VIOLATION")
-    # every tree is built here, so a bad parameter stops the sweep before a worker starts
-    jobs = [{"tree": _set_param(copy.deepcopy(tree), args.param, _parse_value(text)),
-             "value_text": text, "out_dir": f"{args.out}/{args.param}={text}"}
-            for text in value_texts]
+    jobs = []
+    for text in value_texts:  # every run is built and validated first: a bad value stops all
+        label = f"{args.param}={text}"
+        job = {"tree": _set_param(copy.deepcopy(tree), args.param, _parse_value(text)),
+               "value_text": text, "out_dir": f"{args.out}/{label}"}
+        try:
+            spec = build_runspec(job["tree"])
+            initial_state(spec.data, spec.kin, spec.cfg)  # validates on the run's own grid
+        except ValidationError as exc:
+            raise ValidationError(f"{label}: {exc}", code=exc.code) from None
+        jobs.append(job)
     workers = min(args.jobs, len(jobs))  # a pool forks all its workers at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only sweeps use a pool

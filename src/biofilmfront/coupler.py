@@ -15,13 +15,14 @@ outcome, and exposes energy/invariant monitors.
 A run is one object, :class:`_Run`, which also keeps the clock: step ``k``
 ends at ``t = k dt`` exactly.  Work is done as rarely as it can be.  Per run:
 the theta-scheme weights, ``D/dz^2``, the implicit bands and the nodes a
-step's record keeps.  Per step: the step-start ``h`` (``f`` is carried from
-the step before), the explicit half of the substrate scheme and, after the
-sweeps, the invariant flags and the step's record.  Per sweep: the rates at
-the iterate, each evaluated once, the off-diagonals at its ``v1``, the
-solves, the transport and the thickness.  Per block of :data:`RECORD_BLOCK`
-steps, and at the run's end: the energy and surface flux of its records.
-An iterate is one packed vector ``x = (Y, C, R, v1)``, as :attr:`State.x`.
+step's record keeps.  Per step: the explicit half of the substrate scheme
+and, after the sweeps, the invariant flags and the step's record.  Per
+sweep: ``f`` once and ``h`` once, the velocity, the off-diagonals at its
+``v1``, the solves, the transport and the thickness.  Nothing is evaluated
+after convergence, so a run's step and a direct :func:`picard_step` call
+from the same state can differ by less than ``picard_tol``.  Per block of
+:data:`RECORD_BLOCK` steps, and at the run's end: the energy and surface
+flux of its records.  An iterate is one packed vector ``x = (Y, C, R, v1)``.
 """
 
 from __future__ import annotations
@@ -236,22 +237,25 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     sweep fell past ``z = 1`` and were clamped onto it.
 
     Every sweep restarts all substeps from the step-start state, with
-    sources and coefficients taken from the latest iterate (``f`` and ``g``
-    from one ``f`` call for a preset, :meth:`KineticsModel.fg`), and writes
-    a fresh packed vector ``x`` laid out as :attr:`State.x`, which becomes
-    the new state's when the sweeps converge; the residual is the sup norm
-    of the change in ``x`` between sweeps.  The first iterate is ``start``
-    when given (:meth:`_Run.start`, a prediction of the step's end state)
-    and ``state.x`` otherwise; the fixed point is unique, so the start
-    changes only how many sweeps reach it.
+    sources and coefficients from the latest iterate, ``f`` once and ``h``
+    once (``g`` from the same ``f`` call for a preset,
+    :meth:`KineticsModel.fg`), and writes a fresh packed vector ``x`` laid
+    out as :attr:`State.x`; the residual is the sup norm of the change in
+    ``x`` between sweeps.  The last sweep's ``x`` and velocity profile are
+    the new state.  The first iterate is ``start`` when given
+    (:meth:`_Run.start`, a prediction of the step's end state) and
+    ``state.x`` otherwise; the fixed point is unique, so the start changes
+    only how many sweeps reach it.
 
     What is fixed for the run comes in ``run``, built from ``state`` when a
     caller passes none; the step ends at ``run.t0 + run.count dt`` (a run's
     step ``k`` at ``k dt``, a direct call at ``state.t + dt``).  The
-    step-start ``f`` is the one ``run`` carries when its last step ended at
-    ``state`` (``h`` too at a run's first step, from the validation report),
-    and the converged state's ``f`` is carried on.  The inputs
-    are trusted: :func:`run_simulation` validates them once, and the sweeps
+    step-start ``f`` and ``h`` are those ``run`` carries when its last step
+    ended at ``state`` (that step's last sweep's, or the validation
+    report's), and are evaluated at ``state`` otherwise: nothing is
+    evaluated after convergence, so a run's step and a direct call from the
+    same state can differ by less than ``picard_tol``.  The inputs are
+    trusted: :func:`run_simulation` validates them once, and the sweeps
     check only what they compute (the mesh Peclet number, the solves, the
     velocity and the thickness; a non-finite biomass shows in the residual).
 
@@ -274,13 +278,12 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
             raise ValidationError(f"surface value psi[{j}] is not finite at t={t_new:g}",
                                   code="NONFINITE_INPUT")
 
-    # step-start source fields, fixed across sweeps; f comes from the step
-    # that ended at ``state`` when ``run`` carries it, h only at its start
+    # step-start source fields, fixed across sweeps: the rates of the step
+    # that ended at ``state`` when ``run`` carries them
     R2_start = R_start**2
     at, f_start, h_start = run.end_rates
     if at is not state:
-        f_start, h_start = np.asarray(kin.f(Y0, C0), dtype=float), None
-    if h_start is None:
+        f_start = np.asarray(kin.f(Y0, C0), dtype=float)
         h_start = np.asarray(kin.h(Y0, C0), dtype=float)
     H_lag = (1.0 - theta) * (R2_start * h_start)
     # Y0 and F_start = R^2 f stacked, interpolated at each sweep's feet by one call
@@ -307,8 +310,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         x = np.empty(xk.shape)
         X = x[:-2].reshape(Xk.shape)
         # (1) substrates: theta-blended sources, iterate-lagged at the end stage
-        H_end = R2 * np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
-        rhs = parabolic.step_rhs(explicit, theta * H_end + H_lag, dt, psi_end)
+        h_k = np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
+        rhs = parabolic.step_rhs(explicit, theta * (R2 * h_k) + H_lag, dt, psi_end)
         adv = parabolic.advection_weights(run.interior, v1k, dz)
         if parabolic.peclet_unstable(adv, run.diff_min):
             raise parabolic.peclet_error(v1k, v1_start, run.D_min, theta, grid)
@@ -319,7 +322,8 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
 
         # (2) velocity from the freshest fields available
         f_new, g_new = kin.fg(Yk, C_new)
-        v1_new = float(boundary.velocity_nodes(g_new, R2, dz)[-1])
+        v = boundary.velocity_nodes(g_new, R2, dz)
+        v1_new = float(v[-1])
 
         # (3) biomass transport along characteristics
         F_end = R2 * f_new
@@ -347,14 +351,11 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
                                f"t={t_new:g} (last residual {residuals[-1]:.3e})",
                                residual_history=residuals)
 
-    # make the stored velocity exactly consistent with the converged fields
-    # (x[-1] takes its v1); their f starts the run's next step.  The arrays
-    # are this step's own and finite, so the state wraps them without copies.
-    f_end, g_end = kin.fg(Xk[:n], Xk[n:])
-    v_final = boundary.velocity_nodes(g_end, Rk**2, dz)
-    xk[-1] = v_final[-1]
-    new = object.__new__(State)._freeze(t_new, grid, xk, n, v_final)
-    run.end_rates = new, f_end, None
+    # the last sweep's x and velocity are the new state, its f and h start
+    # the next step.  The arrays are this step's own and finite, so the
+    # state wraps them without copies.
+    new = object.__new__(State)._freeze(t_new, grid, xk, n, v)
+    run.end_rates = new, f_new, h_k
     return new, residuals, int(np.count_nonzero(transport.clamped_mask(unclamped)))
 
 
@@ -405,12 +406,12 @@ class _Run:
     bands.  Its steps: the newest accepted ``state``, the ``count`` of them
     (the start included) and the last :data:`START_HISTORY` of their ``x``
     in a rolling buffer, which :meth:`start` extrapolates; ``end_rates``, the
-    state the last :func:`picard_step` ended at, or the run's start, and
-    its raw ``f`` and ``h`` (``None`` but at the start); the
-    running max ``|v1|`` of the thickness bound and minima of ``Y`` and
-    ``C`` (the earlier of equal values stays, as in ``min``); ``reports``
-    and the states kept (every ``stride``-th).  A step's flags are taken as
-    it is accepted, since one can stop the run.  Its energy and surface flux
+    state the last :func:`picard_step` ended at (or the run's start) and the
+    raw ``f`` and ``h`` that start the next step; the running max ``|v1|``
+    of the thickness bound and minima of ``Y`` and ``C`` (the earlier of
+    equal values stays, as in ``min``); ``reports`` and the states kept
+    (every ``stride``-th).  A step's flags are taken as it is accepted,
+    since one can stop the run.  Its energy and surface flux
     come from its record (each row's sum of squares, then ``x[idx]``: the
     rows' ends, the substrates' three surface nodes and ``v1``), a block of
     :data:`RECORD_BLOCK` at a time and in :meth:`finish`, bit for bit."""
@@ -492,9 +493,7 @@ class _Run:
         for j, (nu_j, D_j) in enumerate(zip(nu.tolist(), data.D.tolist())):
             c3, c2, c1 = surface[:, 3 * j:3 * j + 3].T
             slope = (3.0 * c1 - 4.0 * c2 + c3) / (2.0 * dz)
-            # libm's pow, as a float's ``**`` takes it (c1 * c1 differs in about 1e-3 of cases)
-            c1_sq = np.array([c ** 2 for c in c1.tolist()])
-            total += nu_j * (0.5 * rec[:, -1] * c1_sq + D_j * c1 * slope)
+            total += nu_j * (0.5 * rec[:, -1] * (c1 * c1) + D_j * c1 * slope)
         self.reports.boundary_energy_flux[lo:hi] = np.abs(total)
         self._flushed = hi
 

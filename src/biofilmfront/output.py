@@ -172,7 +172,7 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
     except OSError as exc:
         raise OutputError(f"cannot remove stale snapshots in {out_dir!r}: {exc}") from None
 
-    sweeps = traj.reports.picard_iterations
+    sweeps, flags = traj.reports.picard_iterations, traj.reports.invariant_flags
     manifest = {
         "package": PACKAGE_NAME,
         "config_hash": config_hash,
@@ -183,6 +183,8 @@ def write_timeseries(traj: Trajectory, out_dir: str, config_hash: str | None = N
         "min_Y_seen": traj.min_Y_seen,
         "min_C_seen": traj.min_C_seen,
         "picard": {"sweeps": int(sweeps.sum()), "max_sweeps": int(sweeps.max(initial=0))},
+        "warnings": [list(w) for w in traj.validation.warnings],
+        "flags_seen": flag_names(int(np.bitwise_or.reduce(flags, initial=0))),
         "files": files,
     }
     if traj.failure is not None:

@@ -4,12 +4,15 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion.  Each test also prints a one-line summary with the measured values.
 """
 
+import dataclasses
+import gc
 import glob
 import hashlib
 import importlib.metadata
 import math
 import os
 import platform
+import sys
 import time
 
 import numpy as np
@@ -44,8 +47,8 @@ def shipped_runs():
 #: every stored state in order; pinned with the versions of GOLDEN_VERSIONS
 GOLDEN_DIGESTS = {
     "equilibrium.yaml": "8ecf8d27882a93fb3fb3e471faa6b53c381b63764be18ee0009ef7c484629910",
-    "linear_dissipative.yaml": "6a442fb210f6026da29cafc228fb4c2a6ceb30e63e3c705c9961ee8281749b6c",
-    "monod_growth.yaml": "0635c6d34e4e381d2494a2024f7dfbd1d00e1a5934f2ff7050af775a94102b52",
+    "linear_dissipative.yaml": "44d88997290aca2116456fe9bd25353d991a4d046a7996ee8827900281523078",
+    "monod_growth.yaml": "ef905520cf86746db4ba09ab1c46e3a80a2f2a5357faeb5197cbc3abdfd244ec",
     "zero_kinetics.yaml": "860087d5844ac872aaae8c0080db8fde4ed0a2f13c26072f57f588e27b4eaeff",
 }
 GOLDEN_VERSIONS = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
@@ -70,6 +73,58 @@ def test_shipped_runs_match_their_golden_digests(shipped_runs):
                    if digests.get(name) != GOLDEN_DIGESTS.get(name))
     assert not moved, (f"digests of {', '.join(moved)} differ from those pinned with "
                        f"{GOLDEN_VERSIONS}; running {_versions()}")
+
+
+#: Python and C calls (``sys.setprofile``'s ``call`` and ``c_call`` events) of
+#: one warm 200-step run, by problem; pinned with the versions of
+#: GOLDEN_VERSIONS, since numpy's Python-level wrappers count too
+GOLDEN_CALLS = {
+    "c01 N=100 dt=1e-3": 20248,
+    "monod N=40 dt=1e-3": 20770,
+    "monod N=40 dt=1e-2": 32980,
+}
+
+
+def _count_calls(data, kin, cfg, steps=200):
+    """Calls made by a ``steps``-step run, after a first run has warmed up
+    numpy and the package's caches.  The garbage collector is off while
+    they are counted, so that no finalizer of an earlier test's objects
+    counts."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    bf.run_simulation(data, kin, cfg, t_end=steps * cfg.dt, snapshot_stride=1000)
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        traj = bf.run_simulation(data, kin, cfg, t_end=steps * cfg.dt, snapshot_stride=1000)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    assert traj.outcome == "completed" and len(traj.reports) == steps
+    return calls
+
+
+def test_calls_per_step_match_their_golden_counts():
+    """The interpreter's work per step, a yardstick that the machine's load
+    does not move: c01's problem at N=100, and the shipped Monod problem at
+    N=40 with dt=1e-3 and dt=1e-2."""
+    spec = bf.parse_config(os.path.join(CONFIG_DIR, "monod_growth.yaml"))
+    runs = {
+        "c01 N=100 dt=1e-3": (_decay_problem(), bf.zero_kinetics(1, 1),
+                              bf.SolverConfig(N=100, dt=1e-3)),
+        "monod N=40 dt=1e-3": (spec.data, spec.kin, dataclasses.replace(spec.cfg, N=40, dt=1e-3)),
+        "monod N=40 dt=1e-2": (spec.data, spec.kin, dataclasses.replace(spec.cfg, N=40, dt=1e-2)),
+    }
+    counts = {name: _count_calls(*run) for name, run in runs.items()}
+    print("calls per step: " + ", ".join(f"{name} {c / 200:.3f}" for name, c in counts.items()))
+    assert counts == GOLDEN_CALLS, (f"call counts {counts} differ from those pinned with "
+                                    f"{GOLDEN_VERSIONS}; running {_versions()}")
 
 
 def _decay_problem():

@@ -125,8 +125,9 @@ def test_nonpositive_energy_weight_exit_2(tmp_path, capsys):
 
 
 def test_rounded_horizon_is_reported(tmp_path, capsys):
-    """t_end = 0.0105 with dt = 1e-3 runs 10 steps: both commands say so and
-    the manifest records the time of the last step."""
+    """t_end = 0.0105 with dt = 1e-3 runs 10 steps: both commands say so,
+    the manifest records the warning and the time of the last step, and it
+    lists no flag."""
     p = tmp_path / "run.yaml"
     p.write_text(GOOD.replace("t_end: 0.02", "t_end: 0.0105"))
     warning = ("warning [HORIZON_ROUNDED]: t_end=0.0105 is not a whole number of steps "
@@ -136,8 +137,31 @@ def test_rounded_horizon_is_reported(tmp_path, capsys):
     assert warning in capsys.readouterr().out.splitlines()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["n_steps"] == 10 and manifest["t_final"] == pytest.approx(0.01)
+    assert manifest["warnings"] == [["HORIZON_ROUNDED", warning.split("]: ", 1)[1]]]
+    assert manifest["flags_seen"] == []
     assert main(["verify", "--config", str(p)]) == 0
     assert warning in capsys.readouterr().out.splitlines()
+
+
+def test_manifest_lists_warnings_and_flags_seen(tmp_path, capsys):
+    """Negative initial data under quasi-positive kinetics: the warning
+    ``simulate`` prints is in the manifest as ``[code, message]``, and so
+    are the names of the flags the run set, sorted."""
+    p = tmp_path / "run.yaml"
+    p.write_text(GOOD.replace("phi: [0.0]", "phi: [-0.1]")
+                 .replace('theta: ["cos(pi*z/2)"]', 'theta: ["cos(pi*z/2) - 0.1"]')
+                 .replace("psi: [0.0]", "psi: [-0.1]"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 0
+    message = "model preserves nonnegativity but initial data start negative"
+    assert f"warning [NEGATIVE_INITIAL_DATA]: {message}" in capsys.readouterr().out.splitlines()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outcome"] == "completed"
+    assert manifest["warnings"] == [["NEGATIVE_INITIAL_DATA", message]]
+    assert manifest["flags_seen"] == ["NEGATIVE_C", "NEGATIVE_Y"]
+    flags = {f for line in (out / "scalars.csv").read_text().splitlines()[1:]
+             for f in line.rsplit(",", 1)[1].split(";") if f}
+    assert flags == set(manifest["flags_seen"])
 
 
 def test_whole_step_horizon_is_not_reported(good_cfg, tmp_path, capsys):
@@ -463,26 +487,47 @@ def test_sweep_bad_parameter_exit_2(param, values, message, good_cfg, tmp_path, 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_config_with_a_date_exit_2(jobs, tmp_path, capsys):
     """A YAML date is a schema violation in sweep as in simulate, serial or
-    in worker processes."""
+    with worker processes; the sweep names the first run it stops at."""
     p = tmp_path / "date.yaml"
     p.write_text(GOOD.replace("psi: [0.0]", "psi: [2001-01-01]"))
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(p), "--param", "lambda", "--values", "0.5,1.0",
                  "--jobs", jobs, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ("error [SCHEMA_VIOLATION]: problem.psi[0]: expected "
-                                       "number or expression, got date\n")
+    assert capsys.readouterr().err == ("error [SCHEMA_VIOLATION]: lambda=0.5: problem.psi[0]: "
+                                       "expected number or expression, got date\n")
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
 
 
-def test_sweep_invalid_problem_in_workers_exit_2(tmp_path, capsys):
-    """An invalid problem raised in a worker process reaches the parent
-    whole, report included, and exits 2 as in a serial sweep."""
+def test_sweep_invalid_problem_in_workers_exit_2(tmp_path, monkeypatch, capsys):
+    """A sweep with worker processes validates every run's problem before
+    it starts a worker: an invalid one exits 2, as in a serial sweep, naming
+    the run, and no pool is made."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
     p = tmp_path / "bad.yaml"
     p.write_text(GOOD.replace("D: [1.0]", "D: [-1.0]"))
     assert main(["sweep", "--config", str(p), "--param", "lambda", "--values", "0.25,0.5",
                  "--jobs", "2", "--out", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err.startswith(
-        "error [NONPOSITIVE_D]: invalid problem data: NONPOSITIVE_D: ")
+        "error [NONPOSITIVE_D]: lambda=0.25: invalid problem data: NONPOSITIVE_D: ")
+    assert _RecordingPool.made == [] and not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_bad_value_stops_before_any_run(jobs, tmp_path, monkeypatch, capsys):
+    """A value that makes one run's problem invalid stops the sweep before
+    any run starts: the error names the value, and nothing is written, not
+    even the valid runs' outputs or the summary."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    out = tmp_path / "X"
+    assert main(["sweep", "--config", str(CONFIGS / "zero_kinetics.yaml"), "--param", "lambda",
+                 "--values", "0.5,-1", "--jobs", jobs, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error [NONPOSITIVE_LAMBDA]: lambda=-1: invalid problem data: NONPOSITIVE_LAMBDA: "
+        "detachment rate must be > 0, got -1.0\n")
+    assert _RecordingPool.made == [] and not out.exists()
 
 
 @pytest.mark.parametrize("exc", [
