@@ -227,16 +227,15 @@ def _diffusion_case(N_values, theta):
         grid = Grid(N)
         steps, dt = _steps_for(T_END, 0.5 * grid.dz)
         # no advection (v1 = 0): the implicit matrix is the same every step
-        diff = D / grid.dz**2
-        adv = parabolic.advection_weights(grid.nodes[1:N], 0.0, grid.dz)
-        dl, diag, du = parabolic.implicit_bands(N, diff, dt * theta)
-        parabolic.implicit_off_diagonals(adv, diff, dt * theta, dl, du)
+        w, (b,) = parabolic.implicit_constants(grid, [D], dt * theta)
+        dl, diag, du = parabolic.implicit_bands(N, b)
+        parabolic.implicit_off_diagonals(0.0 * w, b, dl, du)
         C = exact(grid.nodes, 0.0)
         t = 0.0
         for _ in range(steps):
             H = theta * forcing(grid.nodes, t + dt) + (1.0 - theta) * forcing(grid.nodes, t)
             psi_end = 0.5 * math.exp(-(t + dt))
-            explicit = parabolic.explicit_part(C, adv, diff, dt * (1.0 - theta))
+            explicit = parabolic.explicit_part(C, grid, 0.0, D, dt * (1.0 - theta))
             C = parabolic.gtsv_solve(dl, diag, du, parabolic.step_rhs(explicit, H, dt, psi_end))
             t += dt
         errors.append(float(np.max(np.abs(C - exact(grid.nodes, T_END)))))

@@ -10,6 +10,7 @@ check, on stdout with exit 1.
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import re
 import sys
@@ -17,11 +18,12 @@ import sys
 from .audit import audit, mms_study
 from .config import (_OUTPUT_CHECKS, _PROBLEM_CHECKS, _SOLVER_CHECKS, _require_mapping,
                      build_runspec, load_tree)
-from .coupler import energy, initial_state, run_simulation
+from .coupler import check_horizon, energy, initial_state, run_simulation
 from .errors import InvalidProblem, SolverError, ValidationError
 from .output import _blocks, _write_text, write_timeseries
 
 
+@functools.cache  # built once per process: a parser is a cycle of objects for the collector
 def _build_parser():
     import argparse  # here, not at module level: importing the package parses no command line
 
@@ -144,6 +146,7 @@ def _cmd_sweep(args) -> int:
                "value_text": text, "out_dir": f"{args.out}/{label}"}
         try:
             spec = build_runspec(job["tree"])
+            check_horizon(spec.t_end, spec.cfg.dt, spec.stride)
             initial_state(spec.data, spec.kin, spec.cfg)  # validates on the run's own grid
         except ValidationError as exc:
             raise ValidationError(f"{label}: {exc}", code=exc.code) from None

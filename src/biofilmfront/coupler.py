@@ -13,16 +13,21 @@ until successive iterates agree in sup norm.  The run loop assembles a
 outcome, and exposes energy/invariant monitors.
 
 A run is one object, :class:`_Run`, which also keeps the clock: step ``k``
-ends at ``t = k dt`` exactly.  Work is done as rarely as it can be.  Per run:
-the theta-scheme weights, ``D/dz^2``, the implicit bands and the nodes a
-step's record keeps.  Per step: the explicit half of the substrate scheme
-and, after the sweeps, the invariant flags and the step's record.  Per
-sweep: ``f`` once and ``h`` once, the velocity, the off-diagonals at its
-``v1``, the solves, the transport and the thickness.  Nothing is evaluated
-after convergence, so a run's step and a direct :func:`picard_step` call
-from the same state can differ by less than ``picard_tol``.  Per block of
-:data:`RECORD_BLOCK` steps, and at the run's end: the energy and surface
-flux of its records.  An iterate is one packed vector ``x = (Y, C, R, v1)``.
+ends at ``t = k dt`` exactly.  Work is done as rarely as it can be.  Per
+run: the ratio of the theta-scheme weights, the velocity-free factors of the
+implicit bands (``dt theta z / (2 dz)`` and ``-dt theta D / dz^2``), the
+bands themselves and the nodes a step's record keeps.  Per step: the
+explicit half of the substrate scheme, from the carried right-hand side of
+the step before (the stencil on the first step), and, after the sweeps, the
+invariant flags and the step's record.  Per sweep: ``f`` once and ``h``
+once, the velocity, the off-diagonals at its ``v1``, the solves, the
+transport and the thickness.  Nothing is evaluated after convergence: a step
+carries its last sweep's ``f``, ``h`` and substrate right-hand side into the
+next, so a run's step and a direct :func:`picard_step` call from the same
+state can differ by less than ``picard_tol``.  When the running max ``|v1|``
+rises: the thickness bound.  Per block of :data:`RECORD_BLOCK` steps, and at
+the run's end: the energy and surface flux of its records.  An iterate is
+one packed vector ``x = (Y, C, R, v1)``.
 """
 
 from __future__ import annotations
@@ -249,12 +254,18 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
 
     What is fixed for the run comes in ``run``, built from ``state`` when a
     caller passes none; the step ends at ``run.t0 + run.count dt`` (a run's
-    step ``k`` at ``k dt``, a direct call at ``state.t + dt``).  The
-    step-start ``f`` and ``h`` are those ``run`` carries when its last step
-    ended at ``state`` (that step's last sweep's, or the validation
-    report's), and are evaluated at ``state`` otherwise: nothing is
-    evaluated after convergence, so a run's step and a direct call from the
-    same state can differ by less than ``picard_tol``.  The inputs are
+    step ``k`` at ``k dt``, a direct call at ``state.t + dt``).  When the
+    last step of ``run`` ended at ``state``, ``run.carried`` holds
+    ``(state, f, h, rhs)``: that step's last sweep's raw ``f`` and ``h``
+    (or the validation report's, and ``rhs = None``, at a run's start) and
+    the right-hand side its substrate solves took.  The step-start rates
+    are then those ``f`` and ``h``, and the explicit half of the substrate
+    scheme is ``C + ((1-theta)/theta) (C - rhs)``
+    (:func:`parabolic.carried_explicit_part`), at the velocity of the
+    iterate that sweep started from.  Otherwise the rates are evaluated at
+    ``state`` and the explicit half is the stencil at ``state.v1``.  Nothing
+    is evaluated after convergence, so a run's step and a direct call from
+    the same state can differ by less than ``picard_tol``.  The inputs are
     trusted: :func:`run_simulation` validates them once, and the sweeps
     check only what they compute (the mesh Peclet number, the solves, the
     velocity and the thickness; a non-finite biomass shows in the residual).
@@ -281,26 +292,30 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
     # step-start source fields, fixed across sweeps: the rates of the step
     # that ended at ``state`` when ``run`` carries them
     R2_start = R_start**2
-    at, f_start, h_start = run.end_rates
+    at, f_start, h_start, rhs_end = run.carried
     if at is not state:
         f_start = np.asarray(kin.f(Y0, C0), dtype=float)
         h_start = np.asarray(kin.h(Y0, C0), dtype=float)
+        rhs_end = None
     H_lag = (1.0 - theta) * (R2_start * h_start)
     # Y0 and F_start = R^2 f stacked, interpolated at each sweep's feet by one call
     YF_start = np.concatenate((Y0, R2_start * f_start))
     xk = state.x if start is None else start
     Xk = xk[:-2].reshape(state.X.shape)
     Rk, v1k = xk[-2:].tolist()
-    # The explicit half of the substrate scheme sits at v1_start, and so does
-    # its mesh-Peclet guard (theta < 1); the sweeps guard the implicit
-    # operator at each iterate's v1.  A guard fails for some substrate
-    # exactly when it fails for the smallest D, so each runs once, on that.
-    adv_old = parabolic.advection_weights(run.interior, v1_start, dz)
-    if theta < 1.0 and parabolic.peclet_unstable(adv_old, run.diff_min):
+    # The explicit half of the substrate scheme: from the last solve of the
+    # step that ended at ``state`` when ``run`` carries it, at that sweep's
+    # iterate velocity, else by the stencil at v1_start.  Its mesh-Peclet
+    # guard (theta < 1) tests v1_start either way; the sweeps guard the
+    # implicit operator at each iterate's v1.  A guard fails for some
+    # substrate exactly when it fails for the smallest D, so each runs once.
+    if theta < 1.0 and parabolic.peclet_unstable(v1_start, run.w_last, run.b_min):
         raise parabolic.peclet_error(v1k, v1_start, run.D_min, theta, grid)
-    explicit = np.empty(C0.shape)
-    for j, diff in enumerate(run.diffs):
-        explicit[j] = parabolic.explicit_part(C0[j], adv_old, diff, run.a_old)
+    if rhs_end is not None:
+        explicit = parabolic.carried_explicit_part(C0, rhs_end, run.ratio)
+    else:
+        explicit = np.array([parabolic.explicit_part(c, grid, v1_start, D, dt * (1.0 - theta))
+                             for c, D in zip(C0, data.D.tolist())])
     residuals: list[float] = []
     rising = 0
 
@@ -312,11 +327,11 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
         # (1) substrates: theta-blended sources, iterate-lagged at the end stage
         h_k = np.asarray(kin.h(Yk, Xk[n:]), dtype=float)
         rhs = parabolic.step_rhs(explicit, theta * (R2 * h_k) + H_lag, dt, psi_end)
-        adv = parabolic.advection_weights(run.interior, v1k, dz)
-        if parabolic.peclet_unstable(adv, run.diff_min):
+        if parabolic.peclet_unstable(v1k, run.w_last, run.b_min):
             raise parabolic.peclet_error(v1k, v1_start, run.D_min, theta, grid)
-        for j, (diff, (dl, d, du)) in enumerate(zip(run.diffs, run.bands)):
-            parabolic.implicit_off_diagonals(adv, diff, run.a_new, dl, du)
+        vw = v1k * run.w
+        for j, (b, (dl, d, du)) in enumerate(zip(run.b, run.bands)):
+            parabolic.implicit_off_diagonals(vw, b, dl, du)
             X[n + j] = parabolic.gtsv_solve(dl, d, du, rhs[j])
         C_new = X[n:]
 
@@ -351,11 +366,11 @@ def picard_step(state: State, data: ProblemData, kin: KineticsModel, cfg: Solver
                                f"t={t_new:g} (last residual {residuals[-1]:.3e})",
                                residual_history=residuals)
 
-    # the last sweep's x and velocity are the new state, its f and h start
-    # the next step.  The arrays are this step's own and finite, so the
-    # state wraps them without copies.
+    # the last sweep's x and velocity are the new state; its f, h and
+    # substrate right-hand side start the next step.  The arrays are this
+    # step's own and finite, so the state wraps them without copies.
     new = object.__new__(State)._freeze(t_new, grid, xk, n, v)
-    run.end_rates = new, f_new, h_k
+    run.carried = new, f_new, h_k, rhs
     return new, residuals, int(np.count_nonzero(transport.clamped_mask(unclamped)))
 
 
@@ -401,19 +416,24 @@ def _start_weights(s: int, count: int) -> np.ndarray:
 
 class _Run:
     """One run from its start ``state`` at ``t0``.  What its sweeps share:
-    ``dt theta``, ``dt (1 - theta)``, ``nodes[1:N]``, ``D/dz^2`` with its
-    smallest value (which binds the mesh-Peclet guard) and the implicit
-    bands.  Its steps: the newest accepted ``state``, the ``count`` of them
-    (the start included) and the last :data:`START_HISTORY` of their ``x``
-    in a rolling buffer, which :meth:`start` extrapolates; ``end_rates``, the
-    state the last :func:`picard_step` ended at (or the run's start) and the
-    raw ``f`` and ``h`` that start the next step; the running max ``|v1|``
-    of the thickness bound and minima of ``Y`` and ``C`` (the earlier of
-    equal values stays, as in ``min``); ``reports`` and the states kept
-    (every ``stride``-th).  A step's flags are taken as it is accepted,
-    since one can stop the run.  Its energy and surface flux
-    come from its record (each row's sum of squares, then ``x[idx]``: the
-    rows' ends, the substrates' three surface nodes and ``v1``), a block of
+    the ratio ``(1 - theta) / theta`` of the theta-scheme's weights, the
+    band constants ``w`` and ``b`` of :func:`parabolic.implicit_constants`
+    with ``w[-1]`` and the ``b`` of the smallest ``D`` (which bind the
+    mesh-Peclet guard), and the implicit bands.  Its steps: the newest
+    accepted ``state``, the ``count`` of them (the start included) and the
+    last :data:`START_HISTORY` of their ``x`` in a rolling buffer, which
+    :meth:`start` extrapolates; ``carried = (state, f, h, rhs)``, the state
+    the last :func:`picard_step` ended at (or the run's start), the raw
+    ``f`` and ``h`` that start the next step and the substrate right-hand
+    side whose solve gave that state's ``C``, from which the next step's
+    explicit half comes (``None`` at the start); the running max ``|v1|``
+    with the thickness bound ``r_bound`` taken at it on the first accepted
+    step and again only when the max rises; minima of ``Y`` and ``C`` (the
+    earlier of equal values stays, as in ``min``); ``reports`` and the
+    states kept (every ``stride``-th).  A step's flags are taken as it is
+    accepted, since one can stop the run.  Its energy and surface flux come
+    from its record (each row's sum of squares, then ``x[idx]``: the rows'
+    ends, the substrates' three surface nodes and ``v1``), a block of
     :data:`RECORD_BLOCK` at a time and in :meth:`finish`, bit for bit."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
@@ -422,16 +442,16 @@ class _Run:
 
     def __init__(self, state: State, data: ProblemData, cfg: SolverConfig, n_steps: int = 0,
                  stride: int = SNAPSHOT_STRIDE):
-        self.a_new, self.a_old = cfg.dt * cfg.theta_scheme, cfg.dt * (1.0 - cfg.theta_scheme)
-        self.interior = state.grid.nodes[1:state.grid.N]
-        self.diffs = [float(D) / state.grid.dz**2 for D in data.D]
+        grid, theta = state.grid, cfg.theta_scheme
+        self.ratio = (1.0 - theta) / theta
         self.D_min = float(data.D.min())
-        self.diff_min = min(self.diffs)
-        self.bands = [parabolic.implicit_bands(state.grid.N, d, self.a_new) for d in self.diffs]
+        self.w, self.b = parabolic.implicit_constants(grid, data.D, cfg.dt * theta)
+        self.w_last, self.b_min = float(self.w[-1]), max(self.b)
+        self.bands = [parabolic.implicit_bands(grid.N, b) for b in self.b]
         self._buf = np.zeros((START_HISTORY, state.x.size))
-        self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
+        self.t0, self.count, self.v1_max, self.r_bound = state.t, 0, abs(state.v1), None
         self.min_Y_seen, self.min_C_seen = float(state.Y.min()), float(state.C.min())
-        self.end_rates = None, None, None
+        self.carried = None, None, None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
         self.stride, self.states, self.state_steps = stride, [state], [0]
         K, N, n, r = state.grid.N + 1, state.grid.N, len(state.Y), len(state.X)
@@ -464,12 +484,13 @@ class _Run:
         as the next step's row and state; return the row's invariant flags."""
         state, residuals, clamped = step
         k, X, v1 = self.count, state.X, state.x[-1].item()
-        self.v1_max = max(self.v1_max, abs(v1))
+        if self.r_bound is None or abs(v1) > self.v1_max:  # else the bound stays
+            self.v1_max = max(self.v1_max, abs(v1))
+            self.r_bound = r_max_bound(data.R0, data.lam, self.v1_max)
         row_min, n = np.minimum.reduce(X, axis=1).tolist(), len(state.Y)
         y_min, c_min = min(row_min[:n]), min(row_min[n:])
         self.min_Y_seen, self.min_C_seen = min(self.min_Y_seen, y_min), min(self.min_C_seen, c_min)
-        flags = check_invariants(state, cfg, r_max_bound(data.R0, data.lam, self.v1_max),
-                                 (y_min, c_min))
+        flags = check_invariants(state, cfg, self.r_bound, (y_min, c_min))
         rec = self._rec[(k - 1) % RECORD_BLOCK]
         np.add.reduce(X * X, axis=1, out=rec[:len(X)])
         state.x.take(self._idx, out=rec[len(X):])
@@ -518,6 +539,25 @@ def initial_state(data: ProblemData, kin: KineticsModel, cfg: SolverConfig) -> S
     return State(t=0.0, grid=grid, Y=rep.Y0, C=rep.C0, R=data.R0, v=rep.v0)
 
 
+def check_horizon(t_end: float, dt: float, snapshot_stride: int) -> float:
+    """Check a run's horizon and snapshot stride and return its step count
+    ``t_end / dt``, not yet rounded: the checks of :func:`run_simulation`,
+    which a caller can make before it starts any run."""
+    if t_end < 0.0:
+        raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise ValidationError(f"t_end / dt must be finite, got t_end={t_end}, dt={dt}",
+                              code="NONFINITE_INPUT")
+    if steps > np.iinfo(np.intp).max // STEP_COLUMNS.itemsize:  # numpy could not size reports
+        raise ValidationError(f"t_end / dt = {steps:.6g} steps are more than an array can "
+                              "hold", code="TOO_MANY_STEPS")
+    if require_int("snapshot_stride", snapshot_stride) < 1:
+        raise ValidationError(f"snapshot_stride must be >= 1, got {snapshot_stride}",
+                              code="NONPOSITIVE_PARAM")
+    return steps
+
+
 # numpy's floating-point warnings are off for the whole run: its outcome names an overflow
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
@@ -561,18 +601,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
     From the third step on, a step's Picard iteration starts from
     :meth:`_Run.start`, a quintic extrapolation from step 6 on.
     """
-    if t_end < 0.0:
-        raise ValidationError(f"t_end must be >= 0, got {t_end}", code="NONPOSITIVE_PARAM")
-    steps = t_end / cfg.dt
-    if not math.isfinite(steps):
-        raise ValidationError(f"t_end / dt must be finite, got t_end={t_end}, dt={cfg.dt}",
-                              code="NONFINITE_INPUT")
-    if steps > np.iinfo(np.intp).max // STEP_COLUMNS.itemsize:  # numpy could not size reports
-        raise ValidationError(f"t_end / dt = {steps:.6g} steps are more than an array can "
-                              "hold", code="TOO_MANY_STEPS")
-    if require_int("snapshot_stride", snapshot_stride) < 1:
-        raise ValidationError(f"snapshot_stride must be >= 1, got {snapshot_stride}",
-                              code="NONPOSITIVE_PARAM")
+    steps = check_horizon(t_end, cfg.dt, snapshot_stride)
     grid = Grid(cfg.N)
     rep = validate_problem(data, kin, grid)
     if not rep.ok:
@@ -591,7 +620,7 @@ def run_simulation(data: ProblemData, kin: KineticsModel, cfg: SolverConfig,
         raise ValidationError(f"t_end={t_end:.12g} at dt={cfg.dt:.12g} is {n_steps} steps, whose "
                               f"reports ({n_steps * STEP_COLUMNS.itemsize:.3g} bytes) do not fit "
                               "in memory", code="TOO_MANY_STEPS") from None
-    run.end_rates = start, rep.f0, rep.h0  # the first step's start: no rate is evaluated twice
+    run.carried = start, rep.f0, rep.h0, None  # the first step's start: no rate is evaluated twice
     outcome, failure = "completed", None
     for k in range(1, n_steps + 1):
         try:

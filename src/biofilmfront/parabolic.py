@@ -14,9 +14,15 @@ kept exact (``diag = 1``, ``rhs = psi_end``).
 The functions here are the step's array kernels.  The coupled step
 (:func:`biofilmfront.coupler.picard_step`) composes them: the bands of the
 implicit matrix, the explicit half and the right-hand side, the mesh-Peclet
-guard and one ``gtsv`` solve per substrate.  Full-length arrays have
-``N + 1`` entries, one per node; ``adv`` arrays hold the centered advection
-weights of the interior nodes 1..N-1 only; the off-diagonal bands have
+guard and one ``gtsv`` solve per substrate.  The bands are built from
+constants fixed for a run (:func:`implicit_constants`), so a velocity
+writes the off-diagonals in one operation per band.  The explicit half is
+the 3-point stencil (:func:`explicit_part`) on a run's first step and on a
+direct step; within a run it comes from the last solve of the step before
+(:func:`carried_explicit_part`), and so sits at that sweep's iterate
+velocity, within the Picard tolerance of the step-start one.  Full-length
+arrays have ``N + 1`` entries, one per node; ``w`` holds weights of the
+interior nodes 1..N-1 only; the off-diagonal bands have
 ``N`` entries, as ``gtsv`` takes them.
 
 The solve is LAPACK's ``dgtsv`` from scipy's compiled f2py wrapper module
@@ -80,23 +86,32 @@ def _load_dgtsv():
 dgtsv = _load_dgtsv()
 
 
-def advection_weights(interior: np.ndarray, v1: float, dz: float) -> np.ndarray:
-    """Centered advection weights ``z * v1 / (2 dz)`` at ``interior = nodes[1:N]``."""
-    return interior * v1 / (2.0 * dz)
+def implicit_constants(grid: Grid, D, a_new: float) -> tuple[np.ndarray, list[float]]:
+    """The velocity-free factors of the implicit operator's bands, fixed for a
+    run: ``w = a_new z / (2 dz)`` at the interior nodes and, for each
+    diffusivity ``D_j``, ``b_j = -a_new D_j / dz^2``, with ``a_new = dt theta``.
+    The interior off-diagonals at velocity ``v1`` are ``b_j + v1 w`` (below)
+    and ``b_j - v1 w`` (above), and the diagonal is ``1 - 2 b_j``."""
+    w = grid.nodes[1:grid.N] * (a_new / (2.0 * grid.dz))
+    return w, [-(a_new * (float(d) / grid.dz**2)) for d in D]
 
 
-def peclet_unstable(adv: np.ndarray, diff: float) -> bool:
-    """Mesh Peclet guard of the operator with advection weights ``adv`` and
-    diffusion weight ``diff = D / dz^2``.
+def peclet_unstable(v1: float, w_last: float, b: float) -> bool:
+    """Mesh Peclet guard at velocity ``v1``, from the last interior entry
+    ``w_last = w[-1]`` of :func:`implicit_constants` and the ``b`` of the
+    smallest diffusivity, which binds.
 
     True when the advective term breaks the operator's sign pattern: the
     mesh Peclet number ``|v1| * dz / (2 D)`` exceeds 1, an interior
-    off-diagonal turns positive, and the implicit matrix is no M-matrix
-    (strictly diagonally dominant, inverse >= 0), which voids the discrete
-    maximum principle.  ``|adv|`` grows with ``z`` and rounding is monotone,
-    so the last interior node holds the largest ``|adv|``.
+    off-diagonal ``b +- v1 w`` turns positive, and the implicit matrix is
+    no M-matrix (strictly diagonally dominant, inverse >= 0), which voids
+    the discrete maximum principle.  Rounding is monotone and its sign is
+    exact, so the test is exactly that of the off-diagonals the sweep
+    writes, and ``w`` grows with ``z``, so the last interior node binds.
+    The number does not depend on ``dt``: the explicit operator, at
+    ``dt (1 - theta)``, is guarded by the same test at its own velocity.
     """
-    return abs(adv[-1]) > diff
+    return abs(v1) * w_last > -b
 
 
 def peclet_error(v1_new: float, v1_old: float, D: float, theta_scheme: float,
@@ -120,30 +135,33 @@ def peclet_error(v1_new: float, v1_old: float, D: float, theta_scheme: float,
     )
 
 
-def implicit_bands(N: int, diff: float, a_new: float):
+def implicit_bands(N: int, b: float):
     """Bands ``(dl, d, du)`` of the implicit operator, with the entries no
-    velocity changes: the diagonal ``1 + 2 dt theta D / dz^2`` but the
-    Dirichlet row's 1, ``dl[-1] = 0`` and the no-flux row's ghost-node
-    ``du[0]`` (advection vanishes at ``z = 0``)."""
+    velocity changes: the diagonal ``1 - 2 b`` but the Dirichlet row's 1,
+    ``dl[-1] = 0`` and the no-flux row's ghost-node ``du[0] = 2 b``
+    (advection vanishes at ``z = 0``), for a ``b`` of :func:`implicit_constants`."""
     d = np.ones(N + 1)
-    d[:N] = 1.0 + 2.0 * a_new * diff
+    d[:N] = 1.0 - 2.0 * b
     dl, du = np.zeros(N), np.zeros(N)
-    du[0] = -2.0 * a_new * diff
+    du[0] = 2.0 * b
     return dl, d, du
 
 
-def implicit_off_diagonals(adv: np.ndarray, diff: float, a_new: float, dl: np.ndarray,
-                           du: np.ndarray) -> None:
-    """Write the off-diagonal entries that follow the advection weights
-    ``adv`` into the bands ``dl``, ``du`` of :func:`implicit_bands`."""
-    np.multiply(-a_new, diff - adv, out=dl[:-1])
-    np.multiply(-a_new, diff + adv, out=du[1:])
+def implicit_off_diagonals(vw: np.ndarray, b: float, dl: np.ndarray, du: np.ndarray) -> None:
+    """Write the interior off-diagonals at a velocity ``v1``, ``b + v1 w``
+    below and ``b - v1 w`` above, into the bands ``dl``, ``du`` of
+    :func:`implicit_bands`, given ``vw = v1 * w`` (shared by the substrates)."""
+    np.add(b, vw, out=dl[:-1])
+    np.subtract(b, vw, out=du[1:])
 
 
-def explicit_part(C: np.ndarray, adv_old: np.ndarray, diff: float, a_old: float) -> np.ndarray:
-    """Explicit half of the theta-scheme, ``(I + dt (1-theta) L_old) C``, in
-    rows 0..N-1 (the Dirichlet row's entry is 0)."""
-    N = len(C) - 1
+def explicit_part(C: np.ndarray, grid: Grid, v1: float, D: float, a_old: float) -> np.ndarray:
+    """Explicit half of the theta-scheme, ``(I + dt (1-theta) L_old) C`` with
+    ``L_old`` at velocity ``v1`` and diffusivity ``D``, in rows 0..N-1 (the
+    Dirichlet row's entry is 0), by its 3-point stencil: the centered
+    advection weights ``z v1 / (2 dz)`` and ``diff = D / dz^2``."""
+    N, dz = grid.N, grid.dz
+    adv_old, diff = grid.nodes[1:N] * v1 / (2.0 * dz), D / dz**2
     out = np.empty(N + 1)
     out[1:N] = (
         C[1:N]
@@ -154,6 +172,35 @@ def explicit_part(C: np.ndarray, adv_old: np.ndarray, diff: float, a_old: float)
     c0, c1 = C[:2].tolist()
     out[0], out[N] = c0 + a_old * 2.0 * diff * (c1 - c0), 0.0
     return out
+
+
+def carried_explicit_part(C: np.ndarray, rhs: np.ndarray, ratio: float) -> np.ndarray:
+    """Explicit half ``(I + dt (1-theta) L) C`` of the next step, from the
+    solve that gave ``C``: ``(I - dt theta L) C = rhs`` gives
+    ``dt theta L C = C - rhs``, so the half is ``C + ratio (C - rhs)`` with
+    ``ratio = (1 - theta) / theta``, on every row of ``C`` and ``rhs`` at
+    once (the Dirichlet row's entry is ``C``'s own, which :func:`step_rhs`
+    replaces).  ``L`` is the operator that solve assembled, at its velocity.
+
+    Forward error against :func:`explicit_part` at that velocity, in row
+    ``i < N`` of one substrate, with ``u`` the unit roundoff, ``A`` the
+    matrix the solve took and ``s = max_j (|A| |C|)_j``:
+
+    - the solve is backward stable, so ``|rhs - A C|_i <= c1 u s``: about
+      ``12 u`` componentwise where ``gtsv`` does not pivot (the matrix is
+      diagonally dominant), and normwise, with growth at most 2, where it does;
+    - ``dt theta L = I - A``, and each entry of ``A`` rounds ``b +- v1 w``
+      (a few ``u`` relative) where the stencil rounds its own, so
+      ``ratio (I - A)`` and ``dt (1-theta) L`` differ by ``c2 u ratio |A|``
+      entrywise (``dt (1-theta) |L| <= ratio |A|``);
+    - the stencil's sums and this function's three operations round by
+      ``c3 u (|C_i| + |rhs_i| + ratio (|A| |C|)_i)``.
+
+    So the two halves agree to ``k u (|C_i| + |rhs_i| + ratio s)``, where
+    the constants add to about ``k = 20``, and bit for bit at ``theta = 1``
+    (``ratio = 0``).
+    """
+    return C + ratio * (C - rhs)
 
 
 def step_rhs(explicit: np.ndarray, H: np.ndarray, dt: float, psi_end) -> np.ndarray:

@@ -18,18 +18,15 @@ def assemble(C, grid, v1, H, D, psi_end, dt, theta=0.5):
     ``v1 = (v1_start, v1_end)``: the explicit operator uses the start value,
     the implicit one the end value.  ``sub[0]`` and ``sup[-1]`` are padding.
     """
-    diff = D / grid.dz**2
-    interior = grid.nodes[1:grid.N]
-    adv_old = parabolic.advection_weights(interior, v1[0], grid.dz)
-    adv_new = parabolic.advection_weights(interior, v1[1], grid.dz)
-    # the explicit operator only matters for theta < 1
-    if parabolic.peclet_unstable(adv_new, diff) or (
-            theta < 1.0 and parabolic.peclet_unstable(adv_old, diff)):
-        raise parabolic.peclet_error(v1[1], v1[0], D, theta, grid)
     a_new = dt * theta
-    dl, diag, du = parabolic.implicit_bands(grid.N, diff, a_new)
-    parabolic.implicit_off_diagonals(adv_new, diff, a_new, dl, du)
-    explicit = parabolic.explicit_part(C, adv_old, diff, dt * (1.0 - theta))
+    w, (b,) = parabolic.implicit_constants(grid, [D], a_new)
+    # the explicit operator only matters for theta < 1
+    if parabolic.peclet_unstable(v1[1], w[-1], b) or (
+            theta < 1.0 and parabolic.peclet_unstable(v1[0], w[-1], b)):
+        raise parabolic.peclet_error(v1[1], v1[0], D, theta, grid)
+    dl, diag, du = parabolic.implicit_bands(grid.N, b)
+    parabolic.implicit_off_diagonals(v1[1] * w, b, dl, du)
+    explicit = parabolic.explicit_part(C, grid, v1[0], D, dt * (1.0 - theta))
     rhs = parabolic.step_rhs(explicit, H, dt, psi_end)
     return np.concatenate(([0.0], dl)), diag, np.concatenate((du, [0.0])), rhs
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import biofilmfront as bf
+from biofilmfront import cli
 from biofilmfront.cli import main as cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -46,10 +47,10 @@ def shipped_runs():
 #: SHA-256 of each shipped run: its ``reports`` bytes, then ``x`` and ``v`` of
 #: every stored state in order; pinned with the versions of GOLDEN_VERSIONS
 GOLDEN_DIGESTS = {
-    "equilibrium.yaml": "8ecf8d27882a93fb3fb3e471faa6b53c381b63764be18ee0009ef7c484629910",
-    "linear_dissipative.yaml": "44d88997290aca2116456fe9bd25353d991a4d046a7996ee8827900281523078",
-    "monod_growth.yaml": "ef905520cf86746db4ba09ab1c46e3a80a2f2a5357faeb5197cbc3abdfd244ec",
-    "zero_kinetics.yaml": "860087d5844ac872aaae8c0080db8fde4ed0a2f13c26072f57f588e27b4eaeff",
+    "equilibrium.yaml": "71c6b77c35ba3c446937e0be5c6cd50e0dad360b5daea4a3744a20c4ace1c1bc",
+    "linear_dissipative.yaml": "1dc94aa89cc9e794ae9cc5cb79147be27acf09f10a4214e87702b25ee16a5107",
+    "monod_growth.yaml": "1d55ac2067cf68bbef328988be0aae5aae9f4f331dbd2c8bf07e928201afa9d5",
+    "zero_kinetics.yaml": "23102d56750d535c7a5911a16d5b0896b2685b3af1f6753bc9eea972c2de57a1",
 }
 GOLDEN_VERSIONS = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
 
@@ -75,13 +76,52 @@ def test_shipped_runs_match_their_golden_digests(shipped_runs):
                        f"{GOLDEN_VERSIONS}; running {_versions()}")
 
 
+@pytest.fixture(scope="module")
+def mms_run():
+    """One manufactured-solution study and its wall time in seconds."""
+    t0 = time.perf_counter()
+    report = bf.mms_study()
+    return report, time.perf_counter() - t0
+
+
+#: SHA-256 of ``f"{exit code}\n{stdout}"`` of ``verify`` on each shipped
+#: config and of ``mms``; pinned with the versions of GOLDEN_VERSIONS
+GOLDEN_STDOUT = {
+    "equilibrium.yaml": "55a860f0670fca4ffe60a840c5e28b52a9de82b4bb9e5b8d15745aee6d247882",
+    "linear_dissipative.yaml": "e25340a08d7370b1b8b7d39c223d246a5012dc9f97cbd9aba7d74f02dcec33c8",
+    "monod_growth.yaml": "caf2dd5286e5d479ec3d7f32ad3c12d626cc71a11f52ac5a39fb09f7e1975fb5",
+    "zero_kinetics.yaml": "8a400cd7d48f3b726c3660e47fecf2674017e8b2eef94640680a49311103ec49",
+    "mms": "679e5e28ea9eb61607057c7ac851e1affa4dbaa98e50364c0107fcc4c5100333",
+}
+
+
+def test_verify_and_mms_stdout_match_their_golden_digests(shipped_runs, mms_run, monkeypatch,
+                                                          capsys):
+    """``verify`` on each shipped config and ``mms`` print the pinned bytes
+    and exit with the pinned codes.  They audit the runs of ``shipped_runs``
+    and report the study of ``mms_run``, so no run is made twice."""
+    runs = {spec.config_hash: (spec, traj) for spec, traj in shipped_runs.values()}
+    monkeypatch.setattr(cli, "_run_tree", lambda tree: runs[bf.build_runspec(tree).config_hash])
+    monkeypatch.setattr(cli, "mms_study", lambda: mms_run[0])
+    commands = {name: ["verify", "--config", os.path.join(CONFIG_DIR, name)]
+                for name in shipped_runs}
+    digests = {}
+    for name, argv in {**commands, "mms": ["mms"]}.items():
+        code = cli_main(argv)
+        digests[name] = hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
+    moved = sorted(name for name in digests.keys() | GOLDEN_STDOUT.keys()
+                   if digests.get(name) != GOLDEN_STDOUT.get(name))
+    assert not moved, (f"stdout digests of {', '.join(moved)} differ from those pinned with "
+                       f"{GOLDEN_VERSIONS}; running {_versions()}: {digests}")
+
+
 #: Python and C calls (``sys.setprofile``'s ``call`` and ``c_call`` events) of
 #: one warm 200-step run, by problem; pinned with the versions of
 #: GOLDEN_VERSIONS, since numpy's Python-level wrappers count too
 GOLDEN_CALLS = {
-    "c01 N=100 dt=1e-3": 20248,
-    "monod N=40 dt=1e-3": 20770,
-    "monod N=40 dt=1e-2": 32980,
+    "c01 N=100 dt=1e-3": 18057,
+    "monod N=40 dt=1e-3": 18537,
+    "monod N=40 dt=1e-2": 30417,
 }
 
 
@@ -273,11 +313,9 @@ def test_c08_continuous_dependence():
             f"K(eps)={['%.4f' % g for g in gains]}, spread={spread:.3f}x")
 
 
-def test_c09_mms_convergence():
+def test_c09_mms_convergence(mms_run):
     """Observed orders >= (1.8, 0.9, 3.5); full study < 60 s."""
-    t0 = time.perf_counter()
-    report = bf.mms_study()
-    elapsed = time.perf_counter() - t0
+    report, elapsed = mms_run
     orders = report.orders()
     ok = (report.ok and elapsed < 60.0)
     detail = ", ".join(f"{k}={v:.2f}" for k, v in orders.items())

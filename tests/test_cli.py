@@ -1,6 +1,7 @@
 """Command-line entry points: simulate, sweep, verify, mms."""
 
 import concurrent.futures
+import gc
 import json
 import os
 import pickle
@@ -513,21 +514,51 @@ def test_sweep_invalid_problem_in_workers_exit_2(tmp_path, monkeypatch, capsys):
     assert _RecordingPool.made == [] and not (tmp_path / "sweep").exists()
 
 
+def test_a_command_leaves_no_argparse_objects_for_the_collector(tmp_path):
+    """The command-line parser is built once per process, so a ``main`` call
+    leaves no unreachable parser, action or formatter behind: with the
+    collector off during the call, a collection afterwards finds none."""
+    p = tmp_path / "run.yaml"
+    p.write_text(GOOD)
+    argv = ["simulate", "--config", str(p), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0  # a first call builds the parser
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_bad_value_stops_before_any_run(jobs, tmp_path, monkeypatch, capsys):
-    """A value that makes one run's problem invalid stops the sweep before
-    any run starts: the error names the value, and nothing is written, not
-    even the valid runs' outputs or the summary."""
+    """A value that makes one run's problem, horizon or snapshot stride
+    invalid stops the sweep before any run starts: the error names the
+    value, and nothing is written, not even the valid runs' outputs or the
+    summary."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "made", [])
-    out = tmp_path / "X"
-    assert main(["sweep", "--config", str(CONFIGS / "zero_kinetics.yaml"), "--param", "lambda",
-                 "--values", "0.5,-1", "--jobs", jobs, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == (
-        "error [NONPOSITIVE_LAMBDA]: lambda=-1: invalid problem data: NONPOSITIVE_LAMBDA: "
-        "detachment rate must be > 0, got -1.0\n")
-    assert _RecordingPool.made == [] and not out.exists()
+    cases = [
+        ("lambda", "0.5,-1", "error [NONPOSITIVE_LAMBDA]: lambda=-1: invalid problem data: "
+                             "NONPOSITIVE_LAMBDA: detachment rate must be > 0, got -1.0\n"),
+        ("t_end", "0.01,-1", "error [NONPOSITIVE_PARAM]: t_end=-1: t_end must be >= 0, "
+                             "got -1.0\n"),
+        ("stride", "5,0", "error [NONPOSITIVE_PARAM]: stride=0: snapshot_stride must be >= 1, "
+                          "got 0\n"),
+    ]
+    for param, values, err in cases:
+        out = tmp_path / param
+        assert main(["sweep", "--config", str(CONFIGS / "zero_kinetics.yaml"), "--param", param,
+                     "--values", values, "--jobs", jobs, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+        assert _RecordingPool.made == [] and not out.exists()
 
 
 @pytest.mark.parametrize("exc", [

@@ -43,6 +43,7 @@ from biofilmfront.boundary import r_max_bound, velocity_nodes
 from biofilmfront.coupler import RECORD_BLOCK, START_HISTORY, _Run
 from biofilmfront.grid import interp_rows
 from biofilmfront.kinetics import _species_sum
+from biofilmfront.parabolic import explicit_part
 from stages import substrate_step, thickness_step, transport_step
 
 
@@ -365,16 +366,23 @@ def test_value_types_compare_and_hash(name):
 
 def test_thickness_bound_uses_running_v1_max(monkeypatch):
     """Each step's thickness bound is taken at the largest ``|v1|`` seen so
-    far, t = 0 included.  Here ``g = C - 1/2`` on a substrate that fills up
-    from the surface: ``v1`` starts negative, passes 0 and ends above its
-    initial magnitude."""
-    seen = []
+    far, t = 0 included, and computed only when that maximum rises.  Here
+    ``g = C - 1/2`` on a substrate that fills up from the surface: ``v1``
+    starts negative, passes 0 and ends above its initial magnitude.  The
+    spied bound is the ``|v1|`` maximum it was taken at, so the bound each
+    step's ``check_invariants`` receives names it."""
+    seen, taken = [], []
 
-    def spy(R0, lam, v1_max):
-        seen.append(v1_max)
-        return r_max_bound(R0, lam, v1_max)
+    def bound(R0, lam, v1_max):
+        taken.append(v1_max)
+        return v1_max
 
-    monkeypatch.setattr(coupler, "r_max_bound", spy)
+    def spy(s, cfg, r_bound, minima):
+        seen.append(r_bound)
+        return check_invariants(s, cfg, r_bound, minima)
+
+    monkeypatch.setattr(coupler, "r_max_bound", bound)
+    monkeypatch.setattr(coupler, "check_invariants", spy)
     kin = KineticsModel(n=1, m=1, f=lambda Y, C: np.zeros_like(Y),
                         h=lambda Y, C: np.zeros_like(C), g=lambda Y, C: C[0] - 0.5)
     data = ProblemData(phi=[lambda z: np.zeros_like(z)], theta=[lambda z: 0.2 + 0.8 * z**8],
@@ -384,7 +392,10 @@ def test_thickness_bound_uses_running_v1_max(monkeypatch):
     assert traj.outcome == "completed" and len(seen) == len(traj.reports) == 100
     assert v1.argmin() > 0 and v1[-1] > v1[0]  # |v1| falls, then rises past its start
     # never decreasing, and at least every |v1| so far
-    assert seen == np.maximum.accumulate(v1)[1:].tolist()
+    running = np.maximum.accumulate(v1)
+    assert seen == running[1:].tolist()
+    # taken at the first step and at each new maximum, not at every step
+    assert taken == np.unique(running[1:]).tolist() and len(taken) < len(seen)
 
 
 def test_check_invariants_flags():
@@ -884,26 +895,50 @@ def test_warm_start_agrees_with_cold_steps(problem):
     assert max(warm) <= max(cold)
 
 
-@pytest.mark.parametrize("dt", [1e-3, 1e-2])
-def test_carried_rates_move_a_step_by_less_than_the_tolerance(dt):
+@pytest.mark.parametrize("dt, theta, m", [
+    pytest.param(1e-3, 0.5, 1, id="0.001"), pytest.param(1e-2, 0.5, 1, id="0.01"),
+    pytest.param(1e-3, 0.75, 1, id="0.001-theta0.75"), pytest.param(1e-3, 0.5, 2, id="0.001-m2")])
+def test_carried_rates_move_a_step_by_less_than_the_tolerance(dt, theta, m):
     """A run's step starts from the rates its last sweep evaluated, at the
-    iterate before the converged one; a direct call evaluates them at its
-    state.  Taken both ways from the same state and start iterate, each of
-    200 steps of the Monod problem ends within ``picard_tol`` in ``x`` and
-    ``v``."""
-    data, kin = _monod_problem(1)
-    cfg = SolverConfig(N=40, dt=dt)
+    iterate before the converged one, and from that sweep's substrate
+    right-hand side, whose explicit half sits at that iterate's velocity; a
+    direct call evaluates the rates at its state and the explicit half by
+    the stencil at its ``v1``.  Taken both ways from the same state and
+    start iterate, each of 200 steps of the Monod problem ends within
+    ``picard_tol`` in ``x`` and ``v``."""
+    data, kin = _monod_problem(m)
+    cfg = SolverConfig(N=40, dt=dt, theta_scheme=theta)
     state = initial_state(data, kin, cfg)
     run, gap, carried = _Run(state, data, cfg), 0.0, 0
     for _ in range(200):
         start = run.start()
-        carried += run.end_rates[0] is state
+        carried += run.carried[0] is state and run.carried[3] is not None
         fresh = picard_step(state, data, kin, cfg, start)[0]
         state = picard_step(state, data, kin, cfg, start, run)[0]
         run.push(state)
         gap = max(gap, float(np.abs(fresh.x - state.x).max()),
                   float(np.abs(fresh.v - state.v).max()))
     assert carried == 199 and 0.0 < gap <= cfg.picard_tol
+
+
+def test_a_run_assembles_the_explicit_stencil_on_its_first_step_only(monkeypatch):
+    """From its second step on, a run takes each step's explicit half from
+    the last solve of the step before; a direct call builds it by the
+    stencil, once per substrate."""
+    calls = []
+
+    def stencil(*args):
+        calls.append(None)
+        return explicit_part(*args)
+
+    monkeypatch.setattr(coupler.parabolic, "explicit_part", stencil)
+    data, kin = _monod_problem(2)
+    cfg = SolverConfig(N=30, dt=5e-3)
+    traj = run_simulation(data, kin, cfg, t_end=0.1)
+    assert traj.outcome == "completed" and len(traj.reports) == 20
+    assert len(calls) == 2  # the first step's, one per substrate
+    picard_step(traj.final_state, data, kin, cfg)
+    assert len(calls) == 4
 
 
 def test_warm_steps_of_c01_take_one_sweep():

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from biofilmfront import (
@@ -21,7 +21,7 @@ from biofilmfront import (
     zero_kinetics,
 )
 from biofilmfront import parabolic
-from biofilmfront.parabolic import (advection_weights, gtsv_solve, peclet_error,
+from biofilmfront.parabolic import (gtsv_solve, implicit_constants, peclet_error,
                                     peclet_unstable)
 from stages import assemble, substrate_step
 
@@ -184,6 +184,42 @@ def test_tridiagonal_bitwise_equals_thomas_on_assembled_systems(N, D, dt, theta,
         assert np.array_equal(x, x_ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(min_value=4, max_value=400),
+    D=st.floats(min_value=1e-3, max_value=10.0),
+    dt=st.floats(min_value=1e-5, max_value=1.0),
+    theta=st.floats(min_value=0.5, max_value=1.0),
+    pe=st.floats(min_value=-0.999, max_value=0.999),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(N=40, D=0.05, dt=1e-3, theta=1.0, pe=0.5, seed=0)
+def test_carried_explicit_half_matches_the_stencil(N, D, dt, theta, pe, seed):
+    """The next step's explicit half from a solve, ``C + ratio (C - rhs)``,
+    is the stencil's ``(I + dt (1-theta) L) C`` at the solve's velocity, in
+    rows 0..N-1, to the forward error bound of
+    :func:`parabolic.carried_explicit_part` with ``k = 32``, also where
+    ``gtsv`` pivots; bit for bit at ``theta = 1``."""
+    rng = np.random.default_rng(seed)
+    g = Grid(N)
+    v1 = 2.0 * D * N * pe   # mesh Peclet |v1| dz / 2D < 1
+    sub, diag, sup, rhs = assemble(rng.uniform(0.0, 2.0, N + 1), g, (v1, v1),
+                                   rng.uniform(-1.0, 1.0, N + 1), D, rng.uniform(0.0, 2.0),
+                                   dt, theta)
+    event("gtsv pivots" if thomas(sub, diag, sup, rhs)[1] else "no pivoting")
+    C = gtsv_solve(sub[1:], diag, sup[:-1], rhs)
+    ratio = (1.0 - theta) / theta
+    got = parabolic.carried_explicit_part(C, rhs, ratio)[:N]
+    want = parabolic.explicit_part(C, g, v1, D, dt * (1.0 - theta))[:N]
+    if theta == 1.0:
+        assert np.array_equal(got, want)
+    AC = np.abs(diag) * np.abs(C)   # |A| |C|
+    AC[1:] += np.abs(sub[1:] * C[:-1])
+    AC[:-1] += np.abs(sup[:-1] * C[1:])
+    scale = np.abs(C[:N]) + np.abs(rhs[:N]) + ratio * AC.max()
+    assert np.all(np.abs(got - want) <= 32.0 * 0.5 * np.finfo(float).eps * scale)
+
+
 # -- assembly ------------------------------------------------------------------
 
 
@@ -206,11 +242,11 @@ def test_interior_stencil_fully_implicit():
 def test_assembly_pe_guard():
     g = Grid(10)  # dz = 0.1, so |z v1| dz / (2D) > 1 needs v1 > 20 at z=1
     D = 1.0
-    diff = D / g.dz**2
-    interior = g.nodes[1:g.N]
-    assert peclet_unstable(advection_weights(interior, 25.0, g.dz), diff)
-    assert peclet_unstable(advection_weights(interior, -25.0, g.dz), diff)
-    assert not peclet_unstable(advection_weights(interior, 20.0, g.dz), diff)
+    for a_new in (5e-3, 0.5, 1.0):  # the guard does not depend on dt theta
+        w, (b,) = implicit_constants(g, [D], a_new)
+        assert peclet_unstable(25.0, w[-1], b)
+        assert peclet_unstable(-25.0, w[-1], b)
+        assert not peclet_unstable(20.0, w[-1], b)
     exc = peclet_error(25.0, 25.0, D, 0.5, g)
     assert exc.code == "UNSTABLE_ASSEMBLY"
     # the fix is a grid with N > |v1| / (2D) = 12.5, or a larger D; the mesh
