@@ -427,13 +427,13 @@ class _Run:
     ``f`` and ``h`` that start the next step and the substrate right-hand
     side whose solve gave that state's ``C``, from which the next step's
     explicit half comes (``None`` at the start); the running max ``|v1|``
-    with the thickness bound ``r_bound`` taken at it on the first accepted
-    step and again only when the max rises; minima of ``Y`` and ``C`` (the
-    earlier of equal values stays, as in ``min``); ``reports`` and the
-    states kept (every ``stride``-th).  A step's flags are taken as it is
-    accepted, since one can stop the run.  Its energy and surface flux come
-    from its record (each row's sum of squares, then ``x[idx]``: the rows'
-    ends, the substrates' three surface nodes and ``v1``), a block of
+    with the thickness bound ``r_bound`` taken at it at the start and again
+    only when the max rises; minima of ``Y`` and ``C`` (the earlier of equal
+    values stays, as in ``min``); ``reports`` and the states kept (every
+    ``stride``-th).  A step's flags are taken as it is accepted, since one
+    can stop the run.  Its energy and surface flux come from its record
+    (each row's sum of squares, then ``x[idx]``: the rows' ends, the
+    substrates' three surface nodes and ``v1``), a block of
     :data:`RECORD_BLOCK` at a time and in :meth:`finish`, bit for bit."""
 
     #: row weights by (states used, pushes modulo START_HISTORY)
@@ -449,7 +449,8 @@ class _Run:
         self.w_last, self.b_min = float(self.w[-1]), max(self.b)
         self.bands = [parabolic.implicit_bands(grid.N, b) for b in self.b]
         self._buf = np.zeros((START_HISTORY, state.x.size))
-        self.t0, self.count, self.v1_max, self.r_bound = state.t, 0, abs(state.v1), None
+        self.t0, self.count, self.v1_max = state.t, 0, abs(state.v1)
+        self.r_bound = r_max_bound(data.R0, data.lam, self.v1_max)
         self.min_Y_seen, self.min_C_seen = float(state.Y.min()), float(state.C.min())
         self.carried = None, None, None, None
         self.reports = np.recarray(n_steps, STEP_COLUMNS)
@@ -484,8 +485,8 @@ class _Run:
         as the next step's row and state; return the row's invariant flags."""
         state, residuals, clamped = step
         k, X, v1 = self.count, state.X, state.x[-1].item()
-        if self.r_bound is None or abs(v1) > self.v1_max:  # else the bound stays
-            self.v1_max = max(self.v1_max, abs(v1))
+        if abs(v1) > self.v1_max:  # else the bound stays
+            self.v1_max = abs(v1)
             self.r_bound = r_max_bound(data.R0, data.lam, self.v1_max)
         row_min, n = np.minimum.reduce(X, axis=1).tolist(), len(state.Y)
         y_min, c_min = min(row_min[:n]), min(row_min[n:])

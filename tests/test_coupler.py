@@ -394,8 +394,8 @@ def test_thickness_bound_uses_running_v1_max(monkeypatch):
     # never decreasing, and at least every |v1| so far
     running = np.maximum.accumulate(v1)
     assert seen == running[1:].tolist()
-    # taken at the first step and at each new maximum, not at every step
-    assert taken == np.unique(running[1:]).tolist() and len(taken) < len(seen)
+    # taken at the start and at each new maximum, not at every step
+    assert taken == np.unique(running).tolist() and len(taken) < len(seen)
 
 
 def test_check_invariants_flags():
